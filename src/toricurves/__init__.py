@@ -3,7 +3,12 @@ toric varieties, cross-checked against finite-field point counts."""
 
 from importlib import resources
 
-from .errors import BudgetError, FanValidationError, InternalCheckError
+from .errors import (
+    BudgetError,
+    FanValidationError,
+    InternalCheckError,
+    LimitError,
+)
 from .grothendieck import (
     MINUS_INFINITY,
     DimSeries,

@@ -7,7 +7,8 @@ authoritative form.  Nothing is printed until the computation has
 finished, so failures never leave partial output behind.
 
 Exit statuses: 0 success, 1 usage, 2 validation or unreadable input,
-3 enumeration budget exceeded, 4 internal consistency tripwire.
+3 enumeration budget or internal size limit exceeded, 4 internal
+consistency tripwire.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import sys
 import time
 
 from . import FIXTURE_NAMES, fixture_fan
-from .errors import BudgetError, FanValidationError, InternalCheckError
+from .errors import (
+    BudgetError,
+    FanValidationError,
+    InternalCheckError,
+    LimitError,
+)
 from .grothendieck import MINUS_INFINITY, ONE, SeriesCap
 from .toric import (
     Fan,
@@ -374,7 +380,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text = args.func(args)
-    except BudgetError as exc:
+    except (BudgetError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InternalCheckError as exc:

@@ -17,5 +17,9 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
+class LimitError(RuntimeError):
+    """Valid input exceeds a fixed internal size limit of the program."""
+
+
 class InternalCheckError(AssertionError):
     """Two independent computations of the same quantity disagreed."""

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, LimitError
 from .grothendieck import (
     ONE,
     ZERO,
@@ -265,8 +265,9 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
     box = cap.box
     nvars = len(box)
     if any(b > _PACK_LIMIT for b in box):
-        raise ValueError(
-            f"per-variable caps above {_PACK_LIMIT} are not supported"
+        raise LimitError(
+            f"per-variable cap {max(box)} exceeds the internal limit of "
+            f"{_PACK_LIMIT} set by the {_PACK_SHIFT}-bit exponent packing"
         )
     support: list[tuple[int, ...]] = []
     coeffs_in: dict[tuple[int, ...], int] = {}
@@ -325,7 +326,7 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
         for poly in fac.values():
             for c in poly:
                 if c:
-                    g = _gcd(g, c)
+                    g = math.gcd(g, c)
                     if g == 1:
                         break
             if g == 1:
@@ -359,13 +360,6 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
     if out.get((0,) * nvars) != ONE:
         raise InternalCheckError("Euler product lost its constant term 1")
     return MultiSeries(variables, cap, out)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class GlobalMobius:
@@ -417,8 +411,12 @@ class GlobalMobius:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _global_mobius_cached(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
+def build_global_mobius(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
+    """Uncached global Mobius table of a fan already known to be valid.
+
+    For callers that keep only a table derived from it; global_mobius
+    caches the same result.
+    """
     P = fan_mobius_polynomial(fan)
     series = euler_product_p1(P, s, cap)
     values: dict[tuple[int, ...], LaurentClass] = {}
@@ -436,6 +434,9 @@ def _global_mobius_cached(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
     if values.get((0,) * fan.nrays) != ONE:
         raise InternalCheckError("global Mobius table lost mu(0) = 1")
     return GlobalMobius(fan, s, cap, values)
+
+
+_global_mobius_cached = functools.lru_cache(maxsize=None)(build_global_mobius)
 
 
 def global_mobius(fan: Fan, s: int = 0, cap: SeriesCap | None = None) -> GlobalMobius:

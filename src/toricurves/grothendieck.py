@@ -13,6 +13,7 @@ coefficients and no floating point anywhere:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -82,7 +83,7 @@ class LaurentClass:
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         c = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for e, v in items:
             v = int(v)
             if v:
@@ -387,10 +388,6 @@ def dimser_mul(a: DimSeries, b: DimSeries) -> DimSeries:
     return a * b
 
 
-def dimser_add(a: DimSeries, b: DimSeries) -> DimSeries:
-    return a + b
-
-
 def inverse_one_minus_Linv_pow(r: int, floor: int) -> DimSeries:
     """(1 - L^-1)^-r expanded down to the given floor.
 
@@ -459,7 +456,7 @@ class MultiSeries:
         self.variables = tuple(variables)
         self.cap = cap
         c = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for e, v in items:
             e = tuple(int(x) for x in e)
             if len(e) != len(self.variables):
@@ -526,15 +523,6 @@ class MultiSeries:
         r._c = c
         return r
 
-    def scalar_mul(self, factor) -> "MultiSeries":
-        r = MultiSeries(self.variables, self.cap)
-        r._c = {}
-        for e, v in self._c.items():
-            w = v * factor
-            if w:
-                r._c[e] = w
-        return r
-
     def substitute_power(self, d: int) -> "MultiSeries":
         """t_alpha -> t_alpha^d for every variable; out-of-cap terms drop."""
         if d < 1:
@@ -568,4 +556,10 @@ class MultiSeries:
 
 
 def multiseries_scale_vars(F: MultiSeries, a: int) -> MultiSeries:
+    """Deprecated alias of ``F.scale_vars(a)``."""
+    warnings.warn(
+        "multiseries_scale_vars is deprecated; use MultiSeries.scale_vars",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     return F.scale_vars(a)

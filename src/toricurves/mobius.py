@@ -7,10 +7,11 @@ torsor class and, later, the Euler-product engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, LimitError
 from .grothendieck import LaurentClass
 from .toric import Fan, PatternSet, pattern_set, class_of_variety, picard_data
 
@@ -100,9 +101,6 @@ class IntPoly:
             total = total + powers[k] * v
         return total
 
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self._c}
-
     def to_json(self) -> dict:
         terms = [{"exp": list(e), "coeff": v}
                  for e, v in sorted(self._c.items(), key=lambda t: (sum(t[0]), t[0]))]
@@ -164,16 +162,21 @@ class MobiusTable:
         return cls(nvars=nv, values=vals)
 
 
+@functools.lru_cache(maxsize=8)
 def mobius_table(patterns: PatternSet, max_vars: int = MAX_TABLE_VARS) -> MobiusTable:
     """Invert the not-above-the-pattern-set indicator on 0/1-vectors.
 
     Processing order is Hamming weight, then lexicographic; the cumulative
     sum over each lower set equals 1 on vectors lying above no pattern and
-    0 otherwise.
+    0 otherwise.  The table costs O(3^nvars), so the last few are cached
+    per pattern set.
     """
     nu = patterns.nvars
     if nu > max_vars:
-        raise ValueError(f"{nu} variables exceed the table guard ({max_vars})")
+        raise LimitError(
+            f"{nu} variables exceed the internal limit of {max_vars} "
+            "variables of the Mobius table"
+        )
     masks = sorted(range(1 << nu), key=lambda m: (m.bit_count(), _mask_bits(m, nu)))
     mu: dict[int, int] = {}
     for m in masks:

@@ -27,6 +27,7 @@ from .grothendieck import (
     dimser_mul,
     inverse_one_minus_Linv_pow,
 )
+from .errors import InternalCheckError
 from .toric import (
     Fan,
     class_of_variety,
@@ -35,6 +36,8 @@ from .toric import (
     require_valid,
 )
 from .eulerprod import (
+    GlobalMobius,
+    build_global_mobius,
     euler_product_at_Linv,
     global_mobius,
     zeta_p1_coeffs,
@@ -227,6 +230,89 @@ class ErrorReport:
         }
 
 
+def _pack(value: LaurentClass, w: int) -> int:
+    """The value of a polynomial class at L = 2^w."""
+    if value and value.min_exponent() < 0:
+        raise InternalCheckError(f"class {value} has a negative power of L")
+    return sum(c << (w * k) for k, c in value.coeffs.items())
+
+
+def _unpack_class(x: int, w: int) -> LaurentClass:
+    """The class whose value at L = 2^w is x, all |coefficients| < 2^(w-1)."""
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    coeffs = {}
+    k = 0
+    while x:
+        c = ((x & mask) ^ half) - half
+        coeffs[k] = c
+        x = (x - c) >> w
+        k += 1
+    return LaurentClass(coeffs)
+
+
+def _packed_width(mobius: GlobalMobius, s: int, box: Sequence[int]) -> int:
+    """A width w at which every configuration class in the box is
+    recovered from its value at L = 2^w.
+
+    A coefficient of the class at e is at most sum |mu| times, per axis,
+    the absolute coefficient sum of a zeta coefficient of index at most
+    b: b + 1 for s = 0, at most 2^(s-1) otherwise.  w leaves a sign bit
+    above that.
+    """
+    bound = sum(abs(c) for _, mu in mobius.items() for c in mu.coeffs.values())
+    for b in box:
+        bound *= b + 1 if s == 0 else 2 ** (s - 1)
+    return bound.bit_length() + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_terms(
+    fan: Fan, s: int, cap: SeriesCap
+) -> tuple[int, tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """(w, zeta, mobius): the global Mobius table over a uniform box and
+    the punctured-line zeta coefficients up to its side, all as exact
+    integers at L = 2^w.  Evaluation is a ring homomorphism, so the
+    convolution that gives a configuration class is plain integer
+    arithmetic, one multiply per ray and Mobius term."""
+    # Uncached: only the packed integers are kept.
+    table = build_global_mobius(fan, s, cap)
+    w = _packed_width(table, s, cap.box)
+    top = max(cap.box, default=0)
+    zeta = tuple(_pack(z, w) for z in zeta_p1_coeffs(s, top))
+    mobius = tuple((e, _pack(mu, w)) for e, mu in table.items())
+    return w, zeta, mobius
+
+
+def _admitted(cap: SeriesCap) -> list[tuple[int, ...]]:
+    """Every exponent vector the cap admits, in lexicographic order."""
+    rows: list[tuple[tuple[int, ...], int]] = [
+        ((), sum(cap.box) if cap.total is None else cap.total)
+    ]
+    for b in cap.box:
+        rows = [(e + (x,), r - x) for e, r in rows for x in range(min(b, r) + 1)]
+    return [e for e, _ in rows]
+
+
+def _zeta_line(vals: list[int], s: int, w: int) -> None:
+    """Multiply the series vals[0] + vals[1] t + ... in place by the
+    punctured-line zeta factor (1 - t)^(s-1) / (1 - L t) at L = 2^w,
+    truncated to its length: each factor is a linear recurrence."""
+    if s == 0:
+        # times 1 / (1 - t): ascending, so vals[i - 1] is finished
+        for i in range(1, len(vals)):
+            vals[i] += vals[i - 1]
+    elif s >= 2:
+        # times (1 - t)^(s-1): descending, so every read is still old
+        stencil = [(-1) ** j * math.comb(s - 1, j) for j in range(1, s)]
+        for i in range(len(vals) - 1, 0, -1):
+            for j, coef in enumerate(stencil[:i], start=1):
+                vals[i] += coef * vals[i - j]
+    # times 1 / (1 - L t)
+    for i in range(1, len(vals)):
+        vals[i] += vals[i - 1] << w
+
+
 def pattern_config_class(
     fan: Fan, e: "DegreeVector | Sequence[int]", s: int = 0
 ) -> LaurentClass:
@@ -245,41 +331,50 @@ def pattern_config_class(
         )
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
-    # A uniform box keyed by max(e) keeps the engine cache hot across
-    # the degrees of one sweep instead of rerunning per exponent vector.
+    # A uniform box keyed by max(e) keeps the packed table hot across
+    # the degrees of one sweep instead of rerunning the engine per
+    # exponent vector.
     top = max(e) if e else 0
-    table = global_mobius(fan, s, SeriesCap.box_cap((top,) * len(e)))
-    zeta = zeta_p1_coeffs(s, top)
-    acc = ZERO
-    for prior, mu in table.items():
-        if any(a > b for a, b in zip(prior, e)):
-            continue
-        term = mu
+    w, zeta, mobius = _packed_terms(fan, s, SeriesCap.box_cap((top,) * len(e)))
+    acc = 0
+    for prior, term in mobius:
         for a, b in zip(prior, e):
-            term = term * zeta[b - a]
-        acc = acc + term
-    return acc
+            if a > b:
+                break
+            term *= zeta[b - a]
+        else:
+            acc += term
+    return _unpack_class(acc, w)
 
 
 def pattern_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
-    """The full generating series of pattern_config_class within a cap."""
+    """The full generating series of pattern_config_class within a cap.
+
+    Starts from the global Mobius coefficients on the exponents the cap
+    admits and multiplies by one zeta factor per ray, one axis at a
+    time along every line of admitted exponents.  The admitted set is
+    closed downward, so every line starts at 0 and the recurrences read
+    only admitted cells.
+    """
     require_valid(fan)
     table = global_mobius(fan, s, cap)
-    variables = tuple(f"t{i + 1}" for i in range(fan.nrays))
-    series = MultiSeries(variables, cap, dict(table.items()))
+    w = _packed_width(table, s, cap.box)
+    cells = dict.fromkeys(_admitted(cap), 0)
+    for e, mu in table.items():
+        cells[e] = _pack(mu, w)
     for alpha in range(fan.nrays):
-        jmax = cap.box[alpha]
-        unit = tuple(1 if i == alpha else 0 for i in range(fan.nrays))
-        factor = MultiSeries(
-            variables,
-            cap,
-            {
-                tuple(j * u for u in unit): z
-                for j, z in enumerate(zeta_p1_coeffs(s, jmax))
-            },
-        )
-        series = series * factor
-    return series
+        lines: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # lexicographic order, so each line comes out ascending in e[alpha]
+        for e in cells:
+            lines.setdefault(e[:alpha] + e[alpha + 1:], []).append(e)
+        for line in lines.values():
+            vals = [cells[e] for e in line]
+            _zeta_line(vals, s, w)
+            cells.update(zip(line, vals))
+    variables = tuple(f"t{i + 1}" for i in range(fan.nrays))
+    return MultiSeries(
+        variables, cap, {e: _unpack_class(x, w) for e, x in cells.items() if x}
+    )
 
 
 def open_curve_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:

@@ -68,19 +68,6 @@ class PatternSet:
     def lies_above(self, m) -> bool:
         return any(all(m[i] > 0 for i in J) for J in self.minimal)
 
-    def support_in_patterns(self, support: frozenset[int]) -> bool:
-        return any(J <= support for J in self.minimal)
-
-    def members(self) -> set[tuple[int, ...]]:
-        """All 0/1-vectors lying above the minimal members (exponential)."""
-        if self.nvars > 20:
-            raise FanValidationError(
-                f"materializing 2^{self.nvars} pattern vectors is refused")
-        out = set()
-        for bits in itertools.product((0, 1), repeat=self.nvars):
-            if self.lies_above(bits):
-                out.add(bits)
-        return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from toricurves.cli import (
 )
 from toricurves.errors import InternalCheckError
 from toricurves.grothendieck import LaurentClass
+from toricurves.mobius import mobius_table
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
 
@@ -56,6 +57,13 @@ class TestAnalyze:
         path = pathlib.Path(toricurves.__file__).parent / "fans" / "p2.json"
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0 and "P = 1 - t1*t2*t3" in out
+
+    def test_builds_the_mobius_table_once(self, capsys):
+        mobius_table.cache_clear()
+        code, _, _ = run(capsys, "analyze", "p1xp1")
+        assert code == 0
+        info = mobius_table.cache_info()
+        assert info.misses == 1 and info.hits >= 1
 
     def test_incomplete_fan_rejected(self, capsys, tmp_path):
         bad = tmp_path / "half.json"
@@ -245,6 +253,12 @@ class TestOracle:
         assert code == EXIT_BUDGET
         assert out == ""
         assert "error:" in err
+
+    def test_internal_limit_exit(self, capsys):
+        code, out, err = run(capsys, "tamagawa", "p2", "--order", "200")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "internal limit of 63" in err
 
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "oracle", "p2", "--p", "11",

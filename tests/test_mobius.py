@@ -2,8 +2,10 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
+from toricurves.errors import LimitError
 from toricurves.grothendieck import L, ONE
 from toricurves.mobius import (
     IntPoly,
@@ -15,7 +17,12 @@ from toricurves.mobius import (
     mu_grouped_by_subgraph,
     torsor_class,
 )
-from toricurves.toric import class_of_variety, pattern_set, picard_data
+from toricurves.toric import (
+    PatternSet,
+    class_of_variety,
+    pattern_set,
+    picard_data,
+)
 
 
 def _poly(nvars, terms):
@@ -103,6 +110,13 @@ def test_mobius_recursion(fans):
             )
             expected = 0 if pats.lies_above(support) else 1
             assert total == expected, (name, support)
+
+
+def test_table_guard_is_a_limit(p2):
+    with pytest.raises(LimitError, match="internal limit of 2 variables"):
+        mobius_table(pattern_set(p2), max_vars=2)
+    with pytest.raises(LimitError, match="internal limit of 24 variables"):
+        mobius_table(PatternSet(25, (frozenset({0, 1}),)))
 
 
 def test_generating_polynomial_matches_table(p2, dp6):

@@ -1,6 +1,8 @@
 """Moduli classes, the limiting constant, and convergence reports."""
 
+import itertools
 import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from toricurves.grothendieck import (
     LaurentClass,
     SeriesCap,
 )
+from toricurves.eulerprod import global_mobius, zeta_p1_coeffs
 from toricurves.toric import fan_product, picard_data
 from toricurves.moduli import (
     DegreeVector,
@@ -29,6 +32,23 @@ from toricurves.moduli import (
     tamagawa,
 )
 from toricurves import oracle
+
+
+def direct_config_class(fan, e, s=0):
+    """Reference route: convolve the box-capped global Mobius table with
+    one punctured-line zeta coefficient per ray, exponent by exponent."""
+    top = max(e) if e else 0
+    table = global_mobius(fan, s, SeriesCap.box_cap((top,) * len(e)))
+    zeta = zeta_p1_coeffs(s, top)
+    acc = ZERO
+    for prior, mu in table.items():
+        if any(a > b for a, b in zip(prior, e)):
+            continue
+        term = mu
+        for a, b in zip(prior, e):
+            term = term * zeta[b - a]
+        acc = acc + term
+    return acc
 
 
 class TestDegreeVector:
@@ -73,14 +93,39 @@ class TestConfigClasses:
             assert value == pattern_config_class(p1xp1, e), e
 
     @pytest.mark.parametrize("s", [0, 1, 2])
-    def test_dense_route_agrees(self, p1, p2, s):
+    def test_dense_route_agrees(self, p1, p2, p1xp1, s):
         """The avoidance-indicator route and the factored route compute
         the same configuration series."""
-        for fan, box in ((p1, (3, 3)), (p2, (2, 2, 2))):
-            cap = SeriesCap.box_cap(box)
+        for fan, cap in (
+            (p1, SeriesCap.box_cap((3, 3))),
+            (p2, SeriesCap.box_cap((2, 2, 2))),
+            (p2, SeriesCap.box_cap((3, 1, 2))),
+            (p1xp1, SeriesCap.box_cap((2, 1, 2, 2), total=4)),
+            # 495 admitted exponents in a box of 5^8
+            (fan_product(p1xp1, p1xp1), SeriesCap.total_cap(8, 4)),
+        ):
             a = pattern_config_series(fan, cap, s)
             b = open_curve_config_series(fan, cap, s)
-            assert a.coeffs == b.coeffs, (fan.nrays, s)
+            assert a.coeffs == b.coeffs, (cap, s)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_packed_route_matches_direct_convolution(self, fans, dp6, s):
+        """Every exponent of every fixture's box up to 2, a seeded sample
+        of the dp6 box at 3 and two P^3 degrees at 40, against the
+        reference convolution."""
+        for name, fan in fans.items():
+            for e in itertools.product(range(3), repeat=fan.nrays):
+                want = direct_config_class(fan, e, s)
+                assert pattern_config_class(fan, e, s) == want, (name, e)
+        rng = random.Random(11)
+        for _ in range(12):
+            e = tuple(rng.randrange(4) for _ in range(dp6.nrays))
+            want = direct_config_class(dp6, e, s)
+            assert pattern_config_class(dp6, e, s) == want, e
+        # P = 1 - t1 t2 t3 t4: 41 Mobius terms in a box of side 40
+        for e in ((40, 40, 40, 40), (40, 37, 40, 39)):
+            want = direct_config_class(fans["p3"], e, s)
+            assert pattern_config_class(fans["p3"], e, s) == want, e
 
     def test_specializes_to_point_counts(self, p2, bl1p2):
         for fan, e, p in ((p2, (1, 1, 1), 2), (p2, (2, 2, 2), 3),
