@@ -39,7 +39,6 @@ def main(argv=None):
     parser.add_argument("--euler-order", type=int, default=16,
                         help="truncation order for the main term")
     parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     fan = (fixture_fan(args.fan) if args.fan in FIXTURE_NAMES
@@ -62,9 +61,7 @@ def main(argv=None):
             print(f"{k:>2}  (diagonal degree not in the dual cone; skipped)")
             continue
         start = time.perf_counter()
-        count = ff_constrained_count(
-            args.p, fan, d, jet, budget=args.budget, jobs=args.jobs
-        )
+        count = ff_constrained_count(args.p, fan, d, jet, budget=args.budget)
         elapsed = time.perf_counter() - start
         normalized = Fraction(count, args.p ** sum(d))
         gap = abs(normalized - main_value)

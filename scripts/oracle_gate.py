@@ -8,7 +8,7 @@ engine and the enumerative counter, so the script exits nonzero on the
 first discrepancy summary.
 
     python scripts/oracle_gate.py                 # default box, p in {2,3}
-    python scripts/oracle_gate.py --fans p2 dp6 --limit 2 --jobs 4
+    python scripts/oracle_gate.py --fans p3 --primes 5 7 --limit 2
 """
 
 import argparse
@@ -26,7 +26,7 @@ from toricurves.oracle import ff_hom_count, ff_pattern_count
 from toricurves.toric import eff_dual_contains
 
 
-def gate_fan(name, primes, limit, jobs, budget):
+def gate_fan(name, primes, limit, budget):
     fan = fixture_fan(name)
     top = limit if limit is not None else (3 if fan.nrays <= 4 else 2)
     mismatches = []
@@ -34,7 +34,7 @@ def gate_fan(name, primes, limit, jobs, budget):
     start = time.perf_counter()
     for e in itertools.product(range(top + 1), repeat=fan.nrays):
         for p in primes:
-            brute = ff_pattern_count(p, fan, e, budget=budget, jobs=jobs)
+            brute = ff_pattern_count(p, fan, e, budget=budget)
             predicted = evaluate(pattern_config_class(fan, e), p)
             n_config += 1
             if brute != predicted:
@@ -43,7 +43,7 @@ def gate_fan(name, primes, limit, jobs, budget):
         if not eff_dual_contains(fan, d):
             continue
         for p in primes:
-            brute = ff_hom_count(p, fan, d, budget=budget, jobs=jobs)
+            brute = ff_hom_count(p, fan, d, budget=budget)
             predicted = evaluate(hom_class(fan, d), p)
             n_hom += 1
             if brute != predicted:
@@ -60,14 +60,13 @@ def main(argv=None):
     parser.add_argument("--primes", nargs="*", type=int, default=[2, 3])
     parser.add_argument("--limit", type=int, default=None,
                         help="entry box top (default 3 for <=4 rays, else 2)")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--budget", type=int, default=None)
     args = parser.parse_args(argv)
 
     bad = 0
     for name in args.fans:
         n_config, n_hom, mismatches, elapsed = gate_fan(
-            name, args.primes, args.limit, args.jobs, args.budget
+            name, args.primes, args.limit, args.budget
         )
         verdict = "ok" if not mismatches else f"{len(mismatches)} MISMATCHES"
         print(f"{name:>6}: {n_config} config + {n_hom} hom counts "

@@ -247,7 +247,7 @@ def cmd_oracle(args):
         jet = _parse_jet(args.jet, args.p, fan.nrays)
         start = time.perf_counter()
         count = oracle_mod.ff_constrained_count(
-            args.p, fan, d, jet, budget=args.budget, jobs=args.jobs
+            args.p, fan, d, jet, budget=args.budget
         )
         elapsed = int((time.perf_counter() - start) * 1000)
         payload = {
@@ -265,12 +265,12 @@ def cmd_oracle(args):
     if args.degree is not None:
         d = _parse_degree(args.degree, fan.nrays)
         rep = oracle_mod.oracle_compare(
-            args.p, fan, d=d, budget=args.budget, jobs=args.jobs
+            args.p, fan, d=d, budget=args.budget
         )
     else:
         e = _parse_degree(args.config, fan.nrays)
         rep = oracle_mod.oracle_compare(
-            args.p, fan, e=e, budget=args.budget, jobs=args.jobs
+            args.p, fan, e=e, budget=args.budget
         )
     verdict = "equal" if rep.equal else "MISMATCH"
     text = (
@@ -313,10 +313,11 @@ def build_parser() -> _Parser:
     )
     common.add_argument(
         "--seed", type=int, default=0,
-        help="seed for the completeness sampling in validation",
+        help="accepted with no effect (completeness validation is exact)",
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for enumeration"
+        "--jobs", type=int, default=1,
+        help="deprecated, accepted with no effect (counts run serially)",
     )
     common.add_argument(
         "--budget", type=int, default=None,

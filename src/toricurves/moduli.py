@@ -434,12 +434,13 @@ def normalized_hom_class(
     return hom_class(fan, dv).shift(-dv.total)
 
 
+@functools.lru_cache(maxsize=None)
 def tamagawa(fan: Fan, E: int) -> DimSeries:
     """Truncated limiting constant of the fan's variety.
 
     L^n (1 - L^{-1})^{-rank Pic} times the Euler product evaluated at
     L^{-1} and truncated at total degree E, as a dimension-floored
-    series.
+    series.  Cached per (fan, E); callers share the returned series.
     """
     require_valid(fan)
     ep = euler_product_at_Linv(fan, 0, E)

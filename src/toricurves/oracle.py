@@ -7,10 +7,15 @@ sharing no series code with the engine, so agreement is meaningful.
 
 Normalized forms (first nonzero coefficient 1) biject with effective
 divisors on the projective line; scaling orbits relate them to the raw
-nonzero-form counts that the torsor quotient needs.  Counting walks the
-rays depth-first with per-pair root-compatibility bitmasks, running gcd
-states for larger patterns, and closed-form shortcuts once every
-pattern is settled; a budget guard refuses enumerations that are too
+nonzero-form counts that the torsor quotient needs.  Each form has a
+root bitmask over the closed points of P^1 (bit 0 is [0:1], then the
+monic irreducibles over F_p by degree), and a set of forms has a common
+root exactly when their masks share a bit.  One transfer DP, ``_count``,
+walks the rays keeping the running AND of the masks per open minimal
+pattern; a tuple is dropped when a pattern's last ray leaves a nonzero
+AND.  Jet-constrained counts key each form by its mask and its jet
+relative to the target, and weigh each final state by the size of its
+torus orbit once.  A budget guard refuses enumerations that are too
 large rather than sampling.
 """
 
@@ -21,7 +26,8 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,22 +169,14 @@ def has_common_projective_root(forms: Sequence[FFForm]) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _form_table(
-    p: int, e: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[bool, ...]]:
-    """All normalized degree-e coefficient vectors over F_p, in lex order.
-
-    Returns (coefficient vectors, dehomogenizations, vanishes-at-[0:1]
-    flags), index-aligned.
-    """
+def _form_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """All normalized degree-e coefficient vectors over F_p, in lex order."""
     forms = []
     for lead in range(e, -1, -1):
         prefix = (0,) * lead + (1,)
         for rest in itertools.product(range(p), repeat=e - lead):
             forms.append(prefix + rest)
-    dehoms = tuple(_trim(f) for f in forms)
-    infs = tuple(f[-1] == 0 for f in forms)
-    return tuple(forms), dehoms, infs
+    return tuple(forms)
 
 
 def enumerate_forms(p: int, e: int) -> list[FFForm]:
@@ -186,208 +184,154 @@ def enumerate_forms(p: int, e: int) -> list[FFForm]:
     _check_prime(p)
     if e < 0:
         raise ValueError("degree must be nonnegative")
-    return [FFForm(p, e, c) for c in _form_table(p, e)[0]]
+    return [FFForm(p, e, c) for c in _form_table(p, e)]
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_masks(p: int, es: int, et: int) -> tuple[int, ...]:
-    """Bitmask per degree-es form over degree-et forms with no common root."""
-    _, deh_s, inf_s = _form_table(p, es)
-    _, deh_t, inf_t = _form_table(p, et)
-    out = []
-    for ds, vs in zip(deh_s, inf_s):
-        mask = 0
-        bit = 1
-        for dt, vt in zip(deh_t, inf_t):
-            if not ((vs and vt) or len(_poly_gcd(ds, dt, p)) > 1):
-                mask |= bit
-            bit <<= 1
-        out.append(mask)
-    return tuple(out)
+def _irreducibles(p: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Monic irreducible polynomials of degree k over F_p, ascending
+    coefficients, in lex order."""
+    smaller = [g for j in range(1, k // 2 + 1) for g in _irreducibles(p, j)]
+    return tuple(
+        f for f in (rest + (1,) for rest in itertools.product(range(p), repeat=k))
+        if all(_poly_rem(f, g, p) for g in smaller)
+    )
 
 
-def _fold_root_state(
-    state: tuple[tuple[int, ...] | None, bool],
-    dehom: tuple[int, ...],
-    inf: bool,
-    p: int,
-) -> tuple[tuple[int, ...] | None, bool]:
-    g, all_inf = state
-    g = dehom if g is None else (g if len(g) == 1 else _poly_gcd(g, dehom, p))
-    return g, all_inf and inf
+@functools.lru_cache(maxsize=None)
+def _root_masks(p: int, e: int, k: int) -> tuple[int, ...]:
+    """Root bitmask per normalized degree-e form, over points of degree <= k.
 
-
-def _state_settled(state: tuple[tuple[int, ...] | None, bool]) -> bool:
-    g, all_inf = state
-    return g is not None and len(g) == 1 and not all_inf
-
-
-def _count_tuples(
-    p: int,
-    degrees: tuple[int, ...],
-    patterns: tuple[tuple[int, ...], ...],
-    first_lo: int,
-    first_hi: int,
-    tables=None,
-    leaf_fn=None,
-):
-    """Count ray-indexed form tuples avoiding all patterns, first ray sliced.
-
-    ``tables`` defaults to the full normalized form tables per ray; a
-    caller may pass filtered tables (e.g. unit-jet forms only).  With
-    ``leaf_fn`` the count is the sum of leaf_fn(choices) over admissible
-    tuples and no closed-form shortcuts are taken; otherwise each tuple
-    counts 1 and settled branches are multiplied out.
+    Bit 0 is [0:1]; then come the monic irreducibles of degree 1, ..., k
+    in the order of ``_irreducibles``, so the masks of forms of any
+    degrees share their low bits.  Index-aligned with ``_form_table``.
     """
-    nrays = len(degrees)
-    if tables is None:
-        tables = [_form_table(p, e) for e in degrees]
-    sizes = [len(t[0]) for t in tables]
-    if any(s == 0 for s in sizes):
-        return 0
-    dehoms = [t[1] for t in tables]
-    infs = [t[2] for t in tables]
+    points = [g for j in range(1, k + 1) for g in _irreducibles(p, j)]
+    masks = []
+    for f in _form_table(p, e):
+        dehom = _trim(f)
+        mask = int(k > 0 and f[-1] == 0)
+        for bit, g in enumerate(points, 1):
+            if len(g) <= len(dehom) and not _poly_rem(dehom, g, p):
+                mask |= 1 << bit
+        masks.append(mask)
+    return tuple(masks)
 
-    pairs_into: list[list[tuple[int, list[int], int]]] = [[] for _ in range(nrays)]
-    bigs_into: list[list[int]] = [[] for _ in range(nrays)]
-    big_patterns: dict[int, tuple[int, ...]] = {}
-    sat = [False] * len(patterns)
-    unsat = 0
-    for idx, pat in enumerate(patterns):
-        if any(degrees[a] == 0 for a in pat):
-            sat[idx] = True
-            continue
-        unsat += 1
-        if len(pat) == 2:
-            s, t = pat
-            base = _pair_masks(p, degrees[s], degrees[t])
-            rows = _select_rows(base, tables[s][0], p, degrees[s])
-            masks = [_subset_mask(r, tables[t][0], p, degrees[t]) for r in rows]
-            pairs_into[t].append((s, masks, idx))
+
+@functools.lru_cache(maxsize=None)
+def _mask_counts(p: int, e: int, k: int) -> dict[int, int]:
+    """Number of normalized degree-e forms per root mask of ``_root_masks``."""
+    if k == 0:
+        return {0: (p ** (e + 1) - 1) // (p - 1)}
+    return Counter(_root_masks(p, e, k))
+
+
+def _count(p, degrees, patterns, tag=None, weight=None) -> int:
+    """Sum of weight(tags) over form tuples, one per ray, avoiding the patterns.
+
+    A tuple avoids a pattern when the root masks of the pattern's rays
+    have no common bit.  ``tag(ray, coeffs)`` returns a tuple to append
+    to the running tags, or None to leave the form out; without it every
+    form counts and the tags stay empty.  Without ``weight`` each tuple
+    counts 1.  The walk over the rays merges tuples by state: per
+    pattern begun and not ended, the AND of the masks so far.
+    ``weight`` is called once per final state.  A ray's masks only
+    cover points of degree at most the smallest degree of some pattern
+    through it, the only points those forms can share.
+    """
+    patterns = [pat for pat in patterns if all(degrees[a] for a in pat)]
+    cuts = [
+        max((min(degrees[b] for b in pat) for pat in patterns if a in pat),
+            default=0)
+        for a in range(len(degrees))
+    ]
+    states = {((), ()): 1}
+    live: list[int] = []
+    for t, (e, k) in enumerate(zip(degrees, cuts)):
+        if tag is None:
+            keys = {(m, ()): c for m, c in _mask_counts(p, e, k).items()}
         else:
-            big_patterns[idx] = pat
-            for a in pat:
-                bigs_into[a].append(idx)
-
-    big_stacks = {idx: [(None, True)] for idx in big_patterns}
-    full_masks = [(1 << s) - 1 for s in sizes]
-    choice = [0] * nrays
-    count = 0
-
-    def rec(t: int) -> None:
-        nonlocal count, unsat
-        if unsat == 0 and leaf_fn is None:
-            prod = 1
-            for u in range(t, nrays):
-                prod *= sizes[u] if u else (first_hi - first_lo)
-            count += prod
-            return
-        if t == nrays:
-            if leaf_fn is None:
-                raise InternalCheckError(
-                    "pattern still unsettled with every ray assigned"
-                )
-            count += leaf_fn(choice)
-            return
-        allowed = full_masks[t]
-        if t == 0:
-            allowed &= ((1 << first_hi) - 1) & ~((1 << first_lo) - 1)
-        newly = []
-        for s, masks, idx in pairs_into[t]:
-            if not sat[idx]:
-                allowed &= masks[choice[s]]
-                newly.append(idx)
-        if not allowed:
-            return
-        live_bigs = [b for b in bigs_into[t] if not sat[b]]
-        for idx in newly:
-            sat[idx] = True
-        unsat -= len(newly)
-        try:
-            if leaf_fn is None and t == nrays - 1 and not live_bigs:
-                if unsat == 0:
-                    count += allowed.bit_count()
-                    return
-            deh_t = dehoms[t]
-            inf_t = infs[t]
-            while allowed:
-                low = allowed & -allowed
-                j = low.bit_length() - 1
-                allowed ^= low
-                choice[t] = j
-                pushed = []
-                marked = []
-                ok = True
-                for b in live_bigs:
-                    if sat[b]:
-                        continue
-                    state = _fold_root_state(
-                        big_stacks[b][-1], deh_t[j], inf_t[j], p
-                    )
-                    big_stacks[b].append(state)
-                    pushed.append(b)
-                    if _state_settled(state):
-                        sat[b] = True
-                        marked.append(b)
-                    elif big_patterns[b][-1] == t:
-                        ok = False
-                        break
-                if ok:
-                    if marked:
-                        unsat_delta = len(marked)
-                    else:
-                        unsat_delta = 0
-                    unsat -= unsat_delta
-                    rec(t + 1)
-                    unsat += unsat_delta
-                for b in pushed:
-                    big_stacks[b].pop()
-                for b in marked:
-                    sat[b] = False
-        finally:
-            for idx in newly:
-                sat[idx] = False
-            unsat += len(newly)
-
-    rec(0)
-    return count
-
-
-def _select_rows(base, forms, p, e):
-    full = _form_table(p, e)[0]
-    if len(forms) == len(full):
-        return base
-    index = {f: i for i, f in enumerate(full)}
-    return [base[index[f]] for f in forms]
-
-
-def _subset_mask(row, forms, p, e):
-    full = _form_table(p, e)[0]
-    if len(forms) == len(full):
-        return row
-    index = {f: i for i, f in enumerate(full)}
-    mask = 0
-    for pos, f in enumerate(forms):
-        if (row >> index[f]) & 1:
-            mask |= 1 << pos
-    return mask
-
-
-def _chunk_ranges(size: int, jobs: int) -> list[tuple[int, int]]:
-    parts = min(size, max(jobs * 3, 1))
-    step = -(-size // parts)
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-
-
-def _pattern_chunk(args) -> int:
-    p, degrees, patterns, lo, hi = args
-    return _count_tuples(p, degrees, patterns, lo, hi)
+            keys = Counter()
+            for f, m in zip(_form_table(p, e), _root_masks(p, e, k)):
+                ft = tag(t, f)
+                if ft is not None:
+                    keys[m, ft] += 1
+        # slots index the old state plus a trailing all-ones entry, where
+        # the patterns beginning at ray t start
+        slots = list(enumerate(live)) + [
+            (len(live), i) for i, pat in enumerate(patterns) if pat[0] == t
+        ]
+        closing, src, hit, kept = [], [], [], []
+        for slot, i in slots:
+            if t == patterns[i][-1]:
+                closing.append(slot)
+                continue
+            src.append(slot)
+            hit.append(t in patterns[i])
+            kept.append(i)
+        step = [
+            (m, ft, c, tuple(m if h else -1 for h in hit))
+            for (m, ft), c in keys.items()
+        ]
+        nxt: dict = defaultdict(int)
+        for (ands, tags), n in states.items():
+            ext = ands + (-1,)
+            for m, ft, c, masks in step:
+                if any(ext[s] & m for s in closing):
+                    continue
+                new = tuple(ext[s] & x for s, x in zip(src, masks))
+                nxt[new, tags + ft] += n * c
+        states, live = nxt, kept
+    if weight is None:
+        return sum(states.values())
+    return sum(n * weight(tags) for (_, tags), n in states.items())
 
 
 def _minimal_patterns(fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sorted(j)) for j in pattern_set(fan).minimal
     )
+
+
+def _checked_degrees(
+    p: int,
+    fan: Fan,
+    e: Sequence[int],
+    budget: int | None,
+    jet: "JetSpec | None" = None,
+) -> tuple[int, ...]:
+    """The degree vector as a tuple, after the checks every count makes.
+
+    Refuses with BudgetError when the product of the form-space sizes
+    exceeds the budget.
+    """
+    _check_prime(p)
+    require_valid(fan)
+    e = tuple(int(x) for x in e)
+    if len(e) != fan.nrays:
+        raise ValueError(
+            f"degree arity {len(e)} does not match ray count {fan.nrays}"
+        )
+    if any(x < 0 for x in e):
+        raise ValueError("degrees must be nonnegative")
+    if jet is not None:
+        jet.validate_for(p, fan.nrays)
+    limit = _resolve_budget(budget)
+    required = 1
+    for x in e:
+        required *= (p ** (x + 1) - 1) // (p - 1)
+    if required > limit:
+        raise BudgetError(required, limit)
+    return e
+
+
+def _ignore_jobs(jobs: int) -> None:
+    if jobs != 1:
+        warnings.warn(
+            "jobs is deprecated and ignored; every count runs serially",
+            DeprecationWarning,
+            stacklevel=3,
+        )
 
 
 def ff_pattern_count(
@@ -402,34 +346,11 @@ def ff_pattern_count(
     Tuples of normalized forms, one per ray, such that no minimal
     forbidden set of them has a common projective root.  Refuses to run
     when the product of the form-space sizes exceeds the budget.
+    ``jobs`` is deprecated and ignored.
     """
-    _check_prime(p)
-    require_valid(fan)
-    e = tuple(int(x) for x in e)
-    if len(e) != fan.nrays:
-        raise ValueError(
-            f"degree arity {len(e)} does not match ray count {fan.nrays}"
-        )
-    if any(x < 0 for x in e):
-        raise ValueError("degrees must be nonnegative")
-    limit = _resolve_budget(budget)
-    required = 1
-    for x in e:
-        required *= (p ** (x + 1) - 1) // (p - 1)
-    if required > limit:
-        raise BudgetError(required, limit)
-    patterns = _minimal_patterns(fan)
-    size0 = (p ** (e[0] + 1) - 1) // (p - 1) if e else 1
-    if jobs <= 1 or size0 < 2:
-        return _count_tuples(p, e, patterns, 0, size0)
-    total = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        work = [
-            (p, e, patterns, lo, hi) for lo, hi in _chunk_ranges(size0, jobs)
-        ]
-        for part in pool.map(_pattern_chunk, work):
-            total += part
-    return total
+    _ignore_jobs(jobs)
+    e = _checked_degrees(p, fan, e, budget)
+    return _count(p, e, _minimal_patterns(fan))
 
 
 def ff_hom_count(
@@ -443,9 +364,11 @@ def ff_hom_count(
 
     Counts tuples of nonzero forms (all scalings of the normalized
     tuples) avoiding the patterns, then divides by the order of the
-    Neron-Severi torus; the quotient must be exact.
+    Neron-Severi torus; the quotient must be exact.  ``jobs`` is
+    deprecated and ignored.
     """
-    cnt = ff_pattern_count(p, fan, d, budget=budget, jobs=jobs)
+    _ignore_jobs(jobs)
+    cnt = ff_pattern_count(p, fan, d, budget=budget)
     raw = cnt * (p - 1) ** fan.nrays
     div = (p - 1) ** picard_data(fan).rank
     if raw % div:
@@ -588,65 +511,6 @@ def _tns_image(p: int, rank: int, weights, m: int) -> frozenset:
     return frozenset(image)
 
 
-def _constrained_chunk(args) -> int:
-    (p, degrees, patterns, lo, hi, point, order, target, weights, rank) = args
-    return _constrained_core(
-        p, degrees, patterns, lo, hi, point, order, target, weights, rank
-    )
-
-
-def _constrained_core(
-    p, degrees, patterns, lo, hi, point, order, target, weights, rank
-) -> int:
-    n = order + 1
-    filtered = []
-    jets_per_ray = []
-    for e in degrees:
-        forms, dehoms, infs = _form_table(p, e)
-        keep_f, keep_d, keep_i, jets = [], [], [], []
-        for f, dh, iv in zip(forms, dehoms, infs):
-            jet = _taylor_jet(f, point, order, p)
-            if jet[0]:
-                keep_f.append(f)
-                keep_d.append(dh)
-                keep_i.append(iv)
-                jets.append(jet)
-        filtered.append((tuple(keep_f), tuple(keep_d), tuple(keep_i)))
-        jets_per_ray.append(jets)
-    if any(not t[0] for t in filtered):
-        return 0
-    hi = min(hi, len(filtered[0][0]))
-    if lo >= hi:
-        return 0
-    image = _tns_image(p, rank, weights, order)
-    if order == 0:
-        leaves = _count_tuples(
-            p, degrees, patterns, lo, hi, tables=filtered
-        )
-        return leaves * len(image)
-    target_inv = [_series_inv(t, p, n) for t in target]
-    units = tuple(range(1, p))
-    nrays = len(degrees)
-
-    def leaf(choice):
-        w = [
-            _series_mul(jets_per_ray[a][choice[a]], target_inv[a], p, n)
-            for a in range(nrays)
-        ]
-        hits = 0
-        for lam in itertools.product(units, repeat=nrays):
-            scaled = tuple(
-                tuple((x * l) % p for x in wa) for l, wa in zip(lam, w)
-            )
-            if scaled in image:
-                hits += 1
-        return hits
-
-    return _count_tuples(
-        p, degrees, patterns, lo, hi, tables=filtered, leaf_fn=leaf
-    )
-
-
 def ff_constrained_count(
     p: int,
     fan: Fan,
@@ -660,48 +524,42 @@ def ff_constrained_count(
     Tuples of nonzero forms avoiding the patterns whose truncated Taylor
     expansion at the marked point lies in the torus orbit of the target
     jet, divided by the order of the Neron-Severi torus (exactly).
+    Whether a tuple of relative jets (jet times target inverse) hits the
+    orbit does not change when a ray's jet is scaled, so each form is
+    tagged by its relative jet scaled to constant term 1, and forms with
+    a zero constant term are left out.  ``jobs`` is deprecated and
+    ignored.
     """
-    _check_prime(p)
-    require_valid(fan)
-    d = tuple(int(x) for x in d)
-    if len(d) != fan.nrays:
-        raise ValueError(
-            f"degree arity {len(d)} does not match ray count {fan.nrays}"
-        )
-    if any(x < 0 for x in d):
-        raise ValueError("degrees must be nonnegative")
-    jet.validate_for(p, fan.nrays)
-    limit = _resolve_budget(budget)
-    required = 1
-    for x in d:
-        required *= (p ** (x + 1) - 1) // (p - 1)
-    if required > limit:
-        raise BudgetError(required, limit)
+    _ignore_jobs(jobs)
+    d = _checked_degrees(p, fan, d, budget, jet)
     pd = picard_data(fan)
-    target = tuple(tuple(c % p for c in comp) for comp in jet.target)
-    patterns = _minimal_patterns(fan)
-    args_common = (
-        p, d, patterns, jet.point, jet.order, target, pd.projection, pd.rank,
-    )
-    forms0 = sum(
-        1
-        for f in _form_table(p, d[0])[0]
-        if _taylor_jet(f, jet.point, jet.order, p)[0]
-    ) if d else 1
-    if jobs <= 1 or forms0 < 2:
-        weighted = _constrained_core(
-            p, d, patterns, 0, max(forms0, 1), jet.point, jet.order, target,
-            pd.projection, pd.rank,
-        )
-    else:
-        weighted = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            work = [
-                (p, d, patterns, lo, hi) + args_common[3:]
-                for lo, hi in _chunk_ranges(forms0, jobs)
-            ]
-            for part in pool.map(_constrained_chunk, work):
-                weighted += part
+    n = jet.order + 1
+    target_inv = [
+        _series_inv(tuple(c % p for c in comp), p, n) for comp in jet.target
+    ]
+
+    def tag(ray, coeffs):
+        value = _taylor_jet(coeffs, jet.point, jet.order, p)
+        if not value[0]:
+            return None
+        rel = _series_mul(value, target_inv[ray], p, n)
+        inv0 = pow(rel[0], p - 2, p)
+        return (tuple((x * inv0) % p for x in rel),)
+
+    image = _tns_image(p, pd.rank, pd.projection, jet.order)
+    units = range(1, p)
+
+    def weight(rels):
+        hits = 0
+        for lam in itertools.product(units, repeat=len(rels)):
+            scaled = tuple(
+                tuple((x * l) % p for x in w) for l, w in zip(lam, rels)
+            )
+            if scaled in image:
+                hits += 1
+        return hits
+
+    weighted = _count(p, d, _minimal_patterns(fan), tag, weight)
     div = (p - 1) ** pd.rank
     if weighted % div:
         raise InternalCheckError(
@@ -749,15 +607,16 @@ def oracle_compare(
     """
     if (e is None) == (d is None):
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
+    _ignore_jobs(jobs)
     start = time.perf_counter()
     if e is not None:
         vec = tuple(int(x) for x in e)
-        brute = ff_pattern_count(p, fan, vec, budget=budget, jobs=jobs)
+        brute = ff_pattern_count(p, fan, vec, budget=budget)
         cls = pattern_config_class(fan, vec, 0)
         kind = "config"
     else:
         vec = tuple(int(x) for x in d)
-        brute = ff_hom_count(p, fan, vec, budget=budget, jobs=jobs)
+        brute = ff_hom_count(p, fan, vec, budget=budget)
         cls = hom_class(fan, vec)
         kind = "hom"
     value = evaluate(cls, p)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +17,6 @@ from functools import lru_cache
 from .errors import FanValidationError, InternalCheckError
 from .grothendieck import LaurentClass
 
-MEMBERSHIP_SAMPLES = 256
 MAX_RAYS = 24
 
 
@@ -296,8 +294,11 @@ def validate(fan: Fan, seed: int = 0) -> FanReport:
     Smooth: every maximal cone has dim-many rays forming a matrix of
     determinant +-1.  Complete: every facet of a maximal cone is shared
     with exactly one other maximal cone, the wall-adjacency graph is
-    connected, and each of MEMBERSHIP_SAMPLES seeded random directions
-    lies in some maximal cone.
+    connected, the two cones on each wall lie on opposite sides of it,
+    and the barycenter (sum of rays) of each maximal cone lies in no
+    other maximal cone, so the cones cover space exactly once.  Both
+    checks are exact; ``seed`` is accepted for compatibility and has no
+    effect.
     """
     n = fan.dim
     details = []
@@ -337,29 +338,29 @@ def validate(fan: Fan, seed: int = 0) -> FanReport:
         if len(seen) != len(fan.max_cones):
             complete = False
             details.append("wall-adjacency graph is disconnected")
-    if complete:
-        rng = random.Random(seed)
-        cone_cols = []
-        for cone in fan.max_cones:
-            if len(cone) == n:
-                cone_cols.append([list(fan.rays[i]) for i in cone])
-        misses = 0
-        for _ in range(MEMBERSHIP_SAMPLES):
-            v = [0] * n
-            while all(x == 0 for x in v):
-                v = [rng.randint(-99, 99) for _ in range(n)]
-            hit = False
-            for cols in cone_cols:
-                sol = solve_rational(cols, v)
+    if complete and all(len(cone) == n for cone in fan.max_cones):
+        for facet, owners in facets.items():
+            wall = [list(fan.rays[i]) for i in sorted(facet)]
+            sides = [
+                det_int(wall + [list(fan.rays[i])])
+                for cdx in owners
+                for i in fan.max_cones[cdx] if i not in facet
+            ]
+            if sides[0] * sides[1] >= 0:
+                complete = False
+                details.append(f"cones {owners[0]} and {owners[1]} lie on one "
+                               f"side of their wall {sorted(facet)}")
+        cone_cols = [[list(fan.rays[i]) for i in cone] for cone in fan.max_cones]
+        for cdx, cone in enumerate(fan.max_cones):
+            barycenter = [sum(fan.rays[i][j] for i in cone) for j in range(n)]
+            for other, cols in enumerate(cone_cols):
+                if other == cdx:
+                    continue
+                sol = solve_rational(cols, barycenter)
                 if sol is not None and all(x >= 0 for x in sol):
-                    hit = True
+                    complete = False
+                    details.append(f"the barycenter of cone {cdx} lies in cone {other}")
                     break
-            if not hit:
-                misses += 1
-        if misses:
-            complete = False
-            details.append(f"{misses}/{MEMBERSHIP_SAMPLES} sampled directions "
-                           "lie in no maximal cone")
     return FanReport(smooth=smooth, complete=complete, details=tuple(details))
 
 

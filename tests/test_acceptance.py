@@ -196,6 +196,37 @@ def test_finite_field_oracle_gate(fans):
                        f"({elapsed:.0f}s)")
 
 
+def test_finite_field_oracle_gate_large_primes(fans):
+    from toricurves.moduli import pattern_config_class
+
+    start = time.perf_counter()
+    failures = []
+    n_config = n_hom = 0
+
+    for name, fan in fans.items():
+        lim = 2 if fan.nrays <= 4 else 1
+        for e in itertools.product(range(lim + 1), repeat=fan.nrays):
+            for p in (5, 7):
+                predicted = evaluate(pattern_config_class(fan, e), p)
+                if predicted != ff_pattern_count(p, fan, e):
+                    failures.append(("config", name, e, p))
+                n_config += 1
+            if not eff_dual_contains(fan, e):
+                continue
+            for p in (5, 7):
+                predicted = evaluate(hom_class(fan, e), p)
+                if predicted != ff_hom_count(p, fan, e):
+                    failures.append(("hom", name, e, p))
+                n_hom += 1
+
+    elapsed = time.perf_counter() - start
+    if elapsed >= 60.0:
+        failures.append(f"runtime {elapsed:.2f}s")
+    _verdict(failures, f"finite-field oracle gate at p = 5, 7: {n_config} "
+                       f"configuration and {n_hom} map-space counts match "
+                       f"exactly ({elapsed:.0f}s)")
+
+
 def test_convergence_reports_pass_and_tighten(fans):
     start = time.perf_counter()
     failures = []

@@ -17,6 +17,7 @@ from toricurves.grothendieck import evaluate
 from toricurves.toric import pattern_set, picard_data
 from toricurves.moduli import hom_class, pattern_config_class
 from toricurves.oracle import (
+    _root_masks,
     ALLOWED_PRIMES,
     FFForm,
     JetSpec,
@@ -267,6 +268,18 @@ class TestCommonRoots:
                 got = has_common_projective_root([f, g])
                 assert got == want, (f.coeffs, g.coeffs)
 
+    @pytest.mark.parametrize("p,ds,dt", [(2, 1, 3), (2, 3, 3), (3, 1, 3),
+                                         (3, 2, 3), (5, 1, 2), (5, 2, 2)])
+    def test_root_masks_meet_iff_resultant_vanishes(self, p, ds, dt):
+        """The counting kernel's root bitmasks share a bit exactly when
+        the forms share a projective root."""
+        masks_s = _root_masks(p, ds, ds)
+        masks_t = _root_masks(p, dt, dt)
+        for f, ms in zip(enumerate_forms(p, ds), masks_s):
+            for g, mt in zip(enumerate_forms(p, dt), masks_t):
+                want = sylvester_resultant_mod_p(f.coeffs, g.coeffs, p) == 0
+                assert bool(ms & mt) == want, (f.coeffs, g.coeffs)
+
 
 class TestPatternCounts:
     CASES = [
@@ -279,6 +292,9 @@ class TestPatternCounts:
         ("p1xp1", (1, 1, 1, 1), 2),
         ("bl1p2", (1, 0, 1, 1), 3),
         ("dp6", (1, 1, 1, 1, 1, 1), 2),
+        ("p2", (1, 1, 1), 5),
+        ("p1xp1", (1, 0, 1, 1), 5),
+        ("p3", (1, 1, 1, 1), 7),
     ]
 
     @pytest.mark.parametrize("name,e,p", CASES)
@@ -299,9 +315,11 @@ class TestPatternCounts:
 
     def test_parallel_equals_serial(self, dp6, p2):
         e6 = (1,) * 6
-        assert ff_pattern_count(3, dp6, e6, jobs=4) == ff_pattern_count(3, dp6, e6)
+        with pytest.warns(DeprecationWarning):
+            assert ff_pattern_count(3, dp6, e6, jobs=4) == ff_pattern_count(3, dp6, e6)
         e3 = (2, 2, 2)
-        assert ff_pattern_count(3, p2, e3, jobs=3) == ff_pattern_count(3, p2, e3)
+        with pytest.warns(DeprecationWarning):
+            assert ff_pattern_count(3, p2, e3, jobs=3) == ff_pattern_count(3, p2, e3)
 
     def test_repeatable(self, bl1p2):
         a = ff_pattern_count(3, bl1p2, (1, 1, 1, 2))
@@ -369,6 +387,9 @@ JET_CASES = [
     ("p2", (1, 1, 1), 3, 1, 0, None),
     ("p2", (1, 1, 1), 2, None, 1, None),
     ("bl1p2", (1, 1, 1, 2), 3, 1, 0, None),
+    ("dp6", (1, 1, 1, 1, 1, 1), 2, 1, 1, None),
+    ("p2", (2, 2, 2), 3, None, 1, ((1, 1), (2, 0), (1, 2))),
+    ("p1", (2, 2), 3, 0, 2, None),
 ]
 
 
@@ -394,7 +415,8 @@ class TestConstrainedCounts:
     def test_parallel_equals_serial(self, p1):
         spec = JetSpec.identity(2, 0, 1)
         serial = ff_constrained_count(3, p1, (2, 2), spec)
-        assert ff_constrained_count(3, p1, (2, 2), spec, jobs=3) == serial
+        with pytest.warns(DeprecationWarning):
+            assert ff_constrained_count(3, p1, (2, 2), spec, jobs=3) == serial
 
     def test_orbit_sums_recover_the_unconstrained_total(self, p1):
         """Summing constrained counts over one representative per jet

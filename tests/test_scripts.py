@@ -18,6 +18,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
         ("oracle_gate.py", ["--fans", "p2"], "s  ok"),
         ("constrained_trend.py", ["p2", "--p", "3", "--kmax", "1"],
          "main term:"),
+        ("oracle_gate.py", ["--fans", "p3", "--primes", "5", "7", "--limit", "2"],
+         "s  ok"),
     ],
 )
 def test_script_runs(script, args, success):

@@ -1,5 +1,7 @@
 """Fan parsing, validation, and lattice bookkeeping."""
 
+import json
+
 import pytest
 
 from toricurves.errors import FanValidationError
@@ -163,3 +165,35 @@ def test_validation_deterministic_across_seeds(fans):
     for fan in fans.values():
         reports = [validate(fan, seed=s) for s in (0, 1, 2)]
         assert all(r.smooth and r.complete for r in reports)
+
+
+# ten smooth cones that wind twice around the origin: every wall has its
+# two cones on opposite sides, yet every direction is covered twice
+DOUBLY_WOUND = {
+    "rays": [[1, 0], [-2, 1], [-1, 0], [-2, -1], [-1, -1], [-1, -2],
+             [1, 1], [0, 1], [-1, 1], [0, -1]],
+    "max_cones": [[i, (i + 1) % 10] for i in range(10)],
+}
+
+
+def test_doubly_wound_fan_rejected(tmp_path):
+    from toricurves.cli import EXIT_VALIDATION, main
+
+    fan = parse_fan(DOUBLY_WOUND)
+    for seed in (0, 1, 7):
+        report = validate(fan, seed=seed)
+        assert report.smooth and not report.complete, report.details
+    with pytest.raises(FanValidationError):
+        require_valid(fan)
+    path = tmp_path / "wound.json"
+    path.write_text(json.dumps(DOUBLY_WOUND))
+    assert main(["analyze", str(path)]) == EXIT_VALIDATION
+
+
+def test_cones_on_one_side_of_a_wall_rejected():
+    # three smooth cones in the right half-plane, glued along every wall
+    fan = parse_fan({"rays": [[1, 0], [0, 1], [1, 1]],
+                     "max_cones": [[0, 1], [1, 2], [0, 2]]})
+    report = validate(fan)
+    assert report.smooth and not report.complete
+    assert any("side of their wall" in line for line in report.details)
