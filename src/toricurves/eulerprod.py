@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import InternalCheckError, LimitError
+from .errors import InternalCheckError
 from .grothendieck import (
     ONE,
     ZERO,
@@ -54,23 +54,16 @@ __all__ = [
 ]
 
 
-# Exponent vectors are packed into a single int, seven bits per variable.
-# Within a capped run every component is at most _PACK_LIMIT, so packed
-# keys add without carries and exponent addition is integer addition.
-_PACK_SHIFT = 7
-_PACK_LIMIT = 63
-
-
-def _pack(vec: Sequence[int]) -> int:
+def _pack(vec: Sequence[int], shift: int) -> int:
     key = 0
     for i, x in enumerate(vec):
-        key |= x << (_PACK_SHIFT * i)
+        key |= x << (shift * i)
     return key
 
 
-def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    mask = (1 << _PACK_SHIFT) - 1
-    return tuple((key >> (_PACK_SHIFT * i)) & mask for i in range(nvars))
+def _unpack(key: int, nvars: int, shift: int) -> tuple[int, ...]:
+    mask = (1 << shift) - 1
+    return tuple((key >> (shift * i)) & mask for i in range(nvars))
 
 
 def int_mobius(n: int) -> int:
@@ -141,7 +134,7 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _reachable_keys(
-    support: Sequence[tuple[int, ...]], cap: SeriesCap
+    support: Sequence[tuple[int, ...]], cap: SeriesCap, shift: int
 ) -> frozenset[int]:
     """All in-cap sums of multiples of the support vectors, packed.
 
@@ -149,8 +142,7 @@ def _reachable_keys(
     of F - 1, so confining every intermediate series to the span (rather
     than the whole capped box) prunes aggressively for sparse inputs.
     """
-    box = cap.box
-    total = cap.total if cap.total is not None else sum(box)
+    box, total = cap.box, cap.total
     frontier = [tuple(0 for _ in box)]
     reached = {0}
     while frontier:
@@ -163,7 +155,7 @@ def _reachable_keys(
                     continue
                 if any(a > b for a, b in zip(w, box)):
                     continue
-                key = _pack(w)
+                key = _pack(w, shift)
                 if key not in reached:
                     reached.add(key)
                     nxt.append(w)
@@ -233,17 +225,18 @@ def _scaled_power_table(
     nvars: int,
     box: tuple[int, ...],
     allowed: frozenset[int],
+    shift: int,
 ) -> list[dict[int, int]]:
     """Substitute t -> t^(.d) in each stored power of F - 1."""
     scaled: list[dict[int, int]] = []
     for table in powers:
         cur: dict[int, int] = {}
         for key, coeff in table.items():
-            vec = _unpack(key, nvars)
+            vec = _unpack(key, nvars, shift)
             w = tuple(d * x for x in vec)
             if any(a > b for a, b in zip(w, box)):
                 continue
-            k = _pack(w)
+            k = _pack(w, shift)
             if k in allowed:
                 cur[k] = coeff
         if not cur:
@@ -264,11 +257,6 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
         raise ValueError("removed point count must be nonnegative")
     box = cap.box
     nvars = len(box)
-    if any(b > _PACK_LIMIT for b in box):
-        raise LimitError(
-            f"per-variable cap {max(box)} exceeds the internal limit of "
-            f"{_PACK_LIMIT} set by the {_PACK_SHIFT}-bit exponent packing"
-        )
     support: list[tuple[int, ...]] = []
     coeffs_in: dict[tuple[int, ...], int] = {}
     for exp, coeff in F.items():
@@ -290,11 +278,14 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
     if not support:
         return MultiSeries(variables, cap, {(0,) * nvars: ONE})
 
-    allowed = _reachable_keys(support, cap)
-    total = cap.total if cap.total is not None else sum(box)
+    # Exponent vectors are packed into one int, `shift` bits per variable.
+    # In-cap components are at most max(box), so two in-cap keys add
+    # without a carry and exponent addition is integer addition.
+    shift = max(1, (2 * max(box)).bit_length())
+    allowed = _reachable_keys(support, cap, shift)
     valuation = min(sum(e) for e in support)
 
-    base = {_pack(e): c for e, c in coeffs_in.items()}
+    base = {_pack(e, shift): c for e, c in coeffs_in.items()}
     powers: list[dict[int, int]] = [base]
     while True:
         nxt = _mul_int_series(powers[-1], base, allowed)
@@ -303,11 +294,11 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
         powers.append(nxt)
 
     factors: list[tuple[int, dict[int, tuple[int, ...]]]] = []
-    for d in range(1, total // valuation + 1):
+    for d in range(1, cap.total // valuation + 1):
         if d == 1:
             scaled = powers
         else:
-            scaled = _scaled_power_table(powers, d, nvars, box, allowed)
+            scaled = _scaled_power_table(powers, d, nvars, box, allowed, shift)
         if not scaled:
             continue
         den_a, num_a = _weight_raw(d, s)
@@ -350,13 +341,13 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
             if c % den != 0:
                 raise InternalCheckError(
                     "Euler product coefficient at exponent "
-                    f"{_unpack(key, nvars)} is not integral in q: "
+                    f"{_unpack(key, nvars, shift)} is not integral in q: "
                     f"{c}/{den} at q^{power}"
                 )
             terms[power] = c // den
         cls = LaurentClass(terms)
         if cls:
-            out[_unpack(key, nvars)] = cls
+            out[_unpack(key, nvars, shift)] = cls
     if out.get((0,) * nvars) != ONE:
         raise InternalCheckError("Euler product lost its constant term 1")
     return MultiSeries(variables, cap, out)
@@ -411,29 +402,31 @@ class GlobalMobius:
         )
 
 
+def _checked_mobius(series: MultiSeries) -> dict[tuple[int, ...], LaurentClass]:
+    """The coefficients of an Euler product of a Mobius polynomial, after
+    checking mu(0) = 1 and dim(mu(e) L^-|e|) <= -ceil(|e|/2), the bound
+    every truncation floor rests on."""
+    values = dict(series.items())
+    for e, value in values.items():
+        size = sum(e)
+        if size and value.virtual_dimension - size > -((size + 1) // 2):
+            raise InternalCheckError(
+                f"Mobius coefficient at {e} has dimension "
+                f"{value.virtual_dimension}, above the -|e|/2 bound"
+            )
+    if values.get((0,) * len(series.variables)) != ONE:
+        raise InternalCheckError("Mobius coefficients lost mu(0) = 1")
+    return values
+
+
 def build_global_mobius(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
     """Uncached global Mobius table of a fan already known to be valid.
 
     For callers that keep only a table derived from it; global_mobius
     caches the same result.
     """
-    P = fan_mobius_polynomial(fan)
-    series = euler_product_p1(P, s, cap)
-    values: dict[tuple[int, ...], LaurentClass] = {}
-    for e, value in series.items():
-        values[e] = value
-        size = sum(e)
-        if size == 0:
-            continue
-        vdim = value.virtual_dimension - size
-        if vdim > -((size + 1) // 2):
-            raise InternalCheckError(
-                f"global Mobius coefficient at {e} has dimension "
-                f"{value.virtual_dimension}, above the -|e|/2 bound"
-            )
-    if values.get((0,) * fan.nrays) != ONE:
-        raise InternalCheckError("global Mobius table lost mu(0) = 1")
-    return GlobalMobius(fan, s, cap, values)
+    series = euler_product_p1(fan_mobius_polynomial(fan), s, cap)
+    return GlobalMobius(fan, s, cap, _checked_mobius(series))
 
 
 _global_mobius_cached = functools.lru_cache(maxsize=None)(build_global_mobius)
@@ -455,16 +448,26 @@ def global_mobius(fan: Fan, s: int = 0, cap: SeriesCap | None = None) -> GlobalM
 def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:
     """Partial sum over |e| <= E of mu(e) L^(-|e|), with its floor.
 
+    Only |e| enters, so the sum is read off the one-variable Euler
+    product of the diagonal P(u, ..., u): setting every t_alpha to u is
+    a ring map that commutes with t -> t^d, so it carries the product of
+    P(t^(deg p)) over the closed points to that of P(u^(deg p)), whose
+    u^k coefficient is the sum of mu(e) over |e| = k (motivic Euler
+    products are compatible with specialization).
+
     Terms beyond the cutoff have dimension at most -ceil((E+1)/2), so
     the result is exact strictly above that line: the floor is
     1 - ceil((E+1)/2) and the known part is truncated to it.
     """
     if E < 0:
         raise ValueError("total-degree cutoff must be nonnegative")
-    table = global_mobius(fan, s, SeriesCap.total_cap(fan.nrays, E))
+    require_valid(fan)
+    P = fan_mobius_polynomial(fan)
+    diagonal = IntPoly(1, (((sum(e),), c) for e, c in P.items()))
+    series = euler_product_p1(diagonal, s, SeriesCap.box_cap((E,)))
     acc = ZERO
-    for e, value in table.items():
-        acc = acc + value.shift(-sum(e))
+    for (k,), value in _checked_mobius(series).items():
+        acc = acc + value.shift(-k)
     floor = 1 - ((E + 2) // 2)
     return DimSeries(acc, floor)
 

@@ -407,34 +407,35 @@ def inverse_one_minus_Linv_pow(r: int, floor: int) -> DimSeries:
 
 @dataclass(frozen=True)
 class SeriesCap:
-    """Truncation policy for MultiSeries: a per-variable box and/or a bound
-    on the total degree.  At least one of the two must be present."""
+    """Truncation policy for MultiSeries: a per-variable box, which every
+    cap must have, and a bound on the total degree, by default the sum of
+    the box."""
 
     box: tuple[int, ...] | None = None
     total: int | None = None
 
     def __post_init__(self):
-        if self.box is None and self.total is None:
-            raise ValueError("a cap needs a box or a total-degree bound")
-        if self.box is not None and any(b < 0 for b in self.box):
+        if self.box is None:
+            raise ValueError("a cap needs a per-variable box")
+        # a tuple, so that the cap can key the caches
+        object.__setattr__(self, "box", tuple(int(b) for b in self.box))
+        if any(b < 0 for b in self.box):
             raise ValueError("box entries must be nonnegative")
-        if self.total is not None and self.total < 0:
+        if self.total is None:
+            object.__setattr__(self, "total", sum(self.box))
+        elif self.total < 0:
             raise ValueError("total-degree bound must be nonnegative")
 
     def admits(self, expvec: tuple[int, ...]) -> bool:
-        if self.box is not None:
-            if len(expvec) != len(self.box):
-                raise ValueError("exponent vector arity does not match the cap")
-            if any(e > b for e, b in zip(expvec, self.box)):
-                return False
-        if self.total is not None and sum(expvec) > self.total:
-            return False
-        return True
+        if len(expvec) != len(self.box):
+            raise ValueError("exponent vector arity does not match the cap")
+        return sum(expvec) <= self.total and all(
+            e <= b for e, b in zip(expvec, self.box)
+        )
 
     @classmethod
     def box_cap(cls, box: Iterable[int], total: int | None = None) -> "SeriesCap":
-        box = tuple(int(b) for b in box)
-        return cls(box=box, total=sum(box) if total is None else total)
+        return cls(box=box, total=total)
 
     @classmethod
     def total_cap(cls, nvars: int, total: int) -> "SeriesCap":

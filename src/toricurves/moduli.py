@@ -286,9 +286,7 @@ def _packed_terms(
 
 def _admitted(cap: SeriesCap) -> list[tuple[int, ...]]:
     """Every exponent vector the cap admits, in lexicographic order."""
-    rows: list[tuple[tuple[int, ...], int]] = [
-        ((), sum(cap.box) if cap.total is None else cap.total)
-    ]
+    rows: list[tuple[tuple[int, ...], int]] = [((), cap.total)]
     for b in cap.box:
         rows = [(e + (x,), r - x) for e, r in rows for x in range(min(b, r) + 1)]
     return [e for e, _ in rows]
@@ -440,13 +438,10 @@ def tamagawa(fan: Fan, E: int) -> DimSeries:
 
     L^n (1 - L^{-1})^{-rank Pic} times the Euler product evaluated at
     L^{-1} and truncated at total degree E, as a dimension-floored
-    series.  Cached per (fan, E); callers share the returned series.
+    series: constrained_main_term with no marked points.  Cached per
+    (fan, E); callers share the returned series.
     """
-    require_valid(fan)
-    ep = euler_product_at_Linv(fan, 0, E)
-    rank = picard_data(fan).rank
-    inv = inverse_one_minus_Linv_pow(rank, ep.floor)
-    return dimser_mul(inv, ep).shift(fan.dim)
+    return constrained_main_term(fan, JetCondition.empty(), E)
 
 
 def convergence_report(

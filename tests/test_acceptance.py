@@ -269,6 +269,52 @@ def test_convergence_reports_pass_and_tighten(fans):
                        f"({elapsed:.0f}s)")
 
 
+def test_convergence_reports_at_large_order(fans):
+    """At E = 64 the floor sits far below every bound, so the diagonal
+    reports settle what E = 12 leaves below its floor."""
+    start = time.perf_counter()
+    failures = []
+    E = 64
+
+    diagonals = {
+        "p2": [(k,) * 3 for k in range(1, 7)],
+        "p3": [(k,) * 4 for k in range(1, 7)],
+        "bl1p2": [(k, k, k, 2 * k) for k in (1, 2, 3)],
+        "dp6": [(k,) * 6 for k in (1, 2, 3, 4)],
+    }
+    dims = {}
+    for name, fam in diagonals.items():
+        dims[name] = []
+        for d in fam:
+            rep = convergence_report(fans[name], d, E)
+            if rep.status != "pass":
+                failures.append((name, d, rep.status, rep.delta_dim))
+            dims[name].append(rep.delta_dim)
+
+    for name in ("p2", "bl1p2", "dp6"):
+        seq = dims[name]
+        if not all(a >= b for a, b in zip(seq, seq[1:])):
+            failures.append((name, "not monotone", seq))
+    # E = 12 puts this below its floor of -4
+    if dims["dp6"][-1] != -5:
+        failures.append(("dp6", (4,) * 6, dims["dp6"][-1]))
+
+    for name, n in (("p2", 2), ("p3", 3)):
+        tau = tamagawa(fans[name], E)
+        proj = sum((L**i for i in range(1, n + 1)), ONE)
+        want = proj * (ONE - LaurentClass.lefschetz(-n))
+        if tau.known != want.truncate_below(tau.floor):
+            failures.append((name, str(tau)))
+
+    elapsed = time.perf_counter() - start
+    if elapsed >= 60.0:
+        failures.append(f"runtime {elapsed:.2f}s")
+    n_reports = sum(len(fam) for fam in diagonals.values())
+    _verdict(failures, f"all {n_reports} diagonal convergence reports pass "
+                       f"at E = {E} and the projective constants are exact "
+                       f"({elapsed:.0f}s)")
+
+
 def test_virtual_dimension_is_anticanonical_degree_plus_n(fans):
     failures = []
     n_checked = 0

@@ -13,8 +13,8 @@ from toricurves.cli import (
     EXIT_VALIDATION,
     main,
 )
-from toricurves.errors import InternalCheckError
-from toricurves.grothendieck import LaurentClass
+from toricurves.errors import InternalCheckError, LimitError
+from toricurves.grothendieck import L, ONE, LaurentClass
 from toricurves.mobius import mobius_table
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
@@ -254,11 +254,22 @@ class TestOracle:
         assert out == ""
         assert "error:" in err
 
-    def test_internal_limit_exit(self, capsys):
-        code, out, err = run(capsys, "tamagawa", "p2", "--order", "200")
+    def test_internal_limit_exit(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise LimitError("over the internal limit")
+
+        monkeypatch.setattr("toricurves.cli.tamagawa", boom)
+        code, out, err = run(capsys, "tamagawa", "p2", "--order", "4")
         assert code == EXIT_BUDGET
         assert out == ""
-        assert "internal limit of 63" in err
+        assert "over the internal limit" in err
+
+    def test_large_order_answered(self, capsys):
+        code, doc, _ = run_json(capsys, "tamagawa", "p2", "--order", "200")
+        assert code == 0
+        assert doc["floor"] == -98
+        want = (L**2 + L + ONE) * (ONE - LaurentClass.lefschetz(-2))
+        assert LaurentClass.from_json(doc["coeffs"]) == want
 
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "oracle", "p2", "--p", "11",

@@ -368,22 +368,42 @@ def test_euler_product_at_Linv_goldens(p1, p2):
 
 
 def test_euler_product_at_Linv_matches_mobius_sum(fans):
-    for fan in fans.values():
-        E = 6
-        gm = global_mobius(fan, 0, SeriesCap.total_cap(fan.nrays, E))
-        acc = ZERO
-        for e, value in gm.items():
-            acc = acc + value.shift(-sum(e))
-        series = euler_product_at_Linv(fan, 0, E)
-        floor = 1 - ((E + 2) // 2)
-        assert series.floor == floor
-        assert series.known == acc.truncate_below(floor)
+    """The one-variable diagonal route against the n-variable table."""
+    for name, fan in fans.items():
+        for s, E in itertools.product((0, 1, 2, 3), (0, 1, 5, 8)):
+            gm = global_mobius(fan, s, SeriesCap.total_cap(fan.nrays, E))
+            acc = ZERO
+            for e, value in gm.items():
+                acc = acc + value.shift(-sum(e))
+            series = euler_product_at_Linv(fan, s, E)
+            floor = 1 - ((E + 2) // 2)
+            assert series.floor == floor, (name, s, E)
+            assert series.known == acc.truncate_below(floor), (name, s, E)
+
+
+def test_euler_product_at_Linv_guards_the_dimension_bound(p2, monkeypatch):
+    # the diagonal of 1 + t1 is 1 + u; its Euler product has u^1
+    # coefficient L + 1, and dim - 1 = 0 is above -ceil(1/2) = -1
+    one_plus_t1 = IntPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1})
+    monkeypatch.setattr(
+        "toricurves.eulerprod.fan_mobius_polynomial", lambda fan: one_plus_t1
+    )
+    with pytest.raises(InternalCheckError, match=r"at \(1,\) has dimension 1"):
+        euler_product_at_Linv(p2, 0, 4)
 
 
 def test_global_mobius_off_cap_raises(p1):
     gm = global_mobius(p1, 0, SeriesCap.box_cap((2, 2)))
     with pytest.raises(ValueError):
         gm.mu((5, 5))
+
+
+def test_engine_answers_per_variable_caps_above_63():
+    # prod_p (1 - (t1 t2)^deg p) = (1 - t1 t2)(1 - L t1 t2): the packing
+    # width follows the cap, so no key of the product aliases another
+    cap = SeriesCap.box_cap((70, 70))
+    got = euler_product_p1(IntPoly(2, {(0, 0): 1, (1, 1): -1}), 0, cap)
+    assert got.coeffs == {(0, 0): ONE, (1, 1): -(L + ONE), (2, 2): L}
 
 
 def test_engine_rejects_nonunit_constant_term():

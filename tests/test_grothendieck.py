@@ -174,7 +174,7 @@ class TestMinusInfinity:
 
 
 def _series(cap, coeffs):
-    nvars = len(cap.box) if cap.box is not None else 2
+    nvars = len(cap.box)
     return MultiSeries(tuple(f"t{i+1}" for i in range(nvars)), cap, coeffs)
 
 
@@ -195,6 +195,13 @@ class TestSeriesCap:
     def test_needs_a_bound(self):
         with pytest.raises(ValueError):
             SeriesCap()
+
+    def test_needs_a_box(self):
+        with pytest.raises(ValueError, match="box"):
+            SeriesCap(total=3)
+        cap = SeriesCap(box=[2, 3])
+        assert cap == SeriesCap.box_cap((2, 3)) and cap.total == 5
+        assert hash(cap) == hash(SeriesCap.box_cap((2, 3)))
 
 
 class TestMultiSeries:

@@ -20,6 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
          "main term:"),
         ("oracle_gate.py", ["--fans", "p3", "--primes", "5", "7", "--limit", "2"],
          "s  ok"),
+        ("convergence_sweep.py", ["dp6", "--box", "2", "--order", "64"],
+         "all 10 reports pass"),
     ],
 )
 def test_script_runs(script, args, success):
