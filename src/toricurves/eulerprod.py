@@ -4,27 +4,26 @@ This is the computational core of the package.  Given a local factor
 ``F`` with integer coefficients and constant term 1, it evaluates the
 product of ``F(t^(deg p))`` over the closed points ``p`` of P^1 minus a
 chosen number of rational points, truncated by a degree cap.  The
-coefficients of the result are exact integer Laurent polynomials in L.
+coefficients of the result are exact integer polynomials in L.
 
-The computation works with a symbolic point count ``q``: the number of
-closed points of degree d on the punctured line is an explicit rational
-polynomial in q, the product is expanded with exact rational-in-q
-coefficients, every surviving coefficient is checked to be integral, and
-q is mapped to L at the very end.  Nothing is ever rounded; a
-non-integral coefficient aborts the run.
+The number a_d(q) of closed points of degree d on the punctured line is
+an integer at every integer q, so the engine works at the single point
+q = 2^w.  There it expands
 
-Rather than exponentiating a logarithm term by term, the engine expands
+    prod_d F(t^(.d)) ** a_d  =  prod_d sum_k binom(a_d, k) (F - 1)^k (t^(.d))
 
-    prod_d F(t^(.d)) ** a_d(q)  =  prod_d sum_k binom(a_d, k) (F - 1)^k (t^(.d))
-
-which needs each integer power ``(F - 1)^k`` only once and keeps all
-series arithmetic over plain integers, with a single running denominator
-per factor.  The two forms agree as truncated series because both are
-the exponential of ``sum_d a_d log F(t^(.d))``.
+as plain integer series: each integer power ``(F - 1)^k`` is formed
+once, and the two forms agree as truncated series because both are the
+exponential of ``sum_d a_d log F(t^(.d))``.  Every coefficient, an
+integer polynomial in q, is then read back from its value as balanced
+base-2^w digits (Kronecker substitution), with q mapped to L.  A
+majorant series bounds every coefficient in advance and fixes w;
+nothing is ever rounded, and a digit beyond the bound aborts the run.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .grothendieck import (
     DimSeries,
     MultiSeries,
     SeriesCap,
+    unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial
 from .toric import Fan, require_valid
@@ -59,11 +59,6 @@ def _pack(vec: Sequence[int], shift: int) -> int:
     for i, x in enumerate(vec):
         key |= x << (shift * i)
     return key
-
-
-def _unpack(key: int, nvars: int, shift: int) -> tuple[int, ...]:
-    mask = (1 << shift) - 1
-    return tuple((key >> (shift * i)) & mask for i in range(nvars))
 
 
 def int_mobius(n: int) -> int:
@@ -111,153 +106,54 @@ def closed_point_weight(d: int, s: int = 0) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in num)
 
 
-def _poly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return tuple(out)
+def _majorant(
+    support: Mapping[tuple[int, ...], int], s: int, total: int
+) -> list[int]:
+    """Coefficients up to u^total of a one-variable series whose u^n
+    coefficient bounds the sum of the absolute q-coefficients of every
+    Euler-product coefficient at an exponent e with |e| = n.
 
-
-def _poly_scale(a: Sequence[int], c: int) -> tuple[int, ...]:
-    return tuple(x * c for x in a)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _reachable_keys(
-    support: Sequence[tuple[int, ...]], cap: SeriesCap, shift: int
-) -> frozenset[int]:
-    """All in-cap sums of multiples of the support vectors, packed.
-
-    The product series is supported on the additive span of the support
-    of F - 1, so confining every intermediate series to the span (rather
-    than the whole capped box) prunes aggressively for sparse inputs.
+    support holds the terms of F - 1.  With A = 1 + |1 - s| each a_d has
+    absolute coefficient sum at most A, so binom(a_d, k) has at most
+    binom(A + k - 1, k), and F - 1 is dominated on the diagonal by
+    g(u) = sum |c_e| u^|e|.  The factors
+    sum_k binom(A + k - 1, k) g(u^d)^k = (1 - g(u^d))^(-A) then dominate
+    those of the Euler product, and so does their product.
     """
-    box, total = cap.box, cap.total
-    frontier = [tuple(0 for _ in box)]
-    reached = {0}
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            vtot = sum(vec)
-            for sup in support:
-                w = tuple(a + b for a, b in zip(vec, sup))
-                if vtot + sum(sup) > total:
-                    continue
-                if any(a > b for a, b in zip(w, box)):
-                    continue
-                key = _pack(w, shift)
-                if key not in reached:
-                    reached.add(key)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(reached)
-
-
-def _mul_int_series(
-    a: Mapping[int, int], b: Mapping[int, int], allowed: frozenset[int]
-) -> dict[int, int]:
-    out: dict[int, int] = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            if k in allowed:
-                out[k] = get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
-
-
-def _mul_poly_series(
-    a: tuple[int, dict[int, tuple[int, ...]]],
-    b: tuple[int, dict[int, tuple[int, ...]]],
-    allowed: frozenset[int],
-) -> tuple[int, dict[int, tuple[int, ...]]]:
-    den_a, da = a
-    den_b, db = b
-    if len(da) > len(db):
-        da, db = db, da
-    out: dict[int, tuple[int, ...]] = {}
-    for ka, pa in da.items():
-        for kb, pb in db.items():
-            k = ka + kb
-            if k in allowed:
-                prod = _poly_mul(pa, pb)
-                acc = out.get(k)
-                out[k] = prod if acc is None else _poly_add(acc, prod)
-    return den_a * den_b, out
-
-
-def _binomial_chain(
-    den_a: int, num_a: tuple[int, ...], kmax: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Numerators of binom(a, k) for 0 <= k <= kmax over one denominator.
-
-    binom(a, k) = a (a-1) ... (a-k+1) / k! where a is the polynomial
-    num_a / den_a.  Returns (D, nums) with D = den_a^kmax * kmax! and
-    binom(a, k) = nums[k] * (den_a^(kmax-k) * kmax!/k!) / D; the per-k
-    integer multiplier is applied by the caller.
-    """
-    nums: list[tuple[int, ...]] = [(1,)]
-    cur: tuple[int, ...] = (1,)
-    for k in range(1, kmax + 1):
-        shifted = list(num_a)
-        shifted[0] -= (k - 1) * den_a
-        cur = _poly_mul(cur, tuple(shifted))
-        nums.append(cur)
-    den = den_a**kmax
-    for k in range(2, kmax + 1):
-        den *= k
-    return den, nums
-
-
-def _scaled_power_table(
-    powers: list[dict[int, int]],
-    d: int,
-    nvars: int,
-    box: tuple[int, ...],
-    allowed: frozenset[int],
-    shift: int,
-) -> list[dict[int, int]]:
-    """Substitute t -> t^(.d) in each stored power of F - 1."""
-    scaled: list[dict[int, int]] = []
-    for table in powers:
-        cur: dict[int, int] = {}
-        for key, coeff in table.items():
-            vec = _unpack(key, nvars, shift)
-            w = tuple(d * x for x in vec)
-            if any(a > b for a, b in zip(w, box)):
-                continue
-            k = _pack(w, shift)
-            if k in allowed:
-                cur[k] = coeff
-        if not cur:
-            break
-        scaled.append(cur)
-    return scaled
+    g: dict[int, int] = {}
+    for e, c in support.items():
+        g[sum(e)] = g.get(sum(e), 0) + abs(c)
+    vals = [1] + [0] * total
+    for d in range(1, total // min(g) + 1):
+        terms = [(d * n, c) for n, c in g.items() if d * n <= total]
+        for _ in range(1 + abs(1 - s)):
+            # divide by 1 - g(u^d): ascending, so every vals[i - j] is final
+            for i in range(total + 1):
+                vals[i] += sum(c * vals[i - j] for j, c in terms if j <= i)
+    return vals
 
 
 def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
     """Expand prod over closed points of P^1 minus s points of F(t^(deg)).
 
     F must have constant term 1; the result is a capped multiseries with
-    LaurentClass coefficients and constant term 1.  Raises
-    InternalCheckError if a coefficient fails to be integral in q, which
-    signals an engine bug rather than a recoverable input problem.
+    LaurentClass coefficients and constant term 1.
+
+    The product is taken at q = 2^w, where w leaves two bits above the
+    largest coefficient of the majorant series.  Whenever F - 1 has an
+    in-cap term, that coefficient is at least A = 1 + |1 - s| >= s, so
+    2^w > s - 1 and every point count a_d(2^w) is a nonnegative integer,
+    as math.comb needs.
+    Each coefficient is read back as balanced base-2^w digits; a digit
+    of absolute value 2^(w-2) or more contradicts the majorant and
+    raises InternalCheckError, which signals an engine bug rather than
+    a recoverable input problem.
     """
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
     box = cap.box
+    total = cap.total
     nvars = len(box)
-    support: list[tuple[int, ...]] = []
     coeffs_in: dict[tuple[int, ...], int] = {}
     for exp, coeff in F.items():
         if len(exp) != nvars:
@@ -266,88 +162,87 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
             )
         if any(x < 0 for x in exp):
             raise ValueError("local factor exponents must be nonnegative")
-        if not any(exp):
-            continue
-        if cap.admits(exp):
-            support.append(exp)
+        if any(exp) and cap.admits(exp):
             coeffs_in[exp] = coeff
     if F.constant_term() != 1:
         raise ValueError("local factor must have constant term 1")
 
     variables = tuple(f"t{i + 1}" for i in range(nvars))
-    if not support:
+    if not coeffs_in:
         return MultiSeries(variables, cap, {(0,) * nvars: ONE})
 
-    # Exponent vectors are packed into one int, `shift` bits per variable.
-    # In-cap components are at most max(box), so two in-cap keys add
-    # without a carry and exponent addition is integer addition.
-    shift = max(1, (2 * max(box)).bit_length())
-    allowed = _reachable_keys(support, cap, shift)
-    valuation = min(sum(e) for e in support)
+    # An exponent vector e is packed into one int, `shift` bits per
+    # field, with |e| as a last field above the variables.  Every field
+    # of an in-cap key is at most its limit, below 2^(shift-1), so two
+    # in-cap keys add without a carry; adding `off` lifts a field past
+    # bit shift-1 exactly when it exceeds its limit, so one mask test
+    # checks the box and the total together.
+    limits = box + (total,)
+    shift = max(limits).bit_length() + 1
+    top = shift * nvars
+    guard = _pack([1 << (shift - 1)] * len(limits), shift)
+    off = _pack([(1 << (shift - 1)) - 1 - b for b in limits], shift)
 
-    base = {_pack(e, shift): c for e, c in coeffs_in.items()}
-    powers: list[dict[int, int]] = [base]
+    def times(a: dict[int, int], b: dict[int, int], out: dict[int, int]):
+        """out plus the in-cap part of a * b, zero terms dropped."""
+        # partner keys carry `off`, so a sum is in the cap when its guard
+        # bits are clear; sorted, they come in ascending |e|
+        pairs = sorted((k + off, v) for k, v in b.items())
+        keys = [k for k, _ in pairs]
+        get = out.get
+        for ka, va in a.items():
+            # only partners up to what the total leaves
+            rest = total - (ka >> top)
+            stop = bisect.bisect_left(keys, ((rest + 1) << top) + off)
+            for kb, vb in pairs[:stop]:
+                k = ka + kb
+                if not k & guard:
+                    k -= off
+                    out[k] = get(k, 0) + va * vb
+        return {k: v for k, v in out.items() if v}
+
+    base = {_pack(e + (sum(e),), shift): c for e, c in coeffs_in.items()}
+    powers = [base]
     while True:
-        nxt = _mul_int_series(powers[-1], base, allowed)
+        nxt = times(powers[-1], base, {})
         if not nxt:
             break
         powers.append(nxt)
 
-    factors: list[tuple[int, dict[int, tuple[int, ...]]]] = []
-    for d in range(1, cap.total // valuation + 1):
-        if d == 1:
-            scaled = powers
-        else:
-            scaled = _scaled_power_table(powers, d, nvars, box, allowed, shift)
-        if not scaled:
-            continue
-        den_a, num_a = _weight_raw(d, s)
-        kmax = len(scaled)
-        den, nums = _binomial_chain(den_a, num_a, kmax)
-        fac: dict[int, tuple[int, ...]] = {0: (den,)}
-        mult = den
-        for k in range(1, kmax + 1):
-            mult //= den_a * k
-            num_k = nums[k]
-            for key, coeff in scaled[k - 1].items():
-                term = _poly_scale(num_k, mult * coeff)
-                acc = fac.get(key)
-                fac[key] = term if acc is None else _poly_add(acc, term)
-        g = den
-        for poly in fac.values():
-            for c in poly:
-                if c:
-                    g = math.gcd(g, c)
-                    if g == 1:
-                        break
-            if g == 1:
-                break
-        if g > 1:
-            fac = {k: tuple(c // g for c in p) for k, p in fac.items()}
-            den //= g
-        factors.append((den, fac))
+    w = max(_majorant(coeffs_in, s, total)).bit_length() + 2
+    valuation = min(sum(e) for e in coeffs_in)
+    series = {0: 1}
+    # the sparse factors of large d first, so the series stays small
+    # until the largest factor, d = 1, meets it last
+    for d in range(total // valuation, 0, -1):
+        den, num = _weight_raw(d, s)
+        a_d = sum(c << (w * i) for i, c in enumerate(num)) // den
+        fac: dict[int, int] = {}
+        # (F - 1)^k lives in degrees >= k * valuation
+        for k, power in enumerate(powers[: total // (d * valuation)], start=1):
+            binom = math.comb(a_d, k)
+            for key, c in power.items():
+                # t -> t^d multiplies every field by d; none carries
+                # while d |e| is within the total
+                if (key >> top) * d <= total:
+                    key *= d
+                    if not (key + off) & guard:
+                        fac[key] = fac.get(key, 0) + binom * c
+        series = times(series, fac, dict(series))
 
-    factors.sort(key=lambda f: len(f[1]))
-    den, series = 1, {0: (1,)}
-    for fac in factors:
-        den, series = _mul_poly_series((den, series), fac, allowed)
-
+    mask = (1 << shift) - 1
+    bound = 1 << (w - 2)
     out: dict[tuple[int, ...], LaurentClass] = {}
-    for key, poly in series.items():
-        terms: dict[int, int] = {}
-        for power, c in enumerate(poly):
-            if c == 0:
-                continue
-            if c % den != 0:
-                raise InternalCheckError(
-                    "Euler product coefficient at exponent "
-                    f"{_unpack(key, nvars, shift)} is not integral in q: "
-                    f"{c}/{den} at q^{power}"
-                )
-            terms[power] = c // den
-        cls = LaurentClass(terms)
-        if cls:
-            out[_unpack(key, nvars, shift)] = cls
+    # ascending |e|, so checks over the result meet low degrees first
+    for key, x in sorted(series.items()):
+        e = tuple((key >> (shift * i)) & mask for i in range(nvars))
+        cls = unpack_class(x, w)
+        if any(abs(c) >= bound for _, c in cls.terms()):
+            raise InternalCheckError(
+                f"Euler product coefficient at exponent {e} exceeds its "
+                f"majorant: {cls}"
+            )
+        out[e] = cls
     if out.get((0,) * nvars) != ONE:
         raise InternalCheckError("Euler product lost its constant term 1")
     return MultiSeries(variables, cap, out)

@@ -7,8 +7,11 @@ coefficients and no floating point anywhere:
   * DimSeries: a Laurent series in L^-1 known exactly above a tracked
     precision floor (an element of the dimensional completion).
   * MultiSeries: a truncated multivariate power series in variables t_alpha
-    whose coefficients live in some commutative ring (LaurentClass here,
-    rational polynomials in an auxiliary variable inside the Euler engine).
+    whose coefficients live in some commutative ring (LaurentClass here).
+
+A polynomial class also travels as one integer, its value at L = 2^w
+(pack_class, unpack_class), so that products of classes become products
+of integers.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .errors import InternalCheckError
 
 
 class _MinusInfinity:
@@ -272,6 +277,31 @@ def virtual_dimension(x: LaurentClass):
 
 def evaluate(x: LaurentClass, q: int) -> Fraction:
     return x.evaluate(q)
+
+
+def pack_class(value: LaurentClass, w: int) -> int:
+    """The value of a polynomial class at L = 2^w."""
+    if value and value.min_exponent() < 0:
+        raise InternalCheckError(f"class {value} has a negative power of L")
+    return sum(c << (w * k) for k, c in value.coeffs.items())
+
+
+def unpack_class(x: int, w: int) -> LaurentClass:
+    """The polynomial class whose value at L = 2^w is x.
+
+    x is read as balanced base-2^w digits, the inverse of pack_class for
+    every class whose coefficients all have absolute value below 2^(w-1).
+    """
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    coeffs = {}
+    k = 0
+    while x:
+        c = ((x & mask) ^ half) - half
+        coeffs[k] = c
+        x = (x - c) >> w
+        k += 1
+    return LaurentClass(coeffs)
 
 
 class DimSeries:

@@ -39,10 +39,6 @@ class IntPoly:
                 del c[e]
         self._c = c
 
-    @classmethod
-    def one(cls, nvars: int) -> "IntPoly":
-        return cls(nvars, {(0,) * nvars: 1})
-
     @property
     def coeffs(self):
         return dict(self._c)
@@ -65,7 +61,8 @@ class IntPoly:
         return hash((self.nvars, frozenset(self._c.items())))
 
     def __add__(self, other):
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError("exponent arity mismatch")
         c = dict(self._c)
         for e, v in other._c.items():
             w = c.get(e, 0) + v
@@ -82,7 +79,8 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError("exponent arity mismatch")
         c = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
@@ -105,15 +103,6 @@ class IntPoly:
         terms = [{"exp": list(e), "coeff": v}
                  for e, v in sorted(self._c.items(), key=lambda t: (sum(t[0]), t[0]))]
         return {"terms": terms}
-
-    @classmethod
-    def from_json(cls, doc: dict, nvars: int | None = None) -> "IntPoly":
-        terms = doc["terms"]
-        if nvars is None:
-            if not terms:
-                raise ValueError("cannot infer arity of an empty polynomial")
-            nvars = len(terms[0]["exp"])
-        return cls(nvars, {tuple(t["exp"]): t["coeff"] for t in terms})
 
     def __str__(self):
         if not self._c:
@@ -154,12 +143,6 @@ class MobiusTable:
 
     def to_json(self) -> list:
         return [{"n": list(n), "mu": v} for n, v in self.values]
-
-    @classmethod
-    def from_json(cls, doc: list) -> "MobiusTable":
-        vals = tuple((tuple(item["n"]), int(item["mu"])) for item in doc)
-        nv = len(vals[0][0]) if vals else 0
-        return cls(nvars=nv, values=vals)
 
 
 @functools.lru_cache(maxsize=8)

@@ -26,8 +26,9 @@ from .grothendieck import (
     SeriesCap,
     dimser_mul,
     inverse_one_minus_Linv_pow,
+    pack_class,
+    unpack_class,
 )
-from .errors import InternalCheckError
 from .toric import (
     Fan,
     class_of_variety,
@@ -230,27 +231,6 @@ class ErrorReport:
         }
 
 
-def _pack(value: LaurentClass, w: int) -> int:
-    """The value of a polynomial class at L = 2^w."""
-    if value and value.min_exponent() < 0:
-        raise InternalCheckError(f"class {value} has a negative power of L")
-    return sum(c << (w * k) for k, c in value.coeffs.items())
-
-
-def _unpack_class(x: int, w: int) -> LaurentClass:
-    """The class whose value at L = 2^w is x, all |coefficients| < 2^(w-1)."""
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    coeffs = {}
-    k = 0
-    while x:
-        c = ((x & mask) ^ half) - half
-        coeffs[k] = c
-        x = (x - c) >> w
-        k += 1
-    return LaurentClass(coeffs)
-
-
 def _packed_width(mobius: GlobalMobius, s: int, box: Sequence[int]) -> int:
     """A width w at which every configuration class in the box is
     recovered from its value at L = 2^w.
@@ -279,8 +259,8 @@ def _packed_terms(
     table = build_global_mobius(fan, s, cap)
     w = _packed_width(table, s, cap.box)
     top = max(cap.box, default=0)
-    zeta = tuple(_pack(z, w) for z in zeta_p1_coeffs(s, top))
-    mobius = tuple((e, _pack(mu, w)) for e, mu in table.items())
+    zeta = tuple(pack_class(z, w) for z in zeta_p1_coeffs(s, top))
+    mobius = tuple((e, pack_class(mu, w)) for e, mu in table.items())
     return w, zeta, mobius
 
 
@@ -342,7 +322,7 @@ def pattern_config_class(
             term *= zeta[b - a]
         else:
             acc += term
-    return _unpack_class(acc, w)
+    return unpack_class(acc, w)
 
 
 def pattern_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
@@ -359,7 +339,7 @@ def pattern_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
     w = _packed_width(table, s, cap.box)
     cells = dict.fromkeys(_admitted(cap), 0)
     for e, mu in table.items():
-        cells[e] = _pack(mu, w)
+        cells[e] = pack_class(mu, w)
     for alpha in range(fan.nrays):
         lines: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         # lexicographic order, so each line comes out ascending in e[alpha]
@@ -371,7 +351,7 @@ def pattern_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
             cells.update(zip(line, vals))
     variables = tuple(f"t{i + 1}" for i in range(fan.nrays))
     return MultiSeries(
-        variables, cap, {e: _unpack_class(x, w) for e, x in cells.items() if x}
+        variables, cap, {e: unpack_class(x, w) for e, x in cells.items() if x}
     )
 
 

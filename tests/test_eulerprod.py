@@ -22,8 +22,9 @@ from toricurves.grothendieck import (
     MultiSeries,
     SeriesCap,
 )
-from toricurves.mobius import IntPoly
+from toricurves.mobius import IntPoly, fan_mobius_polynomial
 from toricurves.eulerprod import (
+    _majorant,
     closed_point_weight,
     euler_product_at_Linv,
     euler_product_p1,
@@ -87,7 +88,7 @@ def ser_subst_power(a, d, cap):
 def ser_log(F, cap, nvars):
     """log of a series with constant term 1 (integer coefficients)."""
     one_minus = {e: qp_scale(v, Fraction(-1)) for e, v in F.items() if any(e)}
-    total = cap.total if cap.total is not None else sum(cap.box)
+    total = cap.total
     acc = {}
     power = {(0,) * nvars: {0: Fraction(1)}}
     for k in range(1, total + 1):
@@ -98,7 +99,7 @@ def ser_log(F, cap, nvars):
 
 
 def ser_exp(G, cap, nvars):
-    total = cap.total if cap.total is not None else sum(cap.box)
+    total = cap.total
     acc = {(0,) * nvars: {0: Fraction(1)}}
     power = {(0,) * nvars: {0: Fraction(1)}}
     for k in range(1, total + 1):
@@ -125,7 +126,7 @@ def reference_euler_product(F: IntPoly, s: int, cap: SeriesCap):
     nvars = F.nvars
     base = {e: {0: Fraction(c)} for e, c in F.items()}
     logF = ser_log(base, cap, nvars)
-    total = cap.total if cap.total is not None else sum(cap.box)
+    total = cap.total
     G = {}
     for d in range(1, total + 1):
         shifted = ser_subst_power(logF, d, cap)
@@ -190,12 +191,13 @@ def test_squarefree_divisor_classes():
     assert got.coefficient((3,)) == L**3 - L
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
 @pytest.mark.parametrize("coeffs", [
     {(0,): 1, (1,): -1},
     {(0,): 1, (1,): 1},
     {(0,): 1, (1,): 1, (2,): 1},
     {(0,): 1, (2,): -3},
+    {(0,): 1, (2,): -9, (3,): 16},  # the size of dp6's diagonal
 ])
 def test_engine_matches_naive_log_exp_one_var(coeffs, s):
     F = IntPoly(1, coeffs)
@@ -205,15 +207,19 @@ def test_engine_matches_naive_log_exp_one_var(coeffs, s):
     assert got == want
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
 @pytest.mark.parametrize("coeffs", [
     {(0, 0): 1, (1, 1): -1},
     {(0, 0): 1, (1, 0): 1, (1, 1): -1},
     {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 2},
+    {(0, 0, 0): 1, (1, 1, 0): -1, (0, 1, 1): -1, (1, 0, 1): -1, (1, 1, 1): 2},
 ])
 def test_engine_matches_naive_log_exp_two_vars(coeffs, s):
-    F = IntPoly(2, coeffs)
-    cap = SeriesCap.box_cap((2, 2))
+    """Factors in two variables, and one in three, under a total-degree
+    cap below the sum of the box."""
+    nvars = len(next(iter(coeffs)))
+    F = IntPoly(nvars, coeffs)
+    cap = SeriesCap.box_cap((3,) * nvars, total=4)
     got = as_reference(euler_product_p1(F, s, cap))
     want = reference_euler_product(F, s, cap)
     assert got == want
@@ -392,6 +398,33 @@ def test_euler_product_at_Linv_guards_the_dimension_bound(p2, monkeypatch):
         euler_product_at_Linv(p2, 0, 4)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_coefficients_lie_below_the_majorant(fans, s):
+    """The bound that fixes the engine's digit width holds: the absolute
+    q-coefficients of each coefficient at e sum to at most the majorant's
+    coefficient at |e|, so every read-back digit is below 2^(w-2)."""
+    for name, fan in fans.items():
+        P = fan_mobius_polynomial(fan)
+        for cap in (SeriesCap.total_cap(fan.nrays, 8),
+                    SeriesCap.box_cap((2,) * fan.nrays)):
+            support = {e: c for e, c in P.items() if any(e) and cap.admits(e)}
+            bound = _majorant(support, s, cap.total)
+            for e, value in euler_product_p1(P, s, cap).items():
+                size = sum(abs(c) for _, c in value.terms())
+                assert size <= bound[sum(e)], (name, cap, e)
+
+
+def test_engine_refuses_digits_beyond_the_majorant(monkeypatch):
+    # a majorant that is too small leaves too few bits per digit: at
+    # w = 3 the readback meets digits of absolute value 2 or more
+    monkeypatch.setattr(
+        "toricurves.eulerprod._majorant", lambda support, s, total: [1]
+    )
+    F = IntPoly(1, {(0,): 1, (2,): -9, (3,): 16})
+    with pytest.raises(InternalCheckError, match="exceeds its majorant"):
+        euler_product_p1(F, 0, SeriesCap.box_cap((4,)))
+
+
 def test_global_mobius_off_cap_raises(p1):
     gm = global_mobius(p1, 0, SeriesCap.box_cap((2, 2)))
     with pytest.raises(ValueError):
@@ -407,5 +440,5 @@ def test_engine_answers_per_variable_caps_above_63():
 
 
 def test_engine_rejects_nonunit_constant_term():
-    with pytest.raises((ValueError, InternalCheckError)):
+    with pytest.raises(ValueError, match="constant term 1"):
         euler_product_p1(IntPoly(1, {(0,): 2}), 0, SeriesCap.box_cap((2,)))

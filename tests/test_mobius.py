@@ -119,6 +119,16 @@ def test_table_guard_is_a_limit(p2):
         mobius_table(PatternSet(25, (frozenset({0, 1}),)))
 
 
+def test_intpoly_arithmetic_rejects_arity_mismatch():
+    # a raised ValueError, not an assert, so that python -O keeps the check
+    one_var = _poly(1, [((1,), 1)])
+    two_vars = _poly(2, [((1, 0), 1)])
+    with pytest.raises(ValueError, match="exponent arity mismatch"):
+        one_var + two_vars
+    with pytest.raises(ValueError, match="exponent arity mismatch"):
+        one_var * two_vars
+
+
 def test_generating_polynomial_matches_table(p2, dp6):
     for fan in (p2, dp6):
         table = mobius_table(pattern_set(fan))
