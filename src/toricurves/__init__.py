@@ -18,7 +18,6 @@ from .grothendieck import (
     dimser_mul,
     evaluate,
     inverse_one_minus_Linv_pow,
-    multiseries_scale_vars,
     virtual_dimension,
 )
 from .toric import (

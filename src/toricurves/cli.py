@@ -128,7 +128,7 @@ def _fmt_delta(delta) -> str:
 
 def cmd_analyze(args):
     fan = _load_fan(args.fan)
-    report = validate(fan, seed=args.seed)
+    report = validate(fan)
     if not (report.smooth and report.complete):
         raise FanValidationError(
             "fan is not smooth and complete: " + "; ".join(report.details)
@@ -317,7 +317,7 @@ def build_parser() -> _Parser:
     )
     common.add_argument(
         "--jobs", type=int, default=1,
-        help="deprecated, accepted with no effect (counts run serially)",
+        help="accepted with no effect (counts run serially)",
     )
     common.add_argument(
         "--budget", type=int, default=None,

@@ -16,7 +16,6 @@ of integers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -585,12 +584,3 @@ class MultiSeries:
     def __repr__(self) -> str:
         return f"MultiSeries(vars={self.variables}, {len(self._c)} terms)"
 
-
-def multiseries_scale_vars(F: MultiSeries, a: int) -> MultiSeries:
-    """Deprecated alias of ``F.scale_vars(a)``."""
-    warnings.warn(
-        "multiseries_scale_vars is deprecated; use MultiSeries.scale_vars",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return F.scale_vars(a)

@@ -1,8 +1,10 @@
 """Local Moebius inversion for pattern sets of fans.
 
-The indicator of "support contained in no cone" on 0/1-vectors is inverted
-over the coordinatewise order; the resulting signed table drives both the
-torsor class and, later, the Euler-product engine.
+The indicator of "support contains no primitive collection" on 0/1-vectors
+is inverted over the coordinatewise order.  By inclusion-exclusion this is
+the product of (1 - x^J) over the primitive collections J in the ring where
+x^a * x^b = x^(a | b); it is the local factor P(t) that the torsor class,
+the Euler-product engine and the configuration classes read.
 """
 
 from __future__ import annotations
@@ -10,12 +12,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import InternalCheckError, LimitError
 from .grothendieck import LaurentClass
-from .toric import Fan, PatternSet, pattern_set, class_of_variety, picard_data
-
-MAX_TABLE_VARS = 24
+from .toric import MAX_RAYS, Fan, PatternSet, pattern_set, class_of_variety, picard_data
 
 
 class IntPoly:
@@ -130,59 +131,64 @@ class IntPoly:
 @dataclass(frozen=True)
 class MobiusTable:
     nvars: int
-    values: tuple[tuple[tuple[int, ...], int], ...]  # ((0/1 vector, mu), ...)
+    coeffs: MappingProxyType  # support bitmask (bit i = ray i) -> nonzero mu
 
     def mu(self, n) -> int:
         n = tuple(int(x) for x in n)
         if len(n) != self.nvars or any(x not in (0, 1) for x in n):
             return 0
-        return dict(self.values).get(n, 0)
+        return self.coeffs.get(sum(x << i for i, x in enumerate(n)), 0)
 
     def nonzero(self):
-        return [(n, v) for n, v in self.values if v]
+        return [(_mask_bits(m, self.nvars), self.coeffs[m])
+                for m in _by_weight(self.coeffs, self.nvars)]
+
+    def listing(self):
+        """Every 0/1 vector with its mu, zeros included, in the order of
+        nonzero()."""
+        for m in _by_weight(range(1 << self.nvars), self.nvars):
+            yield _mask_bits(m, self.nvars), self.coeffs.get(m, 0)
 
     def to_json(self) -> list:
-        return [{"n": list(n), "mu": v} for n, v in self.values]
+        return [{"n": list(n), "mu": v} for n, v in self.listing()]
 
 
 @functools.lru_cache(maxsize=8)
-def mobius_table(patterns: PatternSet, max_vars: int = MAX_TABLE_VARS) -> MobiusTable:
+def mobius_table(patterns: PatternSet) -> MobiusTable:
     """Invert the not-above-the-pattern-set indicator on 0/1-vectors.
 
-    Processing order is Hamming weight, then lexicographic; the cumulative
-    sum over each lower set equals 1 on vectors lying above no pattern and
-    0 otherwise.  The table costs O(3^nvars), so the last few are cached
-    per pattern set.
+    mu is the product of (1 - x^J) over the primitive collections J, with
+    x^a * x^b = x^(a | b): each factor subtracts the current table shifted
+    by OR with J's mask.  The work is the number of collections times the
+    size of the support of mu, and the last few tables are cached per
+    pattern set.
     """
     nu = patterns.nvars
-    if nu > max_vars:
+    if nu > MAX_RAYS:
         raise LimitError(
-            f"{nu} variables exceed the internal limit of {max_vars} "
+            f"{nu} variables exceed the internal limit of {MAX_RAYS} "
             "variables of the Mobius table"
         )
-    masks = sorted(range(1 << nu), key=lambda m: (m.bit_count(), _mask_bits(m, nu)))
-    mu: dict[int, int] = {}
-    for m in masks:
-        bits = _mask_bits(m, nu)
-        target = 0 if patterns.lies_above(bits) else 1
-        acc = 0
-        sub = (m - 1) & m
-        while True:
-            acc += mu.get(sub, 0)
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        mu[m] = target - acc if m else target
-    values = tuple((_mask_bits(m, nu), mu[m]) for m in masks)
-    return MobiusTable(nvars=nu, values=values)
+    mu = {0: 1}
+    for J in patterns.minimal:
+        j = sum(1 << i for i in J)
+        for m, v in list(mu.items()):
+            mu[m | j] = mu.get(m | j, 0) - v
+        mu = {m: v for m, v in mu.items() if v}
+    return MobiusTable(nvars=nu, coeffs=MappingProxyType(mu))
 
 
 def _mask_bits(m: int, nu: int) -> tuple[int, ...]:
     return tuple((m >> i) & 1 for i in range(nu))
 
 
+def _by_weight(masks, nu: int) -> list[int]:
+    """Masks by Hamming weight, then by their bit tuples."""
+    return sorted(masks, key=lambda m: (m.bit_count(), _mask_bits(m, nu)))
+
+
 def generating_polynomial(table: MobiusTable) -> IntPoly:
-    return IntPoly(table.nvars, {n: v for n, v in table.values if v})
+    return IntPoly(table.nvars, table.nonzero())
 
 
 def fan_mobius_polynomial(fan: Fan) -> IntPoly:
@@ -288,7 +294,7 @@ def mu_grouped_by_subgraph(fan: Fan, connected_only: bool = True) -> dict:
     table = mobius_table(pattern_set(fan))
     edges = nonintersection_graph(fan)
     groups: dict[tuple, set[int]] = {}
-    for n, v in table.values:
+    for n, v in table.listing():
         support = tuple(i for i, x in enumerate(n) if x)
         sub_edges = {e for e in edges if e <= set(support)}
         if connected_only and not _is_connected(support, sub_edges):

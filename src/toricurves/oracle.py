@@ -26,7 +26,6 @@ import itertools
 import math
 import os
 import time
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -325,30 +324,18 @@ def _checked_degrees(
     return e
 
 
-def _ignore_jobs(jobs: int) -> None:
-    if jobs != 1:
-        warnings.warn(
-            "jobs is deprecated and ignored; every count runs serially",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def ff_pattern_count(
     p: int,
     fan: Fan,
     e: Sequence[int],
     budget: int | None = None,
-    jobs: int = 1,
 ) -> int:
     """Number of divisor tuples of multidegree e avoiding all patterns.
 
     Tuples of normalized forms, one per ray, such that no minimal
     forbidden set of them has a common projective root.  Refuses to run
     when the product of the form-space sizes exceeds the budget.
-    ``jobs`` is deprecated and ignored.
     """
-    _ignore_jobs(jobs)
     e = _checked_degrees(p, fan, e, budget)
     return _count(p, e, _minimal_patterns(fan))
 
@@ -358,16 +345,13 @@ def ff_hom_count(
     fan: Fan,
     d: Sequence[int],
     budget: int | None = None,
-    jobs: int = 1,
 ) -> int:
     """Point count of the space of degree-d maps over F_p.
 
     Counts tuples of nonzero forms (all scalings of the normalized
     tuples) avoiding the patterns, then divides by the order of the
-    Neron-Severi torus; the quotient must be exact.  ``jobs`` is
-    deprecated and ignored.
+    Neron-Severi torus; the quotient must be exact.
     """
-    _ignore_jobs(jobs)
     cnt = ff_pattern_count(p, fan, d, budget=budget)
     raw = cnt * (p - 1) ** fan.nrays
     div = (p - 1) ** picard_data(fan).rank
@@ -517,7 +501,6 @@ def ff_constrained_count(
     d: Sequence[int],
     jet: JetSpec,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> int:
     """Count degree-d maps whose jet at one point hits a torus-jet orbit.
 
@@ -527,10 +510,8 @@ def ff_constrained_count(
     Whether a tuple of relative jets (jet times target inverse) hits the
     orbit does not change when a ray's jet is scaled, so each form is
     tagged by its relative jet scaled to constant term 1, and forms with
-    a zero constant term are left out.  ``jobs`` is deprecated and
-    ignored.
+    a zero constant term are left out.
     """
-    _ignore_jobs(jobs)
     d = _checked_degrees(p, fan, d, budget, jet)
     pd = picard_data(fan)
     n = jet.order + 1
@@ -598,7 +579,6 @@ def oracle_compare(
     e: Sequence[int] | None = None,
     d: Sequence[int] | None = None,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> OracleReport:
     """Compare a motivic class against its brute-force count at L = p.
 
@@ -607,7 +587,6 @@ def oracle_compare(
     """
     if (e is None) == (d is None):
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
-    _ignore_jobs(jobs)
     start = time.perf_counter()
     if e is not None:
         vec = tuple(int(x) for x in e)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FanValidationError, InternalCheckError
+from .errors import FanValidationError, InternalCheckError, LimitError
 from .grothendieck import LaurentClass
 
 MAX_RAYS = 24
@@ -240,7 +240,8 @@ def parse_fan(document: dict) -> Fan:
     """Build a Fan from {"rays": [...], "max_cones": [...]}.
 
     Raises FanValidationError for malformed data, non-primitive or
-    duplicate rays, and out-of-range cone indices.
+    duplicate rays, and out-of-range cone indices, and LimitError for a
+    well-formed fan with more than MAX_RAYS rays.
     """
     if not isinstance(document, dict):
         raise FanValidationError("fan document must be a JSON object")
@@ -268,8 +269,6 @@ def parse_fan(document: dict) -> Fan:
     if len(set(rays)) != len(rays):
         dup = next(r for r in rays if rays.count(r) > 1)
         raise FanValidationError(f"duplicate ray {list(dup)}")
-    if len(rays) > MAX_RAYS:
-        raise FanValidationError(f"{len(rays)} rays exceed the supported maximum {MAX_RAYS}")
     cones_in = document["max_cones"]
     if not isinstance(cones_in, list) or not cones_in:
         raise FanValidationError("'max_cones' must be a nonempty list of index lists")
@@ -284,6 +283,8 @@ def parse_fan(document: dict) -> Fan:
         if len(set(cone)) != len(cone):
             raise FanValidationError(f"cone at index {cdx} repeats a ray index")
         cones.append(tuple(sorted(cone)))
+    if len(rays) > MAX_RAYS:
+        raise LimitError(f"{len(rays)} rays exceed the supported maximum {MAX_RAYS}")
     return Fan(dim=dim, rays=tuple(rays), max_cones=tuple(cones))
 
 
@@ -364,8 +365,8 @@ def validate(fan: Fan, seed: int = 0) -> FanReport:
     return FanReport(smooth=smooth, complete=complete, details=tuple(details))
 
 
-def require_valid(fan: Fan, seed: int = 0) -> FanReport:
-    report = validate(fan, seed)
+def require_valid(fan: Fan) -> FanReport:
+    report = validate(fan)
     if not (report.smooth and report.complete):
         flaws = "; ".join(report.details) or "fan is not smooth and complete"
         raise FanValidationError(flaws)

@@ -44,3 +44,21 @@ def bl1p2(fans):
 @pytest.fixture(scope="session")
 def dp6(fans):
     return fans["dp6"]
+
+
+def _polygon_document(nrays):
+    """Fan document of a smooth complete toric surface with nrays rays:
+    P^2 blown up at torus-fixed points until the fan has nrays rays."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    i = 0
+    while len(rays) < nrays:
+        a, b = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
+        i = (i + 2) % len(rays)
+    return {"rays": [list(r) for r in rays],
+            "max_cones": [[j, (j + 1) % nrays] for j in range(nrays)]}
+
+
+@pytest.fixture(scope="session")
+def polygon_document():
+    return _polygon_document

@@ -18,6 +18,7 @@ from toricurves.grothendieck import L, ONE, LaurentClass
 from toricurves.mobius import mobius_table
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
+from toricurves.toric import validate
 
 
 def run(capsys, *argv):
@@ -64,6 +65,31 @@ class TestAnalyze:
         assert code == 0
         info = mobius_table.cache_info()
         assert info.misses == 1 and info.hits >= 1
+
+    def test_validates_the_fan_once(self, capsys):
+        validate.cache_clear()
+        code, _, _ = run(capsys, "analyze", "p1xp1")
+        assert code == 0
+        assert validate.cache_info().misses == 1
+
+    def test_too_many_rays_is_a_limit(self, capsys, tmp_path, polygon_document):
+        path = tmp_path / "26gon.json"
+        path.write_text(json.dumps(polygon_document(26)))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "26 rays exceed the supported maximum 24" in err
+
+    def test_malformed_fan_over_the_ray_limit_is_invalid(
+            self, capsys, tmp_path, polygon_document):
+        doc = polygon_document(26)
+        doc["max_cones"][0] = [0, 26]
+        path = tmp_path / "26gon.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "references ray 26" in err
 
     def test_incomplete_fan_rejected(self, capsys, tmp_path):
         bad = tmp_path / "half.json"

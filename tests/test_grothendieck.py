@@ -17,7 +17,6 @@ from toricurves.grothendieck import (
     dimser_mul,
     evaluate,
     inverse_one_minus_Linv_pow,
-    multiseries_scale_vars,
     virtual_dimension,
 )
 
@@ -239,8 +238,6 @@ class TestMultiSeries:
         a = _series(cap, {(1, 1): ONE, (2, 0): L})
         scaled = a.scale_vars(3)
         assert scaled.coeffs == {(1, 1): L**6, (2, 0): L**7}
-        with pytest.deprecated_call():
-            assert multiseries_scale_vars(a, 3) == scaled
 
     def test_mismatched_variables_refuse_arithmetic(self):
         cap = SeriesCap.box_cap((1,))

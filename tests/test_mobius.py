@@ -20,6 +20,8 @@ from toricurves.mobius import (
 from toricurves.toric import (
     PatternSet,
     class_of_variety,
+    fan_product,
+    parse_fan,
     pattern_set,
     picard_data,
 )
@@ -112,9 +114,7 @@ def test_mobius_recursion(fans):
             assert total == expected, (name, support)
 
 
-def test_table_guard_is_a_limit(p2):
-    with pytest.raises(LimitError, match="internal limit of 2 variables"):
-        mobius_table(pattern_set(p2), max_vars=2)
+def test_table_guard_is_a_limit():
     with pytest.raises(LimitError, match="internal limit of 24 variables"):
         mobius_table(PatternSet(25, (frozenset({0, 1}),)))
 
@@ -129,10 +129,50 @@ def test_intpoly_arithmetic_rejects_arity_mismatch():
         one_var * two_vars
 
 
-def test_generating_polynomial_matches_table(p2, dp6):
-    for fan in (p2, dp6):
+def subset_sum_table(patterns):
+    """Reference mu on every 0/1 vector, by Hamming weight and then the
+    bit tuple: the indicator of "above no pattern" minus the sum of mu
+    over the proper subsets, O(3^nvars)."""
+    nu = patterns.nvars
+    masks = sorted(range(1 << nu),
+                   key=lambda m: (m.bit_count(), _mask_bits(m, nu)))
+    mu = {}
+    for m in masks:
+        acc = 0
+        sub = (m - 1) & m
+        while m:
+            acc += mu[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+        mu[m] = (0 if patterns.lies_above(_mask_bits(m, nu)) else 1) - acc
+    return [(_mask_bits(m, nu), mu[m]) for m in masks]
+
+
+def _mask_bits(m, nu):
+    return tuple((m >> i) & 1 for i in range(nu))
+
+
+def test_generating_polynomial_matches_table(fans, polygon_document):
+    """The union product against the subset sum, on the fixtures, on
+    products of up to 12 rays and on the dense support of a 12-gon."""
+    dp6, p1 = fans["dp6"], fans["p1"]
+    p1_6 = p1
+    for _ in range(5):
+        p1_6 = fan_product(p1_6, p1)
+    cases = dict(fans)
+    cases["dp6xdp6"] = fan_product(dp6, dp6)
+    cases["p1^6"] = p1_6
+    cases["dp6xp2xp1"] = fan_product(fan_product(dp6, fans["p2"]), p1)
+    cases["12-gon"] = parse_fan(polygon_document(12))
+    for name, fan in cases.items():
         table = mobius_table(pattern_set(fan))
+        want = subset_sum_table(pattern_set(fan))
+        for n, v in want:
+            assert table.mu(n) == v, (name, n)
+        assert table.to_json() == [{"n": list(n), "mu": v} for n, v in want], name
         assert generating_polynomial(table) == fan_mobius_polynomial(fan)
+    assert len(mobius_table(pattern_set(cases["12-gon"])).nonzero()) == 3964
 
 
 def test_torsor_class_p2(p2):
@@ -143,6 +183,12 @@ def test_torsor_class_p2(p2):
 def test_torsor_class_p1xp1(p1xp1):
     # (A^2 minus 0) x (A^2 minus 0)
     assert torsor_class(pattern_set(p1xp1)) == (L**2 - ONE) ** 2
+
+
+def test_torsor_class_dp6xdp6(dp6):
+    # the universal torsor of dp6 is [dp6] (L - 1)^4, squared for the product
+    got = torsor_class(pattern_set(fan_product(dp6, dp6)))
+    assert got == ((L**2 + 4 * L + ONE) * (L - ONE) ** 4) ** 2
 
 
 def test_local_identity_all_fans(fans):

@@ -313,14 +313,6 @@ class TestPatternCounts:
             for p in (2, 3, 5):
                 assert ff_pattern_count(p, fan, (0,) * fan.nrays) == 1
 
-    def test_parallel_equals_serial(self, dp6, p2):
-        e6 = (1,) * 6
-        with pytest.warns(DeprecationWarning):
-            assert ff_pattern_count(3, dp6, e6, jobs=4) == ff_pattern_count(3, dp6, e6)
-        e3 = (2, 2, 2)
-        with pytest.warns(DeprecationWarning):
-            assert ff_pattern_count(3, p2, e3, jobs=3) == ff_pattern_count(3, p2, e3)
-
     def test_repeatable(self, bl1p2):
         a = ff_pattern_count(3, bl1p2, (1, 1, 1, 2))
         b = ff_pattern_count(3, bl1p2, (1, 1, 1, 2))
@@ -411,12 +403,6 @@ class TestConstrainedCounts:
         assert ff_constrained_count(3, p2, (1, 1, 1), spec) == 24
         spec4 = JetSpec.identity(4, 1, 0)
         assert ff_constrained_count(3, bl1p2, (1, 1, 1, 2), spec4) == 108
-
-    def test_parallel_equals_serial(self, p1):
-        spec = JetSpec.identity(2, 0, 1)
-        serial = ff_constrained_count(3, p1, (2, 2), spec)
-        with pytest.warns(DeprecationWarning):
-            assert ff_constrained_count(3, p1, (2, 2), spec, jobs=3) == serial
 
     def test_orbit_sums_recover_the_unconstrained_total(self, p1):
         """Summing constrained counts over one representative per jet
