@@ -324,10 +324,6 @@ class DimSeries:
             value = LaurentClass.of_int(value)
         return cls(value, None)
 
-    @classmethod
-    def truncated(cls, value: LaurentClass, floor: int) -> "DimSeries":
-        return cls(value, floor)
-
     @property
     def is_exact(self) -> bool:
         return self.floor is None

@@ -138,68 +138,6 @@ def solve_rational(matrix_cols: list[list[int]], target: list[int]):
     return [aug[i][n] for i in range(n)]
 
 
-def _smith_with_row_transform(mat: list[list[int]]):
-    """Diagonalize an integer matrix by unimodular row and column ops.
-
-    Only the row transform is tracked: returns (diag, U) with U * mat *
-    (untracked V) = diag, U unimodular.  Pivoting is deterministic:
-    smallest absolute value first, ties by row then column index.
-    """
-    a = [list(r) for r in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def addmul_row(dst, src, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_col(dst, src, f):
-        for r in a:
-            r[dst] += f * r[src]
-
-    k = 0
-    while k < min(rows, cols):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            swap_rows(k, bi)
-        if bj != k:
-            swap_cols(k, bj)
-        dirty = False
-        for i in range(k + 1, rows):
-            if a[i][k]:
-                q = a[i][k] // a[k][k]
-                addmul_row(i, k, -q)
-                if a[i][k]:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if a[k][j]:
-                q = a[k][j] // a[k][k]
-                addmul_col(j, k, -q)
-                if a[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-        k += 1
-    return a, u
-
-
 def _hermite_rows(mat: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form (positive pivots, reduced above)."""
     a = [list(r) for r in mat]
@@ -289,17 +227,15 @@ def parse_fan(document: dict) -> Fan:
 
 
 @lru_cache(maxsize=None)
-def validate(fan: Fan, seed: int = 0) -> FanReport:
-    """Check smoothness and completeness.
+def validate(fan: Fan) -> FanReport:
+    """Check smoothness and completeness, both exactly.
 
     Smooth: every maximal cone has dim-many rays forming a matrix of
     determinant +-1.  Complete: every facet of a maximal cone is shared
     with exactly one other maximal cone, the wall-adjacency graph is
     connected, the two cones on each wall lie on opposite sides of it,
-    and the barycenter (sum of rays) of each maximal cone lies in no
-    other maximal cone, so the cones cover space exactly once.  Both
-    checks are exact; ``seed`` is accepted for compatibility and has no
-    effect.
+    and the barycenter (sum of rays) of cone 0 lies in no other maximal
+    cone, so the cones cover space exactly once.
     """
     n = fan.dim
     details = []
@@ -351,17 +287,18 @@ def validate(fan: Fan, seed: int = 0) -> FanReport:
                 complete = False
                 details.append(f"cones {owners[0]} and {owners[1]} lie on one "
                                f"side of their wall {sorted(facet)}")
-        cone_cols = [[list(fan.rays[i]) for i in cone] for cone in fan.max_cones]
-        for cdx, cone in enumerate(fan.max_cones):
-            barycenter = [sum(fan.rays[i][j] for i in cone) for j in range(n)]
-            for other, cols in enumerate(cone_cols):
-                if other == cdx:
-                    continue
-                sol = solve_rational(cols, barycenter)
-                if sol is not None and all(x >= 0 for x in sol):
-                    complete = False
-                    details.append(f"the barycenter of cone {cdx} lies in cone {other}")
-                    break
+        # Once every wall lies in exactly two cones on opposite sides and
+        # the wall graph is connected, crossing a wall swaps its two cones,
+        # so every point off the codimension-2 faces lies in the same
+        # number d >= 1 of cones.  The barycenter of cone 0 is interior to
+        # it, and it lies in a second cone exactly when d >= 2.
+        barycenter = [sum(fan.rays[i][j] for i in fan.max_cones[0]) for j in range(n)]
+        for other, cone in enumerate(fan.max_cones[1:], start=1):
+            sol = solve_rational([list(fan.rays[i]) for i in cone], barycenter)
+            if sol is not None and all(x >= 0 for x in sol):
+                complete = False
+                details.append(f"the barycenter of cone 0 lies in cone {other}")
+                break
     return FanReport(smooth=smooth, complete=complete, details=tuple(details))
 
 
@@ -377,20 +314,31 @@ def require_valid(fan: Fan) -> FanReport:
 # derived data
 
 
-def enumerate_cones(fan: Fan) -> tuple[int, ...]:
-    """f-vector (f_0, ..., f_n): numbers of cones of each dimension.
+@lru_cache(maxsize=None)
+def _faces(fan: Fan) -> frozenset[int]:
+    """Every cone of the fan as a ray bitmask (bit i = ray i).
 
     Faces of a smooth (hence simplicial) cone are the subsets of its rays.
     """
-    require_valid(fan)
-    n = fan.dim
-    levels = [set() for _ in range(n + 1)]
-    levels[0].add(frozenset())
+    faces = set()
     for cone in fan.max_cones:
-        for k in range(1, n + 1):
-            for sub in itertools.combinations(cone, k):
-                levels[k].add(frozenset(sub))
-    return tuple(len(s) for s in levels)
+        mask = sum(1 << i for i in cone)
+        sub = mask
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return frozenset(faces)
+
+
+def enumerate_cones(fan: Fan) -> tuple[int, ...]:
+    """f-vector (f_0, ..., f_n): numbers of cones of each dimension."""
+    require_valid(fan)
+    fv = [0] * (fan.dim + 1)
+    for face in _faces(fan):
+        fv[face.bit_count()] += 1
+    return tuple(fv)
 
 
 def class_of_variety(fan: Fan) -> LaurentClass:
@@ -408,55 +356,54 @@ def class_of_variety(fan: Fan) -> LaurentClass:
 def picard_data(fan: Fan) -> PicardData:
     """Cokernel of the character-to-divisor map, as an explicit projection.
 
-    The matrix with row alpha equal to ray alpha is diagonalized by
-    unimodular row/column operations; the rows of the row transform
-    beyond the rank give a basis of the cokernel.  That basis is made
-    canonical by Hermite reduction.  Raises if the cokernel has torsion,
-    which cannot happen for smooth complete input.
+    The rays of cone 0 are a lattice basis, so each other ray alpha is an
+    integer combination sum c_i v_i of them, and the rows
+    e_alpha - sum c_i e_i are a basis of the integer relations among the
+    rays.  Their Hermite reduction, which depends only on the lattice
+    they span, is the projection.
     """
     require_valid(fan)
     nu, n = fan.nrays, fan.dim
-    b = [list(r) for r in fan.rays]
-    diag, u = _smith_with_row_transform(b)
-    pivots = []
-    for k in range(min(nu, n)):
-        if diag[k][k] != 0:
-            pivots.append(diag[k][k])
-    if len(pivots) != n:
-        raise FanValidationError("rays do not span the ambient lattice")
-    if any(abs(p) != 1 for p in pivots):
-        raise FanValidationError(f"divisor class group has torsion (invariants {pivots})")
-    proj = _hermite_rows([u[i] for i in range(n, nu)])
-    r = nu - n
+    basis = fan.max_cones[0]
+    cols = [list(fan.rays[i]) for i in basis]
+    outside = [a for a in range(nu) if a not in basis]
+    relations = []
+    for a in outside:
+        row = [0] * nu
+        row[a] = 1
+        for i, c in zip(basis, solve_rational(cols, list(fan.rays[a]))):
+            row[i] = -int(c)
+        relations.append(row)
+    proj = _hermite_rows(relations)
     # exactness tripwire: projection composed with the ray matrix is zero
     for row in proj:
         for j in range(n):
             if sum(row[a] * fan.rays[a][j] for a in range(nu)) != 0:
                 raise InternalCheckError("cokernel projection does not kill the ray matrix")
-    sd, _ = _smith_with_row_transform([list(row) for row in proj])
-    for k in range(r):
-        if abs(sd[k][k]) != 1:
-            raise InternalCheckError("cokernel projection is not surjective over Z")
-    return PicardData(rank=r, projection=tuple(tuple(row) for row in proj))
+    if abs(det_int([[row[a] for a in outside] for row in proj])) != 1:
+        raise InternalCheckError("cokernel projection is not surjective over Z")
+    return PicardData(rank=nu - n, projection=tuple(tuple(row) for row in proj))
 
 
 @lru_cache(maxsize=None)
 def pattern_set(fan: Fan) -> PatternSet:
-    """Minimal ray sets contained in no maximal cone."""
+    """Minimal ray sets contained in no maximal cone.
+
+    Each is a face plus one more ray: a set that is not a face, but
+    becomes one when any one of its rays is dropped.  The added ray is
+    taken above every ray of the face, so each set is found once.
+    """
     require_valid(fan)
-    nu = fan.nrays
-    cone_sets = fan.cone_ray_sets()
+    faces = _faces(fan)
     minimal: list[frozenset[int]] = []
-    for size in range(1, nu + 1):
-        for combo in itertools.combinations(range(nu), size):
-            s = frozenset(combo)
-            if any(s <= c for c in cone_sets):
-                continue
-            if any(m <= s for m in minimal):
-                continue
-            minimal.append(s)
+    for face in faces:
+        rays = [i for i in range(face.bit_length()) if face >> i & 1]
+        for r in range(face.bit_length(), fan.nrays):
+            s = face | 1 << r
+            if s not in faces and all(s & ~(1 << i) in faces for i in rays):
+                minimal.append(frozenset(rays + [r]))
     minimal.sort(key=lambda s: (len(s), sorted(s)))
-    return PatternSet(nvars=nu, minimal=tuple(minimal))
+    return PatternSet(nvars=fan.nrays, minimal=tuple(minimal))
 
 
 def eff_dual_contains(fan: Fan, d) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toricurves.errors import LimitError
-from toricurves.grothendieck import L, ONE
+from toricurves.grothendieck import L, ONE, LaurentClass
 from toricurves.mobius import (
     IntPoly,
     fan_mobius_polynomial,
@@ -191,6 +191,48 @@ def test_torsor_class_dp6xdp6(dp6):
     assert got == ((L**2 + 4 * L + ONE) * (L - ONE) ** 4) ** 2
 
 
+def test_torsor_class_p1_6(p1):
+    p1_6 = p1
+    for _ in range(5):
+        p1_6 = fan_product(p1_6, p1)
+    assert torsor_class(pattern_set(p1_6)) == (L**2 - ONE) ** 6
+
+
+def test_torsor_class_12_gon(polygon_document):
+    # 54 primitive collections; the surface has class L^2 + 10 L + 1
+    pats = pattern_set(parse_fan(polygon_document(12)))
+    assert len(pats.minimal) == 54
+    assert torsor_class(pats) == (L**2 + 10 * L + ONE) * (L - ONE) ** 10
+
+
+def inclusion_exclusion_class(patterns):
+    """Reference torsor class: inclusion-exclusion over every subset of
+    the minimal patterns, 2^(number of patterns) terms."""
+    nu = patterns.nvars
+    total = LaurentClass.zero()
+    for k in range(len(patterns.minimal) + 1):
+        for combo in itertools.combinations(patterns.minimal, k):
+            union = frozenset().union(*combo)
+            total = total + LaurentClass({nu - len(union): (-1) ** k})
+    return total
+
+
+def test_torsor_class_matches_inclusion_exclusion(fans, polygon_document):
+    dp6, p1 = fans["dp6"], fans["p1"]
+    p1_6 = p1
+    for _ in range(5):
+        p1_6 = fan_product(p1_6, p1)
+    cases = dict(fans)
+    cases["dp6xdp6"] = fan_product(dp6, dp6)
+    cases["p1^6"] = p1_6
+    cases["dp6xp2xp1"] = fan_product(fan_product(dp6, fans["p2"]), p1)
+    cases["7-gon"] = parse_fan(polygon_document(7))
+    for name, fan in cases.items():
+        pats = pattern_set(fan)
+        assert len(pats.minimal) <= 18, name
+        assert torsor_class(pats) == inclusion_exclusion_class(pats), name
+
+
 def test_local_identity_all_fans(fans):
     for name, fan in fans.items():
         assert local_identity_check(fan), name
@@ -199,8 +241,6 @@ def test_local_identity_all_fans(fans):
 
 
 def test_local_identity_sides_formula(fans):
-    from toricurves.grothendieck import LaurentClass
-
     linv = LaurentClass.lefschetz(-1)
     for fan in fans.values():
         r = picard_data(fan).rank

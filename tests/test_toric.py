@@ -1,13 +1,19 @@
 """Fan parsing, validation, and lattice bookkeeping."""
 
+import itertools
 import json
+import math
+import random
 
 import pytest
 
+from toricurves import toric
 from toricurves.errors import FanValidationError
 from toricurves.grothendieck import L, ONE
 from toricurves.toric import (
+    Fan,
     class_of_variety,
+    det_int,
     eff_dual_contains,
     eff_dual_enumerate,
     enumerate_cones,
@@ -16,6 +22,7 @@ from toricurves.toric import (
     pattern_set,
     picard_data,
     require_valid,
+    solve_rational,
     validate,
 )
 
@@ -61,9 +68,20 @@ def test_projection_kills_ray_matrix(fans):
                 ) == 0, name
 
 
-def test_projection_golden_values(p1, p2):
+def test_projection_golden_values(p1, p2, bl1p2, dp6):
     assert picard_data(p1).projection == ((1, 1),)
     assert picard_data(p2).projection == ((1, 1, 1),)
+    assert picard_data(bl1p2).projection == ((1, 0, 1, 1), (0, 1, 0, 1))
+    dp6_rows = ((1, 0, 0, 0, -1, -1), (0, 1, 0, 0, 1, 0),
+                (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))
+    assert picard_data(dp6).projection == dp6_rows
+    zeros = (0,) * 6
+    assert picard_data(fan_product(dp6, dp6)).projection == (
+        tuple(row + zeros for row in dp6_rows)
+        + tuple(zeros + row for row in dp6_rows))
+    p1_3 = fan_product(fan_product(p1, p1), p1)
+    assert picard_data(p1_3).projection == (
+        (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1))
 
 
 def test_classes_of_varieties(fans):
@@ -161,12 +179,6 @@ def test_malformed_document_rejected():
         parse_fan({"rays": [[1, 0]]})
 
 
-def test_validation_deterministic_across_seeds(fans):
-    for fan in fans.values():
-        reports = [validate(fan, seed=s) for s in (0, 1, 2)]
-        assert all(r.smooth and r.complete for r in reports)
-
-
 # ten smooth cones that wind twice around the origin: every wall has its
 # two cones on opposite sides, yet every direction is covered twice
 DOUBLY_WOUND = {
@@ -180,9 +192,8 @@ def test_doubly_wound_fan_rejected(tmp_path):
     from toricurves.cli import EXIT_VALIDATION, main
 
     fan = parse_fan(DOUBLY_WOUND)
-    for seed in (0, 1, 7):
-        report = validate(fan, seed=seed)
-        assert report.smooth and not report.complete, report.details
+    report = validate(fan)
+    assert report.smooth and not report.complete, report.details
     with pytest.raises(FanValidationError):
         require_valid(fan)
     path = tmp_path / "wound.json"
@@ -197,3 +208,143 @@ def test_cones_on_one_side_of_a_wall_rejected():
     report = validate(fan)
     assert report.smooth and not report.complete
     assert any("side of their wall" in line for line in report.details)
+
+
+def subset_scan(fan):
+    """Reference primitive collections: every ray subset by size, kept
+    when it lies in no maximal cone and holds no smaller kept subset."""
+    cone_sets = fan.cone_ray_sets()
+    minimal = []
+    for size in range(1, fan.nrays + 1):
+        for combo in itertools.combinations(range(fan.nrays), size):
+            s = frozenset(combo)
+            if any(s <= c for c in cone_sets) or any(m <= s for m in minimal):
+                continue
+            minimal.append(s)
+    minimal.sort(key=lambda s: (len(s), sorted(s)))
+    return tuple(minimal)
+
+
+def test_pattern_set_matches_subset_scan(fans, polygon_document):
+    p1, dp6 = fans["p1"], fans["dp6"]
+    p1_6 = p1
+    for _ in range(5):
+        p1_6 = fan_product(p1_6, p1)
+    cases = dict(fans)
+    cases["dp6xdp6"] = fan_product(dp6, dp6)
+    cases["p1^6"] = p1_6
+    for nrays in range(3, 17):
+        cases[f"{nrays}-gon"] = parse_fan(polygon_document(nrays))
+    for name, fan in cases.items():
+        assert pattern_set(fan).minimal == subset_scan(fan), name
+
+
+def test_pattern_set_of_the_20_gon(polygon_document):
+    # the primitive collections of an n-gon are its n(n-3)/2 diagonals
+    minimal = pattern_set(parse_fan(polygon_document(20))).minimal
+    assert len(minimal) == 170 == 20 * 17 // 2
+    assert set(minimal) == {frozenset((i, j)) for i in range(20)
+                            for j in range(i + 2, 20) if (i, j) != (0, 19)}
+
+
+def all_pairs_complete(fan):
+    """Reference completeness flag for fans of full-dimensional cones:
+    the wall conditions of validate, then the barycenter of every
+    maximal cone tested against every other maximal cone."""
+    cones = fan.max_cones
+    facets = {}
+    for cdx, cone in enumerate(cones):
+        for facet in itertools.combinations(cone, len(cone) - 1):
+            facets.setdefault(frozenset(facet), []).append(cdx)
+    if any(len(owners) != 2 for owners in facets.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        cdx = stack.pop()
+        for owners in facets.values():
+            if cdx in owners:
+                stack += [o for o in owners if o not in seen]
+                seen.update(owners)
+    if len(seen) != len(cones):
+        return False
+    for facet, owners in facets.items():
+        wall = [list(fan.rays[i]) for i in sorted(facet)]
+        sides = [det_int(wall + [list(fan.rays[i])])
+                 for cdx in owners for i in cones[cdx] if i not in facet]
+        if sides[0] * sides[1] >= 0:
+            return False
+    for cdx, cone in enumerate(cones):
+        barycenter = [sum(fan.rays[i][j] for i in cone) for j in range(fan.dim)]
+        for other, cols in enumerate(cones):
+            if other != cdx:
+                sol = solve_rational([list(fan.rays[i]) for i in cols], barycenter)
+                if sol is not None and all(x >= 0 for x in sol):
+                    return False
+    return True
+
+
+def _perturbed(rng, fan):
+    """The fan with one or two rays moved to random primitive vectors."""
+    rays = list(fan.rays)
+    for _ in range(rng.randint(1, 2)):
+        while True:
+            vec = tuple(rng.randint(-3, 3) for _ in range(fan.dim))
+            g = math.gcd(*vec)
+            if g and tuple(x // g for x in vec) not in rays:
+                break
+        rays[rng.randrange(len(rays))] = tuple(x // g for x in vec)
+    return Fan(dim=fan.dim, rays=tuple(rays), max_cones=fan.max_cones)
+
+
+def _wound(rng, winding):
+    """A cycle of plane cones turning `winding` times around the origin,
+    with every turn between 0.3 and 3 radians."""
+    while True:
+        m = rng.randint(3 * winding, 5 * winding + 2)
+        gaps = [rng.uniform(0.3, 3.0) for _ in range(m)]
+        scale = 2 * math.pi * winding / sum(gaps)
+        if not all(0.3 <= g * scale <= 3.0 for g in gaps):
+            continue
+        angles = itertools.accumulate(g * scale for g in gaps)
+        rays = []
+        for t in angles:
+            x, y = round(50 * math.cos(t)), round(50 * math.sin(t))
+            g = math.gcd(x, y)
+            rays.append((x // g, y // g))
+        if len(set(rays)) == m:
+            cones = tuple(tuple(sorted((i, (i + 1) % m))) for i in range(m))
+            return Fan(dim=2, rays=tuple(rays), max_cones=cones)
+
+
+def test_validate_matches_all_pairs_barycenters(fans):
+    rng = random.Random(20231)
+    bases = [fans[name] for name in ("p2", "p3", "p1xp1", "bl1p2", "dp6")]
+    bases.append(fan_product(fans["p1"], fans["p2"]))
+    outcomes = set()
+    for _ in range(150):
+        fan = _perturbed(rng, rng.choice(bases))
+        complete = validate(fan).complete
+        assert complete == all_pairs_complete(fan), fan
+        outcomes.add(complete)
+    for winding in (1, 2, 3):
+        for _ in range(40):
+            fan = _wound(rng, winding)
+            complete = validate(fan).complete
+            assert complete == all_pairs_complete(fan) == (winding == 1), fan
+    assert outcomes == {True, False}
+
+
+def test_validate_solves_for_one_barycenter(p1, monkeypatch):
+    p1_6 = p1
+    for _ in range(5):
+        p1_6 = fan_product(p1_6, p1)
+    solves = []
+
+    def counting_solve(cols, target):
+        solves.append(target)
+        return solve_rational(cols, target)
+
+    monkeypatch.setattr(toric, "solve_rational", counting_solve)
+    report = validate.__wrapped__(p1_6)
+    assert report.smooth and report.complete
+    assert len(solves) <= len(p1_6.max_cones) - 1 == 63
