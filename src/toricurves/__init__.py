@@ -15,10 +15,8 @@ from .grothendieck import (
     LaurentClass,
     MultiSeries,
     SeriesCap,
-    dimser_mul,
     evaluate,
     inverse_one_minus_Linv_pow,
-    virtual_dimension,
 )
 from .toric import (
     Fan,
@@ -63,7 +61,6 @@ from .moduli import (
     expected_dimension_check,
     hom_class,
     normalized_hom_class,
-    open_curve_config_series,
     pattern_config_class,
     pattern_config_series,
     tamagawa,

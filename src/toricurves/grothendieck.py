@@ -269,11 +269,6 @@ ONE = LaurentClass.one()
 ZERO = LaurentClass.zero()
 
 
-def virtual_dimension(x: LaurentClass):
-    """Largest exponent carrying a nonzero coefficient; MINUS_INFINITY for 0."""
-    return x.virtual_dimension
-
-
 def evaluate(x: LaurentClass, q: int) -> Fraction:
     return x.evaluate(q)
 
@@ -409,10 +404,6 @@ class DimSeries:
         return f"DimSeries({self.known!r}, floor={self.floor!r})"
 
 
-def dimser_mul(a: DimSeries, b: DimSeries) -> DimSeries:
-    return a * b
-
-
 def inverse_one_minus_Linv_pow(r: int, floor: int) -> DimSeries:
     """(1 - L^-1)^-r expanded down to the given floor.
 
@@ -470,9 +461,10 @@ class SeriesCap:
 class MultiSeries:
     """Sparse truncated power series in named variables.
 
-    Coefficients may be LaurentClass values or any other commutative-ring
-    objects supporting +, *, unary -, and truth testing (zero is falsy).
-    Multiplication discards exactly the monomials the cap rejects.
+    Coefficients are LaurentClass values, or any values whose zero is
+    falsy; the constructor keeps the nonzero ones on exponents the cap
+    admits.  The engine builds these as results; it does no arithmetic
+    on them.
     """
 
     __slots__ = ("variables", "cap", "_c")
@@ -501,81 +493,10 @@ class MultiSeries:
     def items(self):
         return self._c.items()
 
-    def _compatible(self, other: "MultiSeries"):
-        if self.variables != other.variables:
-            raise ValueError("variable lists differ")
-
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        self._compatible(other)
-        c = dict(self._c)
-        for e, v in other._c.items():
-            if e in c:
-                w = c[e] + v
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
-            else:
-                c[e] = v
-        r = MultiSeries(self.variables, self.cap)
-        r._c = c
-        return r
-
-    def __neg__(self) -> "MultiSeries":
-        r = MultiSeries(self.variables, self.cap)
-        r._c = {e: -v for e, v in self._c.items()}
-        return r
-
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        self._compatible(other)
-        cap = self.cap
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not cap.admits(e):
-                    continue
-                w = v1 * v2
-                if e in c:
-                    w = c[e] + w
-                if w:
-                    c[e] = w
-                elif e in c:
-                    del c[e]
-        r = MultiSeries(self.variables, cap)
-        r._c = c
-        return r
-
-    def substitute_power(self, d: int) -> "MultiSeries":
-        """t_alpha -> t_alpha^d for every variable; out-of-cap terms drop."""
-        if d < 1:
-            raise ValueError("power must be >= 1")
-        r = MultiSeries(self.variables, self.cap)
-        for e, v in self._c.items():
-            scaled = tuple(x * d for x in e)
-            if self.cap.admits(scaled):
-                r._c[scaled] = v
-        return r
-
-    def scale_vars(self, a: int) -> "MultiSeries":
-        """t_alpha -> L^a * t_alpha simultaneously (LaurentClass coefficients)."""
-        r = MultiSeries(self.variables, self.cap)
-        for e, v in self._c.items():
-            if not isinstance(v, LaurentClass):
-                raise TypeError("scale_vars needs LaurentClass coefficients")
-            r._c[e] = v.shift(a * sum(e))
-        return r
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         return self.variables == other.variables and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self._c.items())))
 
     def __repr__(self) -> str:
         return f"MultiSeries(vars={self.variables}, {len(self._c)} terms)"

@@ -188,9 +188,11 @@ def _by_weight(masks, nu: int) -> list[int]:
 
 
 def generating_polynomial(table: MobiusTable) -> IntPoly:
-    return IntPoly(table.nvars, table.nonzero())
+    nu = table.nvars
+    return IntPoly(nu, {_mask_bits(m, nu): v for m, v in table.coeffs.items()})
 
 
+@functools.lru_cache(maxsize=8)
 def fan_mobius_polynomial(fan: Fan) -> IntPoly:
     return generating_polynomial(mobius_table(pattern_set(fan)))
 

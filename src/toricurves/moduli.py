@@ -24,7 +24,6 @@ from .grothendieck import (
     LaurentClass,
     MultiSeries,
     SeriesCap,
-    dimser_mul,
     inverse_one_minus_Linv_pow,
     pack_class,
     unpack_class,
@@ -355,31 +354,6 @@ def pattern_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
     )
 
 
-def open_curve_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
-    """Tripwire route for the configuration series on the open curve.
-
-    Instead of splitting off the zeta factors, feed the engine the
-    truncated avoidance indicator itself (1 on exponents dominating no
-    forbidden pattern, 0 elsewhere).  Agrees with pattern_config_series
-    coefficientwise; the input here is dense, so this route is only
-    meant for small caps.
-    """
-    import itertools
-
-    from .mobius import IntPoly
-    from .toric import pattern_set
-
-    require_valid(fan)
-    patterns = pattern_set(fan)
-    coeffs = {}
-    for e in itertools.product(*(range(b + 1) for b in cap.box)):
-        if cap.admits(e) and not patterns.lies_above(e):
-            coeffs[e] = 1
-    from .eulerprod import euler_product_p1
-
-    return euler_product_p1(IntPoly(fan.nrays, coeffs), s, cap)
-
-
 @functools.lru_cache(maxsize=None)
 def _hom_class_cached(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
     if not eff_dual_contains(fan, d):
@@ -467,12 +441,12 @@ def constrained_main_term(fan: Fan, jc: JetCondition, E: int) -> DimSeries:
     rank = picard_data(fan).rank
     ep = euler_product_at_Linv(fan, jc.npoints, E)
     inv = inverse_one_minus_Linv_pow(rank, ep.floor)
-    base = dimser_mul(inv, ep).shift(n)
+    base = (inv * ep).shift(n)
     one_minus = (ONE - LaurentClass({-1: 1})) ** rank
     factor = jc.W_class
     for _, order in jc.points:
         factor = (factor * one_minus).shift(-(order + 1) * n)
-    return dimser_mul(base, DimSeries.exact(factor))
+    return base * DimSeries.exact(factor)
 
 
 def expected_dimension_check(

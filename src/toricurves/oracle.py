@@ -14,9 +14,9 @@ root exactly when their masks share a bit.  One transfer DP, ``_count``,
 walks the rays keeping the running AND of the masks per open minimal
 pattern; a tuple is dropped when a pattern's last ray leaves a nonzero
 AND.  Jet-constrained counts key each form by its mask and its jet
-relative to the target, and weigh each final state by the size of its
-torus orbit once.  A budget guard refuses enumerations that are too
-large rather than sampling.
+relative to the target, and keep a final state when every character of
+the dense torus takes the value 1 on its jets.  A budget guard refuses
+enumerations that are too large rather than sampling.
 """
 
 from __future__ import annotations
@@ -464,37 +464,6 @@ def _taylor_jet(coeffs: tuple[int, ...], point: int | None, m: int, p: int):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _tns_image(p: int, rank: int, weights, m: int) -> frozenset:
-    """Image of the torus of truncated units inside the ray-indexed units."""
-    n = m + 1
-    unit_space = [
-        (c0,) + rest
-        for c0 in range(1, p)
-        for rest in itertools.product(range(p), repeat=m)
-    ]
-    nrays = len(weights[0])
-    image = set()
-    for units in itertools.product(unit_space, repeat=rank):
-        vec = []
-        for alpha in range(nrays):
-            acc = (1,) + (0,) * m
-            for j in range(rank):
-                w = weights[j][alpha]
-                if w:
-                    acc = _series_mul(
-                        acc, _series_pow(units[j], w, p, n), p, n
-                    )
-            vec.append(acc)
-        image.add(tuple(vec))
-    expected = ((p - 1) * p**m) ** rank
-    if len(image) != expected:
-        raise InternalCheckError(
-            f"torus image has {len(image)} elements, expected {expected}"
-        )
-    return frozenset(image)
-
-
 def ff_constrained_count(
     p: int,
     fan: Fan,
@@ -506,15 +475,16 @@ def ff_constrained_count(
 
     Tuples of nonzero forms avoiding the patterns whose truncated Taylor
     expansion at the marked point lies in the torus orbit of the target
-    jet, divided by the order of the Neron-Severi torus (exactly).
-    Whether a tuple of relative jets (jet times target inverse) hits the
-    orbit does not change when a ray's jet is scaled, so each form is
-    tagged by its relative jet scaled to constant term 1, and forms with
-    a zero constant term are left out.
+    jet, divided by the order of the Neron-Severi torus.  Each form is
+    tagged by its relative jet (jet times target inverse) scaled to
+    constant term 1, and forms with a zero constant term are left out.
+    The orbit is the kernel of the characters of the dense torus: a
+    final state counts once when, for every coordinate i, the product
+    of its relative jets to the powers v_alpha[i] of the rays is 1.
     """
     d = _checked_degrees(p, fan, d, budget, jet)
-    pd = picard_data(fan)
     n = jet.order + 1
+    one = (1,) + (0,) * jet.order
     target_inv = [
         _series_inv(tuple(c % p for c in comp), p, n) for comp in jet.target
     ]
@@ -527,27 +497,26 @@ def ff_constrained_count(
         inv0 = pow(rel[0], p - 2, p)
         return (tuple((x * inv0) % p for x in rel),)
 
-    image = _tns_image(p, pd.rank, pd.projection, jet.order)
-    units = range(1, p)
-
+    # The unimodular cones make the rays span the lattice, so
+    # 0 -> M -> Z^rays -> Pic -> 0 is exact with Pic free, and the image
+    # of the Neron-Severi torus in the ray-indexed units is the common
+    # kernel of the n characters x -> prod_alpha x_alpha^(v_alpha[i]).
+    # A constant scaling moves each character by a constant only, so a
+    # state of constant-term-1 jets meets the orbit exactly when all its
+    # characters are 1, and then for (p-1)^rank scalings, which is the
+    # torus order the count is divided by.
     def weight(rels):
-        hits = 0
-        for lam in itertools.product(units, repeat=len(rels)):
-            scaled = tuple(
-                tuple((x * l) % p for x in w) for l, w in zip(lam, rels)
-            )
-            if scaled in image:
-                hits += 1
-        return hits
+        for i in range(fan.dim):
+            acc = one
+            for rel, ray in zip(rels, fan.rays):
+                if ray[i]:
+                    power = _series_pow(rel, ray[i], p, n)
+                    acc = _series_mul(acc, power, p, n)
+            if acc != one:
+                return 0
+        return 1
 
-    weighted = _count(p, d, _minimal_patterns(fan), tag, weight)
-    div = (p - 1) ** pd.rank
-    if weighted % div:
-        raise InternalCheckError(
-            f"constrained count {weighted} is not divisible by the torus "
-            f"order {div}"
-        )
-    return weighted // div
+    return _count(p, d, _minimal_patterns(fan), tag, weight)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from toricurves.cli import (
 )
 from toricurves.errors import InternalCheckError, LimitError
 from toricurves.grothendieck import L, ONE, LaurentClass
+from toricurves import mobius
 from toricurves.mobius import mobius_table
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
@@ -60,6 +61,8 @@ class TestAnalyze:
         assert code == 0 and "P = 1 - t1*t2*t3" in out
 
     def test_builds_the_mobius_table_once(self, capsys):
+        # the polynomial cache sits in front of the table cache
+        mobius.fan_mobius_polynomial.cache_clear()
         mobius_table.cache_clear()
         code, _, _ = run(capsys, "analyze", "p1xp1")
         assert code == 0
@@ -71,6 +74,21 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "p1xp1")
         assert code == 0
         assert validate.cache_info().misses == 1
+
+    def test_builds_the_polynomial_once(self, capsys, tmp_path, monkeypatch):
+        # the Hirzebruch surface F_3, which no other test builds
+        path = tmp_path / "f3.json"
+        path.write_text(json.dumps({
+            "rays": [[1, 0], [0, 1], [-1, 3], [0, -1]],
+            "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+        }))
+        builds = []
+        build = mobius.generating_polynomial
+        monkeypatch.setattr(mobius, "generating_polynomial",
+                            lambda table: builds.append(table) or build(table))
+        code, _, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert len(builds) == 1
 
     def test_too_many_rays_is_a_limit(self, capsys, tmp_path, polygon_document):
         path = tmp_path / "26gon.json"

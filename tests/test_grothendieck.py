@@ -1,4 +1,4 @@
-"""Laurent classes, dimension-truncated series, and capped multiseries."""
+"""Laurent classes, dimension-truncated series, and series caps."""
 
 from fractions import Fraction
 
@@ -12,12 +12,9 @@ from toricurves.grothendieck import (
     ZERO,
     DimSeries,
     LaurentClass,
-    MultiSeries,
     SeriesCap,
-    dimser_mul,
     evaluate,
     inverse_one_minus_Linv_pow,
-    virtual_dimension,
 )
 
 laurent = st.builds(
@@ -47,9 +44,9 @@ class TestLaurentClass:
         assert evaluate(x, 3) == Fraction(8, 3)
 
     def test_virtual_dimension(self):
-        assert virtual_dimension(L**3 + L) == 3
-        assert virtual_dimension(LaurentClass.lefschetz(-2)) == -2
-        assert virtual_dimension(ZERO) is MINUS_INFINITY
+        assert (L**3 + L).virtual_dimension == 3
+        assert LaurentClass.lefschetz(-2).virtual_dimension == -2
+        assert ZERO.virtual_dimension is MINUS_INFINITY
 
     def test_truncate_below(self):
         x = LaurentClass({2: 1, 0: 1, -3: 7})
@@ -82,8 +79,8 @@ class TestLaurentClass:
     @given(laurent, laurent)
     def test_dimension_of_product_adds(self, a, b):
         if a and b:
-            assert virtual_dimension(a * b) == (
-                virtual_dimension(a) + virtual_dimension(b)
+            assert (a * b).virtual_dimension == (
+                a.virtual_dimension + b.virtual_dimension
             )
 
     @given(laurent, st.integers(0, 4))
@@ -123,7 +120,6 @@ class TestDimSeries:
         prod = a * b
         assert prod.floor == max(-1 + 3, -2 + 2, -1 + -2)
         assert prod.known == LaurentClass({5: 1}).truncate_below(prod.floor)
-        assert dimser_mul(a, b) == prod
 
     def test_multiplication_by_exact_shifts_floor_by_dimension(self):
         a = DimSeries(LaurentClass({0: 1, -1: -1}), -1)
@@ -167,14 +163,9 @@ class TestMinusInfinity:
 
     def test_absorbing_addition(self):
         assert MINUS_INFINITY + 5 is MINUS_INFINITY
-        assert virtual_dimension(ZERO) + 3 is MINUS_INFINITY
+        assert ZERO.virtual_dimension + 3 is MINUS_INFINITY
         with pytest.raises(ArithmeticError):
             -MINUS_INFINITY
-
-
-def _series(cap, coeffs):
-    nvars = len(cap.box)
-    return MultiSeries(tuple(f"t{i+1}" for i in range(nvars)), cap, coeffs)
 
 
 class TestSeriesCap:
@@ -201,55 +192,3 @@ class TestSeriesCap:
         cap = SeriesCap(box=[2, 3])
         assert cap == SeriesCap.box_cap((2, 3)) and cap.total == 5
         assert hash(cap) == hash(SeriesCap.box_cap((2, 3)))
-
-
-class TestMultiSeries:
-    def test_product_truncates_to_cap(self):
-        cap = SeriesCap.box_cap((1, 1), total=1)
-        t1 = _series(cap, {(1, 0): ONE})
-        t2 = _series(cap, {(0, 1): ONE})
-        prod = (t1 + t2) * (t1 + t2)
-        # every quadratic term exceeds the total bound
-        assert prod.coeffs == {}
-
-    def test_product_matches_naive_convolution(self):
-        cap = SeriesCap.box_cap((2, 2))
-        a = _series(cap, {(0, 0): ONE, (1, 0): L, (0, 1): -ONE})
-        b = _series(cap, {(0, 0): ONE, (1, 1): L + ONE})
-        prod = a * b
-        naive = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if cap.admits(e):
-                    naive[e] = naive.get(e, ZERO) + va * vb
-        naive = {e: v for e, v in naive.items() if v}
-        assert prod.coeffs == naive
-
-    def test_substitute_power(self):
-        cap = SeriesCap.box_cap((4,))
-        a = MultiSeries(("t1",), cap, {(1,): ONE, (2,): L})
-        sub = a.substitute_power(2)
-        assert sub.coeffs == {(2,): ONE, (4,): L}
-        assert a.substitute_power(3).coeffs == {(3,): ONE}
-
-    def test_scale_vars_shifts_by_total_degree(self):
-        cap = SeriesCap.box_cap((2, 2))
-        a = _series(cap, {(1, 1): ONE, (2, 0): L})
-        scaled = a.scale_vars(3)
-        assert scaled.coeffs == {(1, 1): L**6, (2, 0): L**7}
-
-    def test_mismatched_variables_refuse_arithmetic(self):
-        cap = SeriesCap.box_cap((1,))
-        a = MultiSeries(("t1",), cap, {(0,): ONE})
-        b = MultiSeries(("u1",), cap, {(0,): ONE})
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_left_cap_governs_products(self):
-        tight = SeriesCap.box_cap((1,))
-        loose = SeriesCap.box_cap((3,))
-        a = MultiSeries(("t1",), tight, {(1,): ONE})
-        b = MultiSeries(("t1",), loose, {(1,): ONE})
-        assert (a * b).coeffs == {}
-        assert (b * a).coeffs == {(2,): ONE}

@@ -15,8 +15,13 @@ from toricurves.grothendieck import (
     LaurentClass,
     SeriesCap,
 )
-from toricurves.eulerprod import global_mobius, zeta_p1_coeffs
-from toricurves.toric import fan_product, picard_data
+from toricurves.eulerprod import (
+    euler_product_p1,
+    global_mobius,
+    zeta_p1_coeffs,
+)
+from toricurves.mobius import IntPoly
+from toricurves.toric import fan_product, pattern_set, picard_data
 from toricurves.moduli import (
     DegreeVector,
     ErrorReport,
@@ -26,12 +31,28 @@ from toricurves.moduli import (
     expected_dimension_check,
     hom_class,
     normalized_hom_class,
-    open_curve_config_series,
     pattern_config_class,
     pattern_config_series,
     tamagawa,
 )
 from toricurves import oracle
+
+
+def open_curve_config_series(fan, cap, s=0):
+    """Tripwire route for the configuration series on the open curve.
+
+    Instead of splitting off the zeta factors, feed the engine the
+    truncated avoidance indicator itself (1 on exponents dominating no
+    forbidden pattern, 0 elsewhere).  Agrees with pattern_config_series
+    coefficientwise; the input here is dense, so this route is only
+    meant for small caps.
+    """
+    patterns = pattern_set(fan)
+    coeffs = {}
+    for e in itertools.product(*(range(b + 1) for b in cap.box)):
+        if cap.admits(e) and not patterns.lies_above(e):
+            coeffs[e] = 1
+    return euler_product_p1(IntPoly(fan.nrays, coeffs), s, cap)
 
 
 def direct_config_class(fan, e, s=0):

@@ -14,7 +14,8 @@ from hypothesis import given, strategies as st
 
 from toricurves.errors import BudgetError, InternalCheckError
 from toricurves.grothendieck import evaluate
-from toricurves.toric import pattern_set, picard_data
+from toricurves import oracle
+from toricurves.toric import parse_fan, pattern_set, picard_data
 from toricurves.moduli import hom_class, pattern_config_class
 from toricurves.oracle import (
     _root_masks,
@@ -382,14 +383,25 @@ JET_CASES = [
     ("dp6", (1, 1, 1, 1, 1, 1), 2, 1, 1, None),
     ("p2", (2, 2, 2), 3, None, 1, ((1, 1), (2, 0), (1, 2))),
     ("p1", (2, 2), 3, 0, 2, None),
+    ("F2", (1, 2, 1, 2), 3, 1, 1, ((1, 2), (2, 0), (1, 1), (2, 2))),
+    ("F2", (2, 2, 2, 2), 2, None, 2,
+     ((1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0))),
+    # rank 4 at order 2
+    ("dp6", (1, 1, 1, 1, 1, 1), 2, 1, 2, None),
 ]
+
+# the Hirzebruch surface F_2, whose ray coordinate 2 raises jets past +-1
+HIRZEBRUCH_2 = parse_fan({
+    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+})
 
 
 class TestConstrainedCounts:
     @pytest.mark.parametrize("name,d,p,point,order,target", JET_CASES)
     def test_matches_raw_enumeration(self, fans, name, d, p, point, order,
                                      target):
-        fan = fans[name]
+        fan = HIRZEBRUCH_2 if name == "F2" else fans[name]
         if target is None:
             spec = JetSpec.identity(fan.nrays, point, order)
         else:
@@ -397,6 +409,15 @@ class TestConstrainedCounts:
         got = ff_constrained_count(p, fan, d, spec)
         want = reference_constrained_count(p, fan, d, spec)
         assert got == want, (name, d, p)
+
+    def test_orbit_test_makes_few_series_products(self, dp6, monkeypatch):
+        calls = []
+        mul = oracle._series_mul
+        monkeypatch.setattr(oracle, "_series_mul",
+                            lambda *args: calls.append(1) or mul(*args))
+        spec = JetSpec.identity(6, 1, 1)
+        assert ff_constrained_count(3, dp6, (1,) * 6, spec) == 12
+        assert len(calls) <= 1000
 
     def test_regression_values(self, p2, bl1p2):
         spec = JetSpec.identity(3, 1, 0)
