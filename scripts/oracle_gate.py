@@ -5,7 +5,8 @@ Every configuration class and every map-space class within an entry
 box is evaluated at L = p and compared against the brute-force count.
 Any mismatch is a correctness bug somewhere between the Euler-product
 engine and the enumerative counter, so the script exits nonzero on the
-first discrepancy summary.
+first discrepancy summary.  A count beyond the budget stops the gate
+with an error line and exit status 3, as the CLI does.
 
     python scripts/oracle_gate.py                 # default box, p in {2,3}
     python scripts/oracle_gate.py --fans p3 --primes 5 7 --limit 2
@@ -20,6 +21,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from toricurves import FIXTURE_NAMES, fixture_fan
+from toricurves.cli import EXIT_BUDGET
+from toricurves.errors import BudgetError
 from toricurves.grothendieck import evaluate
 from toricurves.moduli import hom_class, pattern_config_class
 from toricurves.oracle import ff_hom_count, ff_pattern_count
@@ -65,9 +68,13 @@ def main(argv=None):
 
     bad = 0
     for name in args.fans:
-        n_config, n_hom, mismatches, elapsed = gate_fan(
-            name, args.primes, args.limit, args.budget
-        )
+        try:
+            n_config, n_hom, mismatches, elapsed = gate_fan(
+                name, args.primes, args.limit, args.budget
+            )
+        except BudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         verdict = "ok" if not mismatches else f"{len(mismatches)} MISMATCHES"
         print(f"{name:>6}: {n_config} config + {n_hom} hom counts "
               f"in {elapsed:6.1f}s  {verdict}")

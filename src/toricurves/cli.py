@@ -137,7 +137,7 @@ def cmd_analyze(args):
     pd = picard_data(fan)
     cls = class_of_variety(fan)
     table = mobius_table(pats)
-    poly = fan_mobius_polynomial(fan)
+    poly = str(fan_mobius_polynomial(fan))
     identity_ok = local_identity_check(fan)
     payload = {
         "validation": report.to_json(),
@@ -146,8 +146,9 @@ def cmd_analyze(args):
         "picard_rank": pd.rank,
         "class": str(cls),
         "primitive_collections": sorted(sorted(s) for s in pats.minimal),
-        "mobius": table.to_json(),
-        "polynomial": str(poly),
+        # the 2^n listing is printed only in JSON
+        "mobius": table.to_json() if args.format == "json" else None,
+        "polynomial": poly,
         "local_identity": identity_ok,
     }
     lines = [

@@ -13,7 +13,12 @@ monic irreducibles over F_p by degree), and a set of forms has a common
 root exactly when their masks share a bit.  One transfer DP, ``_count``,
 walks the rays keeping the running AND of the masks per open minimal
 pattern; a tuple is dropped when a pattern's last ray leaves a nonzero
-AND.  Jet-constrained counts key each form by its mask and its jet
+AND.  The count is a sum over all tuples, so the walk may take the rays
+in any order: it takes one that ends patterns early, which keeps few
+patterns open.  Before a ray, the ANDs of the patterns it ends fold
+into their OR, and states equal after the fold merge, since the ray
+reads those ANDs only through whether that OR meets its form's mask.
+Jet-constrained counts key each form by its mask and its jet
 relative to the target, and keep a final state when every character of
 the dense torus takes the value 1 on its jets.  A budget guard refuses
 enumerations that are too large rather than sampling.
@@ -28,6 +33,7 @@ import os
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import and_
 from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError
@@ -225,20 +231,56 @@ def _mask_counts(p: int, e: int, k: int) -> dict[int, int]:
     return Counter(_root_masks(p, e, k))
 
 
+@functools.lru_cache(maxsize=None)
+def _walk_order(
+    nrays: int, patterns: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """The order in which ``_count`` walks the rays.
+
+    Greedy: the next ray is the one that leaves the fewest walked rays
+    still waiting on an unfinished pattern, ties broken by index.  The
+    rays waiting bound the patterns open at once, and so the states.
+    """
+    walked: set[int] = set()
+    order = []
+
+    def waiting(rays):
+        unfinished = [pat for pat in patterns if not rays.issuperset(pat)]
+        return len(rays & set().union(*unfinished))
+
+    for _ in range(nrays):
+        ray = min((r for r in range(nrays) if r not in walked),
+                  key=lambda r: waiting(walked | {r}))
+        walked.add(ray)
+        order.append(ray)
+    return tuple(order)
+
+
 def _count(p, degrees, patterns, tag=None, weight=None) -> int:
     """Sum of weight(tags) over form tuples, one per ray, avoiding the patterns.
 
     A tuple avoids a pattern when the root masks of the pattern's rays
-    have no common bit.  ``tag(ray, coeffs)`` returns a tuple to append
-    to the running tags, or None to leave the form out; without it every
-    form counts and the tags stay empty.  Without ``weight`` each tuple
-    counts 1.  The walk over the rays merges tuples by state: per
-    pattern begun and not ended, the AND of the masks so far.
-    ``weight`` is called once per final state.  A ray's masks only
-    cover points of degree at most the smallest degree of some pattern
-    through it, the only points those forms can share.
+    have no common bit.  ``tag(ray, coeffs)`` returns the form's tag, or
+    None to leave the form out; without it every form counts and no
+    tags are kept.  Without ``weight`` each tuple counts 1; with it,
+    ``weight`` gets the tags in ray order, once per final state.
+
+    The walk over the rays merges tuples by state: per pattern begun
+    and not ended, the AND of the masks so far.  The rays go in the
+    order of ``_walk_order``, which ends patterns early; the count is a
+    sum over all tuples, so the order does not change it.  Before each
+    ray the ANDs of the patterns that end there fold into one mask, the
+    OR of them, and states that agree on it and on the rest merge: the
+    ray and the later ones read those ANDs only through whether that OR
+    meets the new form's mask.  A ray's masks only cover points of
+    degree at most the smallest degree of some pattern through it, the
+    only points those forms can share.
     """
-    patterns = [pat for pat in patterns if all(degrees[a] for a in pat)]
+    patterns = tuple(pat for pat in patterns if all(degrees[a] for a in pat))
+    order = _walk_order(len(degrees), patterns)
+    place = {ray: t for t, ray in enumerate(order)}
+    degrees = [degrees[ray] for ray in order]
+    patterns = [tuple(sorted(place[a] for a in pat)) for pat in patterns]
     cuts = [
         max((min(degrees[b] for b in pat) for pat in patterns if a in pat),
             default=0)
@@ -252,9 +294,9 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
         else:
             keys = Counter()
             for f, m in zip(_form_table(p, e), _root_masks(p, e, k)):
-                ft = tag(t, f)
+                ft = tag(order[t], f)
                 if ft is not None:
-                    keys[m, ft] += 1
+                    keys[m, (ft,)] += 1
         # slots index the old state plus a trailing all-ones entry, where
         # the patterns beginning at ray t start
         slots = list(enumerate(live)) + [
@@ -268,22 +310,29 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
             src.append(slot)
             hit.append(t in patterns[i])
             kept.append(i)
+        groups: dict = defaultdict(int)
+        for (ands, tags), n in states.items():
+            ext = ands + (-1,)
+            forbidden = 0
+            for s in closing:
+                forbidden |= ext[s]
+            groups[forbidden, tuple(map(ext.__getitem__, src)), tags] += n
         step = [
             (m, ft, c, tuple(m if h else -1 for h in hit))
             for (m, ft), c in keys.items()
         ]
         nxt: dict = defaultdict(int)
-        for (ands, tags), n in states.items():
-            ext = ands + (-1,)
+        for (forbidden, carried, tags), n in groups.items():
             for m, ft, c, masks in step:
-                if any(ext[s] & m for s in closing):
-                    continue
-                new = tuple(ext[s] & x for s, x in zip(src, masks))
-                nxt[new, tags + ft] += n * c
+                if not forbidden & m:
+                    nxt[tuple(map(and_, carried, masks)), tags + ft] += n * c
         states, live = nxt, kept
     if weight is None:
         return sum(states.values())
-    return sum(n * weight(tags) for (_, tags), n in states.items())
+    return sum(
+        n * weight(tuple(tags[place[ray]] for ray in range(len(order))))
+        for (_, tags), n in states.items()
+    )
 
 
 def _minimal_patterns(fan: Fan) -> tuple[tuple[int, ...], ...]:
@@ -445,8 +494,9 @@ def _series_pow(a, k, p, n):
     while k:
         if k & 1:
             result = _series_mul(result, base, p, n)
-        base = _series_mul(base, base, p, n)
         k >>= 1
+        if k:
+            base = _series_mul(base, base, p, n)
     return result
 
 
@@ -495,7 +545,7 @@ def ff_constrained_count(
             return None
         rel = _series_mul(value, target_inv[ray], p, n)
         inv0 = pow(rel[0], p - 2, p)
-        return (tuple((x * inv0) % p for x in rel),)
+        return tuple((x * inv0) % p for x in rel)
 
     # The unimodular cones make the rays span the lattice, so
     # 0 -> M -> Z^rays -> Pic -> 0 is exact with Pic free, and the image

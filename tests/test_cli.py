@@ -90,6 +90,16 @@ class TestAnalyze:
         assert code == 0
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_formats_the_polynomial_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        fmt_poly = mobius.IntPoly.__str__
+        monkeypatch.setattr(mobius.IntPoly, "__str__",
+                            lambda poly: calls.append(1) or fmt_poly(poly))
+        code, out, _ = run(capsys, "analyze", "p2", "--format", fmt)
+        assert code == 0 and "1 - t1*t2*t3" in out
+        assert len(calls) == 1
+
     def test_too_many_rays_is_a_limit(self, capsys, tmp_path, polygon_document):
         path = tmp_path / "26gon.json"
         path.write_text(json.dumps(polygon_document(26)))

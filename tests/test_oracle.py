@@ -8,6 +8,7 @@ formula written out directly.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -282,6 +283,17 @@ class TestCommonRoots:
                 assert bool(ms & mt) == want, (f.coeffs, g.coeffs)
 
 
+# the Hirzebruch surface F_2, whose ray coordinate 2 raises jets past +-1
+HIRZEBRUCH_2 = parse_fan({
+    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+})
+
+
+def fan_named(fans, name):
+    return HIRZEBRUCH_2 if name == "F2" else fans[name]
+
+
 class TestPatternCounts:
     CASES = [
         ("p1", (1, 1), 2),
@@ -296,16 +308,19 @@ class TestPatternCounts:
         ("p2", (1, 1, 1), 5),
         ("p1xp1", (1, 0, 1, 1), 5),
         ("p3", (1, 1, 1, 1), 7),
+        # patterns (0, 2) and (1, 3): the walk goes 0, 2, 1, 3
+        ("bl1p2", (2, 1, 2, 1), 3),
+        ("F2", (1, 2, 2, 1), 3),
     ]
 
     @pytest.mark.parametrize("name,e,p", CASES)
     def test_matches_raw_enumeration(self, fans, name, e, p):
-        fan = fans[name]
+        fan = fan_named(fans, name)
         assert ff_pattern_count(p, fan, e) == reference_pattern_count(p, fan, e)
 
     def test_matches_motivic_class(self, fans):
         for name, e, p in self.CASES:
-            fan = fans[name]
+            fan = fan_named(fans, name)
             predicted = evaluate(pattern_config_class(fan, e), p)
             assert predicted == ff_pattern_count(p, fan, e), (name, e, p)
 
@@ -318,6 +333,39 @@ class TestPatternCounts:
         a = ff_pattern_count(3, bl1p2, (1, 1, 1, 2))
         b = ff_pattern_count(3, bl1p2, (1, 1, 1, 2))
         assert a == b
+
+    def test_walk_order_ends_patterns_early(self):
+        assert oracle._walk_order(4, ((0, 2), (1, 3))) == (0, 2, 1, 3)
+        assert oracle._walk_order(3, ((0, 1, 2),)) == (0, 1, 2)
+        assert oracle._walk_order(3, ()) == (0, 1, 2)
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "bl1p2",
+                                      "dp6", "F2"])
+    def test_relabelling_rays_keeps_every_count(self, fans, name):
+        fan = fan_named(fans, name)
+        n = fan.nrays
+        rng = random.Random(name)
+        perm = list(range(n))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        place = {old: new for new, old in enumerate(perm)}
+        moved = parse_fan({
+            "rays": [list(fan.rays[a]) for a in perm],
+            "max_cones": [sorted(place[a] for a in c) for c in fan.max_cones],
+        })
+        top = 2 if n <= 4 else 1
+        for e in itertools.product(range(top + 1), repeat=n):
+            e_moved = [e[a] for a in perm]
+            for p in (2, 3):
+                assert (ff_pattern_count(p, moved, e_moved)
+                        == ff_pattern_count(p, fan, e)), (e, p)
+        # at order 2 the count depends on which target goes with which ray
+        target = tuple((rng.randrange(1, 3), rng.randrange(3),
+                        rng.randrange(3)) for _ in range(n))
+        spec = JetSpec(1, 2, target)
+        moved_spec = JetSpec(1, 2, tuple(target[a] for a in perm))
+        assert (ff_constrained_count(3, moved, (2,) * n, moved_spec)
+                == ff_constrained_count(3, fan, (2,) * n, spec))
 
     def test_arity_and_negativity(self, p2):
         with pytest.raises(ValueError):
@@ -390,18 +438,12 @@ JET_CASES = [
     ("dp6", (1, 1, 1, 1, 1, 1), 2, 1, 2, None),
 ]
 
-# the Hirzebruch surface F_2, whose ray coordinate 2 raises jets past +-1
-HIRZEBRUCH_2 = parse_fan({
-    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
-    "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
-})
-
 
 class TestConstrainedCounts:
     @pytest.mark.parametrize("name,d,p,point,order,target", JET_CASES)
     def test_matches_raw_enumeration(self, fans, name, d, p, point, order,
                                      target):
-        fan = HIRZEBRUCH_2 if name == "F2" else fans[name]
+        fan = fan_named(fans, name)
         if target is None:
             spec = JetSpec.identity(fan.nrays, point, order)
         else:
@@ -418,6 +460,18 @@ class TestConstrainedCounts:
         spec = JetSpec.identity(6, 1, 1)
         assert ff_constrained_count(3, dp6, (1,) * 6, spec) == 12
         assert len(calls) <= 1000
+
+    def test_powers_stop_squaring_after_the_last_bit(self, dp6, monkeypatch):
+        calls = []
+        mul = oracle._series_mul
+        monkeypatch.setattr(oracle, "_series_mul",
+                            lambda *args: calls.append(1) or mul(*args))
+        spec = JetSpec.identity(6, 1, 1)
+        assert ff_constrained_count(3, dp6, (1,) * 6, spec) == 12
+        assert len(calls) <= 210
+        for a in [(1, 2), (2, 1, 1)]:
+            for k in range(-5, 6):
+                assert oracle._series_pow(a, k, 3, 3) == spow(a, k, 3, 3)
 
     def test_regression_values(self, p2, bl1p2):
         spec = JetSpec.identity(3, 1, 0)

@@ -1,4 +1,5 @@
-"""Smoke tests: each experiment script runs to its success line."""
+"""Smoke tests: each experiment script runs to its success line or
+refuses with an error line."""
 
 import os
 import pathlib
@@ -8,6 +9,17 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -25,13 +37,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args, success):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert success in proc.stdout, proc.stdout
+
+
+def test_oracle_gate_refuses_beyond_the_budget():
+    proc = run_script("oracle_gate.py", "--fans", "p2", "--budget", "10")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
