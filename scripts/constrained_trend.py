@@ -19,7 +19,6 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toricurves import FIXTURE_NAMES, fixture_fan
 from toricurves.cli import _load_fan
 from toricurves.moduli import JetCondition, constrained_main_term
 from toricurves.oracle import JetSpec, ff_constrained_count, reduce_point
@@ -41,8 +40,7 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=None)
     args = parser.parse_args(argv)
 
-    fan = (fixture_fan(args.fan) if args.fan in FIXTURE_NAMES
-           else _load_fan(args.fan))
+    fan = _load_fan(args.fan)
     pt = tuple(int(tok) for tok in args.point.split(":"))
     jc = JetCondition.torus_point(pt, args.order)
     main_series = constrained_main_term(fan, jc, args.euler_order)

@@ -20,7 +20,6 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toricurves import fixture_fan, FIXTURE_NAMES
 from toricurves.cli import _load_fan
 from toricurves.grothendieck import MINUS_INFINITY
 from toricurves.moduli import convergence_report
@@ -54,11 +53,12 @@ def main(argv=None):
                         help="also dump the reports to this file")
     args = parser.parse_args(argv)
 
-    fan = fixture_fan(args.fan) if args.fan in FIXTURE_NAMES else _load_fan(args.fan)
+    fan = _load_fan(args.fan)
     if args.box is not None:
         degrees = list(box_family(fan, args.box))
     else:
-        degrees = list(diagonal_family(fan, args.diagonal or 6))
+        kmax = 6 if args.diagonal is None else args.diagonal
+        degrees = list(diagonal_family(fan, kmax))
     if not degrees:
         print("no degrees in the dual effective cone for this family")
         return 1

@@ -22,15 +22,12 @@ from .toric import (
     Fan,
     FanReport,
     PatternSet,
-    PicardData,
     class_of_variety,
     eff_dual_contains,
-    eff_dual_enumerate,
     enumerate_cones,
-    fan_product,
     parse_fan,
     pattern_set,
-    picard_data,
+    picard_rank,
     validate,
 )
 from .mobius import (
@@ -40,7 +37,6 @@ from .mobius import (
     generating_polynomial,
     local_identity_check,
     mobius_table,
-    torsor_class,
 )
 from .eulerprod import (
     GlobalMobius,
@@ -58,11 +54,9 @@ from .moduli import (
     JetCondition,
     constrained_main_term,
     convergence_report,
-    expected_dimension_check,
     hom_class,
     normalized_hom_class,
     pattern_config_class,
-    pattern_config_series,
     tamagawa,
 )
 from .oracle import (

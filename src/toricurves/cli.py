@@ -34,7 +34,7 @@ from .toric import (
     enumerate_cones,
     parse_fan,
     pattern_set,
-    picard_data,
+    picard_rank,
     validate,
 )
 from .mobius import fan_mobius_polynomial, local_identity_check, mobius_table
@@ -134,7 +134,7 @@ def cmd_analyze(args):
             "fan is not smooth and complete: " + "; ".join(report.details)
         )
     pats = pattern_set(fan)
-    pd = picard_data(fan)
+    rank = picard_rank(fan)
     cls = class_of_variety(fan)
     table = mobius_table(pats)
     poly = str(fan_mobius_polynomial(fan))
@@ -143,7 +143,7 @@ def cmd_analyze(args):
         "validation": report.to_json(),
         "f_vector": list(enumerate_cones(fan)),
         "dim": fan.dim,
-        "picard_rank": pd.rank,
+        "picard_rank": rank,
         "class": str(cls),
         "primitive_collections": sorted(sorted(s) for s in pats.minimal),
         # the 2^n listing is printed only in JSON
@@ -154,7 +154,7 @@ def cmd_analyze(args):
     lines = [
         f"smooth: {report.smooth}  complete: {report.complete}",
         f"f-vector: {payload['f_vector']}",
-        f"dim: {fan.dim}  picard rank: {pd.rank}",
+        f"dim: {fan.dim}  picard rank: {rank}",
         f"class: {cls}",
         f"primitive collections: {payload['primitive_collections']}",
         f"P = {poly}",

@@ -319,14 +319,6 @@ class DimSeries:
             value = LaurentClass.of_int(value)
         return cls(value, None)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.floor is None
-
-    def truncate(self, floor: int) -> "DimSeries":
-        f = floor if self.floor is None else max(self.floor, floor)
-        return DimSeries(self.known, f)
-
     def shift(self, k: int) -> "DimSeries":
         """Multiply by the exact monomial L^k."""
         f = None if self.floor is None else self.floor + k

@@ -3,20 +3,19 @@
 The indicator of "support contains no primitive collection" on 0/1-vectors
 is inverted over the coordinatewise order.  By inclusion-exclusion this is
 the product of (1 - x^J) over the primitive collections J in the ring where
-x^a * x^b = x^(a | b); it is the local factor P(t) that the torsor class,
-the Euler-product engine and the configuration classes read.
+x^a * x^b = x^(a | b); it is the local factor P(t) that the Euler-product
+engine and the configuration classes read.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import InternalCheckError, LimitError
+from .errors import LimitError
 from .grothendieck import LaurentClass
-from .toric import MAX_RAYS, Fan, PatternSet, pattern_set, class_of_variety, picard_data
+from .toric import MAX_RAYS, Fan, PatternSet, pattern_set, class_of_variety, picard_rank
 
 
 class IntPoly:
@@ -197,48 +196,13 @@ def fan_mobius_polynomial(fan: Fan) -> IntPoly:
     return generating_polynomial(mobius_table(pattern_set(fan)))
 
 
-def torsor_class(patterns: PatternSet) -> LaurentClass:
-    """Class of the complement of the pattern coordinate subspaces in
-    affine space, computed two independent ways and compared.
-
-    Route one: a point lies off every pattern subspace exactly when its
-    zero set Z contains no minimal pattern, and the points with zero set
-    Z form a torus (L - 1)^(nvars - |Z|); such Z are grown one variable
-    at a time in ascending order.  Route two: L^nvars times the diagonal
-    value of the generating polynomial at L^-1.
-    """
-    nu = patterns.nvars
-    masks = [sum(1 << i for i in J) for J in patterns.minimal]
-    sizes = [0] * (nu + 1)
-    stack = [(0, 0)]
-    while stack:
-        zeros, start = stack.pop()
-        sizes[zeros.bit_count()] += 1
-        for r in range(start, nu):
-            grown = zeros | 1 << r
-            if not any(grown & m == m for m in masks):
-                stack.append((grown, r + 1))
-    lm1 = LaurentClass({1: 1, 0: -1})
-    route1 = LaurentClass.zero()
-    for k, count in enumerate(sizes):
-        route1 = route1 + lm1 ** (nu - k) * count
-    table = mobius_table(patterns)
-    poly = generating_polynomial(table)
-    route2 = poly.evaluate_diagonal(LaurentClass.lefschetz(-1)).shift(nu)
-    if route1 != route2:
-        raise InternalCheckError(
-            f"torsor class mismatch: zero-set count gives {route1}, "
-            f"generating polynomial gives {route2}")
-    return route1
-
-
 def local_identity_sides(fan: Fan) -> tuple[LaurentClass, LaurentClass]:
     """Both sides of the one-point factor identity:
     P(L^-1, ..., L^-1)  vs  [V] * L^-n * (1 - L^-1)^rank."""
     poly = fan_mobius_polynomial(fan)
     lhs = poly.evaluate_diagonal(LaurentClass.lefschetz(-1))
     cls = class_of_variety(fan)
-    r = picard_data(fan).rank
+    r = picard_rank(fan)
     one_minus = LaurentClass({0: 1, -1: -1})
     rhs = cls.shift(-fan.dim) * one_minus ** r
     return lhs, rhs
@@ -247,70 +211,3 @@ def local_identity_sides(fan: Fan) -> tuple[LaurentClass, LaurentClass]:
 def local_identity_check(fan: Fan) -> bool:
     lhs, rhs = local_identity_sides(fan)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# grouping by induced subgraph shape
-
-
-def nonintersection_graph(fan: Fan) -> set[frozenset[int]]:
-    """Edges = ray pairs spanning no common cone (disjoint divisors)."""
-    cone_sets = fan.cone_ray_sets()
-    nu = fan.nrays
-    edges = set()
-    for i in range(nu):
-        for j in range(i + 1, nu):
-            if not any({i, j} <= c for c in cone_sets):
-                edges.add(frozenset((i, j)))
-    return edges
-
-
-def _canonical_graph(vertices: tuple[int, ...], edges: set[frozenset[int]]):
-    """Lexicographically smallest edge list over all relabelings."""
-    k = len(vertices)
-    best = None
-    for perm in itertools.permutations(range(k)):
-        relabel = {v: perm[i] for i, v in enumerate(vertices)}
-        cand = tuple(sorted(tuple(sorted((relabel[a], relabel[b])))
-                            for a, b in (tuple(e) for e in edges)))
-        if best is None or cand < best:
-            best = cand
-    return k, best
-
-
-def _is_connected(vertices: tuple[int, ...], edges: set[frozenset[int]]) -> bool:
-    if not vertices:
-        return True
-    adj = {v: set() for v in vertices}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(vertices)
-
-
-def mu_grouped_by_subgraph(fan: Fan, connected_only: bool = True) -> dict:
-    """Group mu over supports by the shape of the induced subgraph of the
-    non-intersection graph.
-
-    Returns {(size, canonical_edges): sorted list of distinct mu values}.
-    The empty support contributes {(0, ()): [1]}.
-    """
-    table = mobius_table(pattern_set(fan))
-    edges = nonintersection_graph(fan)
-    groups: dict[tuple, set[int]] = {}
-    for n, v in table.listing():
-        support = tuple(i for i, x in enumerate(n) if x)
-        sub_edges = {e for e in edges if e <= set(support)}
-        if connected_only and not _is_connected(support, sub_edges):
-            continue
-        key = _canonical_graph(support, sub_edges)
-        groups.setdefault(key, set()).add(v)
-    return {key: sorted(vals) for key, vals in groups.items()}

@@ -22,7 +22,6 @@ from .grothendieck import (
     ZERO,
     DimSeries,
     LaurentClass,
-    MultiSeries,
     SeriesCap,
     inverse_one_minus_Linv_pow,
     pack_class,
@@ -32,14 +31,13 @@ from .toric import (
     Fan,
     class_of_variety,
     eff_dual_contains,
-    picard_data,
+    picard_rank,
     require_valid,
 )
 from .eulerprod import (
     GlobalMobius,
     build_global_mobius,
     euler_product_at_Linv,
-    global_mobius,
     zeta_p1_coeffs,
 )
 
@@ -50,13 +48,11 @@ __all__ = [
     "JetCondition",
     "ErrorReport",
     "pattern_config_class",
-    "pattern_config_series",
     "hom_class",
     "normalized_hom_class",
     "tamagawa",
     "convergence_report",
     "constrained_main_term",
-    "expected_dimension_check",
 ]
 
 
@@ -263,33 +259,6 @@ def _packed_terms(
     return w, zeta, mobius
 
 
-def _admitted(cap: SeriesCap) -> list[tuple[int, ...]]:
-    """Every exponent vector the cap admits, in lexicographic order."""
-    rows: list[tuple[tuple[int, ...], int]] = [((), cap.total)]
-    for b in cap.box:
-        rows = [(e + (x,), r - x) for e, r in rows for x in range(min(b, r) + 1)]
-    return [e for e, _ in rows]
-
-
-def _zeta_line(vals: list[int], s: int, w: int) -> None:
-    """Multiply the series vals[0] + vals[1] t + ... in place by the
-    punctured-line zeta factor (1 - t)^(s-1) / (1 - L t) at L = 2^w,
-    truncated to its length: each factor is a linear recurrence."""
-    if s == 0:
-        # times 1 / (1 - t): ascending, so vals[i - 1] is finished
-        for i in range(1, len(vals)):
-            vals[i] += vals[i - 1]
-    elif s >= 2:
-        # times (1 - t)^(s-1): descending, so every read is still old
-        stencil = [(-1) ** j * math.comb(s - 1, j) for j in range(1, s)]
-        for i in range(len(vals) - 1, 0, -1):
-            for j, coef in enumerate(stencil[:i], start=1):
-                vals[i] += coef * vals[i - j]
-    # times 1 / (1 - L t)
-    for i in range(1, len(vals)):
-        vals[i] += vals[i - 1] << w
-
-
 def pattern_config_class(
     fan: Fan, e: "DegreeVector | Sequence[int]", s: int = 0
 ) -> LaurentClass:
@@ -322,36 +291,6 @@ def pattern_config_class(
         else:
             acc += term
     return unpack_class(acc, w)
-
-
-def pattern_config_series(fan: Fan, cap: SeriesCap, s: int = 0) -> MultiSeries:
-    """The full generating series of pattern_config_class within a cap.
-
-    Starts from the global Mobius coefficients on the exponents the cap
-    admits and multiplies by one zeta factor per ray, one axis at a
-    time along every line of admitted exponents.  The admitted set is
-    closed downward, so every line starts at 0 and the recurrences read
-    only admitted cells.
-    """
-    require_valid(fan)
-    table = global_mobius(fan, s, cap)
-    w = _packed_width(table, s, cap.box)
-    cells = dict.fromkeys(_admitted(cap), 0)
-    for e, mu in table.items():
-        cells[e] = pack_class(mu, w)
-    for alpha in range(fan.nrays):
-        lines: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        # lexicographic order, so each line comes out ascending in e[alpha]
-        for e in cells:
-            lines.setdefault(e[:alpha] + e[alpha + 1:], []).append(e)
-        for line in lines.values():
-            vals = [cells[e] for e in line]
-            _zeta_line(vals, s, w)
-            cells.update(zip(line, vals))
-    variables = tuple(f"t{i + 1}" for i in range(fan.nrays))
-    return MultiSeries(
-        variables, cap, {e: unpack_class(x, w) for e, x in cells.items() if x}
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,7 +377,7 @@ def constrained_main_term(fan: Fan, jc: JetCondition, E: int) -> DimSeries:
     require_valid(fan)
     jc.validate_against(fan)
     n = fan.dim
-    rank = picard_data(fan).rank
+    rank = picard_rank(fan)
     ep = euler_product_at_Linv(fan, jc.npoints, E)
     inv = inverse_one_minus_Linv_pow(rank, ep.floor)
     base = (inv * ep).shift(n)
@@ -447,42 +386,3 @@ def constrained_main_term(fan: Fan, jc: JetCondition, E: int) -> DimSeries:
     for _, order in jc.points:
         factor = (factor * one_minus).shift(-(order + 1) * n)
     return base * DimSeries.exact(factor)
-
-
-def expected_dimension_check(
-    fan: Fan,
-    d: "DegreeVector | Sequence[int]",
-    jc: JetCondition | None = None,
-    primes: Sequence[int] = (2, 3, 5),
-) -> bool:
-    """Check that the computed dimension matches the expected one.
-
-    Unconstrained: the class of maps has virtual dimension |d| + n
-    exactly.  Constrained: only a point-counting trend is available; the
-    counts over the given primes are compared against p^(expected dim)
-    and must agree up to a factor of four across the primes.
-    """
-    dv = DegreeVector.of(d)
-    require_valid(fan)
-    if jc is None or not jc.points:
-        cls = hom_class(fan, dv)
-        return cls.virtual_dimension == dv.total + fan.dim
-    if jc.npoints != 1 or jc.W_dim != 0 or jc.W_class != ONE:
-        raise ValueError(
-            "constrained dimension checks support a single point with a "
-            "one-jet target (W_class 1, W_dim 0) only"
-        )
-    from . import oracle
-
-    (pt, order), = jc.points
-    expected = dv.total + fan.dim * (1 - jc.length) + jc.W_dim
-    ratios = []
-    for p in primes:
-        jet = oracle.JetSpec.identity(
-            fan.nrays, oracle.reduce_point(pt, p), order
-        )
-        count = oracle.ff_constrained_count(p, fan, dv.entries, jet)
-        if count <= 0:
-            return False
-        ratios.append(Fraction(count) / Fraction(p) ** expected)
-    return max(ratios) <= 4 * min(ratios)

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError
 from .grothendieck import evaluate
-from .toric import Fan, pattern_set, picard_data, require_valid
+from .toric import Fan, pattern_set, picard_rank, require_valid
 from .moduli import hom_class, pattern_config_class
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
@@ -403,7 +403,7 @@ def ff_hom_count(
     """
     cnt = ff_pattern_count(p, fan, d, budget=budget)
     raw = cnt * (p - 1) ** fan.nrays
-    div = (p - 1) ** picard_data(fan).rank
+    div = (p - 1) ** picard_rank(fan)
     if raw % div:
         raise InternalCheckError(
             f"form-tuple count {raw} is not divisible by the torus order {div}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FanValidationError, InternalCheckError, LimitError
+from .errors import FanValidationError, LimitError
 from .grothendieck import LaurentClass
 
 MAX_RAYS = 24
@@ -32,9 +32,6 @@ class Fan:
     @property
     def nrays(self) -> int:
         return len(self.rays)
-
-    def cone_ray_sets(self) -> list[frozenset[int]]:
-        return [frozenset(c) for c in self.max_cones]
 
     def to_json(self) -> dict:
         return {"rays": [list(r) for r in self.rays],
@@ -54,28 +51,10 @@ class FanReport:
 
 @dataclass(frozen=True)
 class PatternSet:
-    """The sets of rays contained in no cone, encoded by minimal members.
-
-    A nonnegative vector m "lies above" the pattern set iff supp(m)
-    contains some minimal member.
-    """
+    """The sets of rays contained in no cone, encoded by minimal members."""
 
     nvars: int
     minimal: tuple[frozenset[int], ...]
-
-    def lies_above(self, m) -> bool:
-        return any(all(m[i] > 0 for i in J) for J in self.minimal)
-
-
-
-@dataclass(frozen=True)
-class PicardData:
-    rank: int
-    projection: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank,
-                "projection": [list(r) for r in self.projection]}
 
 
 # ---------------------------------------------------------------------------
@@ -138,40 +117,13 @@ def solve_rational(matrix_cols: list[list[int]], target: list[int]):
     return [aug[i][n] for i in range(n)]
 
 
-def _hermite_rows(mat: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form (positive pivots, reduced above)."""
-    a = [list(r) for r in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        while True:
-            nz = [i for i in range(r + 1, rows) if a[i][c] != 0]
-            if not nz:
-                break
-            for i in nz:
-                q = a[i][c] // a[r][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if a[i][c] != 0:
-                    a[r], a[i] = a[i], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return a
-
-
 # ---------------------------------------------------------------------------
 # parsing and validation
+
+
+def _is_int(x) -> bool:
+    # bool subclasses int, but JSON true and false are not integers
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_fan(document: dict) -> Fan:
@@ -192,7 +144,7 @@ def parse_fan(document: dict) -> Fan:
     rays = []
     dim = None
     for idx, vec in enumerate(rays_in):
-        if not isinstance(vec, list) or not all(isinstance(x, int) for x in vec):
+        if not isinstance(vec, list) or not all(map(_is_int, vec)):
             raise FanValidationError(f"ray at index {idx} is not an integer vector")
         if dim is None:
             dim = len(vec)
@@ -212,7 +164,7 @@ def parse_fan(document: dict) -> Fan:
         raise FanValidationError("'max_cones' must be a nonempty list of index lists")
     cones = []
     for cdx, cone in enumerate(cones_in):
-        if not isinstance(cone, list) or not all(isinstance(i, int) for i in cone):
+        if not isinstance(cone, list) or not all(map(_is_int, cone)):
             raise FanValidationError(f"cone at index {cdx} is not an index list")
         for i in cone:
             if not 0 <= i < len(rays):
@@ -353,36 +305,11 @@ def class_of_variety(fan: Fan) -> LaurentClass:
 
 
 @lru_cache(maxsize=None)
-def picard_data(fan: Fan) -> PicardData:
-    """Cokernel of the character-to-divisor map, as an explicit projection.
-
-    The rays of cone 0 are a lattice basis, so each other ray alpha is an
-    integer combination sum c_i v_i of them, and the rows
-    e_alpha - sum c_i e_i are a basis of the integer relations among the
-    rays.  Their Hermite reduction, which depends only on the lattice
-    they span, is the projection.
-    """
+def picard_rank(fan: Fan) -> int:
+    """Rank of the Picard group: nrays - dim for a smooth complete fan
+    (Cox-Little-Schenck, Toric Varieties, Thm 4.1.3)."""
     require_valid(fan)
-    nu, n = fan.nrays, fan.dim
-    basis = fan.max_cones[0]
-    cols = [list(fan.rays[i]) for i in basis]
-    outside = [a for a in range(nu) if a not in basis]
-    relations = []
-    for a in outside:
-        row = [0] * nu
-        row[a] = 1
-        for i, c in zip(basis, solve_rational(cols, list(fan.rays[a]))):
-            row[i] = -int(c)
-        relations.append(row)
-    proj = _hermite_rows(relations)
-    # exactness tripwire: projection composed with the ray matrix is zero
-    for row in proj:
-        for j in range(n):
-            if sum(row[a] * fan.rays[a][j] for a in range(nu)) != 0:
-                raise InternalCheckError("cokernel projection does not kill the ray matrix")
-    if abs(det_int([[row[a] for a in outside] for row in proj])) != 1:
-        raise InternalCheckError("cokernel projection is not surjective over Z")
-    return PicardData(rank=nu - n, projection=tuple(tuple(row) for row in proj))
+    return fan.nrays - fan.dim
 
 
 @lru_cache(maxsize=None)
@@ -417,36 +344,3 @@ def eff_dual_contains(fan: Fan, d) -> bool:
     return all(sum(d[a] * fan.rays[a][j] for a in range(fan.nrays)) == 0
                for j in range(fan.dim))
 
-
-def eff_dual_enumerate(fan: Fan, bound: int) -> list[tuple[int, ...]]:
-    """All nonnegative degree vectors with entry sum <= bound and vanishing
-    weighted ray sum, in lexicographic order."""
-    nu = fan.nrays
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nu:
-            if eff_dual_contains(fan, prefix):
-                out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], bound)
-    return out
-
-
-def fan_product(f1: Fan, f2: Fan) -> Fan:
-    """Fan of the product variety: block-embedded rays, pairwise unions of
-    maximal cones."""
-    require_valid(f1)
-    require_valid(f2)
-    n1, n2 = f1.dim, f2.dim
-    rays = [r + (0,) * n2 for r in f1.rays]
-    rays += [(0,) * n1 + r for r in f2.rays]
-    off = f1.nrays
-    cones = []
-    for c1 in f1.max_cones:
-        for c2 in f2.max_cones:
-            cones.append(tuple(sorted(c1 + tuple(i + off for i in c2))))
-    return Fan(dim=n1 + n2, rays=tuple(rays), max_cones=tuple(cones))

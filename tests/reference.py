@@ -1,0 +1,308 @@
+"""Independent reference routes that the tests compare the library against.
+
+None of this is on a path that a command or a script runs.  Each helper
+computes a quantity a second way (the Picard projection, the torsor
+class by counting zero sets, the Mobius values grouped by subgraph
+shape) or builds test inputs (product fans, effective degrees).
+"""
+
+import itertools
+from fractions import Fraction
+
+from toricurves.errors import InternalCheckError
+from toricurves.grothendieck import ONE, DimSeries, LaurentClass
+from toricurves.mobius import generating_polynomial, mobius_table
+from toricurves.moduli import (
+    DegreeVector,
+    JetCondition,
+    hom_class,
+    pattern_config_class,
+)
+from toricurves.toric import (
+    Fan,
+    PatternSet,
+    det_int,
+    eff_dual_contains,
+    pattern_set,
+    require_valid,
+    solve_rational,
+)
+from toricurves import oracle
+
+
+# ---------------------------------------------------------------------------
+# fans and patterns
+
+
+def cone_ray_sets(fan: Fan) -> list[frozenset[int]]:
+    return [frozenset(c) for c in fan.max_cones]
+
+
+def lies_above(patterns: PatternSet, m) -> bool:
+    """Does supp(m) contain some minimal member of the pattern set?"""
+    return any(all(m[i] > 0 for i in J) for J in patterns.minimal)
+
+
+def fan_product(f1: Fan, f2: Fan) -> Fan:
+    """Fan of the product variety: block-embedded rays, pairwise unions of
+    maximal cones."""
+    require_valid(f1)
+    require_valid(f2)
+    n1, n2 = f1.dim, f2.dim
+    rays = [r + (0,) * n2 for r in f1.rays]
+    rays += [(0,) * n1 + r for r in f2.rays]
+    off = f1.nrays
+    cones = []
+    for c1 in f1.max_cones:
+        for c2 in f2.max_cones:
+            cones.append(tuple(sorted(c1 + tuple(i + off for i in c2))))
+    return Fan(dim=n1 + n2, rays=tuple(rays), max_cones=tuple(cones))
+
+
+def eff_dual_enumerate(fan: Fan, bound: int) -> list[tuple[int, ...]]:
+    """All nonnegative degree vectors with entry sum <= bound and vanishing
+    weighted ray sum, in lexicographic order."""
+    nu = fan.nrays
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == nu:
+            if eff_dual_contains(fan, prefix):
+                out.append(tuple(prefix))
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v)
+
+    rec([], bound)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the Picard projection
+
+
+def _hermite_rows(mat: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form (positive pivots, reduced above)."""
+    a = [list(r) for r in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        while True:
+            nz = [i for i in range(r + 1, rows) if a[i][c] != 0]
+            if not nz:
+                break
+            for i in nz:
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                if a[i][c] != 0:
+                    a[r], a[i] = a[i], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return a
+
+
+def picard_projection(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """Cokernel of the character-to-divisor map, as an explicit projection.
+
+    The rays of cone 0 are a lattice basis, so each other ray alpha is an
+    integer combination sum c_i v_i of them, and the rows
+    e_alpha - sum c_i e_i are a basis of the integer relations among the
+    rays.  Their Hermite reduction, which depends only on the lattice
+    they span, is the projection.
+    """
+    require_valid(fan)
+    nu, n = fan.nrays, fan.dim
+    basis = fan.max_cones[0]
+    cols = [list(fan.rays[i]) for i in basis]
+    outside = [a for a in range(nu) if a not in basis]
+    relations = []
+    for a in outside:
+        row = [0] * nu
+        row[a] = 1
+        for i, c in zip(basis, solve_rational(cols, list(fan.rays[a]))):
+            row[i] = -int(c)
+        relations.append(row)
+    proj = _hermite_rows(relations)
+    kills = all(sum(row[a] * fan.rays[a][j] for a in range(nu)) == 0
+                for row in proj for j in range(n))
+    assert kills, "cokernel projection does not kill the ray matrix"
+    minor = det_int([[row[a] for a in outside] for row in proj])
+    assert abs(minor) == 1, "cokernel projection is not surjective over Z"
+    return tuple(tuple(row) for row in proj)
+
+
+# ---------------------------------------------------------------------------
+# Mobius data
+
+
+def torsor_class(patterns: PatternSet) -> LaurentClass:
+    """Class of the complement of the pattern coordinate subspaces in
+    affine space, computed two independent ways and compared.
+
+    Route one: a point lies off every pattern subspace exactly when its
+    zero set Z contains no minimal pattern, and the points with zero set
+    Z form a torus (L - 1)^(nvars - |Z|); such Z are grown one variable
+    at a time in ascending order.  Route two: L^nvars times the diagonal
+    value of the generating polynomial at L^-1.
+    """
+    nu = patterns.nvars
+    masks = [sum(1 << i for i in J) for J in patterns.minimal]
+    sizes = [0] * (nu + 1)
+    stack = [(0, 0)]
+    while stack:
+        zeros, start = stack.pop()
+        sizes[zeros.bit_count()] += 1
+        for r in range(start, nu):
+            grown = zeros | 1 << r
+            if not any(grown & m == m for m in masks):
+                stack.append((grown, r + 1))
+    lm1 = LaurentClass({1: 1, 0: -1})
+    route1 = LaurentClass.zero()
+    for k, count in enumerate(sizes):
+        route1 = route1 + lm1 ** (nu - k) * count
+    table = mobius_table(patterns)
+    poly = generating_polynomial(table)
+    route2 = poly.evaluate_diagonal(LaurentClass.lefschetz(-1)).shift(nu)
+    if route1 != route2:
+        raise InternalCheckError(
+            f"torsor class mismatch: zero-set count gives {route1}, "
+            f"generating polynomial gives {route2}")
+    return route1
+
+
+def nonintersection_graph(fan: Fan) -> set[frozenset[int]]:
+    """Edges = ray pairs spanning no common cone (disjoint divisors)."""
+    cone_sets = cone_ray_sets(fan)
+    nu = fan.nrays
+    edges = set()
+    for i in range(nu):
+        for j in range(i + 1, nu):
+            if not any({i, j} <= c for c in cone_sets):
+                edges.add(frozenset((i, j)))
+    return edges
+
+
+def _canonical_graph(vertices: tuple[int, ...], edges: set[frozenset[int]]):
+    """Lexicographically smallest edge list over all relabelings."""
+    k = len(vertices)
+    best = None
+    for perm in itertools.permutations(range(k)):
+        relabel = {v: perm[i] for i, v in enumerate(vertices)}
+        cand = tuple(sorted(tuple(sorted((relabel[a], relabel[b])))
+                            for a, b in (tuple(e) for e in edges)))
+        if best is None or cand < best:
+            best = cand
+    return k, best
+
+
+def _is_connected(vertices: tuple[int, ...], edges: set[frozenset[int]]) -> bool:
+    if not vertices:
+        return True
+    adj = {v: set() for v in vertices}
+    for e in edges:
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(vertices)
+
+
+def mu_grouped_by_subgraph(fan: Fan, connected_only: bool = True) -> dict:
+    """Group mu over supports by the shape of the induced subgraph of the
+    non-intersection graph.
+
+    Returns {(size, canonical_edges): sorted list of distinct mu values}.
+    The empty support contributes {(0, ()): [1]}.
+    """
+    table = mobius_table(pattern_set(fan))
+    edges = nonintersection_graph(fan)
+    groups: dict[tuple, set[int]] = {}
+    for n, v in table.listing():
+        support = tuple(i for i, x in enumerate(n) if x)
+        sub_edges = {e for e in edges if e <= set(support)}
+        if connected_only and not _is_connected(support, sub_edges):
+            continue
+        key = _canonical_graph(support, sub_edges)
+        groups.setdefault(key, set()).add(v)
+    return {key: sorted(vals) for key, vals in groups.items()}
+
+
+# ---------------------------------------------------------------------------
+# series and classes
+
+
+def is_exact(series: DimSeries) -> bool:
+    return series.floor is None
+
+
+def truncate(series: DimSeries, floor: int) -> DimSeries:
+    """The series known only down to floor; the floor never drops."""
+    f = floor if series.floor is None else max(series.floor, floor)
+    return DimSeries(series.known, f)
+
+
+def config_series(fan: Fan, cap, s: int = 0) -> dict:
+    """{e: pattern_config_class(fan, e, s)} over every exponent the cap
+    admits, zero classes dropped."""
+    out = {}
+    for e in itertools.product(*(range(b + 1) for b in cap.box)):
+        if cap.admits(e):
+            value = pattern_config_class(fan, e, s)
+            if value:
+                out[e] = value
+    return out
+
+
+def expected_dimension_check(
+    fan: Fan,
+    d,
+    jc: JetCondition | None = None,
+    primes=(2, 3, 5),
+) -> bool:
+    """Check that the computed dimension matches the expected one.
+
+    Unconstrained: the class of maps has virtual dimension |d| + n
+    exactly.  Constrained: only a point-counting trend is available; the
+    counts over the given primes are compared against p^(expected dim)
+    and must agree up to a factor of four across the primes.
+    """
+    dv = DegreeVector.of(d)
+    require_valid(fan)
+    if jc is None or not jc.points:
+        cls = hom_class(fan, dv)
+        return cls.virtual_dimension == dv.total + fan.dim
+    if jc.npoints != 1 or jc.W_dim != 0 or jc.W_class != ONE:
+        raise ValueError(
+            "constrained dimension checks support a single point with a "
+            "one-jet target (W_class 1, W_dim 0) only"
+        )
+    (pt, order), = jc.points
+    expected = dv.total + fan.dim * (1 - jc.length) + jc.W_dim
+    ratios = []
+    for p in primes:
+        jet = oracle.JetSpec.identity(
+            fan.nrays, oracle.reduce_point(pt, p), order
+        )
+        count = oracle.ff_constrained_count(p, fan, dv.entries, jet)
+        if count <= 0:
+            return False
+        ratios.append(Fraction(count) / Fraction(p) ** expected)
+    return max(ratios) <= 4 * min(ratios)

@@ -130,6 +130,15 @@ class TestAnalyze:
         assert out == ""
         assert "error:" in err
 
+    def test_boolean_ray_entry_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "p2_bool.json"
+        bad.write_text('{"rays": [[true, 0], [0, 1], [-1, -1]], '
+                       '"max_cones": [[0, 1], [1, 2], [2, 0]]}')
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "ray at index 0 is not an integer vector" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "no/such/fan.json")
         assert code == EXIT_VALIDATION and "error:" in err

@@ -42,6 +42,20 @@ def test_script_runs(script, args, success):
     assert success in proc.stdout, proc.stdout
 
 
+def test_convergence_sweep_with_no_diagonal_degrees():
+    proc = run_script("convergence_sweep.py", "p2", "--diagonal", "0")
+    assert proc.returncode == 1, proc.stderr
+    assert "no degrees" in proc.stdout, proc.stdout
+
+
+def test_convergence_sweep_reads_a_fan_file(tmp_path):
+    path = tmp_path / "plane.json"
+    path.write_text((ROOT / "src" / "toricurves" / "fans" / "p2.json").read_text())
+    proc = run_script("convergence_sweep.py", str(path), "--diagonal", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "all 2 reports pass" in proc.stdout, proc.stdout
+
+
 def test_oracle_gate_refuses_beyond_the_budget():
     proc = run_script("oracle_gate.py", "--fans", "p2", "--budget", "10")
     assert proc.returncode == 3
