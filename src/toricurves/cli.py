@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -66,11 +67,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_fan(source: str) -> Fan:
     path = pathlib.Path(source)
+    stem = path.stem if path.suffix == ".json" else source
+    fixture = "/" not in source and stem in FIXTURE_NAMES
+    if fixture and path.exists():
+        raise FanValidationError(
+            f"{source!r} names both a bundled fixture and a file in the "
+            f"working directory; write ./{source} for the file"
+        )
     if path.exists():
         doc = json.loads(path.read_text())
         return parse_fan(doc)
-    stem = path.stem if path.suffix == ".json" else source
-    if "/" not in source and stem in FIXTURE_NAMES:
+    if fixture:
         return fixture_fan(stem)
     raise FanValidationError(f"cannot read fan description {source!r}")
 
@@ -391,10 +398,15 @@ def main(argv=None) -> int:
     except (FanValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush
+        # at exit fails no more, and leave quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

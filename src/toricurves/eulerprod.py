@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -46,6 +47,8 @@ __all__ = [
     "int_mobius",
     "closed_point_weight",
     "euler_product_p1",
+    "EulerFactors",
+    "euler_factors",
     "GlobalMobius",
     "global_mobius",
     "euler_product_at_Linv",
@@ -110,20 +113,23 @@ def _majorant(
     support: Mapping[tuple[int, ...], int], s: int, total: int
 ) -> list[int]:
     """Coefficients up to u^total of a one-variable series whose u^n
-    coefficient bounds the sum of the absolute q-coefficients of every
-    Euler-product coefficient at an exponent e with |e| = n.
+    coefficient bounds the absolute q-coefficients of the Euler-product
+    coefficients at all the exponents e with |e| = n, summed together.
 
     support holds the terms of F - 1.  With A = 1 + |1 - s| each a_d has
     absolute coefficient sum at most A, so binom(a_d, k) has at most
     binom(A + k - 1, k), and F - 1 is dominated on the diagonal by
     g(u) = sum |c_e| u^|e|.  The factors
     sum_k binom(A + k - 1, k) g(u^d)^k = (1 - g(u^d))^(-A) then dominate
-    those of the Euler product, and so does their product.
+    those of the Euler product with t_alpha = u and every coefficient
+    replaced by its absolute coefficient sum, and so does their product.
     """
     g: dict[int, int] = {}
     for e, c in support.items():
         g[sum(e)] = g.get(sum(e), 0) + abs(c)
     vals = [1] + [0] * total
+    if not g:
+        return vals
     for d in range(1, total // min(g) + 1):
         terms = [(d * n, c) for n, c in g.items() if d * n <= total]
         for _ in range(1 + abs(1 - s)):
@@ -133,58 +139,48 @@ def _majorant(
     return vals
 
 
-def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
-    """Expand prod over closed points of P^1 minus s points of F(t^(deg)).
+def _width(majorant: Sequence[int], reach: int | None) -> int:
+    """The engine's digit width: two bits above the largest coefficient
+    of the majorant and, when reach is given, above reach times the sum
+    of its coefficients."""
+    width = max(majorant).bit_length() + 2
+    if reach is not None:
+        width = max(width, (reach * sum(majorant)).bit_length() + 2)
+    return width
 
-    F must have constant term 1; the result is a capped multiseries with
-    LaurentClass coefficients and constant term 1.
 
-    The product is taken at q = 2^w, where w leaves two bits above the
-    largest coefficient of the majorant series.  Whenever F - 1 has an
-    in-cap term, that coefficient is at least A = 1 + |1 - s| >= s, so
-    2^w > s - 1 and every point count a_d(2^w) is a nonnegative integer,
-    as math.comb needs.
-    Each coefficient is read back as balanced base-2^w digits; a digit
-    of absolute value 2^(w-2) or more contradicts the majorant and
-    raises InternalCheckError, which signals an engine bug rather than
-    a recoverable input problem.
+class _Keys:
+    """Exponent vectors of one cap packed into ints.
+
+    A vector e is packed `shift` bits per field, with |e| as a last
+    field above the variables.  Every field of an in-cap key is at most
+    its limit, below 2^(shift-1), so two in-cap keys add without a
+    carry; adding `off` lifts a field past bit shift-1 exactly when it
+    exceeds its limit, so one mask test checks the box and the total
+    together.
     """
-    if s < 0:
-        raise ValueError("removed point count must be nonnegative")
-    box = cap.box
-    total = cap.total
-    nvars = len(box)
-    coeffs_in: dict[tuple[int, ...], int] = {}
-    for exp, coeff in F.items():
-        if len(exp) != nvars:
-            raise ValueError(
-                f"local factor arity {len(exp)} does not match cap arity {nvars}"
-            )
-        if any(x < 0 for x in exp):
-            raise ValueError("local factor exponents must be nonnegative")
-        if any(exp) and cap.admits(exp):
-            coeffs_in[exp] = coeff
-    if F.constant_term() != 1:
-        raise ValueError("local factor must have constant term 1")
 
-    variables = tuple(f"t{i + 1}" for i in range(nvars))
-    if not coeffs_in:
-        return MultiSeries(variables, cap, {(0,) * nvars: ONE})
+    def __init__(self, cap: SeriesCap):
+        limits = cap.box + (cap.total,)
+        self.nvars = len(cap.box)
+        self.total = cap.total
+        self.shift = max(limits).bit_length() + 1
+        self.top = self.shift * self.nvars
+        self.guard = _pack([1 << (self.shift - 1)] * len(limits), self.shift)
+        self.off = _pack(
+            [(1 << (self.shift - 1)) - 1 - b for b in limits], self.shift
+        )
 
-    # An exponent vector e is packed into one int, `shift` bits per
-    # field, with |e| as a last field above the variables.  Every field
-    # of an in-cap key is at most its limit, below 2^(shift-1), so two
-    # in-cap keys add without a carry; adding `off` lifts a field past
-    # bit shift-1 exactly when it exceeds its limit, so one mask test
-    # checks the box and the total together.
-    limits = box + (total,)
-    shift = max(limits).bit_length() + 1
-    top = shift * nvars
-    guard = _pack([1 << (shift - 1)] * len(limits), shift)
-    off = _pack([(1 << (shift - 1)) - 1 - b for b in limits], shift)
+    def pack(self, e: tuple[int, ...]) -> int:
+        return _pack(e + (sum(e),), self.shift)
 
-    def times(a: dict[int, int], b: dict[int, int], out: dict[int, int]):
+    def unpack(self, key: int) -> tuple[int, ...]:
+        mask = (1 << self.shift) - 1
+        return tuple((key >> (self.shift * i)) & mask for i in range(self.nvars))
+
+    def times(self, a: dict[int, int], b: dict[int, int], out: dict[int, int]):
         """out plus the in-cap part of a * b, zero terms dropped."""
+        top, off, guard, total = self.top, self.off, self.guard, self.total
         # partner keys carry `off`, so a sum is in the cap when its guard
         # bits are clear; sorted, they come in ascending |e|
         pairs = sorted((k + off, v) for k, v in b.items())
@@ -201,20 +197,109 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
                     out[k] = get(k, 0) + va * vb
         return {k: v for k, v in out.items() if v}
 
-    base = {_pack(e + (sum(e),), shift): c for e, c in coeffs_in.items()}
+
+@dataclass(frozen=True, eq=False)
+class EulerFactors:
+    """An Euler product at q = 2^width, split as rest * first.
+
+    first is the factor of the rational points (d = 1), with its
+    constant term 1, and rest the product of all the other factors.
+    Both are truncated to the cap and map packed exponent vectors
+    (`keys.unpack` unpacks one) to exact integer values at q = 2^width.
+    The majorant's u^n coefficient bounds, summed over the exponents e
+    with |e| = n, the absolute q-coefficient sums of the product's
+    coefficients (see _majorant).
+    """
+
+    cap: SeriesCap
+    width: int
+    majorant: list[int]
+    rest: dict[int, int]
+    first: dict[int, int]
+    keys: _Keys
+
+    def product(self) -> MultiSeries:
+        """rest * first, each coefficient read back as a LaurentClass.
+
+        The coefficients are balanced base-2^width digits; a digit of
+        absolute value 2^(w-2) or more, w the width the majorant alone
+        fixes, contradicts the majorant and raises InternalCheckError,
+        which signals an engine bug rather than a recoverable input
+        problem.
+        """
+        series = self.keys.times(self.rest, self.first, {})
+        nvars = self.keys.nvars
+        bound = 1 << (_width(self.majorant, None) - 2)
+        out: dict[tuple[int, ...], LaurentClass] = {}
+        # ascending |e|, so checks over the result meet low degrees first
+        for key, x in sorted(series.items()):
+            e = self.keys.unpack(key)
+            cls = unpack_class(x, self.width)
+            if any(abs(c) >= bound for _, c in cls.terms()):
+                raise InternalCheckError(
+                    f"Euler product coefficient at exponent {e} exceeds its "
+                    f"majorant: {cls}"
+                )
+            out[e] = cls
+        if out.get((0,) * nvars) != ONE:
+            raise InternalCheckError("Euler product lost its constant term 1")
+        variables = tuple(f"t{i + 1}" for i in range(nvars))
+        return MultiSeries(variables, self.cap, out)
+
+
+def euler_factors(
+    F: IntPoly, s: int, cap: SeriesCap, reach: int | None = None
+) -> EulerFactors:
+    """The Euler product over the closed points of P^1 minus s points of
+    F(t^(deg)), as its d = 1 factor and the product of the others.
+
+    F must have constant term 1.  The product is taken at q = 2^width,
+    where the width leaves two bits above the largest coefficient of the
+    majorant series and, when reach is given, above reach times the sum
+    of the majorant's coefficients: that sum bounds the absolute
+    q-coefficient sum of any combination of the product's coefficients
+    with integer polynomial weights whose absolute coefficient sums are
+    at most reach.  Whenever F - 1 has an in-cap term, the majorant's
+    largest coefficient is at least A = 1 + |1 - s| >= s, so
+    2^width > s - 1 and every point count a_d(2^width) is a nonnegative
+    integer, as math.comb needs.
+    """
+    if s < 0:
+        raise ValueError("removed point count must be nonnegative")
+    nvars = len(cap.box)
+    coeffs_in: dict[tuple[int, ...], int] = {}
+    for exp, coeff in F.items():
+        if len(exp) != nvars:
+            raise ValueError(
+                f"local factor arity {len(exp)} does not match cap arity {nvars}"
+            )
+        if any(x < 0 for x in exp):
+            raise ValueError("local factor exponents must be nonnegative")
+        if any(exp) and cap.admits(exp):
+            coeffs_in[exp] = coeff
+    if F.constant_term() != 1:
+        raise ValueError("local factor must have constant term 1")
+
+    keys = _Keys(cap)
+    total = cap.total
+    majorant = _majorant(coeffs_in, s, total)
+    w = _width(majorant, reach)
+    if not coeffs_in:
+        return EulerFactors(cap, w, majorant, {0: 1}, {0: 1}, keys)
+
+    base = {keys.pack(e): c for e, c in coeffs_in.items()}
     powers = [base]
     while True:
-        nxt = times(powers[-1], base, {})
+        nxt = keys.times(powers[-1], base, {})
         if not nxt:
             break
         powers.append(nxt)
 
-    w = max(_majorant(coeffs_in, s, total)).bit_length() + 2
+    top, off, guard = keys.top, keys.off, keys.guard
     valuation = min(sum(e) for e in coeffs_in)
-    series = {0: 1}
-    # the sparse factors of large d first, so the series stays small
-    # until the largest factor, d = 1, meets it last
-    for d in range(total // valuation, 0, -1):
+
+    def factor(d: int) -> dict[int, int]:
+        """The factor of the points of degree d, less its constant 1."""
         den, num = _weight_raw(d, s)
         a_d = sum(c << (w * i) for i, c in enumerate(num)) // den
         fac: dict[int, int] = {}
@@ -228,24 +313,26 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
                     key *= d
                     if not (key + off) & guard:
                         fac[key] = fac.get(key, 0) + binom * c
-        series = times(series, fac, dict(series))
+        return fac
 
-    mask = (1 << shift) - 1
-    bound = 1 << (w - 2)
-    out: dict[tuple[int, ...], LaurentClass] = {}
-    # ascending |e|, so checks over the result meet low degrees first
-    for key, x in sorted(series.items()):
-        e = tuple((key >> (shift * i)) & mask for i in range(nvars))
-        cls = unpack_class(x, w)
-        if any(abs(c) >= bound for _, c in cls.terms()):
-            raise InternalCheckError(
-                f"Euler product coefficient at exponent {e} exceeds its "
-                f"majorant: {cls}"
-            )
-        out[e] = cls
-    if out.get((0,) * nvars) != ONE:
-        raise InternalCheckError("Euler product lost its constant term 1")
-    return MultiSeries(variables, cap, out)
+    rest = {0: 1}
+    # the sparse factors of large d first, so the series stays small;
+    # the largest factor, d = 1, is handed out unmultiplied
+    for d in range(total // valuation, 1, -1):
+        rest = keys.times(rest, factor(d), dict(rest))
+    first = factor(1)
+    first[0] = 1
+    return EulerFactors(cap, w, majorant, rest, first, keys)
+
+
+def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
+    """Expand prod over closed points of P^1 minus s points of F(t^(deg)).
+
+    F must have constant term 1; the result is a capped multiseries with
+    LaurentClass coefficients and constant term 1, read back from the
+    product of euler_factors at the width the majorant fixes.
+    """
+    return euler_factors(F, s, cap).product()
 
 
 class GlobalMobius:
@@ -269,6 +356,16 @@ class GlobalMobius:
         self.removed_points = removed_points
         self.cap = cap
         self._values = dict(values)
+
+    @classmethod
+    def from_factors(
+        cls, fan: Fan, removed_points: int, factors: EulerFactors
+    ) -> "GlobalMobius":
+        """The table of the product of factors of the fan's pattern
+        polynomial, after the checks build_global_mobius makes."""
+        return cls(
+            fan, removed_points, factors.cap, _checked_mobius(factors.product())
+        )
 
     def mu(self, e: Sequence[int]) -> LaurentClass:
         vec = tuple(e)

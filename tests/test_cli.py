@@ -1,7 +1,10 @@
 """Command-line interface: text goldens, JSON payloads, exit statuses."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +62,18 @@ class TestAnalyze:
         path = pathlib.Path(toricurves.__file__).parent / "fans" / "p2.json"
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0 and "P = 1 - t1*t2*t3" in out
+
+    @pytest.mark.parametrize("name", ["p1", "p1.json"])
+    def test_refuses_a_fixture_name_that_is_also_a_file(
+            self, capsys, tmp_path, monkeypatch, name):
+        plane = pathlib.Path(toricurves.__file__).parent / "fans" / "p2.json"
+        (tmp_path / name).write_text(plane.read_text())
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "analyze", name)
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"write ./{name} for the file" in err
+        code, out, _ = run(capsys, "analyze", f"./{name}")
+        assert code == 0 and "dim: 2  picard rank: 1" in out
 
     def test_builds_the_mobius_table_once(self, capsys):
         # the polynomial cache sits in front of the table cache
@@ -392,3 +407,22 @@ def test_stdout_stays_clean_on_every_failure_path(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code != 0 and out == "" and err
+
+
+def test_quiet_exit_when_the_reader_leaves_early():
+    """A reader that closes the pipe after one line, as `| head -1`
+    does, ends the command with status 0 and nothing on stderr."""
+    src = pathlib.Path(toricurves.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # about 170 kB of JSON, more than a pipe holds, so the command is
+    # still writing when the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricurves.cli", "mobius", "dp6",
+         "--cap", "8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

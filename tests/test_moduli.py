@@ -40,7 +40,9 @@ from toricurves.moduli import (
     pattern_config_class,
     tamagawa,
 )
-from toricurves import oracle
+from toricurves import eulerprod, moduli, oracle
+from toricurves.cli import EXIT_INTERNAL, main
+from toricurves.errors import InternalCheckError
 
 
 def open_curve_config_series(fan, cap, s=0):
@@ -154,11 +156,51 @@ class TestConfigClasses:
             want = direct_config_class(fans["p3"], e, s)
             assert pattern_config_class(fans["p3"], e, s) == want, e
 
+    def test_walk_route_matches_direct_convolution_at_box_four(self, dp6):
+        """The dp6 box of side 4, where R has 1,084 terms, against the
+        reference convolution of the full table."""
+        rng = random.Random(4)
+        for e in ((1, 1, 1, 4, 4, 4), (4,) * 6,
+                  *(tuple(rng.randrange(5) for _ in range(6)) for _ in range(2))):
+            assert pattern_config_class(dp6, e) == direct_config_class(dp6, e), e
+
+    def test_route_follows_the_sizes(self, p3, dp6):
+        # P^3 at side 40: 41^4 box cells, but R and U have 41 terms each
+        for fan, side, route in ((p3, 40, moduli._ProductTerms),
+                                 (dp6, 3, moduli._WalkTerms)):
+            cap = SeriesCap.box_cap((side,) * fan.nrays)
+            assert type(moduli._config_terms(fan, 0, cap)) is route, fan
+
     def test_specializes_to_point_counts(self, p2, bl1p2):
         for fan, e, p in ((p2, (1, 1, 1), 2), (p2, (2, 2, 2), 3),
                           (bl1p2, (1, 1, 1, 2), 3)):
             predicted = pattern_config_class(fan, e).evaluate(p)
             assert predicted == oracle.ff_pattern_count(p, fan, e), (e, p)
+
+
+@pytest.fixture
+def cold_config_cache():
+    """Class caches emptied before and after, so that no entry built
+    under a monkeypatch outlives the test."""
+    def clear():
+        moduli._config_terms.cache_clear()
+        moduli._hom_class_cached.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_readback_refuses_digits_beyond_the_bound(
+        dp6, monkeypatch, capsys, cold_config_cache):
+    # at 8 bits a digit must stay below 2^6, and the class at (2,...,2)
+    # has the coefficient -1128 at L^2
+    monkeypatch.setattr(eulerprod, "_width", lambda majorant, reach: 8)
+    with pytest.raises(InternalCheckError, match="exceeds its bound"):
+        pattern_config_class(dp6, (2,) * 6)
+    assert main(["hom", "dp6", "--degree", "2,2,2,2,2,2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds its bound" in captured.err
 
 
 class TestHomClasses:
