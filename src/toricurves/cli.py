@@ -124,8 +124,14 @@ def _parse_points(text: str) -> list[tuple[tuple[int, int], int]]:
             coords, order = chunk.rsplit("@", 1)
         else:
             coords, order = chunk, "0"
-        x0, x1 = (int(tok) for tok in coords.split(":"))
-        out.append(((x0, x1), int(order)))
+        try:
+            x0, x1 = (int(tok) for tok in coords.split(":"))
+            m = int(order)
+        except ValueError:
+            raise ValueError(
+                f"point {chunk!r} is not of the form x0:x1[@m]"
+            ) from None
+        out.append(((x0, x1), m))
     return out
 
 

@@ -8,17 +8,23 @@ coefficients of the result are exact integer polynomials in L.
 
 The number a_d(q) of closed points of degree d on the punctured line is
 an integer at every integer q, so the engine works at the single point
-q = 2^w.  There it expands
+q = 2^w.  There the factor of the points of degree d is the integer
+power G = F^(a_d), taken at t^(.d), and each power is built in one pass
+of J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  With theta
+the Euler operator, theta t^e = |e| t^e, the power solves
+theta(G) F = a G theta(F), whose t^e coefficient reads
 
-    prod_d F(t^(.d)) ** a_d  =  prod_d sum_k binom(a_d, k) (F - 1)^k (t^(.d))
+    |e| G_e  =  sum_{f != 0} F_f ((a + 1) |f| - |e|) G_(e - f).
 
-as plain integer series: each integer power ``(F - 1)^k`` is formed
-once, and the two forms agree as truncated series because both are the
-exponential of ``sum_d a_d log F(t^(.d))``.  Every coefficient, an
-integer polynomial in q, is then read back from its value as balanced
-base-2^w digits (Kronecker substitution), with q mapped to L.  A
-majorant series bounds every coefficient in advance and fixes w;
-nothing is ever rounded, and a digit beyond the bound aborts the run.
+Each G_(e - f) has a lower total degree and lies in every cap that
+holds e, so a truncated power comes out exactly, level by level in |e|.
+F has integer coefficients and constant term 1, and a is an integer,
+so F^a is an integer series: each division by |e| leaves no remainder,
+and a remainder aborts the run.  Every coefficient, an integer
+polynomial in q, is then read back from its value as balanced base-2^w
+digits (Kronecker substitution), with q mapped to L.  A majorant series
+bounds every coefficient in advance and fixes w; nothing is ever
+rounded, and a digit beyond the bound aborts the run.
 """
 
 from __future__ import annotations
@@ -160,16 +166,29 @@ class _Keys:
     together.
     """
 
-    def __init__(self, cap: SeriesCap):
+    def __init__(self, cap: SeriesCap, shift: int | None = None):
         limits = cap.box + (cap.total,)
+        self.cap = cap
         self.nvars = len(cap.box)
         self.total = cap.total
-        self.shift = max(limits).bit_length() + 1
+        self.shift = shift or max(limits).bit_length() + 1
         self.top = self.shift * self.nvars
         self.guard = _pack([1 << (self.shift - 1)] * len(limits), self.shift)
         self.off = _pack(
             [(1 << (self.shift - 1)) - 1 - b for b in limits], self.shift
         )
+
+    def shrunk(self, d: int) -> "_Keys":
+        """The keys of the cap (box_i // d, total // d) at this shift:
+        t -> t^d maps each of them into this cap as key * d, no field
+        carrying."""
+        cap = SeriesCap.box_cap(
+            tuple(b // d for b in self.cap.box), self.total // d
+        )
+        return _Keys(cap, self.shift)
+
+    def admits(self, key: int) -> bool:
+        return not (key + self.off) & self.guard
 
     def pack(self, e: tuple[int, ...]) -> int:
         return _pack(e + (sum(e),), self.shift)
@@ -259,10 +278,8 @@ def euler_factors(
     of the majorant's coefficients: that sum bounds the absolute
     q-coefficient sum of any combination of the product's coefficients
     with integer polynomial weights whose absolute coefficient sums are
-    at most reach.  Whenever F - 1 has an in-cap term, the majorant's
-    largest coefficient is at least A = 1 + |1 - s| >= s, so
-    2^width > s - 1 and every point count a_d(2^width) is a nonnegative
-    integer, as math.comb needs.
+    at most reach.  Each factor F^(a_d) is one pass of _power, at the
+    integer point count a_d(2^width).
     """
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
@@ -288,41 +305,68 @@ def euler_factors(
         return EulerFactors(cap, w, majorant, {0: 1}, {0: 1}, keys)
 
     base = {keys.pack(e): c for e, c in coeffs_in.items()}
-    powers = [base]
-    while True:
-        nxt = keys.times(powers[-1], base, {})
-        if not nxt:
-            break
-        powers.append(nxt)
-
-    top, off, guard = keys.top, keys.off, keys.guard
     valuation = min(sum(e) for e in coeffs_in)
 
-    def factor(d: int) -> dict[int, int]:
-        """The factor of the points of degree d, less its constant 1."""
+    def points(d: int) -> int:
+        """a_d(2^w), the number of closed points of degree d."""
         den, num = _weight_raw(d, s)
-        a_d = sum(c << (w * i) for i, c in enumerate(num)) // den
-        fac: dict[int, int] = {}
-        # (F - 1)^k lives in degrees >= k * valuation
-        for k, power in enumerate(powers[: total // (d * valuation)], start=1):
-            binom = math.comb(a_d, k)
-            for key, c in power.items():
-                # t -> t^d multiplies every field by d; none carries
-                # while d |e| is within the total
-                if (key >> top) * d <= total:
-                    key *= d
-                    if not (key + off) & guard:
-                        fac[key] = fac.get(key, 0) + binom * c
-        return fac
+        return sum(c << (w * i) for i, c in enumerate(num)) // den
 
     rest = {0: 1}
     # the sparse factors of large d first, so the series stays small;
     # the largest factor, d = 1, is handed out unmultiplied
     for d in range(total // valuation, 1, -1):
-        rest = keys.times(rest, factor(d), dict(rest))
-    first = factor(1)
-    first[0] = 1
+        # F^(a_d)(t^d) in the cap is F^(a_d) in the cap shrunk by d
+        sub = keys.shrunk(d)
+        power = _power({k: c for k, c in base.items() if sub.admits(k)},
+                       points(d), sub)
+        rest = keys.times(rest, {k * d: c for k, c in power.items()}, {})
+    first = _power(base, points(1), keys)
     return EulerFactors(cap, w, majorant, rest, first, keys)
+
+
+def _power(terms: dict[int, int], a: int, keys: _Keys) -> dict[int, int]:
+    """F^a in the cap of keys, for F = 1 + terms, zero terms dropped.
+
+    terms holds the packed in-cap terms of F - 1.  The coefficients come
+    level by level in |e| from Miller's recurrence (module docstring):
+    each finished G_e is divided by |e| and pushed to every e + f in the
+    cap, with weight F_f (a |f| - |e|) = F_f ((a + 1) |f| - |e + f|).  A
+    remainder means F or a is not what the recurrence assumes, and
+    raises InternalCheckError.
+    """
+    off, guard, total = keys.off, keys.guard, keys.total
+    # terms of one |f| and one coefficient share their weight; partner
+    # keys carry `off`, as in _Keys.times
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, c in terms.items():
+        groups.setdefault((k >> keys.top, c), []).append(k + off)
+    levels: list[dict[int, int]] = [{} for _ in range(total + 1)]
+    levels[0][0] = 1
+    out: dict[int, int] = {}
+    for n, level in enumerate(levels):
+        push = [(levels[n + m], m, c, partners)
+                for (m, c), partners in groups.items() if n + m <= total]
+        for key, acc in level.items():
+            value, remainder = divmod(acc, n or 1)
+            if remainder:
+                raise InternalCheckError(
+                    f"power coefficient at {keys.unpack(key)} is not "
+                    f"divisible by its total degree {n}"
+                )
+            if not value:
+                continue
+            out[key] = value
+            big, small = a * value, n * value
+            for target, m, c, partners in push:
+                x = c * (m * big - small)
+                get = target.get
+                for kf in partners:
+                    k = key + kf
+                    if not k & guard:
+                        k -= off
+                        target[k] = get(k, 0) + x
+    return out
 
 
 def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:

@@ -67,9 +67,27 @@ def _check_prime(p: int) -> None:
 
 
 def _resolve_budget(budget: int | None) -> int:
+    """The budget argument, else $TORICURVES_BUDGET, else DEFAULT_BUDGET.
+
+    A negative or non-integer value raises ValueError naming its source.
+    """
     if budget is not None:
-        return int(budget)
-    return int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+        source, raw = "the budget argument (--budget)", budget
+        value = budget if isinstance(budget, int) else None
+    else:
+        raw = os.environ.get(BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        source = BUDGET_ENV
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+    if value is None or value < 0:
+        raise ValueError(
+            f"budget {raw!r} from {source} is not a nonnegative integer"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -554,13 +572,19 @@ def ff_constrained_count(
     # A constant scaling moves each character by a constant only, so a
     # state of constant-term-1 jets meets the orbit exactly when all its
     # characters are 1, and then for (p-1)^rank scalings, which is the
-    # torus order the count is divided by.
+    # torus order the count is divided by.  The same (jet, exponent)
+    # pairs recur across the states, so each power is formed once.
+    powers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+
     def weight(rels):
         for i in range(fan.dim):
             acc = one
             for rel, ray in zip(rels, fan.rays):
                 if ray[i]:
-                    power = _series_pow(rel, ray[i], p, n)
+                    power = powers.get((rel, ray[i]))
+                    if power is None:
+                        power = _series_pow(rel, ray[i], p, n)
+                        powers[rel, ray[i]] = power
                     acc = _series_mul(acc, power, p, n)
             if acc != one:
                 return 0

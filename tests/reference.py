@@ -3,13 +3,22 @@
 None of this is on a path that a command or a script runs.  Each helper
 computes a quantity a second way (the Picard projection, the torsor
 class by counting zero sets, the Mobius values grouped by subgraph
-shape) or builds test inputs (product fans, effective degrees).
+shape, the Euler factors by the binomial expansion) or builds test
+inputs (product fans, effective degrees).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from toricurves.errors import InternalCheckError
+from toricurves.eulerprod import (
+    EulerFactors,
+    _Keys,
+    _majorant,
+    _weight_raw,
+    _width,
+)
 from toricurves.grothendieck import ONE, DimSeries, LaurentClass
 from toricurves.mobius import generating_polynomial, mobius_table
 from toricurves.moduli import (
@@ -257,6 +266,45 @@ def truncate(series: DimSeries, floor: int) -> DimSeries:
     """The series known only down to floor; the floor never drops."""
     f = floor if series.floor is None else max(series.floor, floor)
     return DimSeries(series.known, f)
+
+
+def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
+    """euler_factors by the binomial expansion: each factor is
+    sum_k binom(a_d, k) (F - 1)^k (t^(.d)), with every integer power
+    (F - 1)^k formed once over the full cap."""
+    keys = _Keys(cap)
+    total = cap.total
+    coeffs_in = {e: c for e, c in F.items() if any(e) and cap.admits(e)}
+    majorant = _majorant(coeffs_in, s, total)
+    w = _width(majorant, reach)
+    if not coeffs_in:
+        return EulerFactors(cap, w, majorant, {0: 1}, {0: 1}, keys)
+    base = {keys.pack(e): c for e, c in coeffs_in.items()}
+    powers = [base]
+    while True:
+        nxt = keys.times(powers[-1], base, {})
+        if not nxt:
+            break
+        powers.append(nxt)
+    valuation = min(sum(e) for e in coeffs_in)
+
+    def factor(d: int) -> dict[int, int]:
+        den, num = _weight_raw(d, s)
+        a_d = sum(c << (w * i) for i, c in enumerate(num)) // den
+        fac: dict[int, int] = {}
+        for k, power in enumerate(powers[: total // (d * valuation)], start=1):
+            binom = math.comb(a_d, k)
+            for key, c in power.items():
+                if (key >> keys.top) * d <= total and keys.admits(key * d):
+                    fac[key * d] = fac.get(key * d, 0) + binom * c
+        return fac
+
+    rest = {0: 1}
+    for d in range(total // valuation, 1, -1):
+        rest = keys.times(rest, factor(d), dict(rest))
+    first = factor(1)
+    first[0] = 1
+    return EulerFactors(cap, w, majorant, rest, first, keys)
 
 
 def config_series(fan: Fan, cap, s: int = 0) -> dict:

@@ -332,6 +332,20 @@ class TestOracle:
         assert out == ""
         assert "error:" in err
 
+    def test_negative_budget_flag_is_refused(self, capsys):
+        code, out, err = run(capsys, "oracle", "p2", "--p", "3",
+                             "--degree", "1,1,1", "--budget", "-1")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "budget -1 from the budget argument (--budget)" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1e3", "-5"])
+    def test_bad_budget_variable_is_refused(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TORICURVES_BUDGET", value)
+        code, out, err = run(capsys, "oracle", "p2", "--p", "3",
+                             "--degree", "1,1,1")
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"budget {value!r} from TORICURVES_BUDGET" in err
+
     def test_internal_limit_exit(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise LimitError("over the internal limit")
@@ -389,6 +403,13 @@ class TestConstrained:
         ]
         assert doc["floor"] == -8
         assert doc["series"] == "1 - L^-2"
+
+    @pytest.mark.parametrize("points", ["1:1:1@1", "1:x@1", "1:1@"])
+    def test_malformed_point_is_named(self, capsys, points):
+        code, out, err = run(capsys, "constrained", "p2", "--order", "16",
+                             "--points", f"0:1@0,{points}")
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"point {points!r} is not of the form x0:x1[@m]" in err
 
     def test_repeated_points_rejected(self, capsys):
         code, _, err = run(capsys, "constrained", "p1", "--order", "6",

@@ -23,8 +23,11 @@ from toricurves.grothendieck import (
 )
 from toricurves.mobius import IntPoly, fan_mobius_polynomial
 from toricurves.eulerprod import (
+    _Keys,
     _majorant,
+    _power,
     closed_point_weight,
+    euler_factors,
     euler_product_at_Linv,
     euler_product_p1,
     global_mobius,
@@ -32,6 +35,8 @@ from toricurves.eulerprod import (
     sym_p1_class,
     zeta_p1_coeffs,
 )
+
+from reference import binomial_factors
 
 # ---------------------------------------------------------------------------
 # reference arithmetic: multivariate series whose coefficients are
@@ -443,3 +448,39 @@ def test_engine_answers_per_variable_caps_above_63():
 def test_engine_rejects_nonunit_constant_term():
     with pytest.raises(ValueError, match="constant term 1"):
         euler_product_p1(IntPoly(1, {(0,): 2}), 0, SeriesCap.box_cap((2,)))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_power_recurrence_matches_the_binomial_expansion(fans, s):
+    """Each factor F^(a_d) from Miller's recurrence equals
+    sum_k binom(a_d, k) (F - 1)^k: the same width, rest and first on
+    uniform boxes, total caps and the one-variable diagonal."""
+    for name, fan in fans.items():
+        P = fan_mobius_polynomial(fan)
+        small = fan.nrays < 6
+        caps = [SeriesCap.box_cap((b,) * fan.nrays)
+                for b in range(7 if small else 4)]
+        caps += [SeriesCap.total_cap(fan.nrays, t)
+                 for t in range(13 if small else 9)]
+        cases = [(P, cap) for cap in caps]
+        diagonal = IntPoly(1, (((sum(e),), c) for e, c in P.items()))
+        cases.append((diagonal, SeriesCap.box_cap((12,))))
+        for F, cap in cases:
+            got = euler_factors(F, s, cap, reach=7)
+            want = binomial_factors(F, s, cap, reach=7)
+            assert got.width == want.width, (name, cap)
+            assert got.rest == want.rest, (name, cap)
+            assert got.first == want.first, (name, cap)
+
+
+def test_power_recurrence_checks_each_division():
+    # (1 + t)^(1/2) has t coefficient 1/2: a half-integer exponent is
+    # an input the recurrence assumes away, and its first division by
+    # |e| leaves a remainder
+    keys = _Keys(SeriesCap.box_cap((3,)))
+    t = {keys.pack((1,)): 1}
+    assert _power(t, 3, keys) == {
+        keys.pack((j,)): math.comb(3, j) for j in range(4)
+    }
+    with pytest.raises(InternalCheckError, match=r"at \(1,\) is not divisible"):
+        _power(t, Fraction(1, 2), keys)

@@ -522,6 +522,31 @@ class TestConstrainedCounts:
         with pytest.raises(BudgetError):
             ff_constrained_count(3, p2, (3, 3, 3), spec, budget=10)
 
+    def test_each_character_power_is_formed_once(self, fans, monkeypatch):
+        """weight meets 18 distinct (jet, exponent) pairs over thousands
+        of final states; each power is formed once per count, and the
+        counts stay those of the uncached character test."""
+        real = oracle._series_pow
+        calls, depth = [], [0]
+
+        def counting(a, k, p, n):
+            if not depth[0]:  # a negative exponent recurses once
+                calls.append((a, k))
+            depth[0] += 1
+            try:
+                return real(a, k, p, n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(oracle, "_series_pow", counting)
+        p1xp1 = fans["p1xp1"]
+        skewed = ((1, 1, 2), (2, 0, 1), (1, 2, 0), (1, 0, 0))
+        for target, want in ((((1, 0, 0),) * 4, 0), (skewed, 36)):
+            calls.clear()
+            spec = JetSpec(None, 2, target)
+            assert ff_constrained_count(3, p1xp1, (2, 2, 2, 2), spec) == want
+            assert len(calls) == len(set(calls)) == 18
+
 
 class TestJetSpec:
     def test_identity(self):
