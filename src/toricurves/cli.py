@@ -101,19 +101,26 @@ def _parse_jet(text: str, p: int, nrays: int) -> oracle_mod.JetSpec:
     tokens = text.split(",")
     if len(tokens) < 2:
         raise ValueError("jet needs at least 'point,order'")
-    point = None if tokens[0] in ("inf", "oo") else int(tokens[0]) % p
-    order = int(tokens[1])
     rest = tokens[2:]
-    if not rest:
-        return oracle_mod.JetSpec.identity(nrays, point, order)
-    if len(rest) != nrays:
+    if rest and len(rest) != nrays:
         raise ValueError(
             f"jet target has {len(rest)} components, fan has {nrays} rays"
         )
-    target = tuple(
-        tuple(int(c) % p for c in group.split(":")) for group in rest
-    )
-    return oracle_mod.JetSpec(point, order, target)
+    chunk = tokens[0]
+    try:
+        point = None if chunk in ("inf", "oo") else int(chunk) % p
+        chunk = tokens[1]
+        order = int(chunk)
+        target = []
+        for chunk in rest:
+            target.append(tuple(int(c) % p for c in chunk.split(":")))
+    except ValueError:
+        raise ValueError(
+            f"jet part {chunk!r} is not of the form point,order[,c0:c1:...]"
+        ) from None
+    if not target:
+        return oracle_mod.JetSpec.identity(nrays, point, order)
+    return oracle_mod.JetSpec(point, order, tuple(target))
 
 
 def _parse_points(text: str) -> list[tuple[tuple[int, int], int]]:
@@ -180,8 +187,10 @@ def cmd_mobius(args):
     fan = _load_fan(args.fan)
     table = mobius_table(pattern_set(fan))
     poly = fan_mobius_polynomial(fan)
+    as_json = args.format == "json"
     payload = {
-        "mobius": table.to_json(),
+        # the listings are printed only in JSON
+        "mobius": table.to_json() if as_json else None,
         "polynomial": str(poly),
     }
     lines = [f"P = {poly}"]
@@ -189,7 +198,7 @@ def cmd_mobius(args):
         gm = global_mobius(
             fan, 0, SeriesCap.total_cap(fan.nrays, args.cap)
         )
-        payload["global"] = gm.to_json()
+        payload["global"] = gm.to_json() if as_json else None
         lines.append(f"global coefficients to total degree {args.cap}:")
         for e, value in gm.items():
             if value:

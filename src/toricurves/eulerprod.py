@@ -25,6 +25,10 @@ polynomial in q, is then read back from its value as balanced base-2^w
 digits (Kronecker substitution), with q mapped to L.  A majorant series
 bounds every coefficient in advance and fixes w; nothing is ever
 rounded, and a digit beyond the bound aborts the run.
+
+Configuration classes, the Euler product times one zeta factor per
+variable, come from the same integers at a width a second bound fixes
+(_config_terms).  Packed values never leave this module.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalCheckError
@@ -44,6 +49,7 @@ from .grothendieck import (
     DimSeries,
     MultiSeries,
     SeriesCap,
+    pack_class,
     unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial
@@ -60,6 +66,7 @@ __all__ = [
     "euler_product_at_Linv",
     "sym_p1_class",
     "zeta_p1_coeffs",
+    "config_class",
 ]
 
 
@@ -155,6 +162,15 @@ def _width(majorant: Sequence[int], reach: int | None) -> int:
     return width
 
 
+def _read_back(x: int, w: int, bound: int, e: tuple, message: str) -> LaurentClass:
+    """The class whose value at L = 2^w is x; a coefficient of absolute
+    value bound or more raises InternalCheckError, message naming e."""
+    cls = unpack_class(x, w)
+    if any(abs(c) >= bound for _, c in cls.terms()):
+        raise InternalCheckError(f"{message.format(e)}: {cls}")
+    return cls
+
+
 class _Keys:
     """Exponent vectors of one cap packed into ints.
 
@@ -230,7 +246,6 @@ class EulerFactors:
     coefficients (see _majorant).
     """
 
-    cap: SeriesCap
     width: int
     majorant: list[int]
     rest: dict[int, int]
@@ -253,17 +268,14 @@ class EulerFactors:
         # ascending |e|, so checks over the result meet low degrees first
         for key, x in sorted(series.items()):
             e = self.keys.unpack(key)
-            cls = unpack_class(x, self.width)
-            if any(abs(c) >= bound for _, c in cls.terms()):
-                raise InternalCheckError(
-                    f"Euler product coefficient at exponent {e} exceeds its "
-                    f"majorant: {cls}"
-                )
-            out[e] = cls
+            out[e] = _read_back(
+                x, self.width, bound, e,
+                "Euler product coefficient at exponent {} exceeds its majorant",
+            )
         if out.get((0,) * nvars) != ONE:
             raise InternalCheckError("Euler product lost its constant term 1")
         variables = tuple(f"t{i + 1}" for i in range(nvars))
-        return MultiSeries(variables, self.cap, out)
+        return MultiSeries(variables, self.keys.cap, out)
 
 
 def euler_factors(
@@ -302,7 +314,7 @@ def euler_factors(
     majorant = _majorant(coeffs_in, s, total)
     w = _width(majorant, reach)
     if not coeffs_in:
-        return EulerFactors(cap, w, majorant, {0: 1}, {0: 1}, keys)
+        return EulerFactors(w, majorant, {0: 1}, {0: 1}, keys)
 
     base = {keys.pack(e): c for e, c in coeffs_in.items()}
     valuation = min(sum(e) for e in coeffs_in)
@@ -322,7 +334,7 @@ def euler_factors(
                        points(d), sub)
         rest = keys.times(rest, {k * d: c for k, c in power.items()}, {})
     first = _power(base, points(1), keys)
-    return EulerFactors(cap, w, majorant, rest, first, keys)
+    return EulerFactors(w, majorant, rest, first, keys)
 
 
 def _power(terms: dict[int, int], a: int, keys: _Keys) -> dict[int, int]:
@@ -401,16 +413,6 @@ class GlobalMobius:
         self.cap = cap
         self._values = dict(values)
 
-    @classmethod
-    def from_factors(
-        cls, fan: Fan, removed_points: int, factors: EulerFactors
-    ) -> "GlobalMobius":
-        """The table of the product of factors of the fan's pattern
-        polynomial, after the checks build_global_mobius makes."""
-        return cls(
-            fan, removed_points, factors.cap, _checked_mobius(factors.product())
-        )
-
     def mu(self, e: Sequence[int]) -> LaurentClass:
         vec = tuple(e)
         if not self.cap.admits(vec):
@@ -455,17 +457,10 @@ def _checked_mobius(series: MultiSeries) -> dict[tuple[int, ...], LaurentClass]:
     return values
 
 
-def build_global_mobius(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
-    """Uncached global Mobius table of a fan already known to be valid.
-
-    For callers that keep only a table derived from it; global_mobius
-    caches the same result.
-    """
+@functools.lru_cache(maxsize=None)
+def _global_mobius(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
     series = euler_product_p1(fan_mobius_polynomial(fan), s, cap)
     return GlobalMobius(fan, s, cap, _checked_mobius(series))
-
-
-_global_mobius_cached = functools.lru_cache(maxsize=None)(build_global_mobius)
 
 
 def global_mobius(fan: Fan, s: int = 0, cap: SeriesCap | None = None) -> GlobalMobius:
@@ -478,7 +473,7 @@ def global_mobius(fan: Fan, s: int = 0, cap: SeriesCap | None = None) -> GlobalM
     require_valid(fan)
     if cap is None:
         cap = SeriesCap.total_cap(fan.nrays, 2 * fan.nrays)
-    return _global_mobius_cached(fan, s, cap)
+    return _global_mobius(fan, s, cap)
 
 
 def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:
@@ -536,3 +531,133 @@ def zeta_p1_coeffs(s: int, jmax: int) -> tuple[LaurentClass, ...]:
             acc = acc + LaurentClass({j - i: sign * math.comb(s - 1, i)})
         out.append(acc)
     return tuple(out)
+
+
+def _walk(box: list[int], side: int, s: int, w: int) -> None:
+    """Multiply a dense box of values at L = 2^w, side cells to an axis,
+    by the zeta factor (1 - t)^(s-1) / (1 - L t) of every axis, in
+    place: each factor is a recurrence along the axis, so one pass over
+    the box per factor and axis."""
+    cells = len(box)
+    step = 1
+    while step < cells:
+        block = step * side
+        starts = [j for b in range(0, cells, block)
+                  for j in range(b + step, b + block, step)]
+        for _ in range(s - 1):
+            # times 1 - t: descending, so every box[j - step] is still old
+            for j in reversed(starts):
+                box[j:j + step] = map(sub, box[j:j + step], box[j - step:j])
+        if s == 0:
+            # over 1 - t: ascending, so every box[j - step] is final
+            for j in starts:
+                box[j:j + step] = map(add, box[j:j + step], box[j - step:j])
+        for j in starts:
+            box[j:j + step] = [a + (b << w) for a, b in
+                               zip(box[j:j + step], box[j - step:j])]
+        step = block
+
+
+class _ProductTerms:
+    """The checked global Mobius table and the zeta coefficients at
+    L = 2^w: a class costs one multiply per ray and table term."""
+
+    def __init__(self, s: int, factors: EulerFactors):
+        self.width = w = factors.width
+        # the zeta coefficients are the walk of one axis from t^0
+        self.zeta = zeta = [1] + [0] * max(factors.keys.cap.box, default=0)
+        _walk(zeta, len(zeta), s, w)
+        table = _checked_mobius(factors.product())
+        self.mobius = tuple((e, pack_class(mu, w)) for e, mu in table.items())
+
+    def at(self, e: tuple[int, ...]) -> int:
+        acc = 0
+        zeta = self.zeta
+        for prior, term in self.mobius:
+            for a, b in zip(prior, e):
+                if a > b:
+                    break
+                term *= zeta[b - a]
+            else:
+                acc += term
+        return acc
+
+
+class _WalkTerms:
+    """R as a list and U * Z as a dense box, at L = 2^w: a class costs
+    one lookup per term of R."""
+
+    def __init__(self, s: int, factors: EulerFactors):
+        self.width = factors.width
+        box = factors.keys.cap.box
+        side = max(box, default=0) + 1
+        self.strides = strides = [side**i for i in range(len(box))]
+
+        def position(key: int) -> tuple[tuple[int, ...], int]:
+            e = factors.keys.unpack(key)
+            return e, sum(x * st for x, st in zip(e, strides))
+
+        self.dense = dense = [0] * side ** len(box)
+        for key, value in factors.first.items():
+            dense[position(key)[1]] = value
+        _walk(dense, side, s, self.width)
+        self.rest = [(*position(key), value)
+                     for key, value in factors.rest.items()]
+
+    def at(self, e: tuple[int, ...]) -> int:
+        pos = sum(x * st for x, st in zip(e, self.strides))
+        dense = self.dense
+        acc = 0
+        for prior, offset, value in self.rest:
+            for a, b in zip(prior, e):
+                if a > b:
+                    break
+            else:
+                acc += value * dense[pos - offset]
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
+    """What the configuration classes in the uniform box of the given
+    side are read from.
+
+    A class is the t^e coefficient of R * U * Z: U is the d = 1 factor
+    of the Euler product of the fan's pattern polynomial, R the product
+    of its other factors and Z = prod_alpha (1 - t_alpha)^(s-1) /
+    (1 - L t_alpha) the zeta factors.  Two routes give it, and the
+    sizes choose the one charged less: forming the Mobius table R * U
+    is charged |R| |U| products, and walking U into U * Z is charged
+    n (b + 1) / 2 per cell of the box of side b, a step per axis on
+    values that gain a digit of L with each step along it.  On the
+    bundled fans only dp6 at side 2 and above takes the walk.
+
+    Width.  With mu = R * U, the class at e is the sum over k <= e of
+    mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
+    coefficient sum of zeta_j is j + 1 <= b + 1 for s = 0 and at most
+    sum_i binom(s - 1, i) = 2^(s-1) for s >= 1, so each product of n of
+    them has absolute coefficient sum at most reach = (b + 1)^n, or
+    2^((s-1) n).  The majorant's u^m coefficient bounds the absolute
+    coefficient sums of the mu(k) with |k| = m together, so every
+    coefficient of the class is at most B = reach * sum(majorant).
+    euler_factors leaves two bits above B, so the class is read back
+    exactly from its value at L = 2^w, and a digit of 2^(w-2) or more
+    contradicts the bound.
+    """
+    n = fan.nrays
+    reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
+    cap = SeriesCap.box_cap((side,) * n)
+    factors = euler_factors(fan_mobius_polynomial(fan), s, cap, reach)
+    # both charges doubled, to stay in integers
+    if 2 * len(factors.rest) * len(factors.first) <= (side + 1) ** (n + 1) * n:
+        return _ProductTerms(s, factors)
+    return _WalkTerms(s, factors)
+
+
+def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
+    """The t^e coefficient of the valid fan's Euler product times one
+    zeta factor per ray, read back at L = 2^w under the bound that fixes
+    w.  Terms are cached per box of side max(e), shared by a sweep."""
+    terms = _config_terms(fan, s, max(e, default=0))
+    return _read_back(terms.at(e), terms.width, 1 << (terms.width - 2), e,
+                      "configuration class at {} exceeds its bound")

@@ -1,10 +1,11 @@
 """Classes of spaces of rational curves and their limiting constants.
 
-Everything here combines the Euler-product engine with the toric data:
-classes of tuples of divisors avoiding the forbidden patterns, classes
-of degree-d maps from the projective line to the variety, the limiting
-(Tamagawa) constant, truncation-aware convergence reports, and the
-constrained variants where jets at marked rational points are fixed.
+Everything here combines the classes the Euler-product engine reads
+back with the toric data: classes of tuples of divisors avoiding the
+forbidden patterns, classes of degree-d maps from the projective line
+to the variety, the limiting (Tamagawa) constant, truncation-aware
+convergence reports, and the constrained variants where jets at marked
+rational points are fixed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Sequence
 
 from .grothendieck import (
@@ -23,10 +23,7 @@ from .grothendieck import (
     ZERO,
     DimSeries,
     LaurentClass,
-    SeriesCap,
     inverse_one_minus_Linv_pow,
-    pack_class,
-    unpack_class,
 )
 from .toric import (
     Fan,
@@ -35,15 +32,7 @@ from .toric import (
     picard_rank,
     require_valid,
 )
-from .errors import InternalCheckError
-from .eulerprod import (
-    EulerFactors,
-    GlobalMobius,
-    euler_factors,
-    euler_product_at_Linv,
-    zeta_p1_coeffs,
-)
-from .mobius import fan_mobius_polynomial
+from .eulerprod import config_class, euler_product_at_Linv
 
 log = logging.getLogger(__name__)
 
@@ -230,135 +219,15 @@ class ErrorReport:
         }
 
 
-def _walk(box: list[int], side: int, s: int, w: int) -> None:
-    """Multiply a dense box of values at L = 2^w, side cells to an axis,
-    by the zeta factor (1 - t)^(s-1) / (1 - L t) of every axis, in
-    place: each factor is a recurrence along the axis, so one pass over
-    the box per factor and axis."""
-    cells = len(box)
-    step = 1
-    while step < cells:
-        block = step * side
-        starts = [j for b in range(0, cells, block)
-                  for j in range(b + step, b + block, step)]
-        for _ in range(s - 1):
-            # times 1 - t: descending, so every box[j - step] is still old
-            for j in reversed(starts):
-                box[j:j + step] = map(sub, box[j:j + step], box[j - step:j])
-        if s == 0:
-            # over 1 - t: ascending, so every box[j - step] is final
-            for j in starts:
-                box[j:j + step] = map(add, box[j:j + step], box[j - step:j])
-        for j in starts:
-            box[j:j + step] = [a + (b << w) for a, b in
-                               zip(box[j:j + step], box[j - step:j])]
-        step = block
-
-
-class _ProductTerms:
-    """The checked global Mobius table and the zeta coefficients at
-    L = 2^w: a class costs one multiply per ray and table term."""
-
-    def __init__(self, fan: Fan, s: int, factors: EulerFactors):
-        self.width = w = factors.width
-        table = GlobalMobius.from_factors(fan, s, factors)
-        top = max(factors.cap.box, default=0)
-        self.zeta = tuple(pack_class(z, w) for z in zeta_p1_coeffs(s, top))
-        self.mobius = tuple((e, pack_class(mu, w)) for e, mu in table.items())
-
-    def at(self, e: tuple[int, ...]) -> int:
-        acc = 0
-        zeta = self.zeta
-        for prior, term in self.mobius:
-            for a, b in zip(prior, e):
-                if a > b:
-                    break
-                term *= zeta[b - a]
-            else:
-                acc += term
-        return acc
-
-
-class _WalkTerms:
-    """R as a list and U * Z as a dense box, at L = 2^w: a class costs
-    one lookup per term of R."""
-
-    def __init__(self, s: int, factors: EulerFactors):
-        self.width = factors.width
-        box = factors.cap.box
-        side = max(box, default=0) + 1
-        self.strides = strides = [side**i for i in range(len(box))]
-
-        def position(key: int) -> tuple[tuple[int, ...], int]:
-            e = factors.keys.unpack(key)
-            return e, sum(x * st for x, st in zip(e, strides))
-
-        self.dense = dense = [0] * side ** len(box)
-        for key, value in factors.first.items():
-            dense[position(key)[1]] = value
-        _walk(dense, side, s, self.width)
-        self.rest = [(*position(key), value)
-                     for key, value in factors.rest.items()]
-
-    def at(self, e: tuple[int, ...]) -> int:
-        pos = sum(x * st for x, st in zip(e, self.strides))
-        dense = self.dense
-        acc = 0
-        for prior, offset, value in self.rest:
-            for a, b in zip(prior, e):
-                if a > b:
-                    break
-            else:
-                acc += value * dense[pos - offset]
-        return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _config_terms(fan: Fan, s: int, cap: SeriesCap) -> _ProductTerms | _WalkTerms:
-    """What the configuration classes in a uniform box are read from.
-
-    A class is the t^e coefficient of R * U * Z: U is the d = 1 factor
-    of the Euler product of the fan's pattern polynomial, R the product
-    of its other factors and Z = prod_alpha (1 - t_alpha)^(s-1) /
-    (1 - L t_alpha) the zeta factors.  Two routes give it, and the
-    sizes choose the one charged less: forming the Mobius table R * U
-    is charged |R| |U| products, and walking U into U * Z is charged
-    n (b + 1) / 2 per cell of the box of side b, a step per axis on
-    values that gain a digit of L with each step along it.  On the
-    bundled fans only dp6 at side 2 and above takes the walk.
-
-    Width.  With mu = R * U, the class at e is the sum over k <= e of
-    mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
-    coefficient sum of zeta_j is j + 1 <= b + 1 for s = 0 and at most
-    sum_i binom(s - 1, i) = 2^(s-1) for s >= 1, so each product of n of
-    them has absolute coefficient sum at most reach = prod_alpha
-    (b_alpha + 1), or 2^((s-1) n).  The majorant's u^m coefficient bounds
-    the absolute coefficient sums of the mu(k) with |k| = m together, so
-    every coefficient of the class is at most B = reach * sum(majorant).
-    euler_factors leaves two bits above B, so the class is read back
-    exactly from its value at L = 2^w, and a digit of 2^(w-2) or more
-    contradicts the bound.
-    """
-    box = cap.box
-    n, top = len(box), max(box, default=0)
-    reach = math.prod(b + 1 for b in box) if s == 0 else 2 ** ((s - 1) * n)
-    factors = euler_factors(fan_mobius_polynomial(fan), s, cap, reach)
-    # both charges doubled, to stay in integers
-    if 2 * len(factors.rest) * len(factors.first) <= (top + 1) ** (n + 1) * n:
-        return _ProductTerms(fan, s, factors)
-    return _WalkTerms(s, factors)
-
-
 def pattern_config_class(
     fan: Fan, e: "DegreeVector | Sequence[int]", s: int = 0
 ) -> LaurentClass:
     """Class of ray-indexed divisor tuples of multidegree e avoiding B.
 
     Tuples of effective divisors on P^1 minus s rational points, one per
-    ray, such that no point lies on a forbidden set of them.  Computed
-    as the t^e coefficient of the Euler product times one punctured-line
-    zeta factor per variable, read back from its value at L = 2^w; a
-    digit beyond the bound that fixes w raises InternalCheckError.
+    ray, such that no point lies on a forbidden set of them: the t^e
+    coefficient of the Euler product times one punctured-line zeta
+    factor per variable (eulerprod.config_class).
     """
     e = DegreeVector.of(e).entries
     require_valid(fan)
@@ -368,17 +237,7 @@ def pattern_config_class(
         )
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
-    # A uniform box keyed by max(e) keeps the terms hot across the
-    # degrees of one sweep instead of rerunning the engine per exponent
-    # vector.
-    top = max(e) if e else 0
-    terms = _config_terms(fan, s, SeriesCap.box_cap((top,) * len(e)))
-    cls = unpack_class(terms.at(e), terms.width)
-    if any(abs(c) >= 1 << (terms.width - 2) for _, c in cls.terms()):
-        raise InternalCheckError(
-            f"configuration class at {e} exceeds its bound: {cls}"
-        )
-    return cls
+    return config_class(fan, e, s)
 
 
 @functools.lru_cache(maxsize=None)

@@ -278,7 +278,7 @@ def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
     majorant = _majorant(coeffs_in, s, total)
     w = _width(majorant, reach)
     if not coeffs_in:
-        return EulerFactors(cap, w, majorant, {0: 1}, {0: 1}, keys)
+        return EulerFactors(w, majorant, {0: 1}, {0: 1}, keys)
     base = {keys.pack(e): c for e, c in coeffs_in.items()}
     powers = [base]
     while True:
@@ -304,7 +304,7 @@ def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
         rest = keys.times(rest, factor(d), dict(rest))
     first = factor(1)
     first[0] = 1
-    return EulerFactors(cap, w, majorant, rest, first, keys)
+    return EulerFactors(w, majorant, rest, first, keys)
 
 
 def config_series(fan: Fan, cap, s: int = 0) -> dict:

@@ -1,5 +1,6 @@
 """Command-line interface: text goldens, JSON payloads, exit statuses."""
 
+import ast
 import json
 import os
 import pathlib
@@ -17,9 +18,10 @@ from toricurves.cli import (
     main,
 )
 from toricurves.errors import InternalCheckError, LimitError
+from toricurves.eulerprod import GlobalMobius
 from toricurves.grothendieck import L, ONE, LaurentClass
 from toricurves import mobius
-from toricurves.mobius import mobius_table
+from toricurves.mobius import MobiusTable, mobius_table
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
 from toricurves.toric import validate
@@ -206,6 +208,33 @@ class TestMobius:
         assert "mu(1, 1) = -L - 1" in out
         assert "mu(2, 2) = L" in out
 
+    def test_global_listing_in_degree_order(self, capsys):
+        # two primitive collections, so several exponents share a total
+        # degree and the order within one degree is pinned too
+        code, out, _ = run(capsys, "mobius", "p1xp1", "--cap", "4")
+        assert code == 0
+        lines = [ast.literal_eval(line.strip()[2:].split(" = ")[0])
+                 for line in out.splitlines() if line.startswith("  mu(")]
+        code, doc, _ = run_json(capsys, "mobius", "p1xp1", "--cap", "4")
+        assert code == 0
+        listed = [tuple(item["e"]) for item in doc["global"]]
+        assert len({sum(e) for e in lines}) < len(lines)
+        for order in (lines, listed):
+            assert order == sorted(order, key=lambda e: (sum(e), e))
+        assert set(lines) <= set(listed)
+
+    def test_text_builds_no_json_listing(self, capsys, monkeypatch):
+        calls = []
+        for cls in (MobiusTable, GlobalMobius):
+            def counted(self, to_json=cls.to_json, name=cls.__name__):
+                calls.append(name)
+                return to_json(self)
+            monkeypatch.setattr(cls, "to_json", counted)
+        code, _, _ = run(capsys, "mobius", "p1xp1", "--cap", "4")
+        assert code == 0 and calls == []
+        code, _, _ = run_json(capsys, "mobius", "p1xp1", "--cap", "4")
+        assert code == 0 and sorted(calls) == ["GlobalMobius", "MobiusTable"]
+
 
 class TestHom:
     def test_line_degree_one(self, capsys, p1):
@@ -324,6 +353,15 @@ class TestOracle:
         want = ff_constrained_count(2, p1, (2, 2), JetSpec.identity(2, None, 0))
         assert int(doc["count"]) == want
         assert doc["jet"]["point"] == "inf"
+
+    @pytest.mark.parametrize("jet, chunk", [
+        ("x,1", "x"), ("1,y", "y"), ("1,1,1:a,1:0,1:0", "1:a")])
+    def test_malformed_jet_is_named(self, capsys, jet, chunk):
+        code, out, err = run(capsys, "oracle", "p2", "--p", "3",
+                             "--degree", "1,1,1", "--jet", jet)
+        assert code == EXIT_VALIDATION and out == ""
+        assert (f"jet part {chunk!r} is not of the form "
+                "point,order[,c0:c1:...]") in err
 
     def test_budget_exit(self, capsys):
         code, out, err = run(capsys, "oracle", "p2", "--p", "3",

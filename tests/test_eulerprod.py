@@ -20,12 +20,14 @@ from toricurves.grothendieck import (
     ZERO,
     LaurentClass,
     SeriesCap,
+    pack_class,
 )
 from toricurves.mobius import IntPoly, fan_mobius_polynomial
 from toricurves.eulerprod import (
     _Keys,
     _majorant,
     _power,
+    _walk,
     closed_point_weight,
     euler_factors,
     euler_product_at_Linv,
@@ -324,6 +326,16 @@ def test_zeta_coefficients():
     for s, za, zb in ((1, z1, z0), (2, z2, z1)):
         for j in range(1, jmax + 1):
             assert za[j] == zb[j] - zb[j - 1], (s, j)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
+def test_zeta_walk_gives_the_packed_coefficients(s):
+    """The configuration terms take their zeta coefficients from the walk
+    of one axis started at t^0: the values at L = 2^w of the classes."""
+    for top, w in itertools.product(range(9), (4, 9, 64)):
+        zeta = [1] + [0] * top
+        _walk(zeta, top + 1, s, w)
+        assert zeta == [pack_class(z, w) for z in zeta_p1_coeffs(s, top)]
 
 
 def test_global_mobius_p1(p1):

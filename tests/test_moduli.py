@@ -166,10 +166,9 @@ class TestConfigClasses:
 
     def test_route_follows_the_sizes(self, p3, dp6):
         # P^3 at side 40: 41^4 box cells, but R and U have 41 terms each
-        for fan, side, route in ((p3, 40, moduli._ProductTerms),
-                                 (dp6, 3, moduli._WalkTerms)):
-            cap = SeriesCap.box_cap((side,) * fan.nrays)
-            assert type(moduli._config_terms(fan, 0, cap)) is route, fan
+        for fan, side, route in ((p3, 40, eulerprod._ProductTerms),
+                                 (dp6, 3, eulerprod._WalkTerms)):
+            assert type(eulerprod._config_terms(fan, 0, side)) is route, fan
 
     def test_specializes_to_point_counts(self, p2, bl1p2):
         for fan, e, p in ((p2, (1, 1, 1), 2), (p2, (2, 2, 2), 3),
@@ -183,7 +182,7 @@ def cold_config_cache():
     """Class caches emptied before and after, so that no entry built
     under a monkeypatch outlives the test."""
     def clear():
-        moduli._config_terms.cache_clear()
+        eulerprod._config_terms.cache_clear()
         moduli._hom_class_cached.cache_clear()
 
     clear()
@@ -201,6 +200,20 @@ def test_readback_refuses_digits_beyond_the_bound(
     assert main(["hom", "dp6", "--degree", "2,2,2,2,2,2"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeds its bound" in captured.err
+
+
+def test_product_route_runs_the_mobius_checks(
+        p2, monkeypatch, capsys, cold_config_cache):
+    # p2 at (1, 1, 1) takes the product route, which checks its table
+    def tripwire(series):
+        raise InternalCheckError("Mobius tripwire")
+
+    monkeypatch.setattr(eulerprod, "_checked_mobius", tripwire)
+    with pytest.raises(InternalCheckError, match="Mobius tripwire"):
+        pattern_config_class(p2, (1, 1, 1))
+    assert main(["hom", "p2", "--degree", "1,1,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Mobius tripwire" in captured.err
 
 
 class TestHomClasses:
