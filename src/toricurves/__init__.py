@@ -39,14 +39,10 @@ from .mobius import (
     mobius_table,
 )
 from .eulerprod import (
-    GlobalMobius,
-    closed_point_weight,
     euler_product_at_Linv,
     euler_product_p1,
     global_mobius,
     int_mobius,
-    sym_p1_class,
-    zeta_p1_coeffs,
 )
 from .moduli import (
     DegreeVector,
@@ -60,14 +56,11 @@ from .moduli import (
     tamagawa,
 )
 from .oracle import (
-    FFForm,
     JetSpec,
     OracleReport,
-    enumerate_forms,
     ff_constrained_count,
     ff_hom_count,
     ff_pattern_count,
-    has_common_projective_root,
     oracle_compare,
     reduce_point,
 )

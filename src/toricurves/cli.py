@@ -198,11 +198,12 @@ def cmd_mobius(args):
         gm = global_mobius(
             fan, 0, SeriesCap.total_cap(fan.nrays, args.cap)
         )
-        payload["global"] = gm.to_json() if as_json else None
+        payload["global"] = [
+            {"e": list(e), "mu": value.to_json()} for e, value in gm.items()
+        ] if as_json else None
         lines.append(f"global coefficients to total degree {args.cap}:")
         for e, value in gm.items():
-            if value:
-                lines.append(f"  mu{e} = {value}")
+            lines.append(f"  mu{e} = {value}")
     else:
         for n, v in table.nonzero():
             lines.append(f"  mu{n} = {v}")
@@ -305,7 +306,7 @@ def cmd_oracle(args):
 
 def cmd_constrained(args):
     fan = _load_fan(args.fan)
-    if args.points:
+    if args.points is not None:
         specs = _parse_points(args.points)
         if args.mode == "torus":
             jc = JetCondition(

@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalCheckError
 from .grothendieck import (
@@ -57,15 +55,11 @@ from .toric import Fan, require_valid
 
 __all__ = [
     "int_mobius",
-    "closed_point_weight",
     "euler_product_p1",
     "EulerFactors",
     "euler_factors",
-    "GlobalMobius",
     "global_mobius",
     "euler_product_at_Linv",
-    "sym_p1_class",
-    "zeta_p1_coeffs",
     "config_class",
 ]
 
@@ -96,7 +90,9 @@ def int_mobius(n: int) -> int:
 
 
 def _weight_raw(d: int, s: int) -> tuple[int, tuple[int, ...]]:
-    """Closed-point count of degree d as (denominator, coeffs in q)."""
+    """Closed-point count of degree d of P^1 minus s rational points, as
+    (denominator, coeffs in q): a_1 = q + 1 - s, and d a_d is
+    sum_{c | d} mobius(c) q^(d/c) for d >= 2 (the necklace identity)."""
     if d == 1:
         return 1, (1 - s, 1)
     num = [0] * (d + 1)
@@ -104,22 +100,6 @@ def _weight_raw(d: int, s: int) -> tuple[int, tuple[int, ...]]:
         if d % c == 0:
             num[d // c] += int_mobius(c)
     return d, tuple(num)
-
-
-def closed_point_weight(d: int, s: int = 0) -> tuple[Fraction, ...]:
-    """Number of degree-d closed points of P^1 minus s rational points.
-
-    Returned as exact rational coefficients of a polynomial in q,
-    ascending: a_1 = q + 1 - s and d * a_d = sum_{c | d} mobius(c) q^{d/c}
-    for d >= 2 (the necklace identity; removing rational points only
-    affects degree one).
-    """
-    if d < 1:
-        raise ValueError("point degree must be positive")
-    if s < 0:
-        raise ValueError("removed point count must be nonnegative")
-    den, num = _weight_raw(d, s)
-    return tuple(Fraction(c, den) for c in num)
 
 
 def _majorant(
@@ -391,55 +371,6 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
     return euler_factors(F, s, cap).product()
 
 
-class GlobalMobius:
-    """Table of global Mobius coefficients for one fan, one puncture count.
-
-    Wraps the Euler product of the fan's pattern polynomial; ``mu(e)``
-    is the coefficient at the exponent vector e, zero for admissible
-    exponents the product does not touch.
-    """
-
-    __slots__ = ("fan", "removed_points", "cap", "_values")
-
-    def __init__(
-        self,
-        fan: Fan,
-        removed_points: int,
-        cap: SeriesCap,
-        values: Mapping[tuple[int, ...], LaurentClass],
-    ):
-        self.fan = fan
-        self.removed_points = removed_points
-        self.cap = cap
-        self._values = dict(values)
-
-    def mu(self, e: Sequence[int]) -> LaurentClass:
-        vec = tuple(e)
-        if not self.cap.admits(vec):
-            raise ValueError(f"exponent {vec} is outside the computed cap")
-        return self._values.get(vec, ZERO)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], LaurentClass]]:
-        return iter(
-            sorted(self._values.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        )
-
-    def support(self) -> list[tuple[int, ...]]:
-        return [e for e, _ in self.items()]
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"e": list(e), "mu": value.to_json()} for e, value in self.items()
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"GlobalMobius(rays={self.fan.nrays}, "
-            f"removed_points={self.removed_points}, "
-            f"entries={len(self._values)})"
-        )
-
-
 def _checked_mobius(series: MultiSeries) -> dict[tuple[int, ...], LaurentClass]:
     """The coefficients of an Euler product of a Mobius polynomial, after
     checking mu(0) = 1 and dim(mu(e) L^-|e|) <= -ceil(|e|/2), the bound
@@ -458,17 +389,22 @@ def _checked_mobius(series: MultiSeries) -> dict[tuple[int, ...], LaurentClass]:
 
 
 @functools.lru_cache(maxsize=None)
-def _global_mobius(fan: Fan, s: int, cap: SeriesCap) -> GlobalMobius:
-    series = euler_product_p1(fan_mobius_polynomial(fan), s, cap)
-    return GlobalMobius(fan, s, cap, _checked_mobius(series))
+def _global_mobius(
+    fan: Fan, s: int, cap: SeriesCap
+) -> dict[tuple[int, ...], LaurentClass]:
+    table = _checked_mobius(euler_product_p1(fan_mobius_polynomial(fan), s, cap))
+    return dict(sorted(table.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
 
-def global_mobius(fan: Fan, s: int = 0, cap: SeriesCap | None = None) -> GlobalMobius:
-    """Global Mobius coefficients of the fan, as LaurentClass values.
+def global_mobius(
+    fan: Fan, s: int = 0, cap: SeriesCap | None = None
+) -> dict[tuple[int, ...], LaurentClass]:
+    """The checked global Mobius coefficients of the fan in the cap, as
+    {e: mu(e)} over the nonzero ones, in order of (|e|, e).
 
     The cap defaults to the total-degree simplex of order twice the ray
     count, enough for every bundled example; results are cached per
-    (fan, s, cap).
+    (fan, s, cap) and shared, so callers must not change them.
     """
     require_valid(fan)
     if cap is None:
@@ -501,36 +437,6 @@ def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:
         acc = acc + value.shift(-k)
     floor = 1 - ((E + 2) // 2)
     return DimSeries(acc, floor)
-
-
-def sym_p1_class(j: int) -> LaurentClass:
-    """Class of the j-th symmetric power of P^1: 1 + L + ... + L^j."""
-    if j < 0:
-        raise ValueError("symmetric power index must be nonnegative")
-    return LaurentClass({i: 1 for i in range(j + 1)})
-
-
-def zeta_p1_coeffs(s: int, jmax: int) -> tuple[LaurentClass, ...]:
-    """Coefficients of the zeta factor of P^1 minus s rational points.
-
-    The generating series of effective divisors on the punctured line is
-    (1 - t)^(s-1) (1 - L t)^(-1); for s = 0 this is the Kapranov zeta
-    function of P^1 and the j-th coefficient is the class of Sym^j P^1.
-    """
-    if s < 0:
-        raise ValueError("removed point count must be nonnegative")
-    if jmax < 0:
-        raise ValueError("truncation order must be nonnegative")
-    if s == 0:
-        return tuple(sym_p1_class(j) for j in range(jmax + 1))
-    out = []
-    for j in range(jmax + 1):
-        acc = ZERO
-        for i in range(min(j, s - 1) + 1):
-            sign = -1 if i % 2 else 1
-            acc = acc + LaurentClass({j - i: sign * math.comb(s - 1, i)})
-        out.append(acc)
-    return tuple(out)
 
 
 def _walk(box: list[int], side: int, s: int, w: int) -> None:

@@ -226,10 +226,9 @@ class LaurentClass:
         """Substitute L = q, exactly.  Requires q >= 2."""
         if q < 2:
             raise ValueError("evaluation point must be an integer >= 2")
-        total = Fraction(0)
-        for e, v in self._c.items():
-            total += v * Fraction(q) ** e
-        return total
+        low = min(0, min(self._c, default=0))
+        value = sum(v * q ** (e - low) for e, v in self._c.items())
+        return Fraction(value, q**-low)
 
     def truncate_below(self, floor: int) -> "LaurentClass":
         """Drop all terms of exponent strictly below floor."""

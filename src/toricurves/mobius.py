@@ -60,34 +60,6 @@ class IntPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self._c.items())))
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("exponent arity mismatch")
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        return IntPoly(self.nvars, c)
-
-    def __neg__(self):
-        return IntPoly(self.nvars, {e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("exponent arity mismatch")
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c[e] = c.get(e, 0) + v1 * v2
-        return IntPoly(self.nvars, c)
-
     def evaluate_diagonal(self, x: LaurentClass) -> LaurentClass:
         """Substitute every variable by the same Laurent class x."""
         total = LaurentClass.zero()

@@ -48,11 +48,8 @@ BUDGET_ENV = "TORICURVES_BUDGET"
 __all__ = [
     "ALLOWED_PRIMES",
     "DEFAULT_BUDGET",
-    "FFForm",
     "JetSpec",
     "OracleReport",
-    "enumerate_forms",
-    "has_common_projective_root",
     "ff_pattern_count",
     "ff_hom_count",
     "ff_constrained_count",
@@ -90,57 +87,6 @@ def _resolve_budget(budget: int | None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class FFForm:
-    """Normalized homogeneous binary form over F_p.
-
-    ``coeffs[i]`` multiplies x^(degree-i) y^i; the first nonzero
-    coefficient is 1, so forms biject with effective divisors of the
-    given degree on P^1.
-    """
-
-    p: int
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("field characteristic must be at least 2")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
-        if any(not 0 <= c < self.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod p")
-        for c in self.coeffs:
-            if c:
-                if c != 1:
-                    raise ValueError(
-                        "first nonzero coefficient must be 1; "
-                        "use FFForm.normalize"
-                    )
-                break
-        else:
-            raise ValueError("the zero form is not allowed")
-
-    @classmethod
-    def normalize(cls, p: int, degree: int, coeffs: Sequence[int]) -> "FFForm":
-        reduced = [c % p for c in coeffs]
-        lead = next((c for c in reduced if c), 0)
-        if not lead:
-            raise ValueError("the zero form is not allowed")
-        inv = pow(lead, p - 2, p) if lead != 1 else 1
-        return cls(p, degree, tuple((c * inv) % p for c in reduced))
-
-    @property
-    def dehomogenized(self) -> tuple[int, ...]:
-        """Coefficients of f(1, t), ascending, high zeros trimmed."""
-        return _trim(self.coeffs)
-
-    @property
-    def vanishes_at_infinity(self) -> bool:
-        """Whether the form vanishes at [0:1]."""
-        return self.coeffs[-1] == 0
-
-
 def _trim(poly: Sequence[int]) -> tuple[int, ...]:
     t = tuple(poly)
     while t and t[-1] == 0:
@@ -164,33 +110,6 @@ def _poly_rem(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
     return _trim(a)
 
 
-def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def has_common_projective_root(forms: Sequence[FFForm]) -> bool:
-    """Whether all forms vanish at a common point of P^1, extensions included.
-
-    A common root exists iff the gcd of the dehomogenizations has
-    positive degree, or every form vanishes at [0:1].
-    """
-    if not forms:
-        raise ValueError("need at least one form")
-    p = forms[0].p
-    if any(f.p != p for f in forms):
-        raise ValueError("forms must share one prime field")
-    if all(f.vanishes_at_infinity for f in forms):
-        return True
-    g = forms[0].dehomogenized
-    for f in forms[1:]:
-        if len(g) == 1:
-            break
-        g = _poly_gcd(g, f.dehomogenized, p)
-    return len(g) > 1
-
-
 @functools.lru_cache(maxsize=None)
 def _form_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
     """All normalized degree-e coefficient vectors over F_p, in lex order."""
@@ -200,14 +119,6 @@ def _form_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
         for rest in itertools.product(range(p), repeat=e - lead):
             forms.append(prefix + rest)
     return tuple(forms)
-
-
-def enumerate_forms(p: int, e: int) -> list[FFForm]:
-    """The (p^(e+1)-1)/(p-1) normalized forms of degree e, in lex order."""
-    _check_prime(p)
-    if e < 0:
-        raise ValueError("degree must be nonnegative")
-    return [FFForm(p, e, c) for c in _form_table(p, e)]
 
 
 @functools.lru_cache(maxsize=None)

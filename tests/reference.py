@@ -3,8 +3,9 @@
 None of this is on a path that a command or a script runs.  Each helper
 computes a quantity a second way (the Picard projection, the torsor
 class by counting zero sets, the Mobius values grouped by subgraph
-shape, the Euler factors by the binomial expansion) or builds test
-inputs (product fans, effective degrees).
+shape, the Euler factors by the binomial expansion, common roots of
+binary forms by a gcd, the punctured-line zeta coefficients from their
+closed form) or builds test inputs (product fans, effective degrees).
 """
 
 import itertools
@@ -19,7 +20,7 @@ from toricurves.eulerprod import (
     _weight_raw,
     _width,
 )
-from toricurves.grothendieck import ONE, DimSeries, LaurentClass
+from toricurves.grothendieck import ONE, ZERO, DimSeries, LaurentClass
 from toricurves.mobius import generating_polynomial, mobius_table
 from toricurves.moduli import (
     DegreeVector,
@@ -255,6 +256,25 @@ def mu_grouped_by_subgraph(fan: Fan, connected_only: bool = True) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# binary forms over F_p
+
+
+def common_projective_root(p: int, forms) -> bool:
+    """Whether binary forms over F_p, given as reduced coefficient tuples
+    (coeffs[i] multiplies x^(deg - i) y^i), vanish at a common point of
+    P^1, extensions included: every form vanishes at [0:1], or the gcd
+    of the dehomogenizations f(1, t) has positive degree."""
+    if all(f[-1] == 0 for f in forms):
+        return True
+    g = oracle._trim(forms[0])
+    for f in forms[1:]:
+        b = oracle._trim(f)
+        while b:
+            g, b = b, oracle._poly_rem(g, b, p)
+    return len(g) > 1
+
+
+# ---------------------------------------------------------------------------
 # series and classes
 
 
@@ -305,6 +325,22 @@ def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
     first = factor(1)
     first[0] = 1
     return EulerFactors(w, majorant, rest, first, keys)
+
+
+def zeta_p1_coeffs(s: int, jmax: int) -> tuple[LaurentClass, ...]:
+    """Coefficients up to t^jmax of the zeta factor of P^1 minus s
+    rational points, (1 - t)^(s-1) (1 - L t)^(-1); for s = 0 the j-th is
+    the class of Sym^j P^1, 1 + L + ... + L^j."""
+    if s == 0:
+        return tuple(LaurentClass({i: 1 for i in range(j + 1)})
+                     for j in range(jmax + 1))
+    out = []
+    for j in range(jmax + 1):
+        acc = ZERO
+        for i in range(min(j, s - 1) + 1):
+            acc = acc + LaurentClass({j - i: (-1) ** i * math.comb(s - 1, i)})
+        out.append(acc)
+    return tuple(out)
 
 
 def config_series(fan: Fan, cap, s: int = 0) -> dict:

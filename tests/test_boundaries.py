@@ -1,17 +1,20 @@
-"""The engine's packed format stays in eulerprod: moduli reads classes
-only.  The test reads moduli's source, without importing it."""
+"""Source-level boundaries of the library.  The tests read the sources,
+without importing them."""
 
 import ast
 import pathlib
 
-MODULI = (pathlib.Path(__file__).resolve().parent.parent
-          / "src" / "toricurves" / "moduli.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toricurves"
+MODULI = SRC / "moduli.py"
 
 ENGINE_ONLY = {"pack_class", "unpack_class", "EulerFactors", "euler_factors",
-               "_Keys", "GlobalMobius", "_checked_mobius"}
+               "_Keys", "_checked_mobius"}
 
 
 def test_moduli_uses_no_packed_format():
+    """The engine's packed format stays in eulerprod: moduli reads
+    classes only."""
     imported, used = set(), set()
     for node in ast.walk(ast.parse(MODULI.read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -23,3 +26,44 @@ def test_moduli_uses_no_packed_format():
     assert "euler_product_at_Linv" in imported
     assert not imported & ENGINE_ONLY, imported & ENGINE_ONLY
     assert not used & ENGINE_ONLY, used & ENGINE_ONLY
+
+
+def _names(tree) -> set[str]:
+    """The names a syntax tree mentions as a Name, an Attribute or an
+    import alias."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_library_definition_has_a_caller_outside_the_tests():
+    """Each module-level def and class of the library is named in src/
+    outside its own definition, in scripts/ or in perfbench/.  The
+    package's re-exports and the strings of __all__ do not count: a name
+    only the tests call belongs in tests/reference.py, or nowhere."""
+    outside = set()
+    for path in [*(ROOT / "scripts").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        outside |= _names(ast.parse(path.read_text()))
+    # per module, the names each top-level statement mentions
+    statements = [
+        (node, _names(node))
+        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+        for node in ast.parse(path.read_text()).body
+    ]
+    unused = []
+    for node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name in outside or any(
+                node.name in names for other, names in statements
+                if other is not node):
+            continue
+        unused.append(node.name)
+    assert not unused, unused

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import toricurves
+from reference import binomial_factors
 from toricurves.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -18,10 +19,9 @@ from toricurves.cli import (
     main,
 )
 from toricurves.errors import InternalCheckError, LimitError
-from toricurves.eulerprod import GlobalMobius
-from toricurves.grothendieck import L, ONE, LaurentClass
+from toricurves.grothendieck import L, ONE, LaurentClass, SeriesCap
 from toricurves import mobius
-from toricurves.mobius import MobiusTable, mobius_table
+from toricurves.mobius import MobiusTable, fan_mobius_polynomial, mobius_table
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
 from toricurves.toric import validate
@@ -223,9 +223,21 @@ class TestMobius:
             assert order == sorted(order, key=lambda e: (sum(e), e))
         assert set(lines) <= set(listed)
 
+    @pytest.mark.parametrize("name", ["p1xp1", "dp6"])
+    def test_global_listing_matches_the_binomial_route(self, capsys, fans,
+                                                       name):
+        fan = fans[name]
+        code, doc, _ = run_json(capsys, "mobius", name, "--cap", "4")
+        assert code == 0
+        series = binomial_factors(fan_mobius_polynomial(fan), 0,
+                                  SeriesCap.total_cap(fan.nrays, 4)).product()
+        want = [{"e": list(e), "mu": value.to_json()} for e, value in
+                sorted(series.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
+        assert doc["global"] == want
+
     def test_text_builds_no_json_listing(self, capsys, monkeypatch):
         calls = []
-        for cls in (MobiusTable, GlobalMobius):
+        for cls in (MobiusTable, LaurentClass):
             def counted(self, to_json=cls.to_json, name=cls.__name__):
                 calls.append(name)
                 return to_json(self)
@@ -233,7 +245,7 @@ class TestMobius:
         code, _, _ = run(capsys, "mobius", "p1xp1", "--cap", "4")
         assert code == 0 and calls == []
         code, _, _ = run_json(capsys, "mobius", "p1xp1", "--cap", "4")
-        assert code == 0 and sorted(calls) == ["GlobalMobius", "MobiusTable"]
+        assert code == 0 and sorted(set(calls)) == ["LaurentClass", "MobiusTable"]
 
 
 class TestHom:
@@ -448,6 +460,12 @@ class TestConstrained:
                              "--points", f"0:1@0,{points}")
         assert code == EXIT_VALIDATION and out == ""
         assert f"point {points!r} is not of the form x0:x1[@m]" in err
+
+    def test_empty_points_refused(self, capsys):
+        code, out, err = run(capsys, "constrained", "p2", "--order", "16",
+                             "--points", "")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "point '' is not of the form x0:x1[@m]" in err
 
     def test_repeated_points_rejected(self, capsys):
         code, _, err = run(capsys, "constrained", "p1", "--order", "6",

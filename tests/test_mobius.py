@@ -122,16 +122,6 @@ def test_table_guard_is_a_limit():
         mobius_table(PatternSet(25, (frozenset({0, 1}),)))
 
 
-def test_intpoly_arithmetic_rejects_arity_mismatch():
-    # a raised ValueError, not an assert, so that python -O keeps the check
-    one_var = _poly(1, [((1,), 1)])
-    two_vars = _poly(2, [((1, 0), 1)])
-    with pytest.raises(ValueError, match="exponent arity mismatch"):
-        one_var + two_vars
-    with pytest.raises(ValueError, match="exponent arity mismatch"):
-        one_var * two_vars
-
-
 def subset_sum_table(patterns):
     """Reference mu on every 0/1 vector, by Hamming weight and then the
     bit tuple: the indicator of "above no pattern" minus the sum of mu

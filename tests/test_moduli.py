@@ -13,6 +13,7 @@ from reference import (
     fan_product,
     lies_above,
     truncate,
+    zeta_p1_coeffs,
 )
 from toricurves.grothendieck import (
     MINUS_INFINITY,
@@ -22,11 +23,7 @@ from toricurves.grothendieck import (
     LaurentClass,
     SeriesCap,
 )
-from toricurves.eulerprod import (
-    euler_product_p1,
-    global_mobius,
-    zeta_p1_coeffs,
-)
+from toricurves.eulerprod import euler_product_p1, global_mobius
 from toricurves.mobius import IntPoly
 from toricurves.toric import pattern_set
 from toricurves.moduli import (

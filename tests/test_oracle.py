@@ -16,19 +16,18 @@ from hypothesis import given, strategies as st
 from toricurves.errors import BudgetError, InternalCheckError
 from toricurves.grothendieck import evaluate
 from toricurves import oracle
-from reference import picard_projection
+from reference import common_projective_root, picard_projection
 from toricurves.toric import parse_fan, pattern_set, picard_rank
 from toricurves.moduli import hom_class, pattern_config_class
 from toricurves.oracle import (
+    _form_table,
     _root_masks,
+    _trim,
     ALLOWED_PRIMES,
-    FFForm,
     JetSpec,
-    enumerate_forms,
     ff_constrained_count,
     ff_hom_count,
     ff_pattern_count,
-    has_common_projective_root,
     oracle_compare,
     reduce_point,
 )
@@ -76,11 +75,11 @@ def sylvester_resultant_mod_p(f, g, p):
 
 def reference_pattern_count(p, fan, e):
     patterns = pattern_set(fan).minimal
-    tables = [enumerate_forms(p, x) for x in e]
+    tables = [_form_table(p, x) for x in e]
     count = 0
     for tup in itertools.product(*tables):
         if any(
-            has_common_projective_root([tup[i] for i in pat])
+            common_projective_root(p, [tup[i] for i in pat])
             for pat in patterns
         ):
             continue
@@ -163,9 +162,7 @@ def reference_constrained_count(p, fan, d, jet):
         if any(j[0] == 0 for j in jets):
             continue
         if any(
-            has_common_projective_root(
-                [FFForm.normalize(p, d[i], tup[i]) for i in pat]
-            )
+            common_projective_root(p, [tup[i] for i in pat])
             for pat in patterns
         ):
             continue
@@ -182,95 +179,49 @@ def reference_constrained_count(p, fan, d, jet):
 class TestForms:
     @pytest.mark.parametrize("p,e", [(2, 0), (2, 3), (3, 2), (5, 1)])
     def test_enumeration_count_and_order(self, p, e):
-        forms = enumerate_forms(p, e)
-        assert len(forms) == (p ** (e + 1) - 1) // (p - 1)
-        vecs = [f.coeffs for f in forms]
+        vecs = list(_form_table(p, e))
+        assert len(vecs) == (p ** (e + 1) - 1) // (p - 1)
         assert vecs == sorted(vecs)
         assert len(set(vecs)) == len(vecs)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            enumerate_forms(4, 2)
-        with pytest.raises(ValueError):
-            enumerate_forms(3, -1)
-        with pytest.raises(ValueError):
-            FFForm(3, 2, (2, 0, 1))
-        with pytest.raises(ValueError):
-            FFForm(3, 2, (0, 0, 0))
-        with pytest.raises(ValueError):
-            FFForm(3, 1, (1, 0, 0))
-
-    @given(
-        st.sampled_from([2, 3, 5]),
-        st.lists(st.integers(0, 4), min_size=1, max_size=4),
-        st.integers(1, 4),
-    )
-    def test_normalize_kills_scaling(self, p, coeffs, unit):
-        if not any(c % p for c in coeffs):
-            coeffs[0] = 1
-        if unit % p == 0:
-            unit = 1
-        e = len(coeffs) - 1
-        a = FFForm.normalize(p, e, coeffs)
-        b = FFForm.normalize(p, e, [unit * c for c in coeffs])
-        assert a == b
-        assert FFForm.normalize(p, e, a.coeffs) == a
-        lead = next(c for c in a.coeffs if c)
-        assert lead == 1
-
     def test_dehomogenization(self):
-        f = FFForm(3, 3, (0, 1, 2, 0))
-        assert f.dehomogenized == (0, 1, 2)
-        assert f.vanishes_at_infinity
+        f = (0, 1, 2, 0)
+        assert _trim(f) == (0, 1, 2)
+        # bit 0 of a root mask is the point [0:1]
+        assert _root_masks(3, 3, 1)[_form_table(3, 3).index(f)] & 1
 
 
 class TestCommonRoots:
     def test_coordinate_forms_meet_nowhere(self):
-        x = FFForm(2, 1, (1, 0))
-        y = FFForm(2, 1, (0, 1))
-        assert not has_common_projective_root([x, y])
+        assert not common_projective_root(2, [(1, 0), (0, 1)])
 
     def test_shared_linear_factor(self):
-        a = FFForm.normalize(2, 2, (0, 1, 0))     # x*y
-        b = FFForm.normalize(2, 2, (0, 1, 1))     # x*y + y^2 = y(x + y)
-        assert has_common_projective_root([a, b])
+        # x*y and x*y + y^2 = y(x + y)
+        assert common_projective_root(2, [(0, 1, 0), (0, 1, 1)])
 
     def test_irreducible_quadratic_vs_line(self):
-        q = FFForm(2, 2, (1, 1, 1))
-        line = FFForm(2, 1, (1, 1))
-        assert not has_common_projective_root([q, line])
+        assert not common_projective_root(2, [(1, 1, 1), (1, 1)])
 
     def test_root_only_in_an_extension(self):
         # x^2 + y^2 is irreducible over F_3; the pair below shares its
         # roots in F_9 and nothing rational
-        a = FFForm.normalize(3, 2, (1, 0, 1))
-        b = FFForm.normalize(3, 3, (1, 1, 1, 1))  # (x^2 + y^2)(x + y)
-        assert has_common_projective_root([a, b])
-        c = FFForm.normalize(3, 2, (1, 0, 2))
-        assert not has_common_projective_root([a, c])
+        a, b = (1, 0, 1), (1, 1, 1, 1)  # b = (x^2 + y^2)(x + y)
+        assert common_projective_root(3, [a, b])
+        assert not common_projective_root(3, [a, (1, 0, 2)])
 
     def test_common_point_at_infinity(self):
-        a = FFForm(3, 2, (0, 1, 0))
-        b = FFForm(3, 1, (1, 0))
-        assert a.vanishes_at_infinity and b.vanishes_at_infinity
-        assert has_common_projective_root([a, b])
-
-    def test_mixed_field_rejected(self):
-        with pytest.raises(ValueError):
-            has_common_projective_root(
-                [FFForm(2, 1, (1, 0)), FFForm(3, 1, (1, 0))]
-            )
-        with pytest.raises(ValueError):
-            has_common_projective_root([])
+        a, b = (0, 1, 0), (1, 0)
+        assert a[-1] == 0 and b[-1] == 0
+        assert common_projective_root(3, [a, b])
 
     @pytest.mark.parametrize("p,ds,dt", [(2, 1, 1), (2, 1, 2), (2, 2, 2),
                                          (2, 2, 3), (3, 1, 2), (3, 2, 2)])
     def test_agrees_with_resultants_exhaustively(self, p, ds, dt):
-        for f in enumerate_forms(p, ds):
-            for g in enumerate_forms(p, dt):
-                want = sylvester_resultant_mod_p(f.coeffs, g.coeffs, p) == 0
-                got = has_common_projective_root([f, g])
-                assert got == want, (f.coeffs, g.coeffs)
+        for f in _form_table(p, ds):
+            for g in _form_table(p, dt):
+                want = sylvester_resultant_mod_p(f, g, p) == 0
+                got = common_projective_root(p, [f, g])
+                assert got == want, (f, g)
 
     @pytest.mark.parametrize("p,ds,dt", [(2, 1, 3), (2, 3, 3), (3, 1, 3),
                                          (3, 2, 3), (5, 1, 2), (5, 2, 2)])
@@ -279,10 +230,10 @@ class TestCommonRoots:
         the forms share a projective root."""
         masks_s = _root_masks(p, ds, ds)
         masks_t = _root_masks(p, dt, dt)
-        for f, ms in zip(enumerate_forms(p, ds), masks_s):
-            for g, mt in zip(enumerate_forms(p, dt), masks_t):
-                want = sylvester_resultant_mod_p(f.coeffs, g.coeffs, p) == 0
-                assert bool(ms & mt) == want, (f.coeffs, g.coeffs)
+        for f, ms in zip(_form_table(p, ds), masks_s):
+            for g, mt in zip(_form_table(p, dt), masks_t):
+                want = sylvester_resultant_mod_p(f, g, p) == 0
+                assert bool(ms & mt) == want, (f, g)
 
 
 # the Hirzebruch surface F_2, whose ray coordinate 2 raises jets past +-1
@@ -510,9 +461,7 @@ class TestConstrainedCounts:
         for tup in itertools.product(*raws):
             if any(taylor(c, point, 0, p)[0] == 0 for c in tup):
                 continue
-            if has_common_projective_root(
-                [FFForm.normalize(p, d[i], tup[i]) for i in (0, 1)]
-            ):
+            if common_projective_root(p, [tup[i] for i in (0, 1)]):
                 continue
             direct += 1
         assert total == direct // (p - 1) ** picard_rank(p1)
