@@ -56,14 +56,18 @@ class DegreeVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(x, int) and x >= 0 for x in self.entries):
-            raise ValueError("degree entries must be nonnegative integers")
+        for x in self.entries:
+            # a bool is an int to isinstance, but never a degree
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"degree entry {x!r} is not an integer")
+            if x < 0:
+                raise ValueError(f"degree entry {x} is negative")
 
     @classmethod
     def of(cls, d: "DegreeVector | Sequence[int]") -> "DegreeVector":
         if isinstance(d, DegreeVector):
             return d
-        return cls(tuple(int(x) for x in d))
+        return cls(tuple(d))
 
     @property
     def total(self) -> int:

@@ -22,6 +22,17 @@ Jet-constrained counts key each form by its mask and its jet
 relative to the target, and keep a final state when every character of
 the dense torus takes the value 1 on its jets.  A budget guard refuses
 enumerations that are too large rather than sampling.
+
+Plain counts are shared within an orbit of the pattern automorphisms,
+the ray permutations that map the minimal patterns onto themselves.
+Moving the degrees with such a permutation keeps the count exactly:
+the count is a sum over all tuples, and relabelling the rays together
+with the degrees maps the tuples that avoid the patterns one to one
+onto those that avoid their images, the same patterns.  Each degree
+vector is counted as the least vector of its orbit over the
+automorphisms that a bounded search finds, once per process; a search
+that misses some only shares fewer counts.  Jet counts are never
+shared, as the target jets and the ray vectors single out each ray.
 """
 
 from __future__ import annotations
@@ -34,16 +45,18 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, InternalCheckError
 from .grothendieck import evaluate
 from .toric import Fan, pattern_set, picard_rank, require_valid
-from .moduli import hom_class, pattern_config_class
+from .moduli import DegreeVector, hom_class, pattern_config_class
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "TORICURVES_BUDGET"
+# the most class images the search for pattern automorphisms tries
+SYMMETRY_NODES = 512
 
 __all__ = [
     "ALLOWED_PRIMES",
@@ -70,7 +83,8 @@ def _resolve_budget(budget: int | None) -> int:
     """
     if budget is not None:
         source, raw = "the budget argument (--budget)", budget
-        value = budget if isinstance(budget, int) else None
+        is_int = isinstance(budget, int) and not isinstance(budget, bool)
+        value = budget if is_int else None
     else:
         raw = os.environ.get(BUDGET_ENV)
         if raw is None:
@@ -264,10 +278,128 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _minimal_patterns(fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sorted(j)) for j in pattern_set(fan).minimal
     )
+
+
+class _Symmetries(NamedTuple):
+    """What ``_symmetries`` found: the twin classes of two or more rays,
+    one permutation per coset of the twin swaps, and the nodes visited."""
+
+    twins: tuple[tuple[int, ...], ...]
+    perms: tuple[tuple[int, ...], ...]
+    nodes: int
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetries(
+    nrays: int, patterns: tuple[tuple[int, ...], ...]
+) -> _Symmetries:
+    """Ray permutations that map the pattern set onto itself.
+
+    Rays i and j are twins when swapping them keeps the patterns.  Being
+    twins is an equivalence, and an automorphism s turns the swap (i j)
+    into the swap (s(i) s(j)), so the twin swaps generate a normal
+    subgroup T and each automorphism maps twin classes onto twin
+    classes.  Each coset of T then holds exactly one automorphism that
+    is increasing on every twin class; ``perms`` lists those, as tuples
+    perm with ray a going to perm[a], the identity first.
+
+    A depth-first search picks the image of each twin class in turn,
+    among the unused classes of the same size whose rays lie on
+    patterns of the same sizes.  It drops a partial map when a pattern
+    inside the classes placed so far goes to a non-pattern, or when the
+    image of those classes holds a different number of patterns.  The
+    search tries at most SYMMETRY_NODES class images, so on a large
+    group (that of (P^1)^8 has 8! cosets) it may list only some of the
+    cosets.  The identity is found after one node per class, at most
+    24, so it is always listed.
+    """
+    masks = {sum(1 << a for a in pat) for pat in patterns}
+
+    def swap_keeps(i, j):
+        both = 1 << i | 1 << j
+        return all(
+            (m ^ both if m & both not in (0, both) else m) in masks
+            for m in masks
+        )
+
+    classes: list[list[int]] = []
+    for ray in range(nrays):
+        for cls in classes:
+            if swap_keeps(cls[0], ray):
+                cls.append(ray)
+                break
+        else:
+            classes.append([ray])
+    owner = {ray: c for c, cls in enumerate(classes) for ray in cls}
+    shape = [
+        (len(cls), sorted(len(pat) for pat in patterns if cls[0] in pat))
+        for cls in classes
+    ]
+    class_mask = [sum(1 << a for a in cls) for cls in classes]
+    touching = [[m for m in masks if m & cm] for cm in class_mask]
+    # the patterns whose last class is c
+    closing: list[list[tuple[int, ...]]] = [[] for _ in classes]
+    for pat in patterns:
+        closing[max(owner[a] for a in pat)].append(pat)
+
+    image = list(range(nrays))
+    used = [False] * len(classes)
+    perms: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def place(c, covered):
+        nonlocal nodes
+        if c == len(classes):
+            perms.append(tuple(image))
+            return
+        for d, cls in enumerate(classes):
+            if used[d] or shape[d] != shape[c]:
+                continue
+            if nodes == SYMMETRY_NODES:
+                return
+            nodes += 1
+            for a, b in zip(classes[c], cls):
+                image[a] = b
+            now = covered | class_mask[d]
+            if sum(m & now == m for m in touching[d]) == len(closing[c]) \
+                    and all(sum(1 << image[a] for a in pat) in masks
+                            for pat in closing[c]):
+                used[d] = True
+                place(c + 1, now)
+                used[d] = False
+
+    place(0, 0)
+    twins = tuple(tuple(cls) for cls in classes if len(cls) > 1)
+    return _Symmetries(twins, tuple(perms), nodes)
+
+
+def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
+    """The least relabelling of e under the automorphisms found.
+
+    The count is a sum over all tuples, so relabelling the rays together
+    with the degrees keeps it: the vector with entry e[perm[a]] at ray a
+    has the count of e.  With each twin class's entries of e sorted
+    first, that vector is sorted on the twin classes too (perm is
+    increasing on them), the least one over perm's coset.  Equal keys
+    mean the same orbit, so a search that missed some automorphisms
+    only shares fewer counts.
+    """
+    e = list(e)
+    for cls in sym.twins:
+        for a, x in zip(cls, sorted(e[a] for a in cls)):
+            e[a] = x
+    return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_count(p: int, key: tuple[int, ...], patterns) -> int:
+    """``_count`` of one orbit representative, once per process."""
+    return _count(p, key, patterns)
 
 
 def _checked_degrees(
@@ -284,13 +416,11 @@ def _checked_degrees(
     """
     _check_prime(p)
     require_valid(fan)
-    e = tuple(int(x) for x in e)
+    e = DegreeVector.of(e).entries
     if len(e) != fan.nrays:
         raise ValueError(
             f"degree arity {len(e)} does not match ray count {fan.nrays}"
         )
-    if any(x < 0 for x in e):
-        raise ValueError("degrees must be nonnegative")
     if jet is not None:
         jet.validate_for(p, fan.nrays)
     limit = _resolve_budget(budget)
@@ -312,10 +442,14 @@ def ff_pattern_count(
 
     Tuples of normalized forms, one per ray, such that no minimal
     forbidden set of them has a common projective root.  Refuses to run
-    when the product of the form-space sizes exceeds the budget.
+    when the product of the form-space sizes exceeds the budget, before
+    any cached count is looked up.  Degree vectors in one orbit of the
+    pattern automorphisms share one count (``_orbit_key``).
     """
     e = _checked_degrees(p, fan, e, budget)
-    return _count(p, e, _minimal_patterns(fan))
+    patterns = _minimal_patterns(fan)
+    key = _orbit_key(e, _symmetries(fan.nrays, patterns))
+    return _orbit_count(p, key, patterns)
 
 
 def ff_hom_count(
@@ -543,12 +677,12 @@ def oracle_compare(
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
     start = time.perf_counter()
     if e is not None:
-        vec = tuple(int(x) for x in e)
+        vec = tuple(e)
         brute = ff_pattern_count(p, fan, vec, budget=budget)
         cls = pattern_config_class(fan, vec, 0)
         kind = "config"
     else:
-        vec = tuple(int(x) for x in d)
+        vec = tuple(d)
         brute = ff_hom_count(p, fan, vec, budget=budget)
         cls = hom_class(fan, vec)
         kind = "hom"

@@ -93,6 +93,15 @@ class TestDegreeVector:
         with pytest.raises(ValueError):
             DegreeVector.of((1, -1))
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, "1", True])
+    def test_refuses_entries_that_are_not_integers(self, p2, entry):
+        """int() would truncate 1.5 and parse '1'; a bool is an int to
+        isinstance.  Each is refused by name, not read as 1."""
+        with pytest.raises(ValueError, match=f"degree entry {entry!r} "):
+            DegreeVector.of((entry, 1, 1))
+        with pytest.raises(ValueError, match=f"degree entry {entry!r} "):
+            pattern_config_class(p2, (entry, 1, 1))
+
 
 class TestConfigClasses:
     def test_disjoint_point_pairs_on_the_line(self, p1):

@@ -328,6 +328,116 @@ class TestPatternCounts:
         with pytest.raises(ValueError):
             ff_pattern_count(11, p2, (1, 1, 1))
 
+    @pytest.mark.parametrize("entry", [1.5, 1.9, "1", True])
+    def test_refuses_entries_that_are_not_integers(self, p2, entry):
+        """Each used to count as if it were 1 (24 at p = 2)."""
+        vec = (entry, 1, 1)
+        match = f"degree entry {entry!r} is not an integer"
+        with pytest.raises(ValueError, match=match):
+            ff_pattern_count(2, p2, vec)
+        with pytest.raises(ValueError, match=match):
+            ff_hom_count(2, p2, vec)
+        with pytest.raises(ValueError, match=match):
+            ff_constrained_count(2, p2, vec, JetSpec.identity(3, 1))
+        with pytest.raises(ValueError, match=match):
+            oracle_compare(2, p2, e=vec)
+        with pytest.raises(ValueError, match=match):
+            oracle_compare(2, p2, d=vec)
+
+    def test_shared_counts_equal_direct_counts(self, fans):
+        """Every vector of the p = 2 gate box, counted through its orbit
+        representative, against ``_count`` on the vector itself."""
+        moved = 0
+        for name in ["p1", "p2", "p3", "p1xp1", "bl1p2", "dp6", "F2"]:
+            fan = fan_named(fans, name)
+            patterns = oracle._minimal_patterns(fan)
+            sym = oracle._symmetries(fan.nrays, patterns)
+            top = 3 if fan.nrays <= 4 else 2
+            for e in itertools.product(range(top + 1), repeat=fan.nrays):
+                moved += oracle._orbit_key(e, sym) != e
+                assert (ff_pattern_count(2, fan, e)
+                        == oracle._count(2, e, patterns)), (name, e)
+        assert moved > 1000
+
+
+def brute_automorphisms(nrays, patterns):
+    """Every ray permutation that maps the pattern set onto itself."""
+    pats = {frozenset(pat) for pat in patterns}
+    return {
+        perm for perm in itertools.permutations(range(nrays))
+        if {frozenset(perm[a] for a in pat) for pat in pats} == pats
+    }
+
+
+def projective_space(n):
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    cones = [list(c) for c in itertools.combinations(range(n + 1), n)]
+    return parse_fan({"rays": rays, "max_cones": cones})
+
+
+def power_of_the_line(k):
+    rays = [[s * (j == i) for j in range(k)] for i in range(k) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)]
+             for bits in itertools.product((0, 1), repeat=k)]
+    return parse_fan({"rays": rays, "max_cones": cones})
+
+
+class TestSymmetries:
+    ORDERS = {"p1": 2, "p2": 6, "p3": 24, "p1xp1": 8, "bl1p2": 8, "dp6": 12,
+              "F2": 8}
+
+    @pytest.mark.parametrize("name", sorted(ORDERS))
+    def test_fixture_groups_are_found_whole(self, fans, name):
+        """The coset representatives, the identity first, times the swaps
+        within twin classes give every automorphism once: the whole
+        group, of the order listed."""
+        fan = fan_named(fans, name)
+        patterns = oracle._minimal_patterns(fan)
+        sym = oracle._symmetries(fan.nrays, patterns)
+        assert sym.perms[0] == tuple(range(fan.nrays))
+        swaps = [
+            [dict(zip(cls, order)) for order in itertools.permutations(cls)]
+            for cls in sym.twins
+        ]
+        group = []
+        for perm in sym.perms:
+            for moves in itertools.product(*swaps):
+                inner = {a: b for move in moves for a, b in move.items()}
+                group.append(tuple(perm[inner.get(a, a)]
+                                   for a in range(fan.nrays)))
+        assert len(group) == len(set(group)) == self.ORDERS[name]
+        assert set(group) == brute_automorphisms(fan.nrays, patterns)
+        assert sym.nodes <= oracle.SYMMETRY_NODES
+
+    @pytest.mark.parametrize("build,k,want", [
+        (projective_space, 11, 531438),  # 3^12 - 3 at degree (1, ..., 1)
+        (power_of_the_line, 8, 1679616),  # (3^2 - 3)^8
+    ], ids=["P^11", "(P^1)^8"])
+    def test_large_groups_stay_within_the_bound(self, build, k, want):
+        """P^11's group has order 12!, that of (P^1)^8 order 2^8 8!; the
+        search stops at its bound and the counts stay exact."""
+        fan = build(k)
+        patterns = oracle._minimal_patterns(fan)
+        sym = oracle._symmetries(fan.nrays, patterns)
+        assert sym.nodes <= oracle.SYMMETRY_NODES
+        assert sym.perms[0] == tuple(range(fan.nrays))
+        pats = {frozenset(pat) for pat in patterns}
+        for perm in sym.perms:
+            assert {frozenset(perm[a] for a in pat) for pat in pats} == pats
+        ones = (1,) * fan.nrays
+        assert ff_pattern_count(2, fan, ones) == want
+        assert oracle._count(2, ones, patterns) == want
+
+    def test_jet_counts_are_not_shared(self, dp6):
+        """Two degree vectors of one orbit share their plain count, but
+        with a target that differs per ray their jet counts differ, and
+        each matches the raw enumeration."""
+        spec = JetSpec(1, 1, ((1, 0), (1, 1), (1, 1), (2, 0), (2, 0), (1, 1)))
+        for d, want in (((1, 0, 1, 0, 0, 1), 2), ((0, 1, 1, 0, 0, 1), 0)):
+            assert ff_pattern_count(3, dp6, d) == 36
+            assert ff_constrained_count(3, dp6, d, spec) == want
+            assert reference_constrained_count(3, dp6, d, spec) == want
+
 
 class TestBudget:
     def test_budget_error_carries_sizes(self, p2):
@@ -335,6 +445,16 @@ class TestBudget:
             ff_pattern_count(3, p2, (3, 3, 3), budget=10)
         assert exc.value.required == 40**3
         assert exc.value.budget == 10
+
+    def test_budget_is_checked_before_a_shared_count(self, p2):
+        assert ff_pattern_count(3, p2, (3, 2, 3)) > 0
+        for e in ((3, 2, 3), (3, 3, 2)):
+            with pytest.raises(BudgetError):
+                ff_pattern_count(3, p2, e, budget=10)
+
+    def test_bool_budget_is_refused(self, p2):
+        with pytest.raises(ValueError, match="is not a nonnegative integer"):
+            ff_pattern_count(2, p2, (1, 1, 1), budget=True)
 
     def test_environment_budget(self, p2, monkeypatch):
         monkeypatch.setenv("TORICURVES_BUDGET", "10")
