@@ -28,7 +28,12 @@ rounded, and a digit beyond the bound aborts the run.
 
 Configuration classes, the Euler product times one zeta factor per
 variable, come from the same integers at a width a second bound fixes
-(_config_terms).  Packed values never leave this module.
+(_config_terms).  The sizes choose their route before the d = 1 factor
+U exists, from a count of the cells U can reach.  The table route takes
+U from the same recurrence over packed keys; the walk route pulls U
+cell by cell into the dense box it walks, since the fan's pattern
+polynomial has exponents 0 and 1 only (_dense_power).  Packed values
+never leave this module.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError
@@ -273,6 +278,24 @@ def euler_factors(
     at most reach.  Each factor F^(a_d) is one pass of _power, at the
     integer point count a_d(2^width).
     """
+    keys, w, majorant, base, rest = _rest_factors(F, s, cap, reach)
+    first = _power(base, _points(1, s, w), keys)
+    return EulerFactors(w, majorant, rest, first, keys)
+
+
+def _points(d: int, s: int, w: int) -> int:
+    """a_d(2^w), the number of closed points of degree d of P^1 minus s
+    rational points at q = 2^w."""
+    den, num = _weight_raw(d, s)
+    return sum(c << (w * i) for i, c in enumerate(num)) // den
+
+
+def _rest_factors(
+    F: IntPoly, s: int, cap: SeriesCap, reach: int | None
+) -> tuple[_Keys, int, list[int], dict[int, int], dict[int, int]]:
+    """euler_factors short of its d = 1 factor: the keys of the cap, the
+    width, the majorant, the packed in-cap terms of F - 1, and the
+    product of the factors with d >= 2."""
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
     nvars = len(cap.box)
@@ -293,28 +316,19 @@ def euler_factors(
     total = cap.total
     majorant = _majorant(coeffs_in, s, total)
     w = _width(majorant, reach)
-    if not coeffs_in:
-        return EulerFactors(w, majorant, {0: 1}, {0: 1}, keys)
-
     base = {keys.pack(e): c for e, c in coeffs_in.items()}
-    valuation = min(sum(e) for e in coeffs_in)
-
-    def points(d: int) -> int:
-        """a_d(2^w), the number of closed points of degree d."""
-        den, num = _weight_raw(d, s)
-        return sum(c << (w * i) for i, c in enumerate(num)) // den
-
     rest = {0: 1}
-    # the sparse factors of large d first, so the series stays small;
-    # the largest factor, d = 1, is handed out unmultiplied
+    if not base:
+        return keys, w, majorant, base, rest
+    valuation = min(sum(e) for e in coeffs_in)
+    # the sparse factors of large d first, so the series stays small
     for d in range(total // valuation, 1, -1):
         # F^(a_d)(t^d) in the cap is F^(a_d) in the cap shrunk by d
         sub = keys.shrunk(d)
         power = _power({k: c for k, c in base.items() if sub.admits(k)},
-                       points(d), sub)
+                       _points(d, s, w), sub)
         rest = keys.times(rest, {k * d: c for k, c in power.items()}, {})
-    first = _power(base, points(1), keys)
-    return EulerFactors(w, majorant, rest, first, keys)
+    return keys, w, majorant, base, rest
 
 
 def _power(terms: dict[int, int], a: int, keys: _Keys) -> dict[int, int]:
@@ -359,6 +373,73 @@ def _power(terms: dict[int, int], a: int, keys: _Keys) -> dict[int, int]:
                         k -= off
                         target[k] = get(k, 0) + x
     return out
+
+
+def _dense_power(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:
+    """F^a in the uniform box of keys as a dense list, axis i at stride
+    (b + 1)^i, for F = 1 + terms with exponents 0 and 1.
+
+    Miller's recurrence (module docstring) read in pull form.  A term f
+    lies below e exactly when its support lies in that of e, and then
+    G_(e - f) sits pos(f) cells before G_e; so each cell, in increasing
+    position, gathers
+    G_e = ((a + 1) sum_f F_f |f| G_(e - f)) / |e|  -  sum_f F_f G_(e - f)
+    over the terms whose support fits in its own.  A remainder, or an
+    exponent above 1, raises InternalCheckError.
+    """
+    n = keys.nvars
+    side = max(keys.cap.box, default=0) + 1
+    # per support mask, the offsets of the terms that fit in it, grouped
+    # by the weights F_f |f| and F_f they share
+    fits: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(1 << n)]
+    for key, c in terms.items():
+        f = keys.unpack(key)
+        if max(f) > 1:
+            raise InternalCheckError(f"power term at {f} has an exponent above 1")
+        mask = sum(x << i for i, x in enumerate(f))
+        offset = sum(x * side**i for i, x in enumerate(f))
+        for m in range(1 << n):
+            if m & mask == mask:
+                fits[m].setdefault((c * sum(f), c), []).append(offset)
+    groups = [list(fit.items()) for fit in fits]
+    # the total degree and the support mask of every cell
+    degree, support = [0], [0]
+    for i in range(n):
+        degree = [d + x for x in range(side) for d in degree]
+        support = [m | (1 << i if x else 0) for x in range(side) for m in support]
+    dense = [0] * len(degree)
+    dense[0] = 1
+    lift = a + 1
+    for pos in range(1, len(dense)):
+        h = g = 0
+        for (weight, c), offsets in groups[support[pos]]:
+            x = 0
+            for o in offsets:
+                x += dense[pos - o]
+            h += weight * x
+            g += c * x
+        value, remainder = divmod(lift * h, degree[pos])
+        if remainder:
+            e = tuple(pos // side**i % side for i in range(n))
+            raise InternalCheckError(
+                f"power coefficient at {e} is not divisible by its total "
+                f"degree {degree[pos]}"
+            )
+        dense[pos] = value - g
+    return dense
+
+
+def _support_size(terms: dict[int, int], keys: _Keys, limit: int) -> int:
+    """The number of keys in the cap that are sums of terms, the empty
+    sum included: the support of F^a for F = 1 + terms, barring
+    cancellation.  Counted breadth-first, it stops once above limit."""
+    off, guard = keys.off, keys.guard
+    seen, level = {0}, {0}
+    while level and len(seen) <= limit:
+        level = {k for k in (x + f for x in level for f in terms)
+                 if not (k + off) & guard} - seen
+        seen |= level
+    return len(seen)
 
 
 def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
@@ -491,34 +572,29 @@ class _ProductTerms:
 
 class _WalkTerms:
     """R as a list and U * Z as a dense box, at L = 2^w: a class costs
-    one lookup per term of R."""
+    one mask test per term of R and one lookup per term below it."""
 
-    def __init__(self, s: int, factors: EulerFactors):
-        self.width = factors.width
-        box = factors.keys.cap.box
-        side = max(box, default=0) + 1
-        self.strides = strides = [side**i for i in range(len(box))]
-
-        def position(key: int) -> tuple[tuple[int, ...], int]:
-            e = factors.keys.unpack(key)
-            return e, sum(x * st for x, st in zip(e, strides))
-
-        self.dense = dense = [0] * side ** len(box)
-        for key, value in factors.first.items():
-            dense[position(key)[1]] = value
-        _walk(dense, side, s, self.width)
-        self.rest = [(*position(key), value)
-                     for key, value in factors.rest.items()]
+    def __init__(self, s: int, width: int, keys: _Keys, rest: dict[int, int],
+                 dense: list[int]):
+        self.width = width
+        self.keys = keys
+        side = max(keys.cap.box, default=0) + 1
+        self.strides = strides = [side**i for i in range(keys.nvars)]
+        _walk(dense, side, s, width)
+        self.dense = dense
+        self.rest = [(key, sum(map(mul, keys.unpack(key), strides)), value)
+                     for key, value in rest.items()]
 
     def at(self, e: tuple[int, ...]) -> int:
-        pos = sum(x * st for x, st in zip(e, self.strides))
+        pos = sum(map(mul, e, self.strides))
+        guard = self.keys.guard
+        # each field of e, lifted by its guard bit, keeps that bit less a
+        # key's field exactly when the key's field is at most e's
+        lifted = self.keys.pack(e) | guard
         dense = self.dense
         acc = 0
-        for prior, offset, value in self.rest:
-            for a, b in zip(prior, e):
-                if a > b:
-                    break
-            else:
+        for key, offset, value in self.rest:
+            if (lifted - key) & guard == guard:
                 acc += value * dense[pos - offset]
         return acc
 
@@ -535,8 +611,14 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     sizes choose the one charged less: forming the Mobius table R * U
     is charged |R| |U| products, and walking U into U * Z is charged
     n (b + 1) / 2 per cell of the box of side b, a step per axis on
-    values that gain a digit of L with each step along it.  On the
-    bundled fans only dp6 at side 2 and above takes the walk.
+    values that gain a digit of L with each step along it.  The route
+    is chosen before U exists: |U| is taken as the number of cells that
+    are sums of the pattern polynomial's terms, counted only up to the
+    point where the table would cost more than the walk.  The table
+    route builds U sparse with _power; the walk route pulls U straight
+    into the dense box with _dense_power, as the pattern polynomial's
+    exponents are 0 and 1.  On the bundled fans only dp6 at side 2 and
+    above takes the walk.
 
     Width.  With mu = R * U, the class at e is the sum over k <= e of
     mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
@@ -546,18 +628,23 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     2^((s-1) n).  The majorant's u^m coefficient bounds the absolute
     coefficient sums of the mu(k) with |k| = m together, so every
     coefficient of the class is at most B = reach * sum(majorant).
-    euler_factors leaves two bits above B, so the class is read back
+    The engine leaves two bits above B, so the class is read back
     exactly from its value at L = 2^w, and a digit of 2^(w-2) or more
     contradicts the bound.
     """
     n = fan.nrays
     reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
     cap = SeriesCap.box_cap((side,) * n)
-    factors = euler_factors(fan_mobius_polynomial(fan), s, cap, reach)
-    # both charges doubled, to stay in integers
-    if 2 * len(factors.rest) * len(factors.first) <= (side + 1) ** (n + 1) * n:
-        return _ProductTerms(s, factors)
-    return _WalkTerms(s, factors)
+    keys, w, majorant, base, rest = _rest_factors(
+        fan_mobius_polynomial(fan), s, cap, reach)
+    a = _points(1, s, w)
+    # the largest |U| whose table is charged no more than the walk, both
+    # charges doubled to stay in integers
+    limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
+    if _support_size(base, keys, limit) <= limit:
+        first = _power(base, a, keys)
+        return _ProductTerms(s, EulerFactors(w, majorant, rest, first, keys))
+    return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys))
 
 
 def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:

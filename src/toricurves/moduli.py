@@ -11,7 +11,6 @@ rational points are fixed.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +33,6 @@ from .toric import (
 )
 from .eulerprod import config_class, euler_product_at_Linv
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "DegreeVector",
     "JetCondition",
@@ -49,6 +46,14 @@ __all__ = [
 ]
 
 
+def _integer(x, what: str) -> int:
+    # a bool is an int to isinstance, but never a degree, a coordinate
+    # or an order
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class DegreeVector:
     """Multidegree indexed by the rays of a fan."""
@@ -57,10 +62,7 @@ class DegreeVector:
 
     def __post_init__(self):
         for x in self.entries:
-            # a bool is an int to isinstance, but never a degree
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"degree entry {x!r} is not an integer")
-            if x < 0:
+            if _integer(x, "degree entry") < 0:
                 raise ValueError(f"degree entry {x} is negative")
 
     @classmethod
@@ -92,7 +94,7 @@ def _canonical_point(pt: Sequence[int]) -> tuple[int, int]:
     (0, 1) is the point at infinity.  Canonical form: coprime entries
     with the first nonzero one positive.
     """
-    a, b = (int(x) for x in pt)
+    a, b = (_integer(x, "point coordinate") for x in pt)
     if a == 0 and b == 0:
         raise ValueError("(0, 0) is not a point of the projective line")
     g = math.gcd(a, b)
@@ -120,9 +122,9 @@ class JetCondition:
     def __post_init__(self):
         canon = []
         for pt, order in self.points:
-            if order < 0:
+            if _integer(order, "jet order") < 0:
                 raise ValueError("jet orders must be nonnegative")
-            canon.append((_canonical_point(pt), int(order)))
+            canon.append((_canonical_point(pt), order))
         for i in range(len(canon)):
             for j in range(i + 1, len(canon)):
                 if canon[i][0] == canon[j][0]:
@@ -148,7 +150,7 @@ class JetCondition:
         total_jet = 0
         for _, order in specs:
             w = w * cls_v
-            total_jet += order
+            total_jet += _integer(order, "jet order")
         w = w.shift(total_jet * n)
         dim = sum((order + 1) * n for _, order in specs)
         return cls(tuple((tuple(pt), order) for pt, order in specs), w, dim)
@@ -247,7 +249,10 @@ def pattern_config_class(
 @functools.lru_cache(maxsize=None)
 def _hom_class_cached(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
     if not eff_dual_contains(fan, d):
-        log.warning(
+        # imported on this path only, to keep it out of every start-up
+        import logging
+
+        logging.getLogger(__name__).warning(
             "degree %s is outside the dual effective cone; "
             "the space of maps is empty",
             d,

@@ -336,7 +336,10 @@ def pattern_set(fan: Fan) -> PatternSet:
 def eff_dual_contains(fan: Fan, d) -> bool:
     """Does the weighted ray sum vanish?  (Membership in the dual of the
     cone of effective divisor classes, for multidegrees of actual curves.)"""
-    d = tuple(int(x) for x in d)
+    d = tuple(d)
+    for x in d:
+        if not _is_int(x):
+            raise ValueError(f"degree entry {x!r} is not an integer")
     if len(d) != fan.nrays:
         raise ValueError(f"degree vector needs {fan.nrays} entries")
     if any(x < 0 for x in d):

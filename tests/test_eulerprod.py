@@ -23,10 +23,15 @@ from toricurves.grothendieck import (
     pack_class,
 )
 from toricurves.mobius import IntPoly, fan_mobius_polynomial
+from toricurves import eulerprod
 from toricurves.eulerprod import (
     _Keys,
+    _dense_power,
     _majorant,
+    _points,
     _power,
+    _rest_factors,
+    _support_size,
     _walk,
     _weight_raw,
     euler_factors,
@@ -491,3 +496,49 @@ def test_power_recurrence_checks_each_division():
     }
     with pytest.raises(InternalCheckError, match=r"at \(1,\) is not divisible"):
         _power(t, Fraction(1, 2), keys)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
+    """On the uniform boxes the configuration classes use, sides 0..6
+    (0..4 on dp6): U pulled into the dense box is _power's U placed in
+    it, and the support count that chooses the route is |U| whenever it
+    is within its limit, and above it otherwise."""
+    for name, fan in fans.items():
+        n = fan.nrays
+        for side in range(5 if name == "dp6" else 7):
+            cap = SeriesCap.box_cap((side,) * n)
+            keys, w, _, base, rest = _rest_factors(
+                fan_mobius_polynomial(fan), s, cap, None)
+            a = _points(1, s, w)
+            first = _power(base, a, keys)
+            want = [0] * (side + 1) ** n
+            for key, value in first.items():
+                e = keys.unpack(key)
+                want[sum(x * (side + 1) ** i for i, x in enumerate(e))] = value
+            assert _dense_power(base, a, keys) == want, (name, side)
+            limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
+            count = _support_size(base, keys, limit)
+            if count <= limit:
+                assert count == len(first), (name, side)
+            else:
+                assert len(first) > limit, (name, side)
+
+
+def test_dense_power_checks_its_terms_and_each_division(dp6, monkeypatch):
+    keys = _Keys(SeriesCap.box_cap((3,)))
+    t = {keys.pack((1,)): 1}
+    assert _dense_power(t, 3, keys) == [math.comb(3, j) for j in range(4)]
+    with pytest.raises(InternalCheckError, match=r"at \(1,\) is not divisible"):
+        _dense_power(t, Fraction(1, 2), keys)
+    # x^2 lies below e without its support deciding it
+    with pytest.raises(InternalCheckError, match="exponent above 1"):
+        _dense_power({keys.pack((2,)): 1}, 3, keys)
+    # a_1 off by one half: dp6 at side 2 takes the walk, and its first
+    # division by |e| that meets a term leaves a remainder
+    points = eulerprod._points
+    monkeypatch.setattr(
+        eulerprod, "_points",
+        lambda d, s, w: points(d, s, w) + (Fraction(1, 2) if d == 1 else 0))
+    with pytest.raises(InternalCheckError, match="is not divisible"):
+        eulerprod._config_terms.__wrapped__(dp6, 0, 2)

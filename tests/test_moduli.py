@@ -170,11 +170,31 @@ class TestConfigClasses:
                   *(tuple(rng.randrange(5) for _ in range(6)) for _ in range(2))):
             assert pattern_config_class(dp6, e) == direct_config_class(dp6, e), e
 
-    def test_route_follows_the_sizes(self, p3, dp6):
+    def test_route_follows_the_sizes(self, fans, p3):
+        """Only dp6 at side 2 and above takes the walk: every fixture at
+        s = 0..3 and sides 0..7 (0..4 on dp6)."""
+        for (name, fan), s in itertools.product(fans.items(), range(4)):
+            for side in range(5 if name == "dp6" else 8):
+                walk = name == "dp6" and side >= 2
+                route = eulerprod._WalkTerms if walk else eulerprod._ProductTerms
+                terms = eulerprod._config_terms(fan, s, side)
+                assert type(terms) is route, (name, s, side)
         # P^3 at side 40: 41^4 box cells, but R and U have 41 terms each
-        for fan, side, route in ((p3, 40, eulerprod._ProductTerms),
-                                 (dp6, 3, eulerprod._WalkTerms)):
-            assert type(eulerprod._config_terms(fan, 0, side)) is route, fan
+        assert type(eulerprod._config_terms(p3, 0, 40)) is eulerprod._ProductTerms
+
+    def test_walk_mask_test_matches_the_exponent_comparison(self, dp6):
+        """_WalkTerms.at picks the terms of R below e by one mask test
+        on packed keys; here they are picked by comparing exponent
+        tuples, at every cell of the dp6 box of side 3."""
+        terms = eulerprod._config_terms(dp6, 0, 3)
+        rest = [(terms.keys.unpack(key), offset, value)
+                for key, offset, value in terms.rest]
+        for e in itertools.product(range(4), repeat=6):
+            pos = sum(x * st for x, st in zip(e, terms.strides))
+            want = sum(value * terms.dense[pos - offset]
+                       for prior, offset, value in rest
+                       if all(a <= b for a, b in zip(prior, e)))
+            assert terms.at(e) == want, e
 
     def test_specializes_to_point_counts(self, p2, bl1p2):
         for fan, e, p in ((p2, (1, 1, 1), 2), (p2, (2, 2, 2), 3),
@@ -352,6 +372,24 @@ class TestJetCondition:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             JetCondition.torus_point((1, 1), -1)
+
+    @pytest.mark.parametrize("coordinate", [1.7, "1", True])
+    def test_point_coordinates_must_be_integers(self, coordinate):
+        # int() would read (1.7, 2.2) as the point (1, 2)
+        with pytest.raises(ValueError,
+                           match=f"point coordinate {coordinate!r} is not"):
+            moduli._canonical_point((coordinate, 2))
+        with pytest.raises(ValueError,
+                           match=f"point coordinate {coordinate!r} is not"):
+            JetCondition.torus_point((1, coordinate))
+
+    @pytest.mark.parametrize("order", [1.9, "1", True])
+    def test_jet_orders_must_be_integers(self, p2, order):
+        # int() would keep 1.9 as order 1
+        with pytest.raises(ValueError, match=f"jet order {order!r} is not"):
+            JetCondition.full_jets(p2, [((1, 1), order)])
+        with pytest.raises(ValueError, match=f"jet order {order!r} is not"):
+            JetCondition.torus_point((1, 1), order)
 
     def test_w_class_type_enforced(self):
         with pytest.raises(ValueError):

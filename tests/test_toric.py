@@ -132,6 +132,13 @@ def test_eff_dual_membership(p1, p2, bl1p2):
     assert not eff_dual_contains(bl1p2, (1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("entry", [1.5, 1.0, "1", True])
+def test_eff_dual_refuses_entries_that_are_not_integers(p2, entry):
+    # int() would read each of them as 1, and (1, 1, 1) is in the cone
+    with pytest.raises(ValueError, match=f"degree entry {entry!r} is not"):
+        eff_dual_contains(p2, (entry, 1, 1))
+
+
 def test_eff_dual_enumerate(p1, bl1p2):
     assert eff_dual_enumerate(p1, 4) == [(0, 0), (1, 1), (2, 2)]
     degrees = eff_dual_enumerate(bl1p2, 5)
