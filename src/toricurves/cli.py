@@ -404,6 +404,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget is not None:
+            # every command accepts --budget, so every command checks it
+            oracle_mod._resolve_budget(args.budget)
         payload, text = args.func(args)
     except (BudgetError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,9 +31,14 @@ variable, come from the same integers at a width a second bound fixes
 (_config_terms).  The sizes choose their route before the d = 1 factor
 U exists, from a count of the cells U can reach.  The table route takes
 U from the same recurrence over packed keys; the walk route pulls U
-cell by cell into the dense box it walks, since the fan's pattern
-polynomial has exponents 0 and 1 only (_dense_power).  Packed values
-never leave this module.
+into the dense box it walks, since the fan's pattern polynomial has
+exponents 0 and 1 only (_dense_power).  A ray permutation that keeps
+the primitive collections keeps that polynomial, and so U cell by
+cell: the walk route pulls one cell per orbit of the automorphisms the
+search of toric finds, each checked against the polynomial's terms,
+and writes it to the orbit.  The zeta factors then walk the box one
+lane at a time, the cells at one place along an axis (_walk).  Packed
+values never leave this module.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .grothendieck import (
     unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial
-from .toric import Fan, require_valid
+from .toric import Fan, _minimal_patterns, _symmetries, require_valid
 
 __all__ = [
     "int_mobius",
@@ -375,7 +380,8 @@ def _power(terms: dict[int, int], a: int, keys: _Keys) -> dict[int, int]:
     return out
 
 
-def _dense_power(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:
+def _dense_power(terms: dict[int, int], a: int, keys: _Keys,
+                 perms: Sequence[tuple[int, ...]]) -> list[int]:
     """F^a in the uniform box of keys as a dense list, axis i at stride
     (b + 1)^i, for F = 1 + terms with exponents 0 and 1.
 
@@ -386,9 +392,19 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:
     G_e = ((a + 1) sum_f F_f |f| G_(e - f)) / |e|  -  sum_f F_f G_(e - f)
     over the terms whose support fits in its own.  A remainder, or an
     exponent above 1, raises InternalCheckError.
+
+    perms lists axis permutations, the identity among them, with axis i
+    going to perm[i].  Each must map the terms onto themselves with
+    their coefficients, or InternalCheckError is raised; then it keeps
+    F^a too, as the box is uniform, and a cell's value is written to
+    its images under all of them.  A cell already written is not pulled
+    again.  Each G_(e - f) lies in an orbit whose least position is at
+    most pos(e - f) < pos(e), so it is written before it is read.
     """
     n = keys.nvars
     side = max(keys.cap.box, default=0) + 1
+    powers = [side**i for i in range(n)]
+    moves = [[powers[j] for j in perm] for perm in perms]
     # per support mask, the offsets of the terms that fit in it, grouped
     # by the weights F_f |f| and F_f they share
     fits: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(1 << n)]
@@ -396,21 +412,33 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:
         f = keys.unpack(key)
         if max(f) > 1:
             raise InternalCheckError(f"power term at {f} has an exponent above 1")
+        for perm in perms:
+            image = [0] * n
+            for i, x in zip(perm, f):
+                image[i] = x
+            if terms.get(keys.pack(tuple(image))) != c:
+                raise InternalCheckError(
+                    f"axis permutation {perm} moves the power term at {f}")
         mask = sum(x << i for i, x in enumerate(f))
-        offset = sum(x * side**i for i, x in enumerate(f))
-        for m in range(1 << n):
-            if m & mask == mask:
-                fits[m].setdefault((c * sum(f), c), []).append(offset)
+        offset = sum(map(mul, f, powers))
+        m = mask
+        while m < 1 << n:
+            # every superset of mask, in increasing order
+            fits[m].setdefault((c * sum(f), c), []).append(offset)
+            m = (m + 1) | mask
     groups = [list(fit.items()) for fit in fits]
     # the total degree and the support mask of every cell
     degree, support = [0], [0]
     for i in range(n):
         degree = [d + x for x in range(side) for d in degree]
         support = [m | (1 << i if x else 0) for x in range(side) for m in support]
-    dense = [0] * len(degree)
+    dense: list = [None] * len(degree)
     dense[0] = 1
     lift = a + 1
+    shared = len(moves) > 1
     for pos in range(1, len(dense)):
+        if dense[pos] is not None:
+            continue
         h = g = 0
         for (weight, c), offsets in groups[support[pos]]:
             x = 0
@@ -425,7 +453,13 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:
                 f"power coefficient at {e} is not divisible by its total "
                 f"degree {degree[pos]}"
             )
-        dense[pos] = value - g
+        value -= g
+        if shared:
+            e = [pos // k % side for k in powers]
+            for move in moves:
+                dense[sum(map(mul, e, move))] = value
+        else:
+            dense[pos] = value
     return dense
 
 
@@ -524,24 +558,42 @@ def _walk(box: list[int], side: int, s: int, w: int) -> None:
     """Multiply a dense box of values at L = 2^w, side cells to an axis,
     by the zeta factor (1 - t)^(s-1) / (1 - L t) of every axis, in
     place: each factor is a recurrence along the axis, so one pass over
-    the box per factor and axis."""
+    the box per factor and axis.
+
+    A pass updates a lane at a time, the cells at one place along the
+    axis.  They lie in runs of step cells, one run per block of side
+    runs; when the runs are shorter than the count of blocks, the lane
+    is cut into strided slices, one per offset within a run, else into
+    the runs.  A slice holds at most 2048 cells, which bounds the values
+    a pass holds twice."""
     cells = len(box)
     step = 1
     while step < cells:
         block = step * side
-        starts = [j for b in range(0, cells, block)
-                  for j in range(b + step, b + block, step)]
+        if step <= cells // block:
+            span = 2048 * block
+            lanes = [[slice(k + c * step + r, k + span, block)
+                      for k in range(0, cells, span) for r in range(step)]
+                     for c in range(side)]
+        else:
+            lanes = [[slice(j, min(j + 2048, b + c * step + step))
+                      for b in range(0, cells, block)
+                      for j in range(b + c * step, b + c * step + step, 2048)]
+                     for c in range(side)]
+        pairs = list(zip(lanes[1:], lanes))
         for _ in range(s - 1):
-            # times 1 - t: descending, so every box[j - step] is still old
-            for j in reversed(starts):
-                box[j:j + step] = map(sub, box[j:j + step], box[j - step:j])
+            # times 1 - t: descending, so every previous lane is still old
+            for lane, prev in reversed(pairs):
+                for now, before in zip(lane, prev):
+                    box[now] = map(sub, box[now], box[before])
         if s == 0:
-            # over 1 - t: ascending, so every box[j - step] is final
-            for j in starts:
-                box[j:j + step] = map(add, box[j:j + step], box[j - step:j])
-        for j in starts:
-            box[j:j + step] = [a + (b << w) for a, b in
-                               zip(box[j:j + step], box[j - step:j])]
+            # over 1 - t: ascending, so every previous lane is final
+            for lane, prev in pairs:
+                for now, before in zip(lane, prev):
+                    box[now] = map(add, box[now], box[before])
+        for lane, prev in pairs:
+            for now, before in zip(lane, prev):
+                box[now] = [a + (b << w) for a, b in zip(box[now], box[before])]
         step = block
 
 
@@ -617,8 +669,10 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     point where the table would cost more than the walk.  The table
     route builds U sparse with _power; the walk route pulls U straight
     into the dense box with _dense_power, as the pattern polynomial's
-    exponents are 0 and 1.  On the bundled fans only dp6 at side 2 and
-    above takes the walk.
+    exponents are 0 and 1, one cell per orbit of the ray permutations
+    that toric's search lists (each keeps the primitive collections,
+    hence the polynomial and U), and walks it lane by lane.  On the
+    bundled fans only dp6 at side 2 and above takes the walk.
 
     Width.  With mu = R * U, the class at e is the sum over k <= e of
     mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
@@ -644,7 +698,8 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     if _support_size(base, keys, limit) <= limit:
         first = _power(base, a, keys)
         return _ProductTerms(s, EulerFactors(w, majorant, rest, first, keys))
-    return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys))
+    perms = _symmetries(n, _minimal_patterns(fan)).perms
+    return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
 
 
 def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:

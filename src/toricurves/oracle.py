@@ -31,8 +31,11 @@ with the degrees maps the tuples that avoid the patterns one to one
 onto those that avoid their images, the same patterns.  Each degree
 vector is counted as the least vector of its orbit over the
 automorphisms that a bounded search finds, once per process; a search
-that misses some only shares fewer counts.  Jet counts are never
-shared, as the target jets and the ray vectors single out each ray.
+that misses some only shares fewer counts.  The search lives in toric,
+where the engine takes the same automorphisms to pull one cell per
+orbit of its dense box; the counts here still share no series code
+with the engine.  Jet counts are never shared, as the target jets and
+the ray vectors single out each ray.
 """
 
 from __future__ import annotations
@@ -45,18 +48,23 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import and_
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError
 from .grothendieck import evaluate
-from .toric import Fan, pattern_set, picard_rank, require_valid
+from .toric import (
+    Fan,
+    _minimal_patterns,
+    _symmetries,
+    _Symmetries,
+    picard_rank,
+    require_valid,
+)
 from .moduli import DegreeVector, hom_class, pattern_config_class
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "TORICURVES_BUDGET"
-# the most class images the search for pattern automorphisms tries
-SYMMETRY_NODES = 512
 
 __all__ = [
     "ALLOWED_PRIMES",
@@ -276,106 +284,6 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
         n * weight(tuple(tags[place[ray]] for ray in range(len(order))))
         for (_, tags), n in states.items()
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _minimal_patterns(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted(j)) for j in pattern_set(fan).minimal
-    )
-
-
-class _Symmetries(NamedTuple):
-    """What ``_symmetries`` found: the twin classes of two or more rays,
-    one permutation per coset of the twin swaps, and the nodes visited."""
-
-    twins: tuple[tuple[int, ...], ...]
-    perms: tuple[tuple[int, ...], ...]
-    nodes: int
-
-
-@functools.lru_cache(maxsize=None)
-def _symmetries(
-    nrays: int, patterns: tuple[tuple[int, ...], ...]
-) -> _Symmetries:
-    """Ray permutations that map the pattern set onto itself.
-
-    Rays i and j are twins when swapping them keeps the patterns.  Being
-    twins is an equivalence, and an automorphism s turns the swap (i j)
-    into the swap (s(i) s(j)), so the twin swaps generate a normal
-    subgroup T and each automorphism maps twin classes onto twin
-    classes.  Each coset of T then holds exactly one automorphism that
-    is increasing on every twin class; ``perms`` lists those, as tuples
-    perm with ray a going to perm[a], the identity first.
-
-    A depth-first search picks the image of each twin class in turn,
-    among the unused classes of the same size whose rays lie on
-    patterns of the same sizes.  It drops a partial map when a pattern
-    inside the classes placed so far goes to a non-pattern, or when the
-    image of those classes holds a different number of patterns.  The
-    search tries at most SYMMETRY_NODES class images, so on a large
-    group (that of (P^1)^8 has 8! cosets) it may list only some of the
-    cosets.  The identity is found after one node per class, at most
-    24, so it is always listed.
-    """
-    masks = {sum(1 << a for a in pat) for pat in patterns}
-
-    def swap_keeps(i, j):
-        both = 1 << i | 1 << j
-        return all(
-            (m ^ both if m & both not in (0, both) else m) in masks
-            for m in masks
-        )
-
-    classes: list[list[int]] = []
-    for ray in range(nrays):
-        for cls in classes:
-            if swap_keeps(cls[0], ray):
-                cls.append(ray)
-                break
-        else:
-            classes.append([ray])
-    owner = {ray: c for c, cls in enumerate(classes) for ray in cls}
-    shape = [
-        (len(cls), sorted(len(pat) for pat in patterns if cls[0] in pat))
-        for cls in classes
-    ]
-    class_mask = [sum(1 << a for a in cls) for cls in classes]
-    touching = [[m for m in masks if m & cm] for cm in class_mask]
-    # the patterns whose last class is c
-    closing: list[list[tuple[int, ...]]] = [[] for _ in classes]
-    for pat in patterns:
-        closing[max(owner[a] for a in pat)].append(pat)
-
-    image = list(range(nrays))
-    used = [False] * len(classes)
-    perms: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def place(c, covered):
-        nonlocal nodes
-        if c == len(classes):
-            perms.append(tuple(image))
-            return
-        for d, cls in enumerate(classes):
-            if used[d] or shape[d] != shape[c]:
-                continue
-            if nodes == SYMMETRY_NODES:
-                return
-            nodes += 1
-            for a, b in zip(classes[c], cls):
-                image[a] = b
-            now = covered | class_mask[d]
-            if sum(m & now == m for m in touching[d]) == len(closing[c]) \
-                    and all(sum(1 << image[a] for a in pat) in masks
-                            for pat in closing[c]):
-                used[d] = True
-                place(c + 1, now)
-                used[d] = False
-
-    place(0, 0)
-    twins = tuple(tuple(cls) for cls in classes if len(cls) > 1)
-    return _Symmetries(twins, tuple(perms), nodes)
 
 
 def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:

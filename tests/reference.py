@@ -11,6 +11,7 @@ closed form) or builds test inputs (product fans, effective degrees).
 import itertools
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from toricurves.errors import InternalCheckError
 from toricurves.eulerprod import (
@@ -325,6 +326,85 @@ def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
     first = factor(1)
     first[0] = 1
     return EulerFactors(w, majorant, rest, first, keys)
+
+
+def dense_power_by_cells(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:
+    """_dense_power pulling every cell, none shared across an orbit:
+    F^a in the uniform box of keys as a dense list, axis i at stride
+    (b + 1)^i, for F = 1 + terms with exponents 0 and 1.
+
+    Miller's recurrence (eulerprod's docstring) read in pull form.  A term f
+    lies below e exactly when its support lies in that of e, and then
+    G_(e - f) sits pos(f) cells before G_e; so each cell, in increasing
+    position, gathers
+    G_e = ((a + 1) sum_f F_f |f| G_(e - f)) / |e|  -  sum_f F_f G_(e - f)
+    over the terms whose support fits in its own.  A remainder, or an
+    exponent above 1, raises InternalCheckError.
+    """
+    n = keys.nvars
+    side = max(keys.cap.box, default=0) + 1
+    # per support mask, the offsets of the terms that fit in it, grouped
+    # by the weights F_f |f| and F_f they share
+    fits: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(1 << n)]
+    for key, c in terms.items():
+        f = keys.unpack(key)
+        if max(f) > 1:
+            raise InternalCheckError(f"power term at {f} has an exponent above 1")
+        mask = sum(x << i for i, x in enumerate(f))
+        offset = sum(x * side**i for i, x in enumerate(f))
+        for m in range(1 << n):
+            if m & mask == mask:
+                fits[m].setdefault((c * sum(f), c), []).append(offset)
+    groups = [list(fit.items()) for fit in fits]
+    # the total degree and the support mask of every cell
+    degree, support = [0], [0]
+    for i in range(n):
+        degree = [d + x for x in range(side) for d in degree]
+        support = [m | (1 << i if x else 0) for x in range(side) for m in support]
+    dense = [0] * len(degree)
+    dense[0] = 1
+    lift = a + 1
+    for pos in range(1, len(dense)):
+        h = g = 0
+        for (weight, c), offsets in groups[support[pos]]:
+            x = 0
+            for o in offsets:
+                x += dense[pos - o]
+            h += weight * x
+            g += c * x
+        value, remainder = divmod(lift * h, degree[pos])
+        if remainder:
+            e = tuple(pos // side**i % side for i in range(n))
+            raise InternalCheckError(
+                f"power coefficient at {e} is not divisible by its total "
+                f"degree {degree[pos]}"
+            )
+        dense[pos] = value - g
+    return dense
+
+
+def walk_by_runs(box: list[int], side: int, s: int, w: int) -> None:
+    """_walk one run of step cells at a time: multiply a dense box of
+    values at L = 2^w, side cells to an axis, by the zeta factor
+    (1 - t)^(s-1) / (1 - L t) of every axis, in place."""
+    cells = len(box)
+    step = 1
+    while step < cells:
+        block = step * side
+        starts = [j for b in range(0, cells, block)
+                  for j in range(b + step, b + block, step)]
+        for _ in range(s - 1):
+            # times 1 - t: descending, so every box[j - step] is still old
+            for j in reversed(starts):
+                box[j:j + step] = map(sub, box[j:j + step], box[j - step:j])
+        if s == 0:
+            # over 1 - t: ascending, so every box[j - step] is final
+            for j in starts:
+                box[j:j + step] = map(add, box[j:j + step], box[j - step:j])
+        for j in starts:
+            box[j:j + step] = [a + (b << w) for a, b in
+                               zip(box[j:j + step], box[j - step:j])]
+        step = block
 
 
 def zeta_p1_coeffs(s: int, jmax: int) -> tuple[LaurentClass, ...]:

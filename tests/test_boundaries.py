@@ -67,3 +67,32 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
             continue
         unused.append(node.name)
     assert not unused, unused
+
+
+SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES"}
+
+
+def test_one_search_for_pattern_automorphisms():
+    """toric alone defines the search for pattern automorphisms, and the
+    oracle and the engine import it from there."""
+    defined: dict[str, set[str]] = {}
+    imported: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.ImportFrom) and node.module == "toric":
+                imported.setdefault(path.stem, set()).update(
+                    a.name for a in node.names)
+                continue
+            else:
+                continue
+            for name in names & SEARCH:
+                defined.setdefault(name, set()).add(path.stem)
+    assert defined == {name: {"toric"} for name in SEARCH}, defined
+    for module in ("oracle", "eulerprod"):
+        assert "_symmetries" in imported.get(module, set()), module

@@ -388,6 +388,17 @@ class TestOracle:
         assert code == EXIT_VALIDATION and out == ""
         assert "budget -1 from the budget argument (--budget)" in err
 
+    @pytest.mark.parametrize("command", [
+        ["hom", "p2", "--degree", "1,1,1"],
+        ["tamagawa", "p2", "--order", "4"],
+        ["analyze", "p2"],
+    ], ids=["hom", "tamagawa", "analyze"])
+    def test_every_command_refuses_a_negative_budget(self, capsys, command):
+        """Each used to print its answer and exit 0."""
+        code, out, err = run(capsys, *command, "--budget", "-5")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "budget -5 from the budget argument (--budget)" in err
+
     @pytest.mark.parametrize("value", ["abc", "1e3", "-5"])
     def test_bad_budget_variable_is_refused(self, capsys, monkeypatch, value):
         monkeypatch.setenv("TORICURVES_BUDGET", value)

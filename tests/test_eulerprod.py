@@ -9,6 +9,7 @@ with plain integer series arithmetic.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from toricurves.grothendieck import (
     pack_class,
 )
 from toricurves.mobius import IntPoly, fan_mobius_polynomial
-from toricurves import eulerprod
+from toricurves import eulerprod, toric
 from toricurves.eulerprod import (
     _Keys,
     _dense_power,
@@ -41,7 +42,13 @@ from toricurves.eulerprod import (
     int_mobius,
 )
 
-from reference import binomial_factors, zeta_p1_coeffs
+from reference import (
+    binomial_factors,
+    dense_power_by_cells,
+    fan_product,
+    walk_by_runs,
+    zeta_p1_coeffs,
+)
 
 # ---------------------------------------------------------------------------
 # reference arithmetic: multivariate series whose coefficients are
@@ -344,6 +351,20 @@ def test_zeta_walk_gives_the_packed_coefficients(s):
         assert zeta == [pack_class(z, w) for z in zeta_p1_coeffs(s, top)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_lane_walk_matches_the_walk_by_runs(n):
+    """The lane walk against the walk one run at a time, on boxes of
+    random signed integers wider than the digit width, sides 1..6 (side
+    1 is the box of one cell), for a narrow and a wide L = 2^w."""
+    rng = random.Random(n)
+    for side, s, w in itertools.product(range(1, 7), range(4), (3, 150)):
+        box = [rng.getrandbits(200) - (1 << 199) for _ in range(side**n)]
+        want = list(box)
+        walk_by_runs(want, side, s, w)
+        _walk(box, side, s, w)
+        assert box == want, (side, s, w)
+
+
 def test_global_mobius_p1(p1):
     gm = global_mobius(p1, 0, SeriesCap.total_cap(2, 8))
     assert gm[(0, 0)] == ONE
@@ -516,7 +537,8 @@ def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
             for key, value in first.items():
                 e = keys.unpack(key)
                 want[sum(x * (side + 1) ** i for i, x in enumerate(e))] = value
-            assert _dense_power(base, a, keys) == want, (name, side)
+            perms = toric._symmetries(n, toric._minimal_patterns(fan)).perms
+            assert _dense_power(base, a, keys, perms) == want, (name, side)
             limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
             count = _support_size(base, keys, limit)
             if count <= limit:
@@ -528,12 +550,13 @@ def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
 def test_dense_power_checks_its_terms_and_each_division(dp6, monkeypatch):
     keys = _Keys(SeriesCap.box_cap((3,)))
     t = {keys.pack((1,)): 1}
-    assert _dense_power(t, 3, keys) == [math.comb(3, j) for j in range(4)]
+    one = [(0,)]
+    assert _dense_power(t, 3, keys, one) == [math.comb(3, j) for j in range(4)]
     with pytest.raises(InternalCheckError, match=r"at \(1,\) is not divisible"):
-        _dense_power(t, Fraction(1, 2), keys)
+        _dense_power(t, Fraction(1, 2), keys, one)
     # x^2 lies below e without its support deciding it
     with pytest.raises(InternalCheckError, match="exponent above 1"):
-        _dense_power({keys.pack((2,)): 1}, 3, keys)
+        _dense_power({keys.pack((2,)): 1}, 3, keys, one)
     # a_1 off by one half: dp6 at side 2 takes the walk, and its first
     # division by |e| that meets a term leaves a remainder
     points = eulerprod._points
@@ -541,4 +564,52 @@ def test_dense_power_checks_its_terms_and_each_division(dp6, monkeypatch):
         eulerprod, "_points",
         lambda d, s, w: points(d, s, w) + (Fraction(1, 2) if d == 1 else 0))
     with pytest.raises(InternalCheckError, match="is not divisible"):
+        eulerprod._config_terms.__wrapped__(dp6, 0, 2)
+
+
+def _power_inputs(fan, s, side):
+    """The packed terms of F - 1, a_1 and the keys of the uniform box."""
+    cap = SeriesCap.box_cap((side,) * fan.nrays)
+    keys, w, _, base, _ = _rest_factors(fan_mobius_polynomial(fan), s, cap, None)
+    return base, _points(1, s, w), keys
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_orbit_power_matches_the_power_by_cells(fans, s):
+    """U pulled once per orbit equals U pulled cell by cell, with the
+    automorphisms the search lists and with the identity alone, on the
+    sides where each route is taken: 0..6, and 0..4 on dp6."""
+    for name, fan in fans.items():
+        n = fan.nrays
+        perms = toric._symmetries(n, toric._minimal_patterns(fan)).perms
+        for side in range(5 if name == "dp6" else 7):
+            base, a, keys = _power_inputs(fan, s, side)
+            want = dense_power_by_cells(base, a, keys)
+            assert _dense_power(base, a, keys, perms) == want, (name, side)
+            assert _dense_power(base, a, keys, [tuple(range(n))]) == want
+
+
+def test_orbit_power_with_part_of_the_group(dp6, polygon_document):
+    """The 12-gon and dp6 x dp6, whose search stops at its node bound
+    with part of the group (8 of 24 and 28 of 288 cosets), at sides 0
+    and 1."""
+    for fan in (toric.parse_fan(polygon_document(12)), fan_product(dp6, dp6)):
+        sym = toric._symmetries(fan.nrays, toric._minimal_patterns(fan))
+        assert sym.nodes == toric.SYMMETRY_NODES and len(sym.perms) > 1
+        for side in (0, 1):
+            base, a, keys = _power_inputs(fan, 0, side)
+            assert (_dense_power(base, a, keys, sym.perms)
+                    == dense_power_by_cells(base, a, keys)), side
+
+
+def test_orbit_power_checks_each_permutation(dp6, monkeypatch):
+    """A permutation that does not keep the pattern polynomial is refused
+    before any cell is shared: swapping two adjacent rays of the hexagon
+    moves the term of the pattern {0, 2}."""
+    found = eulerprod._symmetries(6, toric._minimal_patterns(dp6))
+    swap = (1, 0, 2, 3, 4, 5)
+    monkeypatch.setattr(
+        eulerprod, "_symmetries",
+        lambda nrays, patterns: found._replace(perms=found.perms + (swap,)))
+    with pytest.raises(InternalCheckError, match=r"permutation \(1, 0,"):
         eulerprod._config_terms.__wrapped__(dp6, 0, 2)

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from toricurves.errors import BudgetError, InternalCheckError
 from toricurves.grothendieck import evaluate
-from toricurves import oracle
+from toricurves import oracle, toric
 from reference import common_projective_root, picard_projection
 from toricurves.toric import parse_fan, pattern_set, picard_rank
 from toricurves.moduli import hom_class, pattern_config_class
@@ -350,8 +350,8 @@ class TestPatternCounts:
         moved = 0
         for name in ["p1", "p2", "p3", "p1xp1", "bl1p2", "dp6", "F2"]:
             fan = fan_named(fans, name)
-            patterns = oracle._minimal_patterns(fan)
-            sym = oracle._symmetries(fan.nrays, patterns)
+            patterns = toric._minimal_patterns(fan)
+            sym = toric._symmetries(fan.nrays, patterns)
             top = 3 if fan.nrays <= 4 else 2
             for e in itertools.product(range(top + 1), repeat=fan.nrays):
                 moved += oracle._orbit_key(e, sym) != e
@@ -392,8 +392,8 @@ class TestSymmetries:
         within twin classes give every automorphism once: the whole
         group, of the order listed."""
         fan = fan_named(fans, name)
-        patterns = oracle._minimal_patterns(fan)
-        sym = oracle._symmetries(fan.nrays, patterns)
+        patterns = toric._minimal_patterns(fan)
+        sym = toric._symmetries(fan.nrays, patterns)
         assert sym.perms[0] == tuple(range(fan.nrays))
         swaps = [
             [dict(zip(cls, order)) for order in itertools.permutations(cls)]
@@ -407,7 +407,7 @@ class TestSymmetries:
                                    for a in range(fan.nrays)))
         assert len(group) == len(set(group)) == self.ORDERS[name]
         assert set(group) == brute_automorphisms(fan.nrays, patterns)
-        assert sym.nodes <= oracle.SYMMETRY_NODES
+        assert sym.nodes <= toric.SYMMETRY_NODES
 
     @pytest.mark.parametrize("build,k,want", [
         (projective_space, 11, 531438),  # 3^12 - 3 at degree (1, ..., 1)
@@ -417,9 +417,9 @@ class TestSymmetries:
         """P^11's group has order 12!, that of (P^1)^8 order 2^8 8!; the
         search stops at its bound and the counts stay exact."""
         fan = build(k)
-        patterns = oracle._minimal_patterns(fan)
-        sym = oracle._symmetries(fan.nrays, patterns)
-        assert sym.nodes <= oracle.SYMMETRY_NODES
+        patterns = toric._minimal_patterns(fan)
+        sym = toric._symmetries(fan.nrays, patterns)
+        assert sym.nodes <= toric.SYMMETRY_NODES
         assert sym.perms[0] == tuple(range(fan.nrays))
         pats = {frozenset(pat) for pat in patterns}
         for perm in sym.perms:
