@@ -15,7 +15,15 @@ from types import MappingProxyType
 
 from .errors import LimitError
 from .grothendieck import LaurentClass
-from .toric import MAX_RAYS, Fan, PatternSet, pattern_set, class_of_variety, picard_rank
+from .toric import (
+    MAX_RAYS,
+    Fan,
+    PatternSet,
+    _integer,
+    class_of_variety,
+    pattern_set,
+    picard_rank,
+)
 
 
 class IntPoly:
@@ -105,7 +113,7 @@ class MobiusTable:
     coeffs: MappingProxyType  # support bitmask (bit i = ray i) -> nonzero mu
 
     def mu(self, n) -> int:
-        n = tuple(int(x) for x in n)
+        n = tuple(_integer(x, "exponent entry") for x in n)
         if len(n) != self.nvars or any(x not in (0, 1) for x in n):
             return 0
         return self.coeffs.get(sum(x << i for i, x in enumerate(n)), 0)

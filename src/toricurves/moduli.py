@@ -26,6 +26,7 @@ from .grothendieck import (
 )
 from .toric import (
     Fan,
+    _integer,
     class_of_variety,
     eff_dual_contains,
     picard_rank,
@@ -44,14 +45,6 @@ __all__ = [
     "convergence_report",
     "constrained_main_term",
 ]
-
-
-def _integer(x, what: str) -> int:
-    # a bool is an int to isinstance, but never a degree, a coordinate
-    # or an order
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return x
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,12 @@ in any order: it takes one that ends patterns early, which keeps few
 patterns open.  Before a ray, the ANDs of the patterns it ends fold
 into their OR, and states equal after the fold merge, since the ray
 reads those ANDs only through whether that OR meets its form's mask.
+Plain counts list no form: by unique factorization the number of forms
+whose roots among the tracked points are a given set comes from the
+zeta function of P^1, and depends only on how many points of each
+degree the set holds.  Their walk therefore also keeps one state per
+orbit of the points under the permutations that keep degrees, [0:1]
+counting as a rational point, with the orbit's summed count.
 Jet-constrained counts key each form by its mask and its jet
 relative to the target, and keep a final state when every character of
 the dense torus takes the value 1 on its jets.  A budget guard refuses
@@ -54,6 +60,7 @@ from .errors import BudgetError, InternalCheckError
 from .grothendieck import evaluate
 from .toric import (
     Fan,
+    _integer,
     _minimal_patterns,
     _symmetries,
     _Symmetries,
@@ -175,11 +182,56 @@ def _root_masks(p: int, e: int, k: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _class_sizes(p: int, k: int) -> tuple[int, ...]:
+    """The number of points of each degree 1, ..., k that masks track.
+
+    Degree 1 is [0:1] with the p rational points, degree j > 1 the monic
+    irreducibles of degree j; in a mask each degree's bits follow those
+    of the degree before.
+    """
+    return tuple(len(_irreducibles(p, j)) + (j == 1) for j in range(1, k + 1))
+
+
+@functools.lru_cache(maxsize=None)
 def _mask_counts(p: int, e: int, k: int) -> dict[int, int]:
-    """Number of normalized degree-e forms per root mask of ``_root_masks``."""
-    if k == 0:
-        return {0: (p ** (e + 1) - 1) // (p - 1)}
-    return Counter(_root_masks(p, e, k))
+    """Number of normalized degree-e forms per root mask of ``_root_masks``.
+
+    Forms are the effective degree-e divisors of P^1.  With T the points
+    of degree at most k, those whose roots in T are exactly M number
+    [t^e] prod_{x in M} t^deg(x) / (1 - t^deg(x)) * R(t), where
+    R(t) = prod_{x in T} (1 - t^deg(x)) / ((1 - t)(1 - pt)) by unique
+    factorization, the zeta function of P^1 with T taken out.  The
+    count depends on M only through how many points of each degree it
+    holds; no form is listed.  Masks whose count is 0 are left out.
+    """
+    series = [(p ** (j + 1) - 1) // (p - 1) for j in range(e + 1)]
+    sizes = _class_sizes(p, k)
+    for deg, size in enumerate(sizes, 1):
+        for _ in range(size):
+            for j in range(e, deg - 1, -1):
+                series[j] -= series[j - deg]
+    counts: dict[int, int] = {}
+
+    def choose(cls, low, left, series, masks):
+        # take a points of degree cls + 1, each a factor t^deg / (1 - t^deg)
+        if cls == len(sizes):
+            if series[e]:
+                counts.update(dict.fromkeys(masks, series[e]))
+            return
+        deg, size = cls + 1, sizes[cls]
+        for a in range(min(size, left // deg) + 1):
+            if a:
+                shifted = [0] * (e + 1)
+                for j in range(deg, e + 1):
+                    shifted[j] = series[j - deg] + shifted[j - deg]
+                series = shifted
+            picks = [sum(1 << (low + i) for i in c)
+                     for c in itertools.combinations(range(size), a)]
+            choose(cls + 1, low + size, left - a * deg, series,
+                   [m | b for m in masks for b in picks])
+
+    choose(0, 0, e, series, [0])
+    return counts
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,6 +259,52 @@ def _walk_order(
     return tuple(order)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_reps(p: int, k: int) -> _Memo:
+    """Group of a plain count -> the group that stands for its orbit.
+
+    A permutation of the points of degree at most k that keeps degrees,
+    with [0:1] among the rational points, keeps every ray's mask counts
+    (``_mask_counts``) and commutes with the fold and the step, so the
+    groups of one orbit have equal continuations.  A point's column is
+    whether the forbidden mask and each carried AND hold it, and a
+    group's orbit is its columns with those of each degree class sorted.
+    Masks hold no bit above the tracked points, so the bits there, as in
+    the all-ones entries, are never read.  The first group seen stands
+    for its orbit; the same groups recur across counts, so each is
+    looked at once per process.
+    """
+    sizes = _class_sizes(p, k)
+    width = sum(sizes)
+    tracked, fmt = (1 << width) - 1, f"0{width}b"
+    # the binary string of a mask lists bit width - 1 first
+    spans = [(width - b, width - a) for a, b in
+             itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+    first: dict = {}
+
+    def rep(group):
+        forbidden, carried, _ = group
+        columns = list(map("".join, zip(*[format(m & tracked, fmt)
+                                          for m in (forbidden, *carried)])))
+        orbit = "".join(itertools.chain(
+            *[sorted(columns[a:b]) for a, b in spans]))
+        return first.setdefault(orbit, group)
+
+    return _Memo(rep)
+
+
 def _count(p, degrees, patterns, tag=None, weight=None) -> int:
     """Sum of weight(tags) over form tuples, one per ray, avoiding the patterns.
 
@@ -226,6 +324,15 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
     meets the new form's mask.  A ray's masks only cover points of
     degree at most the smallest degree of some pattern through it, the
     only points those forms can share.
+
+    A plain count (no ``tag``) lists no form: the number of forms per
+    mask comes from the zeta function of P^1 (``_mask_counts``) and
+    depends on the points a mask holds only through their degrees.  So
+    a permutation of the points that keeps degrees maps states onto
+    states with the same continuations, and after the fold the groups
+    merge once more, one per orbit of the points, stepped with the
+    orbit's summed count (``_orbit_reps``).  Jet counts keep every
+    group, since the marked point and the tags single out points.
     """
     patterns = tuple(pat for pat in patterns if all(degrees[a] for a in pat))
     order = _walk_order(len(degrees), patterns)
@@ -237,6 +344,7 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
             default=0)
         for a in range(len(degrees))
     ]
+    reps = _orbit_reps(p, max(cuts)) if tag is None and patterns else None
     states = {((), ()): 1}
     live: list[int] = []
     for t, (e, k) in enumerate(zip(degrees, cuts)):
@@ -268,6 +376,11 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
             for s in closing:
                 forbidden |= ext[s]
             groups[forbidden, tuple(map(ext.__getitem__, src)), tags] += n
+        if reps is not None and len(groups) > 1:
+            merged: dict = defaultdict(int)
+            for group, n in groups.items():
+                merged[reps[group]] += n
+            groups = merged
         step = [
             (m, ft, c, tuple(m if h else -1 for h in hit))
             for (m, ft), c in keys.items()
@@ -388,7 +501,7 @@ def reduce_point(pt: Sequence[int], p: int) -> int | None:
     Returns the affine value x1/x0 in F_p, or None for the point at
     infinity [0:1].
     """
-    x0, x1 = (int(x) % p for x in pt)
+    x0, x1 = (_integer(x, "point coordinate") % p for x in pt)
     if x0:
         return (x1 * pow(x0, p - 2, p)) % p
     if x1:
@@ -417,9 +530,11 @@ class JetSpec:
         return cls(point, order, (jet,) * nrays)
 
     def validate_for(self, p: int, nrays: int) -> None:
-        if self.order < 0:
+        if _integer(self.order, "jet order") < 0:
             raise ValueError("jet order must be nonnegative")
-        if self.point is not None and not 0 <= self.point < p:
+        if self.point is not None and not (
+            0 <= _integer(self.point, "jet point") < p
+        ):
             raise ValueError(f"point {self.point} is not reduced modulo {p}")
         if len(self.target) != nrays:
             raise ValueError(
@@ -429,6 +544,8 @@ class JetSpec:
         for comp in self.target:
             if len(comp) != self.order + 1:
                 raise ValueError("each target component needs order+1 entries")
+            for x in comp:
+                _integer(x, "target entry")
             if comp[0] % p == 0:
                 raise ValueError(
                     "target is not a torus jet (component with zero "

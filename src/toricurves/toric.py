@@ -129,6 +129,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _integer(x, what: str) -> int:
+    """x itself when it is an integer, else ValueError naming it; a
+    float, a string or a bool is never a degree, a coordinate or an
+    order, so none is truncated or read as one."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def parse_fan(document: dict) -> Fan:
     """Build a Fan from {"rays": [...], "max_cones": [...]}.
 

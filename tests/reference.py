@@ -4,14 +4,17 @@ None of this is on a path that a command or a script runs.  Each helper
 computes a quantity a second way (the Picard projection, the torsor
 class by counting zero sets, the Mobius values grouped by subgraph
 shape, the Euler factors by the binomial expansion, common roots of
-binary forms by a gcd, the punctured-line zeta coefficients from their
-closed form) or builds test inputs (product fans, effective degrees).
+binary forms by a gcd, oracle counts by the walk without its orbit
+merge over forms listed one by one, the punctured-line zeta
+coefficients from their closed form) or builds test inputs (product
+fans, effective degrees).
 """
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
-from operator import add, sub
+from operator import add, and_, sub
 
 from toricurves.errors import InternalCheckError
 from toricurves.eulerprod import (
@@ -273,6 +276,67 @@ def common_projective_root(p: int, forms) -> bool:
         while b:
             g, b = b, oracle._poly_rem(g, b, p)
     return len(g) > 1
+
+
+def count_unmerged(p, degrees, patterns, tag=None, weight=None) -> int:
+    """oracle._count without the orbit merge, and with the forms per
+    root mask of a plain count listed one by one (``_root_masks``), not
+    read off the zeta function of P^1: the walk in ``_walk_order``
+    keeps one state per AND tuple, folding the patterns that end at a
+    ray into their OR first, and nothing more."""
+    patterns = tuple(pat for pat in patterns if all(degrees[a] for a in pat))
+    order = oracle._walk_order(len(degrees), patterns)
+    place = {ray: t for t, ray in enumerate(order)}
+    degrees = [degrees[ray] for ray in order]
+    patterns = [tuple(sorted(place[a] for a in pat)) for pat in patterns]
+    cuts = [
+        max((min(degrees[b] for b in pat) for pat in patterns if a in pat),
+            default=0)
+        for a in range(len(degrees))
+    ]
+    states = {((), ()): 1}
+    live: list[int] = []
+    for t, (e, k) in enumerate(zip(degrees, cuts)):
+        keys = Counter()
+        for f, m in zip(oracle._form_table(p, e), oracle._root_masks(p, e, k)):
+            if tag is None:
+                keys[m, ()] += 1
+            elif (ft := tag(order[t], f)) is not None:
+                keys[m, (ft,)] += 1
+        slots = list(enumerate(live)) + [
+            (len(live), i) for i, pat in enumerate(patterns) if pat[0] == t
+        ]
+        closing, src, hit, kept = [], [], [], []
+        for slot, i in slots:
+            if t == patterns[i][-1]:
+                closing.append(slot)
+                continue
+            src.append(slot)
+            hit.append(t in patterns[i])
+            kept.append(i)
+        groups: dict = defaultdict(int)
+        for (ands, tags), n in states.items():
+            ext = ands + (-1,)
+            forbidden = 0
+            for s in closing:
+                forbidden |= ext[s]
+            groups[forbidden, tuple(map(ext.__getitem__, src)), tags] += n
+        step = [
+            (m, ft, c, tuple(m if h else -1 for h in hit))
+            for (m, ft), c in keys.items()
+        ]
+        nxt: dict = defaultdict(int)
+        for (forbidden, carried, tags), n in groups.items():
+            for m, ft, c, masks in step:
+                if not forbidden & m:
+                    nxt[tuple(map(and_, carried, masks)), tags + ft] += n * c
+        states, live = nxt, kept
+    if weight is None:
+        return sum(states.values())
+    return sum(
+        n * weight(tuple(tags[place[ray]] for ray in range(len(order))))
+        for (_, tags), n in states.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,16 @@ class TestOracle:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("p", ["5", "7"])
+    def test_budget_exit_on_a_pairs_only_fan(self, capsys, p):
+        """The count itself takes well under a second; the budget still
+        bounds the tuples."""
+        argv = ["oracle", "dp6", "--p", p, "--degree", "2,2,2,2,2,2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET and out == ""
+        code, out, err = run(capsys, *argv, "--budget", str(10**11))
+        assert code == 0 and out.startswith("equal:")
+
     def test_negative_budget_flag_is_refused(self, capsys):
         code, out, err = run(capsys, "oracle", "p2", "--p", "3",
                              "--degree", "1,1,1", "--budget", "-1")

@@ -117,6 +117,19 @@ def test_mobius_recursion(fans):
             assert total == expected, (name, support)
 
 
+def test_mu_refuses_entries_that_are_not_integers(p2):
+    """(1.9, 1, 1) was truncated to mu at (1, 1, 1), and (0.5, 0, 0) to
+    mu at the origin."""
+    table = mobius_table(pattern_set(p2))
+    for n, bad in [((1.9, 1, 1), "1.9"), ((0.5, 0, 0), "0.5"),
+                   ((True, 0, 0), "True"), (("1", 0, 0), "'1'")]:
+        with pytest.raises(ValueError,
+                           match=f"exponent entry {bad} is not an integer"):
+            table.mu(n)
+    assert table.mu((1, 1, 1)) == -1
+    assert table.mu((2, 0, 0)) == table.mu((-1, 1, 1)) == 0
+
+
 def test_table_guard_is_a_limit():
     with pytest.raises(LimitError, match="internal limit of 24 variables"):
         mobius_table(PatternSet(25, (frozenset({0, 1}),)))

@@ -9,14 +9,15 @@ formula written out directly.
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from toricurves.errors import BudgetError, InternalCheckError
 from toricurves.grothendieck import evaluate
-from toricurves import oracle, toric
-from reference import common_projective_root, picard_projection
+from toricurves import FIXTURE_NAMES, oracle, toric
+from reference import common_projective_root, count_unmerged, picard_projection
 from toricurves.toric import parse_fan, pattern_set, picard_rank
 from toricurves.moduli import hom_class, pattern_config_class
 from toricurves.oracle import (
@@ -189,6 +190,46 @@ class TestForms:
         assert _trim(f) == (0, 1, 2)
         # bit 0 of a root mask is the point [0:1]
         assert _root_masks(3, 3, 1)[_form_table(3, 3).index(f)] & 1
+
+    @pytest.mark.parametrize("p,top", [(2, 6), (3, 6), (5, 3), (7, 3)])
+    def test_zeta_formula_matches_the_enumeration(self, p, top):
+        """The forms per root mask of a plain count, read off the zeta
+        function of P^1, are the forms listed and trial-divided."""
+        for e in range(top + 1):
+            for k in range(e + 1):
+                listed = dict(Counter(_root_masks(p, e, k)))
+                assert oracle._mask_counts(p, e, k) == listed, (e, k)
+
+
+class TestOrbitMerge:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_merged_walk_matches_the_unmerged_walk(self, fans, name):
+        """Every plain count of the gate box at p = 2, 3."""
+        fan = fans[name]
+        patterns = toric._minimal_patterns(fan)
+        top = 3 if fan.nrays <= 4 else 2
+        for e in itertools.product(range(top + 1), repeat=fan.nrays):
+            for p in (2, 3):
+                assert (oracle._count(p, e, patterns)
+                        == count_unmerged(p, e, patterns)), (e, p)
+
+    def test_merged_walk_matches_at_a_larger_prime(self, dp6):
+        patterns = toric._minimal_patterns(dp6)
+        e = (2,) * 6
+        assert (oracle._count(5, e, patterns)
+                == count_unmerged(5, e, patterns) == 139873560)
+
+    def test_groups_of_one_orbit_share_a_representative(self):
+        # p = 3, degree 1 only: bit 0 is [0:1], bits 1-3 the rational points
+        reps = oracle._orbit_reps(3, 1)
+        assert reps[0b0001, (0b0011,), ()] is reps[0b1000, (0b1100,), ()]
+        assert reps[0b0001, (0b0011,), ()] != reps[0b0001, (0b0110,), ()]
+        # bits above the tracked points are never read
+        assert reps[0, (-1,), ()] is reps[0, (0b1111,), ()]
+        # p = 2, degrees 1 and 2: the one quadratic point has no partner
+        reps = oracle._orbit_reps(2, 2)
+        assert reps[0b0001, (), ()] is reps[0b0100, (), ()]
+        assert reps[0b0001, (), ()] != reps[0b1000, (), ()]
 
 
 class TestCommonRoots:
@@ -525,6 +566,18 @@ class TestConstrainedCounts:
         want = reference_constrained_count(p, fan, d, spec)
         assert got == want, (name, d, p)
 
+    @pytest.mark.parametrize("name,d,p,point,order,target", JET_CASES)
+    def test_jet_counts_keep_the_unmerged_walk(self, fans, monkeypatch, name,
+                                               d, p, point, order, target):
+        fan = fan_named(fans, name)
+        if target is None:
+            spec = JetSpec.identity(fan.nrays, point, order)
+        else:
+            spec = JetSpec(point, order, target)
+        got = ff_constrained_count(p, fan, d, spec)
+        monkeypatch.setattr(oracle, "_count", count_unmerged)
+        assert ff_constrained_count(p, fan, d, spec) == got, (name, d, p)
+
     def test_orbit_test_makes_few_series_products(self, dp6, monkeypatch):
         calls = []
         mul = oracle._series_mul
@@ -636,6 +689,22 @@ class TestJetSpec:
         with pytest.raises(ValueError):
             JetSpec.identity(2, 1, -1).validate_for(3, 2)
 
+    @pytest.mark.parametrize("spec,bad", [
+        (JetSpec(True, 0, ((1,),) * 3), "jet point True"),
+        (JetSpec(1.5, 0, ((1,),) * 3), "jet point 1.5"),
+        (JetSpec(1, True, ((1, 0),) * 3), "jet order True"),
+        (JetSpec(1, 0.0, ((1,),) * 3), "jet order 0.0"),
+        (JetSpec(1, 0, ((1,), (1.0,), (1,))), "target entry 1.0"),
+        (JetSpec(None, 1, ((1, "0"),) * 3), "target entry '0'"),
+    ])
+    def test_refuses_entries_that_are_not_integers(self, p2, spec, bad):
+        """A bool point and order passed and were read as 1, and a float
+        point failed inside pow()."""
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            spec.validate_for(3, 3)
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            ff_constrained_count(3, p2, (1, 1, 1), spec)
+
 
 class TestReducePoint:
     def test_affine_values(self):
@@ -651,6 +720,15 @@ class TestReducePoint:
             reduce_point((3, 6), 3)
         with pytest.raises(ValueError):
             reduce_point((5, 0), 5)
+
+    @pytest.mark.parametrize("pt,bad", [
+        ((1.5, 2), "1.5"), ((True, 2), "True"), ((1, "2"), "'2'"),
+    ])
+    def test_refuses_coordinates_that_are_not_integers(self, pt, bad):
+        """(1.5, 2) was truncated to (1, 2), and True read as 1."""
+        with pytest.raises(ValueError,
+                           match=f"point coordinate {bad} is not an integer"):
+            reduce_point(pt, 3)
 
 
 class TestOracleCompare:
@@ -673,6 +751,20 @@ class TestOracleCompare:
             oracle_compare(2, p1, e=(1, 1), d=(1, 1))
         with pytest.raises(ValueError):
             oracle_compare(2, p1)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_pairs_only_fan_at_primes_beyond_the_gate(self, dp6, p):
+        """dp6, whose primitive collections are all pairs, at degree
+        (2,...,2): the count matches the class with an explicit budget,
+        and the default budget still refuses it."""
+        e = (2,) * 6
+        assert oracle_compare(p, dp6, e=e, budget=10**11).equal
+        with pytest.raises(BudgetError):
+            ff_pattern_count(p, dp6, e)
+
+    def test_high_degree_on_the_line(self, p1):
+        """Listing the forms of degree 20 took about half a minute."""
+        assert oracle_compare(2, p1, e=(20, 1)).equal
 
     def test_allowed_primes_is_conservative(self):
         assert set(ALLOWED_PRIMES) == {2, 3, 5, 7}
