@@ -37,8 +37,16 @@ the primitive collections keeps that polynomial, and so U cell by
 cell: the walk route pulls one cell per orbit of the automorphisms the
 search of toric finds, each checked against the polynomial's terms,
 and writes it to the orbit.  The zeta factors then walk the box one
-lane at a time, the cells at one place along an axis (_walk).  Packed
-values never leave this module.
+lane at a time, the cells at one place along an axis (_walk).
+
+The same permutations keep every class of a uniform box, on either
+route, so classes are shared per orbit: once per fan, each permutation
+listed and each swap of two twin rays is checked to map the pattern
+polynomial's terms onto themselves, and then one class is read back per
+orbit, at its least vector (toric's _orbit_key).  Hom classes share only
+the class under them: moduli tests each degree against the dual
+effective cone, which these permutations need not keep.  Packed values
+never leave this module.
 """
 
 from __future__ import annotations
@@ -61,7 +69,14 @@ from .grothendieck import (
     unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial
-from .toric import Fan, _minimal_patterns, _symmetries, require_valid
+from .toric import (
+    Fan,
+    _minimal_patterns,
+    _orbit_key,
+    _symmetries,
+    _Symmetries,
+    require_valid,
+)
 
 __all__ = [
     "int_mobius",
@@ -702,10 +717,43 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_classes(fan: Fan) -> tuple[_Symmetries, dict]:
+    """The pattern automorphisms toric's search lists for the fan, and a
+    cache of its configuration classes, {(s, orbit key): class}.
+
+    Each listed permutation and each swap of two twin rays, applied as
+    ``_orbit_key`` relabels, f -> (f[perm[a]])_a, must keep the terms of
+    the pattern polynomial with their coefficients, or InternalCheckError
+    names it.  Every relabelling ``_orbit_key`` makes is a product of
+    these, so it keeps the polynomial, hence the Euler product and, the
+    box being uniform, every class.
+    """
+    n = fan.nrays
+    sym = _symmetries(n, _minimal_patterns(fan))
+    terms = fan_mobius_polynomial(fan).coeffs
+    swaps = [tuple(j if a == i else i if a == j else a for a in range(n))
+             for cls in sym.twins for i, j in zip(cls, cls[1:])]
+    for perm in (*sym.perms, *swaps):
+        if {tuple(map(f.__getitem__, perm)): c
+                for f, c in terms.items()} != terms:
+            raise InternalCheckError(
+                f"ray permutation {perm} does not keep the pattern polynomial")
+    return sym, {}
+
+
 def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
     """The t^e coefficient of the valid fan's Euler product times one
     zeta factor per ray, read back at L = 2^w under the bound that fixes
-    w.  Terms are cached per box of side max(e), shared by a sweep."""
-    terms = _config_terms(fan, s, max(e, default=0))
-    return _read_back(terms.at(e), terms.width, 1 << (terms.width - 2), e,
-                      "configuration class at {} exceeds its bound")
+    w.  Classes are shared per orbit of the pattern automorphisms: each
+    is read back once, at the orbit key of e (_shared_classes), from the
+    terms cached per box of side max(e), which the key shares."""
+    sym, classes = _shared_classes(fan)
+    key = _orbit_key(e, sym)
+    cls = classes.get((s, key))
+    if cls is None:
+        terms = _config_terms(fan, s, max(key, default=0))
+        cls = classes[s, key] = _read_back(
+            terms.at(key), terms.width, 1 << (terms.width - 2), e,
+            "configuration class at {} exceeds its bound")
+    return cls

@@ -241,6 +241,8 @@ def pattern_config_class(
 
 @functools.lru_cache(maxsize=None)
 def _hom_class_cached(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
+    # per degree: the configuration class under it is shared per orbit
+    # of the pattern automorphisms, but the cone need not be kept by them
     if not eff_dual_contains(fan, d):
         # imported on this path only, to keep it out of every start-up
         import logging

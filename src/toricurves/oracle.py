@@ -37,11 +37,16 @@ with the degrees maps the tuples that avoid the patterns one to one
 onto those that avoid their images, the same patterns.  Each degree
 vector is counted as the least vector of its orbit over the
 automorphisms that a bounded search finds, once per process; a search
-that misses some only shares fewer counts.  The search lives in toric,
-where the engine takes the same automorphisms to pull one cell per
-orbit of its dense box; the counts here still share no series code
-with the engine.  Jet counts are never shared, as the target jets and
-the ray vectors single out each ray.
+that misses some only shares fewer counts.  The search and the orbit
+key live in toric, where the engine takes the same automorphisms to
+pull one cell per orbit of its dense box and to read back one
+configuration class per orbit, each permutation checked against the
+pattern polynomial, so a comparison cannot agree on a value shared
+under a wrong automorphism.  The counts here still share no series code
+with the engine, whose hom classes still test each degree against the
+dual effective cone, which the automorphisms need not keep.  Jet counts
+are never shared, as the target jets and the ray vectors single out
+each ray.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ from .toric import (
     Fan,
     _integer,
     _minimal_patterns,
+    _orbit_key,
     _symmetries,
-    _Symmetries,
     picard_rank,
     require_valid,
 )
@@ -397,24 +402,6 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
         n * weight(tuple(tags[place[ray]] for ray in range(len(order))))
         for (_, tags), n in states.items()
     )
-
-
-def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
-    """The least relabelling of e under the automorphisms found.
-
-    The count is a sum over all tuples, so relabelling the rays together
-    with the degrees keeps it: the vector with entry e[perm[a]] at ray a
-    has the count of e.  With each twin class's entries of e sorted
-    first, that vector is sorted on the twin classes too (perm is
-    increasing on them), the least one over perm's coset.  Equal keys
-    mean the same orbit, so a search that missed some automorphisms
-    only shares fewer counts.
-    """
-    e = list(e)
-    for cls in sym.twins:
-        for a, x in zip(cls, sorted(e[a] for a in cls)):
-            e[a] = x
-    return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
 
 
 @functools.lru_cache(maxsize=None)

@@ -446,6 +446,25 @@ def _symmetries(
     return _Symmetries(twins, tuple(perms), nodes)
 
 
+def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
+    """The least relabelling of e under the automorphisms found.
+
+    Relabelling the rays together with the degrees keeps an oracle
+    count and a configuration class: each takes at the vector with entry
+    e[perm[a]] at ray a its value at e.  With each twin class's
+    entries of e sorted first, that vector is sorted on the twin classes
+    too (perm is increasing on them), the least one over perm's coset.
+    Equal keys mean the same orbit, so a search that missed some
+    automorphisms only shares fewer values.  Sorting and relabelling
+    keep the entries, so the key has the largest entry of e.
+    """
+    e = list(e)
+    for cls in sym.twins:
+        for a, x in zip(cls, sorted(e[a] for a in cls)):
+            e[a] = x
+    return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
+
+
 def eff_dual_contains(fan: Fan, d) -> bool:
     """Does the weighted ray sum vanish?  (Membership in the dual of the
     cone of effective divisor classes, for multidegrees of actual curves.)"""

@@ -37,6 +37,7 @@ from toricurves.toric import (
     PatternSet,
     det_int,
     eff_dual_contains,
+    parse_fan,
     pattern_set,
     require_valid,
     solve_rational,
@@ -46,6 +47,13 @@ from toricurves import oracle
 
 # ---------------------------------------------------------------------------
 # fans and patterns
+
+# the Hirzebruch surface F_2: its ray coordinate 2 raises jets past +-1,
+# and the twin swap (1 3) moves a degree out of the dual effective cone
+HIRZEBRUCH_2 = parse_fan({
+    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+})
 
 
 def cone_ray_sets(fan: Fan) -> list[frozenset[int]]:

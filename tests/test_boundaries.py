@@ -69,12 +69,12 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
     assert not unused, unused
 
 
-SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES"}
+SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES", "_orbit_key"}
 
 
 def test_one_search_for_pattern_automorphisms():
-    """toric alone defines the search for pattern automorphisms, and the
-    oracle and the engine import it from there."""
+    """toric alone defines the search for pattern automorphisms and the
+    orbit key, and the oracle and the engine import both from there."""
     defined: dict[str, set[str]] = {}
     imported: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
@@ -95,4 +95,5 @@ def test_one_search_for_pattern_automorphisms():
                 defined.setdefault(name, set()).add(path.stem)
     assert defined == {name: {"toric"} for name in SEARCH}, defined
     for module in ("oracle", "eulerprod"):
-        assert "_symmetries" in imported.get(module, set()), module
+        names = imported.get(module, set())
+        assert {"_symmetries", "_orbit_key"} <= names, module

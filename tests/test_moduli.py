@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from reference import (
+    HIRZEBRUCH_2,
     config_series,
     expected_dimension_check,
     fan_product,
@@ -22,10 +23,11 @@ from toricurves.grothendieck import (
     ZERO,
     LaurentClass,
     SeriesCap,
+    unpack_class,
 )
 from toricurves.eulerprod import euler_product_p1, global_mobius
 from toricurves.mobius import IntPoly
-from toricurves.toric import pattern_set
+from toricurves.toric import eff_dual_contains, pattern_set
 from toricurves.moduli import (
     DegreeVector,
     ErrorReport,
@@ -37,7 +39,7 @@ from toricurves.moduli import (
     pattern_config_class,
     tamagawa,
 )
-from toricurves import eulerprod, moduli, oracle
+from toricurves import eulerprod, moduli, oracle, toric
 from toricurves.cli import EXIT_INTERNAL, main
 from toricurves.errors import InternalCheckError
 
@@ -209,6 +211,7 @@ def cold_config_cache():
     under a monkeypatch outlives the test."""
     def clear():
         eulerprod._config_terms.cache_clear()
+        eulerprod._shared_classes.cache_clear()
         moduli._hom_class_cached.cache_clear()
 
     clear()
@@ -240,6 +243,101 @@ def test_product_route_runs_the_mobius_checks(
     assert main(["hom", "p2", "--degree", "1,1,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == "" and "Mobius tripwire" in captured.err
+
+
+def _shared_cases(fans, polygon_document):
+    """(fan, removed point counts, degree vectors): every fixture and F_2
+    over a box, and the 12-gon and dp6 x dp6, whose search lists part
+    of their group, at the degrees of at most two 1s, where one class
+    costs a few ms."""
+    for fan in (*fans.values(), HIRZEBRUCH_2):
+        top = 2 if fan.nrays > 4 else 3
+        yield fan, (0, 1, 2), list(itertools.product(range(top + 1),
+                                                     repeat=fan.nrays))
+    for fan, counts in ((toric.parse_fan(polygon_document(12)), (0,)),
+                        (fan_product(fans["dp6"], fans["dp6"]), (0, 1, 2))):
+        yield fan, counts, [e for e in itertools.product((0, 1), repeat=12)
+                            if sum(e) <= 2]
+
+
+def test_sharing_changes_no_class(fans, polygon_document, cold_config_cache):
+    """Every class, read back once per orbit at its key, equals the class
+    read straight at e."""
+    for fan, counts, degrees in _shared_cases(fans, polygon_document):
+        sym = toric._symmetries(fan.nrays, toric._minimal_patterns(fan))
+        assert any(toric._orbit_key(e, sym) != e for e in degrees), fan
+        for s in counts:
+            for e in degrees:
+                terms = eulerprod._config_terms(fan, s, max(e))
+                want = unpack_class(terms.at(e), terms.width)
+                assert pattern_config_class(fan, e, s) == want, (fan, s, e)
+
+
+def test_hom_classes_keep_the_cone_test_per_degree():
+    """The twin swap (1 3) of F_2 keeps the configuration class but moves
+    (1, 1, 1, 3), inside the dual effective cone, to (1, 3, 1, 1),
+    outside it."""
+    patterns = toric._minimal_patterns(HIRZEBRUCH_2)
+    assert toric._symmetries(4, patterns).twins == ((0, 2), (1, 3))
+    assert hom_class(HIRZEBRUCH_2, (1, 3, 1, 1)) == ZERO
+    assert hom_class(HIRZEBRUCH_2, (1, 1, 1, 3)) != ZERO
+    assert (pattern_config_class(HIRZEBRUCH_2, (1, 3, 1, 1))
+            == pattern_config_class(HIRZEBRUCH_2, (1, 1, 1, 3)))
+
+
+def test_shared_classes_check_each_permutation(
+        p1xp1, monkeypatch, capsys, cold_config_cache):
+    """p1xp1 takes the product route; a listed permutation that does not
+    keep the pattern polynomial is refused before any class is shared:
+    (0 2) moves the term of the pattern {0, 1}."""
+    found = eulerprod._symmetries(4, toric._minimal_patterns(p1xp1))
+    swap = (2, 1, 0, 3)
+    monkeypatch.setattr(
+        eulerprod, "_symmetries",
+        lambda nrays, patterns: found._replace(perms=found.perms + (swap,)))
+    with pytest.raises(InternalCheckError, match=r"\(2, 1, 0, 3\)"):
+        pattern_config_class(p1xp1, (1, 1, 1, 1))
+    assert main(["hom", "p1xp1", "--degree", "1,1,1,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(2, 1, 0, 3)" in captured.err
+
+
+def convergence_families(fans):
+    """The degree families of the benchmark's convergence workload."""
+    return {
+        "p1": [(d, d) for d in range(1, 7)],
+        "p2": [(k,) * 3 for k in range(1, 7)],
+        "p3": [(k,) * 4 for k in range(1, 7)],
+        "p1xp1": [(a, a, b, b) for a in range(1, 7) for b in range(1, 7)],
+        "bl1p2": [(a, b, a, a + b)
+                  for a in range(1, 7) for b in range(1, 7) if a + b <= 6],
+        "dp6": [d for d in itertools.product(range(1, 5), repeat=6)
+                if eff_dual_contains(fans["dp6"], d)],
+    }
+
+
+def test_convergence_family_reads_one_class_per_orbit(
+        fans, monkeypatch, cold_config_cache):
+    """The 205 convergence reports at E = 12 read back 89 configuration
+    classes, one per orbit; the 136 dp6 reports read 35."""
+    read = []
+    read_back = eulerprod._read_back
+
+    def counted(x, w, bound, e, message):
+        if message.startswith("configuration class"):
+            read.append(e)
+        return read_back(x, w, bound, e, message)
+
+    monkeypatch.setattr(eulerprod, "_read_back", counted)
+    reads = {}
+    for name, degrees in convergence_families(fans).items():
+        before = len(read)
+        for d in degrees:
+            assert convergence_report(fans[name], d, 12).passed, (name, d)
+        reads[name] = (len(degrees), len(read) - before)
+    assert reads["dp6"] == (136, 35)
+    assert sum(n for n, _ in reads.values()) == 205
+    assert sum(k for _, k in reads.values()) == 89
 
 
 class TestHomClasses:

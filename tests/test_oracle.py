@@ -17,7 +17,12 @@ from hypothesis import given, strategies as st
 from toricurves.errors import BudgetError, InternalCheckError
 from toricurves.grothendieck import evaluate
 from toricurves import FIXTURE_NAMES, oracle, toric
-from reference import common_projective_root, count_unmerged, picard_projection
+from reference import (
+    HIRZEBRUCH_2,
+    common_projective_root,
+    count_unmerged,
+    picard_projection,
+)
 from toricurves.toric import parse_fan, pattern_set, picard_rank
 from toricurves.moduli import hom_class, pattern_config_class
 from toricurves.oracle import (
@@ -275,13 +280,6 @@ class TestCommonRoots:
             for g, mt in zip(_form_table(p, dt), masks_t):
                 want = sylvester_resultant_mod_p(f, g, p) == 0
                 assert bool(ms & mt) == want, (f, g)
-
-
-# the Hirzebruch surface F_2, whose ray coordinate 2 raises jets past +-1
-HIRZEBRUCH_2 = parse_fan({
-    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
-    "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
-})
 
 
 def fan_named(fans, name):
