@@ -249,7 +249,8 @@ def _shared_cases(fans, polygon_document):
     """(fan, removed point counts, degree vectors): every fixture and F_2
     over a box, and the 12-gon and dp6 x dp6, whose search lists part
     of their group, at the degrees of at most two 1s, where one class
-    costs a few ms."""
+    costs a few ms.  The 12-gon's side-1 terms take seconds to build, so
+    it is read at s = 0 only."""
     for fan in (*fans.values(), HIRZEBRUCH_2):
         top = 2 if fan.nrays > 4 else 3
         yield fan, (0, 1, 2), list(itertools.product(range(top + 1),
