@@ -43,10 +43,11 @@ The same permutations keep every class of a uniform box, on either
 route, so classes are shared per orbit: once per fan, each permutation
 listed and each swap of two twin rays is checked to map the pattern
 polynomial's terms onto themselves, and then one class is read back per
-orbit, at its least vector (toric's _orbit_key).  Hom classes share only
-the class under them: moduli tests each degree against the dual
-effective cone, which these permutations need not keep.  Packed values
-never leave this module.
+orbit, at its least vector (toric's _orbit_key, kept per fan in a memo
+the oracle's counts share).  Hom classes share only the class under
+them: moduli tests each degree against the dual effective cone, which
+these permutations need not keep.  Packed values never leave this
+module.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ from .mobius import IntPoly, fan_mobius_polynomial
 from .toric import (
     Fan,
     _minimal_patterns,
-    _orbit_key,
+    _orbit_keys,
+    _OrbitKeys,
     _symmetries,
-    _Symmetries,
     require_valid,
 )
 
@@ -710,7 +711,8 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     # the largest |U| whose table is charged no more than the walk, both
     # charges doubled to stay in integers
     limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
-    if _support_size(base, keys, limit) <= limit:
+    # U lies in the box, so a box under the limit needs no count
+    if (side + 1) ** n <= limit or _support_size(base, keys, limit) <= limit:
         first = _power(base, a, keys)
         return _ProductTerms(s, EulerFactors(w, majorant, rest, first, keys))
     perms = _symmetries(n, _minimal_patterns(fan)).perms
@@ -718,19 +720,20 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_classes(fan: Fan) -> tuple[_Symmetries, dict]:
-    """The pattern automorphisms toric's search lists for the fan, and a
+def _shared_classes(fan: Fan) -> tuple[_OrbitKeys, dict]:
+    """The fan's orbit keys (toric's memo, shared with the oracle), and a
     cache of its configuration classes, {(s, orbit key): class}.
 
-    Each listed permutation and each swap of two twin rays, applied as
-    ``_orbit_key`` relabels, f -> (f[perm[a]])_a, must keep the terms of
-    the pattern polynomial with their coefficients, or InternalCheckError
-    names it.  Every relabelling ``_orbit_key`` makes is a product of
-    these, so it keeps the polynomial, hence the Euler product and, the
-    box being uniform, every class.
+    Each permutation the memo's search lists and each swap of two twin
+    rays, applied as ``_orbit_key`` relabels, f -> (f[perm[a]])_a, must
+    keep the terms of the pattern polynomial with their coefficients, or
+    InternalCheckError names it.  Every relabelling ``_orbit_key`` makes
+    is a product of these, so it keeps the polynomial, hence the Euler
+    product and, the box being uniform, every class.
     """
     n = fan.nrays
-    sym = _symmetries(n, _minimal_patterns(fan))
+    keys = _orbit_keys(fan)
+    sym = keys.sym
     terms = fan_mobius_polynomial(fan).coeffs
     swaps = [tuple(j if a == i else i if a == j else a for a in range(n))
              for cls in sym.twins for i, j in zip(cls, cls[1:])]
@@ -739,7 +742,7 @@ def _shared_classes(fan: Fan) -> tuple[_Symmetries, dict]:
                 for f, c in terms.items()} != terms:
             raise InternalCheckError(
                 f"ray permutation {perm} does not keep the pattern polynomial")
-    return sym, {}
+    return keys, {}
 
 
 def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
@@ -748,8 +751,8 @@ def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
     w.  Classes are shared per orbit of the pattern automorphisms: each
     is read back once, at the orbit key of e (_shared_classes), from the
     terms cached per box of side max(e), which the key shares."""
-    sym, classes = _shared_classes(fan)
-    key = _orbit_key(e, sym)
+    keys, classes = _shared_classes(fan)
+    key = keys[e]
     cls = classes.get((s, key))
     if cls is None:
         terms = _config_terms(fan, s, max(key, default=0))

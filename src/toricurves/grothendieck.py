@@ -228,7 +228,8 @@ class LaurentClass:
             raise ValueError("evaluation point must be an integer >= 2")
         low = min(0, min(self._c, default=0))
         value = sum(v * q ** (e - low) for e, v in self._c.items())
-        return Fraction(value, q**-low)
+        # with no negative power the value is an integer: no gcd to take
+        return Fraction(value, q**-low) if low else Fraction(value)
 
     def truncate_below(self, floor: int) -> "LaurentClass":
         """Drop all terms of exponent strictly below floor."""

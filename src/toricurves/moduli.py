@@ -55,7 +55,10 @@ class DegreeVector:
 
     def __post_init__(self):
         for x in self.entries:
-            if _integer(x, "degree entry") < 0:
+            # a plain int needs no call to be known an integer
+            if type(x) is not int:
+                _integer(x, "degree entry")
+            if x < 0:
                 raise ValueError(f"degree entry {x} is negative")
 
     @classmethod

@@ -37,12 +37,13 @@ with the degrees maps the tuples that avoid the patterns one to one
 onto those that avoid their images, the same patterns.  Each degree
 vector is counted as the least vector of its orbit over the
 automorphisms that a bounded search finds, once per process; a search
-that misses some only shares fewer counts.  The search and the orbit
-key live in toric, where the engine takes the same automorphisms to
-pull one cell per orbit of its dense box and to read back one
-configuration class per orbit, each permutation checked against the
-pattern polynomial, so a comparison cannot agree on a value shared
-under a wrong automorphism.  The counts here still share no series code
+that misses some only shares fewer counts.  The search, the orbit key
+and a memo of the keys per fan live in toric.  The engine takes the
+same automorphisms to pull one cell per orbit of its dense box, and the
+same memo to read back one configuration class per orbit, each
+permutation checked against the pattern polynomial before its first
+class, so a comparison cannot agree on a value shared under a wrong
+automorphism.  The counts here still share no series code
 with the engine, whose hom classes still test each degree against the
 dual effective cone, which the automorphisms need not keep.  Jet counts
 are never shared, as the target jets and the ray vectors single out
@@ -67,8 +68,7 @@ from .toric import (
     Fan,
     _integer,
     _minimal_patterns,
-    _orbit_key,
-    _symmetries,
+    _orbit_keys,
     picard_rank,
     require_valid,
 )
@@ -452,12 +452,11 @@ def ff_pattern_count(
     forbidden set of them has a common projective root.  Refuses to run
     when the product of the form-space sizes exceeds the budget, before
     any cached count is looked up.  Degree vectors in one orbit of the
-    pattern automorphisms share one count (``_orbit_key``).
+    pattern automorphisms share one count, at the key toric's per-fan
+    memo holds for e (``_orbit_keys``).
     """
     e = _checked_degrees(p, fan, e, budget)
-    patterns = _minimal_patterns(fan)
-    key = _orbit_key(e, _symmetries(fan.nrays, patterns))
-    return _orbit_count(p, key, patterns)
+    return _orbit_count(p, _orbit_keys(fan)[e], _minimal_patterns(fan))
 
 
 def ff_hom_count(
@@ -683,20 +682,26 @@ def oracle_compare(
     """Compare a motivic class against its brute-force count at L = p.
 
     Pass ``e`` to compare the configuration class, ``d`` to compare the
-    map-space class; exactly one of the two.
+    map-space class; exactly one of the two.  The degree vector is built
+    once and passed to the count and the class, which keep their own
+    checks.
     """
     if (e is None) == (d is None):
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
     start = time.perf_counter()
-    if e is not None:
-        vec = tuple(e)
-        brute = ff_pattern_count(p, fan, vec, budget=budget)
-        cls = pattern_config_class(fan, vec, 0)
+    vec = tuple(e if d is None else d)
+    try:
+        dv = DegreeVector(vec)
+    except ValueError:
+        # the count refuses it too, naming the first fault in its order
+        dv = vec
+    if d is None:
+        brute = ff_pattern_count(p, fan, dv, budget=budget)
+        cls = pattern_config_class(fan, dv, 0)
         kind = "config"
     else:
-        vec = tuple(d)
-        brute = ff_hom_count(p, fan, vec, budget=budget)
-        cls = hom_class(fan, vec)
+        brute = ff_hom_count(p, fan, dv, budget=budget)
+        cls = hom_class(fan, dv)
         kind = "hom"
     value = evaluate(cls, p)
     if value.denominator != 1:

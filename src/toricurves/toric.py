@@ -4,6 +4,12 @@ A fan is given by its primitive ray vectors and its maximal cones (as ray
 index sets).  Everything downstream keys off the ray order, which is never
 permuted: ray i is variable t_i in every polynomial and series produced by
 the other modules.
+
+The caches of the package are keyed by the fan, which takes the hash of
+its fields once and keeps it.  The search for the pattern automorphisms
+and the orbit key of a degree vector live here, with one memo of the
+keys per fan (_orbit_keys) that the oracle and the engine share, so each
+vector is keyed once per process.
 """
 
 from __future__ import annotations
@@ -31,6 +37,16 @@ class Fan:
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
+
+    def __hash__(self) -> int:
+        # every cache keyed by a fan hashes it, so the hash of the fields
+        # is taken once and kept on the instance, outside the fields
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.dim, self.rays, self.max_cones))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     @property
     def nrays(self) -> int:
@@ -463,6 +479,26 @@ def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
         for a, x in zip(cls, sorted(e[a] for a in cls)):
             e[a] = x
     return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
+
+
+class _OrbitKeys(dict):
+    """{e: _orbit_key(e, sym)}, each key computed on first use."""
+
+    def __init__(self, sym: _Symmetries):
+        super().__init__()
+        self.sym = sym
+
+    def __missing__(self, e):
+        key = self[e] = _orbit_key(e, self.sym)
+        return key
+
+
+@lru_cache(maxsize=None)
+def _orbit_keys(fan: Fan) -> _OrbitKeys:
+    """The orbit keys of the fan's degree vectors under the automorphisms
+    the search lists, one memo per fan: the oracle and the engine share
+    it, so each vector is keyed once per process."""
+    return _OrbitKeys(_symmetries(fan.nrays, _minimal_patterns(fan)))
 
 
 def eff_dual_contains(fan: Fan, d) -> bool:

@@ -69,12 +69,14 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
     assert not unused, unused
 
 
-SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES", "_orbit_key"}
+SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES", "_orbit_key",
+          "_orbit_keys", "_OrbitKeys"}
 
 
 def test_one_search_for_pattern_automorphisms():
-    """toric alone defines the search for pattern automorphisms and the
-    orbit key, and the oracle and the engine import both from there."""
+    """toric alone defines the search for pattern automorphisms, the
+    orbit key and the per-fan memo of keys, and the oracle and the engine
+    take their keys from that one memo, never from the key itself."""
     defined: dict[str, set[str]] = {}
     imported: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
@@ -96,4 +98,4 @@ def test_one_search_for_pattern_automorphisms():
     assert defined == {name: {"toric"} for name in SEARCH}, defined
     for module in ("oracle", "eulerprod"):
         names = imported.get(module, set())
-        assert {"_symmetries", "_orbit_key"} <= names, module
+        assert "_orbit_keys" in names and "_orbit_key" not in names, module

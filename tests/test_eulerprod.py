@@ -547,6 +547,25 @@ def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
                 assert len(first) > limit, (name, side)
 
 
+def test_support_is_counted_only_when_the_box_exceeds_the_limit(
+        fans, monkeypatch):
+    """U lies in the box, so a box of no more cells than the limit takes
+    the table route without counting U's support: every fixture at sides
+    0 and 1, where R is 1, and P^1, P^2 and P^3 at every side.  p1xp1
+    and bl1p2 count from side 3, dp6 from side 2."""
+    counted = []
+    support_size = eulerprod._support_size
+    monkeypatch.setattr(
+        eulerprod, "_support_size",
+        lambda *args: counted.append(args) or support_size(*args))
+    for (name, fan), s in itertools.product(fans.items(), (0, 1)):
+        for side in range(3 if name == "dp6" else 5):
+            del counted[:]
+            eulerprod._config_terms.__wrapped__(fan, s, side)
+            first = {"p1xp1": 3, "bl1p2": 3, "dp6": 2}.get(name, 5)
+            assert len(counted) == (side >= first), (name, s, side)
+
+
 def test_dense_power_checks_its_terms_and_each_division(dp6, monkeypatch):
     keys = _Keys(SeriesCap.box_cap((3,)))
     t = {keys.pack((1,)): 1}

@@ -212,6 +212,7 @@ def cold_config_cache():
     def clear():
         eulerprod._config_terms.cache_clear()
         eulerprod._shared_classes.cache_clear()
+        toric._orbit_keys.cache_clear()
         moduli._hom_class_cached.cache_clear()
 
     clear()
@@ -246,28 +247,26 @@ def test_product_route_runs_the_mobius_checks(
 
 
 def _shared_cases(fans, polygon_document):
-    """(fan, removed point counts, degree vectors): every fixture and F_2
-    over a box, and the 12-gon and dp6 x dp6, whose search lists part
+    """(fan, degree vectors), each read at s = 0, 1, 2: every fixture and
+    F_2 over a box, and the 12-gon and dp6 x dp6, whose search lists part
     of their group, at the degrees of at most two 1s, where one class
-    costs a few ms.  The 12-gon's side-1 terms take seconds to build, so
-    it is read at s = 0 only."""
+    costs a few ms."""
     for fan in (*fans.values(), HIRZEBRUCH_2):
         top = 2 if fan.nrays > 4 else 3
-        yield fan, (0, 1, 2), list(itertools.product(range(top + 1),
-                                                     repeat=fan.nrays))
-    for fan, counts in ((toric.parse_fan(polygon_document(12)), (0,)),
-                        (fan_product(fans["dp6"], fans["dp6"]), (0, 1, 2))):
-        yield fan, counts, [e for e in itertools.product((0, 1), repeat=12)
-                            if sum(e) <= 2]
+        yield fan, list(itertools.product(range(top + 1), repeat=fan.nrays))
+    for fan in (toric.parse_fan(polygon_document(12)),
+                fan_product(fans["dp6"], fans["dp6"])):
+        yield fan, [e for e in itertools.product((0, 1), repeat=12)
+                    if sum(e) <= 2]
 
 
 def test_sharing_changes_no_class(fans, polygon_document, cold_config_cache):
     """Every class, read back once per orbit at its key, equals the class
     read straight at e."""
-    for fan, counts, degrees in _shared_cases(fans, polygon_document):
+    for fan, degrees in _shared_cases(fans, polygon_document):
         sym = toric._symmetries(fan.nrays, toric._minimal_patterns(fan))
         assert any(toric._orbit_key(e, sym) != e for e in degrees), fan
-        for s in counts:
+        for s in (0, 1, 2):
             for e in degrees:
                 terms = eulerprod._config_terms(fan, s, max(e))
                 want = unpack_class(terms.at(e), terms.width)
@@ -291,10 +290,10 @@ def test_shared_classes_check_each_permutation(
     """p1xp1 takes the product route; a listed permutation that does not
     keep the pattern polynomial is refused before any class is shared:
     (0 2) moves the term of the pattern {0, 1}."""
-    found = eulerprod._symmetries(4, toric._minimal_patterns(p1xp1))
+    found = toric._symmetries(4, toric._minimal_patterns(p1xp1))
     swap = (2, 1, 0, 3)
     monkeypatch.setattr(
-        eulerprod, "_symmetries",
+        toric, "_symmetries",
         lambda nrays, patterns: found._replace(perms=found.perms + (swap,)))
     with pytest.raises(InternalCheckError, match=r"\(2, 1, 0, 3\)"):
         pattern_config_class(p1xp1, (1, 1, 1, 1))

@@ -14,9 +14,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from toricurves.errors import BudgetError, InternalCheckError
+from toricurves.errors import BudgetError, FanValidationError, InternalCheckError
 from toricurves.grothendieck import evaluate
-from toricurves import FIXTURE_NAMES, oracle, toric
+from toricurves import FIXTURE_NAMES, eulerprod, oracle, toric
 from reference import (
     HIRZEBRUCH_2,
     common_projective_root,
@@ -24,7 +24,7 @@ from reference import (
     picard_projection,
 )
 from toricurves.toric import parse_fan, pattern_set, picard_rank
-from toricurves.moduli import hom_class, pattern_config_class
+from toricurves.moduli import DegreeVector, hom_class, pattern_config_class
 from toricurves.oracle import (
     _form_table,
     _root_masks,
@@ -393,7 +393,7 @@ class TestPatternCounts:
             sym = toric._symmetries(fan.nrays, patterns)
             top = 3 if fan.nrays <= 4 else 2
             for e in itertools.product(range(top + 1), repeat=fan.nrays):
-                moved += oracle._orbit_key(e, sym) != e
+                moved += toric._orbit_key(e, sym) != e
                 assert (ff_pattern_count(2, fan, e)
                         == oracle._count(2, e, patterns)), (name, e)
         assert moved > 1000
@@ -743,6 +743,65 @@ class TestOracleCompare:
         rep = oracle_compare(2, p1, d=(1, 1))
         assert rep.kind == "hom"
         assert rep.equal and rep.brute == 6
+
+    # P^2 with one of its three cones left out: two walls lie in one cone
+    INCOMPLETE = {"rays": [[1, 0], [0, 1], [-1, -1]],
+                  "max_cones": [[0, 1], [1, 2]]}
+
+    @pytest.mark.parametrize("kind", ["e", "d"])
+    @pytest.mark.parametrize("p,fan,vec,budget,error,match", [
+        (2, "p2", (1, 1), None, ValueError,
+         "degree arity 2 does not match ray count 3"),
+        (2, "p2", (1, -1, 1), None, ValueError, "degree entry -1 is negative"),
+        (11, "p2", (1, 1, 1), None, ValueError,
+         r"prime must be one of \(2, 3, 5, 7\), got 11"),
+        (2, "p2", (1, 1, 1), 1, BudgetError, "needs 27 tuples, budget is 1"),
+        (2, "incomplete", (1, 1, 1), None, FanValidationError,
+         "lies in 1 maximal cones"),
+        # wrong in two ways: the first check the count makes names it
+        (2, "p2", (1, -1), None, ValueError, "degree entry -1 is negative"),
+        (11, "p2", (1, 1), None, ValueError, "prime must be one of"),
+        (2, "incomplete", (1, -1, 1), None, FanValidationError,
+         "lies in 1 maximal cones"),
+        (4, "incomplete", (1, 1, 1), None, ValueError, "got 4"),
+        (2, "p2", (1, 1), 1, ValueError, "degree arity 2"),
+        (2, "p2", (5, 5, -1), 1, ValueError, "degree entry -1 is negative"),
+        (2, "p2", (1.5, -1, 1), None, ValueError,
+         "degree entry 1.5 is not an integer"),
+    ])
+    def test_refusals(self, p2, kind, p, fan, vec, budget, error, match):
+        """Each bad input is refused with the fault that ff_pattern_count
+        and ff_hom_count name, in their order of checks."""
+        fan = p2 if fan == "p2" else parse_fan(self.INCOMPLETE)
+        with pytest.raises(error, match=match):
+            oracle_compare(p, fan, budget=budget, **{kind: vec})
+        count = ff_pattern_count if kind == "e" else ff_hom_count
+        with pytest.raises(error, match=match):
+            count(p, fan, vec, budget=budget)
+
+    @pytest.mark.parametrize("kind", ["e", "d"])
+    def test_warm_comparison_builds_one_vector_and_no_key(
+            self, dp6, kind, monkeypatch):
+        """The oracle and the engine share one memo of orbit keys per fan:
+        a first comparison keys its vector once, and the same comparison
+        again builds one degree vector and keys nothing."""
+        toric._orbit_keys.cache_clear()
+        eulerprod._shared_classes.cache_clear()
+        built, keyed = [], []
+        post_init = DegreeVector.__post_init__
+        orbit_key = toric._orbit_key
+        monkeypatch.setattr(DegreeVector, "__post_init__",
+                            lambda dv: built.append(dv) or post_init(dv))
+        monkeypatch.setattr(toric, "_orbit_key",
+                            lambda e, sym: keyed.append(e) or orbit_key(e, sym))
+        vec = (2, 0, 1, 2, 0, 1)
+        first = oracle_compare(3, dp6, **{kind: vec})
+        assert first.equal and keyed == [vec]
+        built.clear()
+        keyed.clear()
+        second = oracle_compare(3, dp6, **{kind: vec})
+        assert (second.brute, second.predicted) == (first.brute, first.predicted)
+        assert len(built) <= 1 and keyed == []
 
     def test_exactly_one_vector(self, p1):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Fan parsing, validation, and lattice bookkeeping."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -157,6 +158,29 @@ def test_fan_product_is_p1xp1(p1, p1xp1):
 
 def test_parse_round_trip(p2):
     assert parse_fan(p2.to_json()).rays == p2.rays
+
+
+def test_fan_hash_is_taken_once_and_keeps_the_dataclass(dp6):
+    """Two fans parsed from one document are equal and hash equal, so
+    the second finds the first one's validation; the hash, kept on the
+    instance, is that of the fields, and the fields, the repr and the
+    JSON form are the dataclass's own."""
+    doc = dp6.to_json()
+    first, second = parse_fan(doc), parse_fan(json.loads(json.dumps(doc)))
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash(
+        (first.dim, first.rays, first.max_cones))
+    report = validate(first)
+    before = validate.cache_info()
+    assert validate(second) is report
+    after = validate.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert [f.name for f in dataclasses.fields(Fan)] == [
+        "dim", "rays", "max_cones"]
+    assert repr(second) == (f"Fan(dim=2, rays={dp6.rays!r}, "
+                            f"max_cones={dp6.max_cones!r})")
+    assert second.to_json() == doc
+    assert dataclasses.replace(second) == second
 
 
 def test_incomplete_fan_rejected():
