@@ -184,6 +184,8 @@ def cmd_analyze(args):
 
 
 def cmd_mobius(args):
+    if args.cap is not None and args.cap < 0:
+        raise ValueError(f"--cap must be nonnegative, got {args.cap}")
     fan = _load_fan(args.fan)
     table = mobius_table(pattern_set(fan))
     poly = fan_mobius_polynomial(fan)

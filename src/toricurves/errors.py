@@ -1,4 +1,5 @@
-"""Shared exception types, mapped to CLI exit statuses in cli.py."""
+"""Shared exception types, mapped to CLI exit statuses in cli.py, and the
+one check that a parameter is an integer."""
 
 
 class FanValidationError(ValueError):
@@ -23,3 +24,17 @@ class LimitError(RuntimeError):
 
 class InternalCheckError(AssertionError):
     """Two independent computations of the same quantity disagreed."""
+
+
+def _is_int(x) -> bool:
+    # bool subclasses int, but true and false are not integers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer(x, what: str) -> int:
+    """x itself when it is an integer, else ValueError naming it; a
+    float, a string or a bool is never a degree, a coordinate or an
+    order, so none is truncated or read as one."""
+    if not _is_int(x):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x

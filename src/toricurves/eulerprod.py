@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, _integer
 from .grothendieck import (
     ONE,
     ZERO,
@@ -70,14 +70,7 @@ from .grothendieck import (
     unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial
-from .toric import (
-    Fan,
-    _minimal_patterns,
-    _orbit_keys,
-    _OrbitKeys,
-    _symmetries,
-    require_valid,
-)
+from .toric import Fan, _Memo, _orbit_keys, require_valid
 
 __all__ = [
     "int_mobius",
@@ -557,7 +550,7 @@ def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:
     the result is exact strictly above that line: the floor is
     1 - ceil((E+1)/2) and the known part is truncated to it.
     """
-    if E < 0:
+    if _integer(E, "total-degree cutoff") < 0:
         raise ValueError("total-degree cutoff must be nonnegative")
     require_valid(fan)
     P = fan_mobius_polynomial(fan)
@@ -715,12 +708,12 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     if (side + 1) ** n <= limit or _support_size(base, keys, limit) <= limit:
         first = _power(base, a, keys)
         return _ProductTerms(s, EulerFactors(w, majorant, rest, first, keys))
-    perms = _symmetries(n, _minimal_patterns(fan)).perms
+    perms = _orbit_keys(fan).sym.perms  # those _shared_classes checks
     return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_classes(fan: Fan) -> tuple[_OrbitKeys, dict]:
+def _shared_classes(fan: Fan) -> tuple[_Memo, dict]:
     """The fan's orbit keys (toric's memo, shared with the oracle), and a
     cache of its configuration classes, {(s, orbit key): class}.
 

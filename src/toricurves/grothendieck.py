@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, _integer
 
 
 class _MinusInfinity:
@@ -117,9 +117,6 @@ class LaurentClass:
     def coeffs(self) -> dict[int, int]:
         return dict(self._c)
 
-    def coefficient(self, exponent: int) -> int:
-        return self._c.get(exponent, 0)
-
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in descending exponent order."""
         return sorted(self._c.items(), reverse=True)
@@ -138,9 +135,7 @@ class LaurentClass:
         return hash(frozenset(self._c.items()))
 
     def __neg__(self) -> "LaurentClass":
-        r = LaurentClass()
-        r._c = {e: -v for e, v in self._c.items()}
-        return r
+        return _laurent({e: -v for e, v in self._c.items()})
 
     def __add__(self, other) -> "LaurentClass":
         if isinstance(other, int):
@@ -154,9 +149,7 @@ class LaurentClass:
                 c[e] = w
             elif e in c:
                 del c[e]
-        r = LaurentClass()
-        r._c = c
-        return r
+        return _laurent(c)
 
     __radd__ = __add__
 
@@ -172,10 +165,8 @@ class LaurentClass:
 
     def __mul__(self, other) -> "LaurentClass":
         if isinstance(other, int):
-            r = LaurentClass()
-            if other:
-                r._c = {e: v * other for e, v in self._c.items()}
-            return r
+            return _laurent(
+                {e: v * other for e, v in self._c.items()} if other else {})
         if not isinstance(other, LaurentClass):
             return NotImplemented
         c = {}
@@ -187,9 +178,7 @@ class LaurentClass:
                     c[e] = w
                 elif e in c:
                     del c[e]
-        r = LaurentClass()
-        r._c = c
-        return r
+        return _laurent(c)
 
     __rmul__ = __mul__
 
@@ -207,9 +196,7 @@ class LaurentClass:
 
     def shift(self, k: int) -> "LaurentClass":
         """Multiply by L^k."""
-        r = LaurentClass()
-        r._c = {e + k: v for e, v in self._c.items()}
-        return r
+        return _laurent({e + k: v for e, v in self._c.items()})
 
     @property
     def virtual_dimension(self):
@@ -223,7 +210,10 @@ class LaurentClass:
         return min(self._c)
 
     def evaluate(self, q: int) -> Fraction:
-        """Substitute L = q, exactly.  Requires q >= 2."""
+        """Substitute L = q, exactly.  Requires an integer q >= 2."""
+        # a plain int needs no call to be known an integer
+        if type(q) is not int:
+            _integer(q, "evaluation point")
         if q < 2:
             raise ValueError("evaluation point must be an integer >= 2")
         low = min(0, min(self._c, default=0))
@@ -233,9 +223,7 @@ class LaurentClass:
 
     def truncate_below(self, floor: int) -> "LaurentClass":
         """Drop all terms of exponent strictly below floor."""
-        r = LaurentClass()
-        r._c = {e: v for e, v in self._c.items() if e >= floor}
-        return r
+        return _laurent({e: v for e, v in self._c.items() if e >= floor})
 
     def to_json(self) -> dict:
         return {"coeffs": {str(e): str(v) for e, v in sorted(self._c.items())}}
@@ -245,23 +233,34 @@ class LaurentClass:
         return cls({int(e): int(v) for e, v in doc["coeffs"].items()})
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in self.terms():
-            if e == 0:
-                body = str(abs(v))
-            else:
-                lpow = "L" if e == 1 else f"L^{e}"
-                body = lpow if abs(v) == 1 else f"{abs(v)}*{lpow}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum(
+            ("" if e == 0 else "L" if e == 1 else f"L^{e}", v)
+            for e, v in self.terms())
 
     def __repr__(self) -> str:
         return f"LaurentClass({self._c!r})"
+
+
+def _laurent(c: dict[int, int]) -> LaurentClass:
+    """The class whose terms are c, taken as it is: c must map ints to
+    nonzero ints and must not be changed later."""
+    r = object.__new__(LaurentClass)
+    r._c = c
+    return r
+
+
+def _signed_sum(terms: Iterable[tuple[str, int]]) -> str:
+    """Terms (monomial, nonzero coefficient) written as a signed sum,
+    "" standing for the monomial 1, and "0" for no terms."""
+    parts = []
+    for mono, v in terms:
+        n = abs(v)
+        body = str(n) if not mono else mono if n == 1 else f"{n}*{mono}"
+        if parts:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+        else:
+            parts.append(body if v > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 L = LaurentClass.lefschetz()
@@ -426,12 +425,13 @@ class SeriesCap:
         if self.box is None:
             raise ValueError("a cap needs a per-variable box")
         # a tuple, so that the cap can key the caches
-        object.__setattr__(self, "box", tuple(int(b) for b in self.box))
+        object.__setattr__(
+            self, "box", tuple(_integer(b, "box entry") for b in self.box))
         if any(b < 0 for b in self.box):
             raise ValueError("box entries must be nonnegative")
         if self.total is None:
             object.__setattr__(self, "total", sum(self.box))
-        elif self.total < 0:
+        elif _integer(self.total, "total-degree bound") < 0:
             raise ValueError("total-degree bound must be nonnegative")
 
     def admits(self, expvec: tuple[int, ...]) -> bool:
@@ -478,9 +478,6 @@ class MultiSeries:
     @property
     def coeffs(self) -> dict[tuple[int, ...], object]:
         return dict(self._c)
-
-    def coefficient(self, expvec: Iterable[int]):
-        return self._c.get(tuple(int(x) for x in expvec), None)
 
     def items(self):
         return self._c.items()

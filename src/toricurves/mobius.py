@@ -13,13 +13,12 @@ import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import LimitError
-from .grothendieck import LaurentClass
+from .errors import LimitError, _integer
+from .grothendieck import LaurentClass, _signed_sum
 from .toric import (
     MAX_RAYS,
     Fan,
     PatternSet,
-    _integer,
     class_of_variety,
     pattern_set,
     picard_rank,
@@ -79,29 +78,18 @@ class IntPoly:
             total = total + powers[k] * v
         return total
 
+    def _by_degree(self):
+        return sorted(self._c.items(), key=lambda t: (sum(t[0]), t[0]))
+
     def to_json(self) -> dict:
-        terms = [{"exp": list(e), "coeff": v}
-                 for e, v in sorted(self._c.items(), key=lambda t: (sum(t[0]), t[0]))]
-        return {"terms": terms}
+        return {"terms": [{"exp": list(e), "coeff": v}
+                          for e, v in self._by_degree()]}
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in sorted(self._c.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = "*".join(f"t{i + 1}" if x == 1 else f"t{i + 1}^{x}"
-                            for i, x in enumerate(e) if x)
-            if not mono:
-                body = str(abs(v))
-            elif abs(v) == 1:
-                body = mono
-            else:
-                body = f"{abs(v)}*{mono}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum(
+            ("*".join(f"t{i + 1}" if x == 1 else f"t{i + 1}^{x}"
+                      for i, x in enumerate(e) if x), v)
+            for e, v in self._by_degree())
 
     def __repr__(self):
         return f"IntPoly({self.nvars}, {len(self._c)} terms)"

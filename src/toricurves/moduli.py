@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import _integer
 from .grothendieck import (
     MINUS_INFINITY,
     ONE,
@@ -26,7 +27,6 @@ from .grothendieck import (
 )
 from .toric import (
     Fan,
-    _integer,
     class_of_variety,
     eff_dual_contains,
     picard_rank,
@@ -237,6 +237,9 @@ def pattern_config_class(
         raise ValueError(
             f"degree arity {len(e)} does not match ray count {fan.nrays}"
         )
+    # a plain int needs no call to be known an integer
+    if type(s) is not int:
+        _integer(s, "removed point count")
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
     return config_class(fan, e, s)
@@ -279,7 +282,8 @@ def normalized_hom_class(
     return hom_class(fan, dv).shift(-dv.total)
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that True or 1.0 misses the entry of 1 and is refused
+@functools.lru_cache(maxsize=None, typed=True)
 def tamagawa(fan: Fan, E: int) -> DimSeries:
     """Truncated limiting constant of the fan's variety.
 

@@ -62,11 +62,11 @@ from dataclasses import dataclass
 from operator import and_
 from typing import Sequence
 
-from .errors import BudgetError, InternalCheckError
+from .errors import BudgetError, InternalCheckError, _integer, _is_int
 from .grothendieck import evaluate
 from .toric import (
     Fan,
-    _integer,
+    _Memo,
     _minimal_patterns,
     _orbit_keys,
     picard_rank,
@@ -92,6 +92,9 @@ __all__ = [
 
 
 def _check_prime(p: int) -> None:
+    # a plain int needs no call to be known an integer
+    if type(p) is not int:
+        _integer(p, "prime")
     if p not in ALLOWED_PRIMES:
         raise ValueError(f"prime must be one of {ALLOWED_PRIMES}, got {p}")
 
@@ -103,8 +106,7 @@ def _resolve_budget(budget: int | None) -> int:
     """
     if budget is not None:
         source, raw = "the budget argument (--budget)", budget
-        is_int = isinstance(budget, int) and not isinstance(budget, bool)
-        value = budget if is_int else None
+        value = budget if _is_int(budget) else None
     else:
         raw = os.environ.get(BUDGET_ENV)
         if raw is None:
@@ -262,18 +264,6 @@ def _walk_order(
         walked.add(ray)
         order.append(ray)
     return tuple(order)
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``fill(key)``."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,11 +5,13 @@ index sets).  Everything downstream keys off the ray order, which is never
 permuted: ray i is variable t_i in every polynomial and series produced by
 the other modules.
 
-The caches of the package are keyed by the fan, which takes the hash of
-its fields once and keeps it.  The search for the pattern automorphisms
-and the orbit key of a degree vector live here, with one memo of the
-keys per fan (_orbit_keys) that the oracle and the engine share, so each
-vector is keyed once per process.
+Validation is exact and integer-only: smoothness and the walls are
+determinants, and a point lies in a cone by Cramer's rule.  The caches of
+the package are keyed by the fan, which takes the hash of its fields once
+and keeps it.  The search for the pattern automorphisms and the orbit key
+of a degree vector live here, with one memo of the keys per fan
+(_orbit_keys) that the oracle and the engine share, so each vector is
+keyed once per process.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .errors import FanValidationError, LimitError
+from .errors import FanValidationError, LimitError, _integer, _is_int
 from .grothendieck import LaurentClass
 
 MAX_RAYS = 24
@@ -111,47 +112,22 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def solve_rational(matrix_cols: list[list[int]], target: list[int]):
-    """Solve M x = target exactly, M given by columns.
+def _cone_contains(cols: list[tuple[int, ...]], point: list[int]) -> bool:
+    """Does the cone spanned by the n columns of M hold the point?
 
-    Returns the solution as a list of Fractions, or None if M is singular.
+    By Cramer's rule the point's coordinate k in the columns is
+    det(M_k) / det(M), M_k being M with column k replaced by the point,
+    so it lies in the cone when det(M) != 0 and every det(M) det(M_k)
+    >= 0; dependent columns give False.  A matrix and its transpose
+    share their determinant, so the columns go to det_int as rows.
     """
-    n = len(target)
-    aug = [[Fraction(matrix_cols[j][i]) for j in range(len(matrix_cols))]
-           + [Fraction(target[i])] for i in range(n)]
-    cols = len(matrix_cols)
-    if cols != n:
-        return None
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            return None
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pv = aug[k][k]
-        aug[k] = [x / pv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
+    d = det_int(cols)
+    return d != 0 and all(d * det_int(cols[:k] + [point] + cols[k + 1:]) >= 0
+                          for k in range(len(cols)))
 
 
 # ---------------------------------------------------------------------------
 # parsing and validation
-
-
-def _is_int(x) -> bool:
-    # bool subclasses int, but JSON true and false are not integers
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _integer(x, what: str) -> int:
-    """x itself when it is an integer, else ValueError naming it; a
-    float, a string or a bool is never a degree, a coordinate or an
-    order, so none is truncated or read as one."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return x
 
 
 def parse_fan(document: dict) -> Fan:
@@ -274,8 +250,7 @@ def validate(fan: Fan) -> FanReport:
         # it, and it lies in a second cone exactly when d >= 2.
         barycenter = [sum(fan.rays[i][j] for i in fan.max_cones[0]) for j in range(n)]
         for other, cone in enumerate(fan.max_cones[1:], start=1):
-            sol = solve_rational([list(fan.rays[i]) for i in cone], barycenter)
-            if sol is not None and all(x >= 0 for x in sol):
+            if _cone_contains([fan.rays[i] for i in cone], barycenter):
                 complete = False
                 details.append(f"the barycenter of cone 0 lies in cone {other}")
                 break
@@ -481,24 +456,28 @@ def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
     return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
 
 
-class _OrbitKeys(dict):
-    """{e: _orbit_key(e, sym)}, each key computed on first use."""
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
 
-    def __init__(self, sym: _Symmetries):
+    def __init__(self, fill):
         super().__init__()
-        self.sym = sym
+        self.fill = fill
 
-    def __missing__(self, e):
-        key = self[e] = _orbit_key(e, self.sym)
-        return key
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 @lru_cache(maxsize=None)
-def _orbit_keys(fan: Fan) -> _OrbitKeys:
-    """The orbit keys of the fan's degree vectors under the automorphisms
-    the search lists, one memo per fan: the oracle and the engine share
-    it, so each vector is keyed once per process."""
-    return _OrbitKeys(_symmetries(fan.nrays, _minimal_patterns(fan)))
+def _orbit_keys(fan: Fan) -> _Memo:
+    """{e: _orbit_key(e, sym)} for the fan's degree vectors, each key
+    computed on first use, with the automorphisms the search lists kept
+    as ``sym``.  One memo per fan: the oracle and the engine share it,
+    so each vector is keyed once per process."""
+    sym = _symmetries(fan.nrays, _minimal_patterns(fan))
+    keys = _Memo(partial(_orbit_key, sym=sym))
+    keys.sym = sym
+    return keys
 
 
 def eff_dual_contains(fan: Fan, d) -> bool:
@@ -506,8 +485,9 @@ def eff_dual_contains(fan: Fan, d) -> bool:
     cone of effective divisor classes, for multidegrees of actual curves.)"""
     d = tuple(d)
     for x in d:
-        if not _is_int(x):
-            raise ValueError(f"degree entry {x!r} is not an integer")
+        # a plain int needs no call to be known an integer
+        if type(x) is not int:
+            _integer(x, "degree entry")
     if len(d) != fan.nrays:
         raise ValueError(f"degree vector needs {fan.nrays} entries")
     if any(x < 0 for x in d):

@@ -1,7 +1,8 @@
 """Independent reference routes that the tests compare the library against.
 
 None of this is on a path that a command or a script runs.  Each helper
-computes a quantity a second way (the Picard projection, the torsor
+computes a quantity a second way (linear systems over the rationals by
+Gauss-Jordan elimination, the Picard projection, the torsor
 class by counting zero sets, the Mobius values grouped by subgraph
 shape, the Euler factors by the binomial expansion, common roots of
 binary forms by a gcd, oracle counts by the walk without its orbit
@@ -40,7 +41,6 @@ from toricurves.toric import (
     parse_fan,
     pattern_set,
     require_valid,
-    solve_rational,
 )
 from toricurves import oracle
 
@@ -101,6 +101,31 @@ def eff_dual_enumerate(fan: Fan, bound: int) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # the Picard projection
+
+
+def solve_rational(matrix_cols: list[list[int]], target: list[int]):
+    """Solve M x = target exactly, M given by columns.
+
+    Returns the solution as a list of Fractions, or None if M is singular.
+    """
+    n = len(target)
+    aug = [[Fraction(matrix_cols[j][i]) for j in range(len(matrix_cols))]
+           + [Fraction(target[i])] for i in range(n)]
+    cols = len(matrix_cols)
+    if cols != n:
+        return None
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pv = aug[k][k]
+        aug[k] = [x / pv for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                f = aug[i][k]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+    return [aug[i][n] for i in range(n)]
 
 
 def _hermite_rows(mat: list[list[int]]) -> list[list[int]]:

@@ -2,7 +2,10 @@
 without importing them."""
 
 import ast
+import builtins
+import importlib
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toricurves"
@@ -28,49 +31,72 @@ def test_moduli_uses_no_packed_format():
     assert not used & ENGINE_ONLY, used & ENGINE_ONLY
 
 
-def _names(tree) -> set[str]:
-    """The names a syntax tree mentions as a Name, an Attribute or an
-    import alias."""
-    out = set()
+def _names(tree) -> Counter:
+    """How often a syntax tree mentions each name as a Name, an
+    Attribute or an import alias."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            out[node.name.rsplit(".", 1)[-1]] += 1
+    return out
+
+
+def _inherited(node: ast.ClassDef, library: set[str]) -> set[str]:
+    """The attributes of the class's bases from outside the library: a
+    dotted base is looked up in its module, a bare one in builtins."""
+    out = set()
+    for base in node.bases:
+        module, _, name = ast.unparse(base).rpartition(".")
+        if not module and name in library:
+            continue
+        found = getattr(importlib.import_module(module) if module
+                        else builtins, name, None)
+        out |= set(dir(found)) if found is not None else set()
     return out
 
 
 def test_every_library_definition_has_a_caller_outside_the_tests():
-    """Each module-level def and class of the library is named in src/
-    outside its own definition, in scripts/ or in perfbench/.  The
-    package's re-exports and the strings of __all__ do not count: a name
-    only the tests call belongs in tests/reference.py, or nowhere."""
+    """Each module-level def and class of the library, and each public
+    method and property of its classes, is named in src/ outside its own
+    definition, in scripts/ or in perfbench/.  Dunders and overrides of
+    a base class from outside the library (``_Parser.error``) are left
+    out, as Python or that base calls them.  The package's re-exports
+    and the strings of __all__ do not count: a name only the tests call
+    belongs in tests/reference.py, or nowhere."""
     outside = set()
     for path in [*(ROOT / "scripts").glob("*.py"),
                  *(ROOT / "perfbench").glob("*.py")]:
-        outside |= _names(ast.parse(path.read_text()))
-    # per module, the names each top-level statement mentions
-    statements = [
-        (node, _names(node))
-        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
-        for node in ast.parse(path.read_text()).body
-    ]
-    unused = []
-    for node, _ in statements:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        if node.name in outside or any(
-                node.name in names for other, names in statements
-                if other is not node):
-            continue
-        unused.append(node.name)
+        outside |= set(_names(ast.parse(path.read_text())))
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    mentions = sum(map(_names, modules), Counter())
+    library = {node.name for tree in modules for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    definitions = []
+    for tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                inherited = _inherited(node, library)
+                definitions += [
+                    (f"{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")
+                    and member.name not in inherited]
+    unused = [label for label, node in definitions
+              if node.name not in outside
+              and mentions[node.name] == _names(node)[node.name]]
     assert not unused, unused
 
 
 SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES", "_orbit_key",
-          "_orbit_keys", "_OrbitKeys"}
+          "_orbit_keys", "_Memo"}
 
 
 def test_one_search_for_pattern_automorphisms():

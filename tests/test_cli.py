@@ -189,6 +189,12 @@ class TestUsage:
 
 
 class TestMobius:
+    def test_refuses_a_negative_cap(self, capsys):
+        # the refusal names the option, not the cap's box
+        code, out, err = run(capsys, "mobius", "dp6", "--cap", "-1")
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "error: --cap must be nonnegative, got -1\n"
+
     def test_table_text(self, capsys):
         code, out, _ = run(capsys, "mobius", "p2")
         assert code == 0

@@ -44,6 +44,12 @@ class TestLaurentClass:
         assert x.evaluate(2) == Fraction(3, 2)
         assert evaluate(x, 3) == Fraction(8, 3)
 
+    @pytest.mark.parametrize("q", [2.5, 2.0, True, "2"])
+    def test_evaluate_refuses_a_point_that_is_not_an_integer(self, q):
+        # 2.5 used to go through float powers, and 2.0 gave a float value
+        with pytest.raises(ValueError, match=f"point {q!r} is not an integer"):
+            LaurentClass({60: 1}).evaluate(q)
+
     def test_virtual_dimension(self):
         assert (L**3 + L).virtual_dimension == 3
         assert LaurentClass.lefschetz(-2).virtual_dimension == -2
@@ -186,6 +192,17 @@ class TestSeriesCap:
     def test_needs_a_bound(self):
         with pytest.raises(ValueError):
             SeriesCap()
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1"])
+    def test_refuses_box_entries_that_are_not_integers(self, entry):
+        # int() used to truncate 1.5 to 1
+        with pytest.raises(ValueError, match=f"box entry {entry!r} is not"):
+            SeriesCap((entry, 2))
+
+    @pytest.mark.parametrize("total", [2.5, 2.0, True, "2"])
+    def test_refuses_a_total_that_is_not_an_integer(self, total):
+        with pytest.raises(ValueError, match=f"bound {total!r} is not"):
+            SeriesCap((1, 2), total)
 
     def test_needs_a_box(self):
         with pytest.raises(ValueError, match="box"):

@@ -122,6 +122,13 @@ class TestConfigClasses:
         with pytest.raises(ValueError):
             pattern_config_class(p2, (1, 1))
 
+    @pytest.mark.parametrize("s", [True, 1.5, 1.0, "1"])
+    def test_refuses_a_point_count_that_is_not_an_integer(self, p2, s):
+        # True used to give the s = 1 class
+        pattern_config_class(p2, (1, 1, 1), 1)
+        with pytest.raises(ValueError, match=f"count {s!r} is not an integer"):
+            pattern_config_class(p2, (1, 1, 1), s)
+
     def test_series_matches_per_degree_classes(self, p1xp1):
         cap = SeriesCap.box_cap((2, 2, 2, 2), total=4)
         series = open_curve_config_series(p1xp1, cap)
@@ -401,6 +408,13 @@ class TestTamagawa:
             for E in (0, 4, 9):
                 tau = tamagawa(fan, E)
                 assert tau.floor == 1 - ((E + 2) // 2) + fan.dim, (name, E)
+
+    @pytest.mark.parametrize("E", [True, 12.5, 1.0, "1"])
+    def test_refuses_an_order_that_is_not_an_integer(self, p2, E):
+        # the cache used to answer True with the constant of E = 1
+        tamagawa(p2, 1)
+        with pytest.raises(ValueError, match=f"cutoff {E!r} is not an integer"):
+            tamagawa(p2, E)
 
     def test_product_constant_multiplies(self, p1):
         square = fan_product(p1, p1)

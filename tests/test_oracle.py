@@ -287,6 +287,13 @@ def fan_named(fans, name):
 
 
 class TestPatternCounts:
+    @pytest.mark.parametrize("p", [2.0, 3.0, True, "2"])
+    def test_refuses_a_prime_that_is_not_an_integer(self, p2, p):
+        # 2.0 used to return the count of p = 2 once that was cached
+        ff_pattern_count(2, p2, (1, 1, 1))
+        with pytest.raises(ValueError, match=f"prime {p!r} is not an integer"):
+            ff_pattern_count(p, p2, (1, 1, 1))
+
     CASES = [
         ("p1", (1, 1), 2),
         ("p1", (1, 1), 3),

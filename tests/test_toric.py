@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -14,8 +15,10 @@ from reference import (
     fan_product,
     lies_above,
     picard_projection,
+    solve_rational,
 )
 from toricurves import toric
+from toricurves.cli import EXIT_VALIDATION, main
 from toricurves.errors import FanValidationError
 from toricurves.grothendieck import L, ONE
 from toricurves.toric import (
@@ -28,7 +31,6 @@ from toricurves.toric import (
     pattern_set,
     picard_rank,
     require_valid,
-    solve_rational,
     validate,
 )
 
@@ -138,6 +140,46 @@ def test_eff_dual_refuses_entries_that_are_not_integers(p2, entry):
     # int() would read each of them as 1, and (1, 1, 1) is in the cone
     with pytest.raises(ValueError, match=f"degree entry {entry!r} is not"):
         eff_dual_contains(p2, (entry, 1, 1))
+
+
+def test_eff_dual_refuses_a_vector_of_the_wrong_length(p2):
+    with pytest.raises(ValueError, match="degree vector needs 3 entries"):
+        eff_dual_contains(p2, (1, 1))
+
+
+PLANE_RAYS = [[1, 0], [0, 1], [-1, -1]]
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"rays": [], "max_cones": [[0]]},
+     "'rays' must be a nonempty list of integer vectors"),
+    ({"rays": [[]], "max_cones": [[0]]}, "rays must have positive length"),
+    ({"rays": [[1, 0], [1]], "max_cones": [[0, 1]]},
+     "ray at index 1 has length 1, expected 2"),
+    ({"rays": [[1, 0], [1, 0]], "max_cones": [[0, 1]]},
+     r"duplicate ray \[1, 0\]"),
+    ({"rays": PLANE_RAYS, "max_cones": []},
+     "'max_cones' must be a nonempty list of index lists"),
+    ({"rays": PLANE_RAYS, "max_cones": [[0, 0]]},
+     "cone at index 0 repeats a ray index"),
+    ({"rays": PLANE_RAYS, "max_cones": [[0, 1, 2]]},
+     "cone 0 has 3 rays, expected 2"),
+    ({"rays": [[1, 0], [0, 1], [-1, -1], [-1, 0], [0, -1], [1, 1]],
+      "max_cones": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]},
+     "wall-adjacency graph is disconnected"),
+], ids=["no-rays", "empty-ray", "ragged", "duplicate", "no-cones",
+        "repeated-index", "three-rays-in-the-plane", "disconnected"])
+def test_fan_refusals(document, message, tmp_path, capsys):
+    """Each document is refused with its message, in the library and by
+    analyze, which exits 2 and prints nothing to stdout."""
+    with pytest.raises(FanValidationError, match=message):
+        require_valid(parse_fan(document))
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(document))
+    assert main(["analyze", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(message, captured.err), captured.err
 
 
 def test_eff_dual_enumerate(p1, bl1p2):
@@ -383,17 +425,34 @@ def test_validate_matches_all_pairs_barycenters(fans):
     assert outcomes == {True, False}
 
 
+def test_cone_contains_matches_the_rational_solve():
+    """Cramer's rule against Gauss-Jordan over the rationals, on random
+    integer systems of sizes 1 to 4, singular ones included."""
+    rng = random.Random(2302)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        point = [rng.randint(-3, 3) for _ in range(n)]
+        sol = solve_rational([list(c) for c in cols], point)
+        want = sol is not None and all(x >= 0 for x in sol)
+        assert toric._cone_contains(cols, point) == want, (cols, point)
+        outcomes.add((sol is None, want))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
 def test_validate_solves_for_one_barycenter(p1, monkeypatch):
     p1_6 = p1
     for _ in range(5):
         p1_6 = fan_product(p1_6, p1)
     solves = []
+    cone_contains = toric._cone_contains
 
-    def counting_solve(cols, target):
-        solves.append(target)
-        return solve_rational(cols, target)
+    def counting_contains(cols, point):
+        solves.append(point)
+        return cone_contains(cols, point)
 
-    monkeypatch.setattr(toric, "solve_rational", counting_solve)
+    monkeypatch.setattr(toric, "_cone_contains", counting_contains)
     report = validate.__wrapped__(p1_6)
     assert report.smooth and report.complete
     assert len(solves) <= len(p1_6.max_cones) - 1 == 63
