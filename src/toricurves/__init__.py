@@ -32,9 +32,7 @@ from .toric import (
 )
 from .mobius import (
     IntPoly,
-    MobiusTable,
     fan_mobius_polynomial,
-    generating_polynomial,
     local_identity_check,
     mobius_table,
 )

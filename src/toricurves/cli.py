@@ -14,6 +14,7 @@ consistency tripwire.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -38,7 +39,7 @@ from .toric import (
     picard_rank,
     validate,
 )
-from .mobius import fan_mobius_polynomial, local_identity_check, mobius_table
+from .mobius import IntPoly, fan_mobius_polynomial, local_identity_check
 from .eulerprod import global_mobius
 from .moduli import (
     JetCondition,
@@ -146,6 +147,19 @@ def _fmt_delta(delta) -> str:
     return "-inf" if delta is MINUS_INFINITY else str(delta)
 
 
+def _nonnegative(option: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{option} must be nonnegative, got {value}")
+
+
+def _mobius_listing(poly: IntPoly) -> list[dict]:
+    """mu on every 0/1 vector n, zeros included, by |n| and then n."""
+    mu = poly.coeffs
+    vectors = sorted(itertools.product((0, 1), repeat=poly.nvars),
+                     key=lambda n: (sum(n), n))
+    return [{"n": list(n), "mu": mu.get(n, 0)} for n in vectors]
+
+
 def cmd_analyze(args):
     fan = _load_fan(args.fan)
     report = validate(fan)
@@ -156,8 +170,7 @@ def cmd_analyze(args):
     pats = pattern_set(fan)
     rank = picard_rank(fan)
     cls = class_of_variety(fan)
-    table = mobius_table(pats)
-    poly = str(fan_mobius_polynomial(fan))
+    poly = fan_mobius_polynomial(fan)
     identity_ok = local_identity_check(fan)
     payload = {
         "validation": report.to_json(),
@@ -165,10 +178,10 @@ def cmd_analyze(args):
         "dim": fan.dim,
         "picard_rank": rank,
         "class": str(cls),
-        "primitive_collections": sorted(sorted(s) for s in pats.minimal),
+        "primitive_collections": sorted(map(list, pats.minimal)),
         # the 2^n listing is printed only in JSON
-        "mobius": table.to_json() if args.format == "json" else None,
-        "polynomial": poly,
+        "mobius": _mobius_listing(poly) if args.format == "json" else None,
+        "polynomial": str(poly),
         "local_identity": identity_ok,
     }
     lines = [
@@ -177,22 +190,20 @@ def cmd_analyze(args):
         f"dim: {fan.dim}  picard rank: {rank}",
         f"class: {cls}",
         f"primitive collections: {payload['primitive_collections']}",
-        f"P = {poly}",
+        f"P = {payload['polynomial']}",
         f"local identity: {'holds' if identity_ok else 'FAILS'}",
     ]
     return payload, "\n".join(lines)
 
 
 def cmd_mobius(args):
-    if args.cap is not None and args.cap < 0:
-        raise ValueError(f"--cap must be nonnegative, got {args.cap}")
+    _nonnegative("--cap", args.cap)
     fan = _load_fan(args.fan)
-    table = mobius_table(pattern_set(fan))
     poly = fan_mobius_polynomial(fan)
     as_json = args.format == "json"
     payload = {
         # the listings are printed only in JSON
-        "mobius": table.to_json() if as_json else None,
+        "mobius": _mobius_listing(poly) if as_json else None,
         "polynomial": str(poly),
     }
     lines = [f"P = {poly}"]
@@ -207,7 +218,7 @@ def cmd_mobius(args):
         for e, value in gm.items():
             lines.append(f"  mu{e} = {value}")
     else:
-        for n, v in table.nonzero():
+        for n, v in poly._by_degree():
             lines.append(f"  mu{n} = {v}")
     return payload, "\n".join(lines)
 
@@ -236,6 +247,7 @@ def cmd_hom(args):
 
 
 def cmd_tamagawa(args):
+    _nonnegative("--order", args.order)
     fan = _load_fan(args.fan)
     series = tamagawa(fan, args.order)
     payload = {
@@ -248,6 +260,7 @@ def cmd_tamagawa(args):
 
 
 def cmd_converge(args):
+    _nonnegative("--order", args.order)
     fan = _load_fan(args.fan)
     d = _parse_degree(args.degree, fan.nrays)
     rep = convergence_report(fan, d, args.order)
@@ -307,6 +320,7 @@ def cmd_oracle(args):
 
 
 def cmd_constrained(args):
+    _nonnegative("--order", args.order)
     fan = _load_fan(args.fan)
     if args.points is not None:
         specs = _parse_points(args.points)
@@ -336,14 +350,6 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (JSON is authoritative)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="accepted with no effect (completeness validation is exact)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted with no effect (counts run serially)",
     )
     common.add_argument(
         "--budget", type=int, default=None,

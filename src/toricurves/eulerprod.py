@@ -24,7 +24,10 @@ and a remainder aborts the run.  Every coefficient, an integer
 polynomial in q, is then read back from its value as balanced base-2^w
 digits (Kronecker substitution), with q mapped to L.  A majorant series
 bounds every coefficient in advance and fixes w; nothing is ever
-rounded, and a digit beyond the bound aborts the run.
+rounded, and a digit beyond the bound aborts the run.  The factors stay
+packed integers, the d = 1 factor apart from the product of the others
+(_rest_factors), until _read_product multiplies the two and reads the
+product back.
 
 Configuration classes, the Euler product times one zeta factor per
 variable, come from the same integers at a width a second bound fixes
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
@@ -75,8 +77,6 @@ from .toric import Fan, _Memo, _orbit_keys, require_valid
 __all__ = [
     "int_mobius",
     "euler_product_p1",
-    "EulerFactors",
-    "euler_factors",
     "global_mobius",
     "euler_product_at_Linv",
     "config_class",
@@ -232,69 +232,35 @@ class _Keys:
         return {k: v for k, v in out.items() if v}
 
 
-@dataclass(frozen=True, eq=False)
-class EulerFactors:
-    """An Euler product at q = 2^width, split as rest * first.
+def _read_product(keys: _Keys, w: int, majorant: list[int],
+                  rest: dict[int, int], first: dict[int, int]) -> MultiSeries:
+    """rest * first, each coefficient read back as a LaurentClass.
 
     first is the factor of the rational points (d = 1), with its
-    constant term 1, and rest the product of all the other factors.
-    Both are truncated to the cap and map packed exponent vectors
-    (`keys.unpack` unpacks one) to exact integer values at q = 2^width.
-    The majorant's u^n coefficient bounds, summed over the exponents e
-    with |e| = n, the absolute q-coefficient sums of the product's
-    coefficients (see _majorant).
+    constant term 1, and rest the product of all the other factors, both
+    truncated to the cap of keys and taken at q = 2^w.  The majorant's
+    u^n coefficient bounds, summed over the exponents e with |e| = n, the
+    absolute q-coefficient sums of the product's coefficients (see
+    _majorant).  The coefficients are balanced base-2^w digits; a digit
+    of absolute value 2^(v-2) or more, v the width the majorant alone
+    fixes, contradicts the majorant and raises InternalCheckError, which
+    signals an engine bug rather than a recoverable input problem.
     """
-
-    width: int
-    majorant: list[int]
-    rest: dict[int, int]
-    first: dict[int, int]
-    keys: _Keys
-
-    def product(self) -> MultiSeries:
-        """rest * first, each coefficient read back as a LaurentClass.
-
-        The coefficients are balanced base-2^width digits; a digit of
-        absolute value 2^(w-2) or more, w the width the majorant alone
-        fixes, contradicts the majorant and raises InternalCheckError,
-        which signals an engine bug rather than a recoverable input
-        problem.
-        """
-        series = self.keys.times(self.rest, self.first, {})
-        nvars = self.keys.nvars
-        bound = 1 << (_width(self.majorant, None) - 2)
-        out: dict[tuple[int, ...], LaurentClass] = {}
-        # ascending |e|, so checks over the result meet low degrees first
-        for key, x in sorted(series.items()):
-            e = self.keys.unpack(key)
-            out[e] = _read_back(
-                x, self.width, bound, e,
-                "Euler product coefficient at exponent {} exceeds its majorant",
-            )
-        if out.get((0,) * nvars) != ONE:
-            raise InternalCheckError("Euler product lost its constant term 1")
-        variables = tuple(f"t{i + 1}" for i in range(nvars))
-        return MultiSeries(variables, self.keys.cap, out)
-
-
-def euler_factors(
-    F: IntPoly, s: int, cap: SeriesCap, reach: int | None = None
-) -> EulerFactors:
-    """The Euler product over the closed points of P^1 minus s points of
-    F(t^(deg)), as its d = 1 factor and the product of the others.
-
-    F must have constant term 1.  The product is taken at q = 2^width,
-    where the width leaves two bits above the largest coefficient of the
-    majorant series and, when reach is given, above reach times the sum
-    of the majorant's coefficients: that sum bounds the absolute
-    q-coefficient sum of any combination of the product's coefficients
-    with integer polynomial weights whose absolute coefficient sums are
-    at most reach.  Each factor F^(a_d) is one pass of _power, at the
-    integer point count a_d(2^width).
-    """
-    keys, w, majorant, base, rest = _rest_factors(F, s, cap, reach)
-    first = _power(base, _points(1, s, w), keys)
-    return EulerFactors(w, majorant, rest, first, keys)
+    series = keys.times(rest, first, {})
+    nvars = keys.nvars
+    bound = 1 << (_width(majorant, None) - 2)
+    out: dict[tuple[int, ...], LaurentClass] = {}
+    # ascending |e|, so checks over the result meet low degrees first
+    for key, x in sorted(series.items()):
+        e = keys.unpack(key)
+        out[e] = _read_back(
+            x, w, bound, e,
+            "Euler product coefficient at exponent {} exceeds its majorant",
+        )
+    if out.get((0,) * nvars) != ONE:
+        raise InternalCheckError("Euler product lost its constant term 1")
+    variables = tuple(f"t{i + 1}" for i in range(nvars))
+    return MultiSeries(variables, keys.cap, out)
 
 
 def _points(d: int, s: int, w: int) -> int:
@@ -307,9 +273,20 @@ def _points(d: int, s: int, w: int) -> int:
 def _rest_factors(
     F: IntPoly, s: int, cap: SeriesCap, reach: int | None
 ) -> tuple[_Keys, int, list[int], dict[int, int], dict[int, int]]:
-    """euler_factors short of its d = 1 factor: the keys of the cap, the
+    """The Euler product over the closed points of P^1 minus s points of
+    F(t^(deg)), short of its d = 1 factor: the keys of the cap, the
     width, the majorant, the packed in-cap terms of F - 1, and the
-    product of the factors with d >= 2."""
+    product of the factors with d >= 2.
+
+    F must have constant term 1.  The product is taken at q = 2^width,
+    where the width leaves two bits above the largest coefficient of the
+    majorant series and, when reach is given, above reach times the sum
+    of the majorant's coefficients: that sum bounds the absolute
+    q-coefficient sum of any combination of the product's coefficients
+    with integer polynomial weights whose absolute coefficient sums are
+    at most reach.  Each factor F^(a_d) is one pass of _power, at the
+    integer point count a_d(2^width).
+    """
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
     nvars = len(cap.box)
@@ -490,9 +467,11 @@ def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
 
     F must have constant term 1; the result is a capped multiseries with
     LaurentClass coefficients and constant term 1, read back from the
-    product of euler_factors at the width the majorant fixes.
+    product of its factors at the width the majorant fixes.
     """
-    return euler_factors(F, s, cap).product()
+    keys, w, majorant, base, rest = _rest_factors(F, s, cap, None)
+    first = _power(base, _points(1, s, w), keys)
+    return _read_product(keys, w, majorant, rest, first)
 
 
 def _checked_mobius(series: MultiSeries) -> dict[tuple[int, ...], LaurentClass]:
@@ -610,12 +589,12 @@ class _ProductTerms:
     """The checked global Mobius table and the zeta coefficients at
     L = 2^w: a class costs one multiply per ray and table term."""
 
-    def __init__(self, s: int, factors: EulerFactors):
-        self.width = w = factors.width
+    def __init__(self, s: int, w: int, series: MultiSeries):
+        self.width = w
         # the zeta coefficients are the walk of one axis from t^0
-        self.zeta = zeta = [1] + [0] * max(factors.keys.cap.box, default=0)
+        self.zeta = zeta = [1] + [0] * max(series.cap.box, default=0)
         _walk(zeta, len(zeta), s, w)
-        table = _checked_mobius(factors.product())
+        table = _checked_mobius(series)
         self.mobius = tuple((e, pack_class(mu, w)) for e, mu in table.items())
 
     def at(self, e: tuple[int, ...]) -> int:
@@ -706,8 +685,8 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
     # U lies in the box, so a box under the limit needs no count
     if (side + 1) ** n <= limit or _support_size(base, keys, limit) <= limit:
-        first = _power(base, a, keys)
-        return _ProductTerms(s, EulerFactors(w, majorant, rest, first, keys))
+        series = _read_product(keys, w, majorant, rest, _power(base, a, keys))
+        return _ProductTerms(s, w, series)
     perms = _orbit_keys(fan).sym.perms  # those _shared_classes checks
     return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
 

@@ -69,13 +69,6 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 
-def dim_sum(a, b):
-    """a + b where either operand may be MINUS_INFINITY."""
-    if a is MINUS_INFINITY or b is MINUS_INFINITY:
-        return MINUS_INFINITY
-    return a + b
-
-
 class LaurentClass:
     """An element of Z[L, L^-1], stored sparsely as {exponent: coefficient}.
 
@@ -228,10 +221,6 @@ class LaurentClass:
     def to_json(self) -> dict:
         return {"coeffs": {str(e): str(v) for e, v in sorted(self._c.items())}}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "LaurentClass":
-        return cls({int(e): int(v) for e, v in doc["coeffs"].items()})
-
     def __str__(self) -> str:
         return _signed_sum(
             ("" if e == 0 else "L" if e == 1 else f"L^{e}", v)
@@ -358,9 +347,9 @@ class DimSeries:
         # the worst (largest) degree any such cross term can reach.
         candidates = []
         if self.floor is not None:
-            candidates.append(dim_sum(self.floor, other.known.virtual_dimension))
+            candidates.append(self.floor + other.known.virtual_dimension)
         if other.floor is not None:
-            candidates.append(dim_sum(other.floor, self.known.virtual_dimension))
+            candidates.append(other.floor + self.known.virtual_dimension)
         if self.floor is not None and other.floor is not None:
             candidates.append(self.floor + other.floor)
         candidates = [c for c in candidates if c is not MINUS_INFINITY]
@@ -381,11 +370,6 @@ class DimSeries:
         doc = self.known.to_json()
         doc["floor"] = "exact" if self.floor is None else self.floor
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DimSeries":
-        floor = doc["floor"]
-        return cls(LaurentClass.from_json(doc), None if floor == "exact" else int(floor))
 
     def __str__(self) -> str:
         tag = "exact" if self.floor is None else f"floor {self.floor}"

@@ -10,10 +10,8 @@ engine and the configuration classes read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from types import MappingProxyType
 
-from .errors import LimitError, _integer
+from .errors import LimitError
 from .grothendieck import LaurentClass, _signed_sum
 from .toric import (
     MAX_RAYS,
@@ -95,40 +93,14 @@ class IntPoly:
         return f"IntPoly({self.nvars}, {len(self._c)} terms)"
 
 
-@dataclass(frozen=True)
-class MobiusTable:
-    nvars: int
-    coeffs: MappingProxyType  # support bitmask (bit i = ray i) -> nonzero mu
-
-    def mu(self, n) -> int:
-        n = tuple(_integer(x, "exponent entry") for x in n)
-        if len(n) != self.nvars or any(x not in (0, 1) for x in n):
-            return 0
-        return self.coeffs.get(sum(x << i for i, x in enumerate(n)), 0)
-
-    def nonzero(self):
-        return [(_mask_bits(m, self.nvars), self.coeffs[m])
-                for m in _by_weight(self.coeffs, self.nvars)]
-
-    def listing(self):
-        """Every 0/1 vector with its mu, zeros included, in the order of
-        nonzero()."""
-        for m in _by_weight(range(1 << self.nvars), self.nvars):
-            yield _mask_bits(m, self.nvars), self.coeffs.get(m, 0)
-
-    def to_json(self) -> list:
-        return [{"n": list(n), "mu": v} for n, v in self.listing()]
-
-
-@functools.lru_cache(maxsize=8)
-def mobius_table(patterns: PatternSet) -> MobiusTable:
+def mobius_table(patterns: PatternSet) -> IntPoly:
     """Invert the not-above-the-pattern-set indicator on 0/1-vectors.
 
     mu is the product of (1 - x^J) over the primitive collections J, with
     x^a * x^b = x^(a | b): each factor subtracts the current table shifted
     by OR with J's mask.  The work is the number of collections times the
-    size of the support of mu, and the last few tables are cached per
-    pattern set.
+    size of the support of mu.  The result is mu's generating polynomial,
+    whose t^n coefficient is mu(n) for each 0/1-vector n.
     """
     nu = patterns.nvars
     if nu > MAX_RAYS:
@@ -142,26 +114,14 @@ def mobius_table(patterns: PatternSet) -> MobiusTable:
         for m, v in list(mu.items()):
             mu[m | j] = mu.get(m | j, 0) - v
         mu = {m: v for m, v in mu.items() if v}
-    return MobiusTable(nvars=nu, coeffs=MappingProxyType(mu))
-
-
-def _mask_bits(m: int, nu: int) -> tuple[int, ...]:
-    return tuple((m >> i) & 1 for i in range(nu))
-
-
-def _by_weight(masks, nu: int) -> list[int]:
-    """Masks by Hamming weight, then by their bit tuples."""
-    return sorted(masks, key=lambda m: (m.bit_count(), _mask_bits(m, nu)))
-
-
-def generating_polynomial(table: MobiusTable) -> IntPoly:
-    nu = table.nvars
-    return IntPoly(nu, {_mask_bits(m, nu): v for m, v in table.coeffs.items()})
+    return IntPoly(nu, {tuple((m >> i) & 1 for i in range(nu)): v
+                        for m, v in mu.items()})
 
 
 @functools.lru_cache(maxsize=8)
 def fan_mobius_polynomial(fan: Fan) -> IntPoly:
-    return generating_polynomial(mobius_table(pattern_set(fan)))
+    """The fan's local factor P, cached for the last few fans."""
+    return mobius_table(pattern_set(fan))
 
 
 def local_identity_sides(fan: Fan) -> tuple[LaurentClass, LaurentClass]:

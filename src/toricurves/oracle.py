@@ -67,8 +67,8 @@ from .grothendieck import evaluate
 from .toric import (
     Fan,
     _Memo,
-    _minimal_patterns,
     _orbit_keys,
+    pattern_set,
     picard_rank,
     require_valid,
 )
@@ -446,7 +446,7 @@ def ff_pattern_count(
     memo holds for e (``_orbit_keys``).
     """
     e = _checked_degrees(p, fan, e, budget)
-    return _orbit_count(p, _orbit_keys(fan)[e], _minimal_patterns(fan))
+    return _orbit_count(p, _orbit_keys(fan)[e], pattern_set(fan).minimal)
 
 
 def ff_hom_count(
@@ -636,7 +636,7 @@ def ff_constrained_count(
                 return 0
         return 1
 
-    return _count(p, d, _minimal_patterns(fan), tag, weight)
+    return _count(p, d, pattern_set(fan).minimal, tag, weight)
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,11 @@ class FanReport:
 
 @dataclass(frozen=True)
 class PatternSet:
-    """The sets of rays contained in no cone, encoded by minimal members."""
+    """The sets of rays contained in no cone, encoded by minimal members,
+    each an ascending tuple of ray indices, by size and then in order."""
 
     nvars: int
-    minimal: tuple[frozenset[int], ...]
+    minimal: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +322,20 @@ def pattern_set(fan: Fan) -> PatternSet:
 
     Each is a face plus one more ray: a set that is not a face, but
     becomes one when any one of its rays is dropped.  The added ray is
-    taken above every ray of the face, so each set is found once.
+    taken above every ray of the face, so each set is found once, and
+    its rays come in ascending order.
     """
     require_valid(fan)
     faces = _faces(fan)
-    minimal: list[frozenset[int]] = []
+    minimal: list[tuple[int, ...]] = []
     for face in faces:
         rays = [i for i in range(face.bit_length()) if face >> i & 1]
         for r in range(face.bit_length(), fan.nrays):
             s = face | 1 << r
             if s not in faces and all(s & ~(1 << i) in faces for i in rays):
-                minimal.append(frozenset(rays + [r]))
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
+                minimal.append((*rays, r))
+    minimal.sort(key=lambda s: (len(s), s))
     return PatternSet(nvars=fan.nrays, minimal=tuple(minimal))
-
-
-@lru_cache(maxsize=None)
-def _minimal_patterns(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """The minimal patterns as sorted tuples of ray indices."""
-    return tuple(
-        tuple(sorted(j)) for j in pattern_set(fan).minimal
-    )
 
 
 class _Symmetries(NamedTuple):
@@ -474,7 +468,7 @@ def _orbit_keys(fan: Fan) -> _Memo:
     computed on first use, with the automorphisms the search lists kept
     as ``sym``.  One memo per fan: the oracle and the engine share it,
     so each vector is keyed once per process."""
-    sym = _symmetries(fan.nrays, _minimal_patterns(fan))
+    sym = _symmetries(fan.nrays, pattern_set(fan).minimal)
     keys = _Memo(partial(_orbit_key, sym=sym))
     keys.sym = sym
     return keys

@@ -19,14 +19,13 @@ from operator import add, and_, sub
 
 from toricurves.errors import InternalCheckError
 from toricurves.eulerprod import (
-    EulerFactors,
     _Keys,
     _majorant,
     _weight_raw,
     _width,
 )
 from toricurves.grothendieck import ONE, ZERO, DimSeries, LaurentClass
-from toricurves.mobius import generating_polynomial, mobius_table
+from toricurves.mobius import mobius_table
 from toricurves.moduli import (
     DegreeVector,
     JetCondition,
@@ -219,8 +218,7 @@ def torsor_class(patterns: PatternSet) -> LaurentClass:
     route1 = LaurentClass.zero()
     for k, count in enumerate(sizes):
         route1 = route1 + lm1 ** (nu - k) * count
-    table = mobius_table(patterns)
-    poly = generating_polynomial(table)
+    poly = mobius_table(patterns)
     route2 = poly.evaluate_diagonal(LaurentClass.lefschetz(-1)).shift(nu)
     if route1 != route2:
         raise InternalCheckError(
@@ -279,10 +277,11 @@ def mu_grouped_by_subgraph(fan: Fan, connected_only: bool = True) -> dict:
     Returns {(size, canonical_edges): sorted list of distinct mu values}.
     The empty support contributes {(0, ()): [1]}.
     """
-    table = mobius_table(pattern_set(fan))
+    mu = mobius_table(pattern_set(fan)).coeffs
     edges = nonintersection_graph(fan)
     groups: dict[tuple, set[int]] = {}
-    for n, v in table.listing():
+    for n in itertools.product((0, 1), repeat=fan.nrays):
+        v = mu.get(n, 0)
         support = tuple(i for i, x in enumerate(n) if x)
         sub_edges = {e for e in edges if e <= set(support)}
         if connected_only and not _is_connected(support, sub_edges):
@@ -376,6 +375,18 @@ def count_unmerged(p, degrees, patterns, tag=None, weight=None) -> int:
 # series and classes
 
 
+def laurent_from_json(doc: dict) -> LaurentClass:
+    """The class that LaurentClass.to_json wrote."""
+    return LaurentClass({int(e): int(v) for e, v in doc["coeffs"].items()})
+
+
+def dim_series_from_json(doc: dict) -> DimSeries:
+    """The series that DimSeries.to_json wrote."""
+    floor = doc["floor"]
+    return DimSeries(laurent_from_json(doc),
+                     None if floor == "exact" else int(floor))
+
+
 def is_exact(series: DimSeries) -> bool:
     return series.floor is None
 
@@ -386,17 +397,18 @@ def truncate(series: DimSeries, floor: int) -> DimSeries:
     return DimSeries(series.known, f)
 
 
-def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
-    """euler_factors by the binomial expansion: each factor is
-    sum_k binom(a_d, k) (F - 1)^k (t^(.d)), with every integer power
-    (F - 1)^k formed once over the full cap."""
+def binomial_factors(F, s: int, cap, reach: int | None = None) -> tuple:
+    """The Euler product's factors by the binomial expansion, as the
+    keys, width, majorant, rest and first that eulerprod._read_product
+    reads back: each factor is sum_k binom(a_d, k) (F - 1)^k (t^(.d)),
+    with every integer power (F - 1)^k formed once over the full cap."""
     keys = _Keys(cap)
     total = cap.total
     coeffs_in = {e: c for e, c in F.items() if any(e) and cap.admits(e)}
     majorant = _majorant(coeffs_in, s, total)
     w = _width(majorant, reach)
     if not coeffs_in:
-        return EulerFactors(w, majorant, {0: 1}, {0: 1}, keys)
+        return keys, w, majorant, {0: 1}, {0: 1}
     base = {keys.pack(e): c for e, c in coeffs_in.items()}
     powers = [base]
     while True:
@@ -422,7 +434,7 @@ def binomial_factors(F, s: int, cap, reach: int | None = None) -> EulerFactors:
         rest = keys.times(rest, factor(d), dict(rest))
     first = factor(1)
     first[0] = 1
-    return EulerFactors(w, majorant, rest, first, keys)
+    return keys, w, majorant, rest, first
 
 
 def dense_power_by_cells(terms: dict[int, int], a: int, keys: _Keys) -> list[int]:

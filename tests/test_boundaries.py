@@ -11,7 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toricurves"
 MODULI = SRC / "moduli.py"
 
-ENGINE_ONLY = {"pack_class", "unpack_class", "EulerFactors", "euler_factors",
+ENGINE_ONLY = {"pack_class", "unpack_class", "_rest_factors", "_read_product",
                "_Keys", "_checked_mobius"}
 
 
@@ -45,6 +45,18 @@ def _names(tree) -> Counter:
     return out
 
 
+def _attributes(tree) -> Counter:
+    """How often a syntax tree reads each name as an attribute, x.name."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+def _defined(tree) -> set[str]:
+    """The names of the functions and classes a syntax tree defines."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def _inherited(node: ast.ClassDef, library: set[str]) -> set[str]:
     """The attributes of the class's bases from outside the library: a
     dotted base is looked up in its module, a bare one in builtins."""
@@ -62,37 +74,81 @@ def _inherited(node: ast.ClassDef, library: set[str]) -> set[str]:
 def test_every_library_definition_has_a_caller_outside_the_tests():
     """Each module-level def and class of the library, and each public
     method and property of its classes, is named in src/ outside its own
-    definition, in scripts/ or in perfbench/.  Dunders and overrides of
-    a base class from outside the library (``_Parser.error``) are left
-    out, as Python or that base calls them.  The package's re-exports
-    and the strings of __all__ do not count: a name only the tests call
-    belongs in tests/reference.py, or nowhere."""
-    outside = set()
-    for path in [*(ROOT / "scripts").glob("*.py"),
-                 *(ROOT / "perfbench").glob("*.py")]:
-        outside |= set(_names(ast.parse(path.read_text())))
+    definition, in scripts/ or in perfbench/.  A method or property
+    counts as named only where it is read as an attribute (x.name), so
+    a local variable of the same name is no caller; and a name that
+    scripts/ or perfbench/ define themselves is no caller there.
+    Dunders and overrides of a base class from outside the library
+    (``_Parser.error``) are left out, as Python or that base calls them.
+    The package's re-exports and the strings of __all__ do not count: a
+    name only the tests call belongs in tests/reference.py, or nowhere."""
+    scripts = [ast.parse(path.read_text())
+               for path in [*(ROOT / "scripts").glob("*.py"),
+                            *(ROOT / "perfbench").glob("*.py")]]
+    own = set().union(*map(_defined, scripts))
     modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
                if path.name != "__init__.py"]
-    mentions = sum(map(_names, modules), Counter())
+    # per way of counting: the mentions in src/, and the names outside
+    totals = {count: (sum(map(count, modules), Counter()),
+                      set().union(*map(count, scripts)) - own)
+              for count in (_names, _attributes)}
     library = {node.name for tree in modules for node in tree.body
                if isinstance(node, ast.ClassDef)}
     definitions = []
     for tree in modules:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((node.name, node))
+                definitions.append((node.name, node, _names))
             if isinstance(node, ast.ClassDef):
                 inherited = _inherited(node, library)
                 definitions += [
-                    (f"{node.name}.{member.name}", member)
+                    (f"{node.name}.{member.name}", member, _attributes)
                     for member in node.body
                     if isinstance(member, ast.FunctionDef)
                     and not member.name.startswith("_")
                     and member.name not in inherited]
-    unused = [label for label, node in definitions
-              if node.name not in outside
-              and mentions[node.name] == _names(node)[node.name]]
+    unused = [label for label, node, count in definitions
+              if node.name not in totals[count][1]
+              and totals[count][0][node.name] == count(node)[node.name]]
     assert not unused, unused
+
+
+def _top_level(tree) -> set[str]:
+    """The names a module defines at its top level: functions, classes
+    and assigned names, not imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_exports_name_what_their_module_defines():
+    """Each module's __all__ names only what that module defines, and
+    each name the package __init__ imports from a module is defined in
+    that module, not imported into it."""
+    defined = {path.stem: _top_level(ast.parse(path.read_text()))
+               for path in SRC.glob("*.py")}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+                names = set(ast.literal_eval(node.value))
+                assert names <= defined[path.stem], (
+                    path.stem, names - defined[path.stem])
+    init = ast.parse((SRC / "__init__.py").read_text())
+    reexports = [(node.module, alias.name) for node in init.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names]
+    assert reexports
+    missing = [(module, name) for module, name in reexports
+               if name not in defined.get(module, ())]
+    assert not missing, missing
 
 
 SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES", "_orbit_key",

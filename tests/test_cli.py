@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import toricurves
-from reference import binomial_factors
+from reference import binomial_factors, laurent_from_json
+from toricurves import cli
 from toricurves.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -21,7 +22,8 @@ from toricurves.cli import (
 from toricurves.errors import InternalCheckError, LimitError
 from toricurves.grothendieck import L, ONE, LaurentClass, SeriesCap
 from toricurves import mobius
-from toricurves.mobius import MobiusTable, fan_mobius_polynomial, mobius_table
+from toricurves.eulerprod import _read_product
+from toricurves.mobius import fan_mobius_polynomial
 from toricurves.moduli import hom_class, tamagawa
 from toricurves.oracle import JetSpec, ff_constrained_count
 from toricurves.toric import validate
@@ -56,9 +58,14 @@ class TestAnalyze:
         assert doc["primitive_collections"] == [[0, 1, 2]]
         assert doc["local_identity"] is True
 
-    def test_seed_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "analyze", "p1xp1", "--seed", "7")
-        assert code == 0
+    @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+    def test_seed_and_jobs_flags_refused(self, capsys, flag):
+        # both were accepted with no effect
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "p1xp1", flag, "7"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert f"unrecognized arguments: {flag} 7" in captured.err
 
     def test_fan_from_file(self, capsys):
         path = pathlib.Path(toricurves.__file__).parent / "fans" / "p2.json"
@@ -77,13 +84,17 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", f"./{name}")
         assert code == 0 and "dim: 2  picard rank: 1" in out
 
-    def test_builds_the_mobius_table_once(self, capsys):
-        # the polynomial cache sits in front of the table cache
-        mobius.fan_mobius_polynomial.cache_clear()
-        mobius_table.cache_clear()
+    def test_builds_the_mobius_table_once(self, capsys, monkeypatch):
+        # the one cache of mu is keyed by the fan
+        fan_mobius_polynomial.cache_clear()
+        builds = []
+        build = mobius.mobius_table
+        monkeypatch.setattr(mobius, "mobius_table",
+                            lambda pats: builds.append(pats) or build(pats))
         code, _, _ = run(capsys, "analyze", "p1xp1")
         assert code == 0
-        info = mobius_table.cache_info()
+        assert len(builds) == 1
+        info = fan_mobius_polynomial.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
     def test_validates_the_fan_once(self, capsys):
@@ -100,9 +111,9 @@ class TestAnalyze:
             "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
         }))
         builds = []
-        build = mobius.generating_polynomial
-        monkeypatch.setattr(mobius, "generating_polynomial",
-                            lambda table: builds.append(table) or build(table))
+        build = mobius.mobius_table
+        monkeypatch.setattr(mobius, "mobius_table",
+                            lambda pats: builds.append(pats) or build(pats))
         code, _, _ = run(capsys, "analyze", str(path))
         assert code == 0
         assert len(builds) == 1
@@ -195,6 +206,17 @@ class TestMobius:
         assert code == EXIT_VALIDATION and out == ""
         assert err == "error: --cap must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["tamagawa", "p2"],
+        ["converge", "p2", "--degree", "1,1,1"],
+        ["constrained", "p2"],
+    ])
+    def test_refuses_a_negative_order(self, capsys, argv):
+        # as with --cap, the refusal names the option, not the cutoff
+        code, out, err = run(capsys, *argv, "--order", "-1")
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "error: --order must be nonnegative, got -1\n"
+
     def test_table_text(self, capsys):
         code, out, _ = run(capsys, "mobius", "p2")
         assert code == 0
@@ -204,7 +226,7 @@ class TestMobius:
         code, doc, _ = run_json(capsys, "mobius", "p1", "--cap", "4")
         assert code == 0
         entries = {tuple(item["e"]): item["mu"] for item in doc["global"]}
-        assert LaurentClass.from_json(entries[(1, 1)]) == -(
+        assert laurent_from_json(entries[(1, 1)]) == -(
             LaurentClass.lefschetz() + LaurentClass.of_int(1)
         )
 
@@ -235,23 +257,29 @@ class TestMobius:
         fan = fans[name]
         code, doc, _ = run_json(capsys, "mobius", name, "--cap", "4")
         assert code == 0
-        series = binomial_factors(fan_mobius_polynomial(fan), 0,
-                                  SeriesCap.total_cap(fan.nrays, 4)).product()
+        series = _read_product(*binomial_factors(
+            fan_mobius_polynomial(fan), 0, SeriesCap.total_cap(fan.nrays, 4)))
         want = [{"e": list(e), "mu": value.to_json()} for e, value in
                 sorted(series.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
         assert doc["global"] == want
 
     def test_text_builds_no_json_listing(self, capsys, monkeypatch):
         calls = []
-        for cls in (MobiusTable, LaurentClass):
-            def counted(self, to_json=cls.to_json, name=cls.__name__):
-                calls.append(name)
-                return to_json(self)
-            monkeypatch.setattr(cls, "to_json", counted)
+
+        def listing(poly, build=cli._mobius_listing):
+            calls.append("listing")
+            return build(poly)
+
+        def to_json(self, build=LaurentClass.to_json):
+            calls.append("LaurentClass")
+            return build(self)
+
+        monkeypatch.setattr(cli, "_mobius_listing", listing)
+        monkeypatch.setattr(LaurentClass, "to_json", to_json)
         code, _, _ = run(capsys, "mobius", "p1xp1", "--cap", "4")
         assert code == 0 and calls == []
         code, _, _ = run_json(capsys, "mobius", "p1xp1", "--cap", "4")
-        assert code == 0 and sorted(set(calls)) == ["LaurentClass", "MobiusTable"]
+        assert code == 0 and sorted(set(calls)) == ["LaurentClass", "listing"]
 
 
 class TestHom:
@@ -273,7 +301,7 @@ class TestHom:
     def test_json_round_trip(self, capsys, p2):
         code, doc, _ = run_json(capsys, "hom", "p2", "--degree", "1,1,1")
         assert code == 0
-        assert LaurentClass.from_json(doc["coeffs"]) == hom_class(p2, (1, 1, 1))
+        assert laurent_from_json(doc["coeffs"]) == hom_class(p2, (1, 1, 1))
         assert doc["virtual_dimension"] == 5
 
     def test_arity_mismatch(self, capsys):
@@ -438,7 +466,7 @@ class TestOracle:
         assert code == 0
         assert doc["floor"] == -98
         want = (L**2 + L + ONE) * (ONE - LaurentClass.lefschetz(-2))
-        assert LaurentClass.from_json(doc["coeffs"]) == want
+        assert laurent_from_json(doc["coeffs"]) == want
 
     def test_bad_prime(self, capsys):
         code, _, err = run(capsys, "oracle", "p2", "--p", "11",

@@ -35,7 +35,6 @@ from toricurves.eulerprod import (
     _support_size,
     _walk,
     _weight_raw,
-    euler_factors,
     euler_product_at_Linv,
     euler_product_p1,
     global_mobius,
@@ -500,11 +499,13 @@ def test_power_recurrence_matches_the_binomial_expansion(fans, s):
         diagonal = IntPoly(1, (((sum(e),), c) for e, c in P.items()))
         cases.append((diagonal, SeriesCap.box_cap((12,))))
         for F, cap in cases:
-            got = euler_factors(F, s, cap, reach=7)
-            want = binomial_factors(F, s, cap, reach=7)
-            assert got.width == want.width, (name, cap)
-            assert got.rest == want.rest, (name, cap)
-            assert got.first == want.first, (name, cap)
+            keys, w, _, base, rest = _rest_factors(F, s, cap, 7)
+            first = _power(base, _points(1, s, w), keys)
+            _, want_w, _, want_rest, want_first = binomial_factors(
+                F, s, cap, reach=7)
+            assert w == want_w, (name, cap)
+            assert rest == want_rest, (name, cap)
+            assert first == want_first, (name, cap)
 
 
 def test_power_recurrence_checks_each_division():
@@ -538,7 +539,7 @@ def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
             for key, value in first.items():
                 e = keys.unpack(key)
                 want[sum(x * (side + 1) ** i for i, x in enumerate(e))] = value
-            perms = toric._symmetries(n, toric._minimal_patterns(fan)).perms
+            perms = toric._symmetries(n, toric.pattern_set(fan).minimal).perms
             assert _dense_power(base, a, keys, perms) == want, (name, side)
             limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
             count = _support_size(base, keys, limit)
@@ -601,7 +602,7 @@ def test_orbit_power_matches_the_power_by_cells(fans, s):
     sides where each route is taken: 0..6, and 0..4 on dp6."""
     for name, fan in fans.items():
         n = fan.nrays
-        perms = toric._symmetries(n, toric._minimal_patterns(fan)).perms
+        perms = toric._symmetries(n, toric.pattern_set(fan).minimal).perms
         for side in range(5 if name == "dp6" else 7):
             base, a, keys = _power_inputs(fan, s, side)
             want = dense_power_by_cells(base, a, keys)
@@ -614,7 +615,7 @@ def test_orbit_power_with_part_of_the_group(dp6, polygon_document):
     with part of the group (8 of 24 and 28 of 288 cosets), at sides 0
     and 1."""
     for fan in (toric.parse_fan(polygon_document(12)), fan_product(dp6, dp6)):
-        sym = toric._symmetries(fan.nrays, toric._minimal_patterns(fan))
+        sym = toric._symmetries(fan.nrays, toric.pattern_set(fan).minimal)
         assert sym.nodes == toric.SYMMETRY_NODES and len(sym.perms) > 1
         for side in (0, 1):
             base, a, keys = _power_inputs(fan, 0, side)
@@ -626,7 +627,7 @@ def test_orbit_power_checks_each_permutation(dp6, monkeypatch):
     """A permutation that does not keep the pattern polynomial is refused
     before any cell is shared: swapping two adjacent rays of the hexagon
     moves the term of the pattern {0, 2}."""
-    found = toric._symmetries(6, toric._minimal_patterns(dp6))
+    found = toric._symmetries(6, toric.pattern_set(dp6).minimal)
     swap = (1, 0, 2, 3, 4, 5)
     monkeypatch.setattr(
         toric, "_symmetries",

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import is_exact, truncate
+from reference import (
+    dim_series_from_json,
+    is_exact,
+    laurent_from_json,
+    truncate,
+)
 from toricurves.grothendieck import (
     L,
     MINUS_INFINITY,
@@ -99,7 +104,7 @@ class TestLaurentClass:
 
     @given(laurent)
     def test_json_round_trip(self, a):
-        assert LaurentClass.from_json(a.to_json()) == a
+        assert laurent_from_json(a.to_json()) == a
 
 
 class TestDimSeries:
@@ -156,9 +161,9 @@ class TestDimSeries:
 
     def test_json_round_trip(self):
         s = DimSeries(LaurentClass({1: 1, -1: -1}), -2)
-        assert DimSeries.from_json(s.to_json()) == s
+        assert dim_series_from_json(s.to_json()) == s
         e = DimSeries.exact(L)
-        assert DimSeries.from_json(e.to_json()) == e
+        assert dim_series_from_json(e.to_json()) == e
 
 
 class TestMinusInfinity:

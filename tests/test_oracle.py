@@ -211,7 +211,7 @@ class TestOrbitMerge:
     def test_merged_walk_matches_the_unmerged_walk(self, fans, name):
         """Every plain count of the gate box at p = 2, 3."""
         fan = fans[name]
-        patterns = toric._minimal_patterns(fan)
+        patterns = toric.pattern_set(fan).minimal
         top = 3 if fan.nrays <= 4 else 2
         for e in itertools.product(range(top + 1), repeat=fan.nrays):
             for p in (2, 3):
@@ -219,7 +219,7 @@ class TestOrbitMerge:
                         == count_unmerged(p, e, patterns)), (e, p)
 
     def test_merged_walk_matches_at_a_larger_prime(self, dp6):
-        patterns = toric._minimal_patterns(dp6)
+        patterns = toric.pattern_set(dp6).minimal
         e = (2,) * 6
         assert (oracle._count(5, e, patterns)
                 == count_unmerged(5, e, patterns) == 139873560)
@@ -396,7 +396,7 @@ class TestPatternCounts:
         moved = 0
         for name in ["p1", "p2", "p3", "p1xp1", "bl1p2", "dp6", "F2"]:
             fan = fan_named(fans, name)
-            patterns = toric._minimal_patterns(fan)
+            patterns = toric.pattern_set(fan).minimal
             sym = toric._symmetries(fan.nrays, patterns)
             top = 3 if fan.nrays <= 4 else 2
             for e in itertools.product(range(top + 1), repeat=fan.nrays):
@@ -438,7 +438,7 @@ class TestSymmetries:
         within twin classes give every automorphism once: the whole
         group, of the order listed."""
         fan = fan_named(fans, name)
-        patterns = toric._minimal_patterns(fan)
+        patterns = toric.pattern_set(fan).minimal
         sym = toric._symmetries(fan.nrays, patterns)
         assert sym.perms[0] == tuple(range(fan.nrays))
         swaps = [
@@ -463,7 +463,7 @@ class TestSymmetries:
         """P^11's group has order 12!, that of (P^1)^8 order 2^8 8!; the
         search stops at its bound and the counts stay exact."""
         fan = build(k)
-        patterns = toric._minimal_patterns(fan)
+        patterns = toric.pattern_set(fan).minimal
         sym = toric._symmetries(fan.nrays, patterns)
         assert sym.nodes <= toric.SYMMETRY_NODES
         assert sym.perms[0] == tuple(range(fan.nrays))
