@@ -45,9 +45,18 @@ permutation checked against the pattern polynomial before its first
 class, so a comparison cannot agree on a value shared under a wrong
 automorphism.  The counts here still share no series code
 with the engine, whose hom classes still test each degree against the
-dual effective cone, which the automorphisms need not keep.  Jet counts
-are never shared, as the target jets and the ray vectors single out
-each ray.
+dual effective cone, which the automorphisms need not keep.
+
+The plain count of an orbit key is a product: a tuple avoids the
+patterns when each pattern's forms do, which only links rays that
+share a live pattern, one whose rays all have positive degree.  A ray
+of degree 0 contributes its one form, a ray on no live pattern all its
+(p^(e+1) - 1)/(p - 1) forms, and each connected component of the live
+patterns a ``_count`` on its own degrees, its rays relabelled in order.
+Component counts are cached across vectors and fans, so one count of
+a pair answers P^1, P^1 x P^1 and the blow-up of P^2 alike.  Jet counts
+are never shared or split, as the target jets and the ray vectors
+single out each ray, and their weights read all the tags at once.
 """
 
 from __future__ import annotations
@@ -395,9 +404,62 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _components(support: frozenset[int], patterns):
+    """The rays of ``support`` on no live pattern, and the components.
+
+    A pattern is live when all its rays are in the support, and two
+    live patterns are in one component when a chain of live patterns,
+    each sharing a ray with the next, joins them.  A component is its
+    rays in ascending order with its patterns relabelled 0..k-1 in that
+    order, sorted as ``pattern_set`` sorts them.
+    """
+    parts: list[tuple[set[int], list]] = []
+    for pat in patterns:
+        if not support.issuperset(pat):
+            continue
+        rays, pats = set(pat), [pat]
+        for part in [q for q in parts if not q[0].isdisjoint(pat)]:
+            parts.remove(part)
+            rays |= part[0]
+            pats += part[1]
+        parts.append((rays, pats))
+    free = tuple(sorted(support.difference(*[rays for rays, _ in parts])))
+    split = []
+    for rays, pats in parts:
+        rays = tuple(sorted(rays))
+        place = {a: i for i, a in enumerate(rays)}
+        relabelled = sorted((tuple(place[a] for a in pat) for pat in pats),
+                            key=lambda s: (len(s), s))
+        split.append((rays, tuple(relabelled)))
+    return free, tuple(split)
+
+
+@functools.lru_cache(maxsize=None)
+def _component_count(p: int, degrees: tuple[int, ...], patterns) -> int:
+    """``_count`` of one component, once per process for every fan."""
+    return _count(p, degrees, patterns)
+
+
+@functools.lru_cache(maxsize=None)
 def _orbit_count(p: int, key: tuple[int, ...], patterns) -> int:
-    """``_count`` of one orbit representative, once per process."""
-    return _count(p, key, patterns)
+    """The plain count of one orbit representative, once per process.
+
+    Avoiding the patterns only links rays that share a live pattern, so
+    the count is a product.  A ray of degree 0 has one form and kills
+    the patterns through it; a ray on no live pattern contributes all
+    its normalized forms; each component (``_components``) is counted
+    on its own degrees, sorted when it is a single pattern, which every
+    permutation of its rays keeps.
+    """
+    free, split = _components(
+        frozenset(a for a, x in enumerate(key) if x), patterns)
+    count = math.prod((p ** (key[a] + 1) - 1) // (p - 1) for a in free)
+    for rays, pats in split:
+        degrees = tuple(key[a] for a in rays)
+        if len(pats) == 1:
+            degrees = tuple(sorted(degrees))
+        count *= _component_count(p, degrees, pats)
+    return count
 
 
 def _checked_degrees(
@@ -443,7 +505,11 @@ def ff_pattern_count(
     when the product of the form-space sizes exceeds the budget, before
     any cached count is looked up.  Degree vectors in one orbit of the
     pattern automorphisms share one count, at the key toric's per-fan
-    memo holds for e (``_orbit_keys``).
+    memo holds for e (``_orbit_keys``).  That count is the product over
+    the rays of degree 0, the rays on no live pattern and the components
+    of the live patterns (``_orbit_count``); components are shared
+    across vectors and fans.  Jet counts (``ff_constrained_count``) are
+    never split.
     """
     e = _checked_degrees(p, fan, e, budget)
     return _orbit_count(p, _orbit_keys(fan)[e], pattern_set(fan).minimal)

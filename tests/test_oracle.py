@@ -21,6 +21,7 @@ from reference import (
     HIRZEBRUCH_2,
     common_projective_root,
     count_unmerged,
+    fan_product,
     picard_projection,
 )
 from toricurves.toric import parse_fan, pattern_set, picard_rank
@@ -207,15 +208,27 @@ class TestForms:
 
 
 class TestOrbitMerge:
-    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "F2", "p1xp2"])
     def test_merged_walk_matches_the_unmerged_walk(self, fans, name):
-        """Every plain count of the gate box at p = 2, 3."""
-        fan = fans[name]
+        """Every plain count of the gate box at p = 2, 3, by the whole
+        walk and by the product over components (``ff_pattern_count``)."""
+        fan = fan_named(fans, name)
         patterns = toric.pattern_set(fan).minimal
         top = 3 if fan.nrays <= 4 else 2
         for e in itertools.product(range(top + 1), repeat=fan.nrays):
             for p in (2, 3):
-                assert (oracle._count(p, e, patterns)
+                want = count_unmerged(p, e, patterns)
+                assert oracle._count(p, e, patterns) == want, (e, p)
+                assert ff_pattern_count(p, fan, e) == want, (e, p)
+
+    def test_product_matches_the_unmerged_walk_on_a_mixed_component(self):
+        """A pair and a triple on one ray make a component whose count
+        changes when its degrees move, unlike a lone pattern's; ray 4
+        lies on no pattern."""
+        patterns = ((0, 1), (0, 2, 3))
+        for e in itertools.product(range(3), repeat=5):
+            for p in (2, 3):
+                assert (oracle._orbit_count(p, e, patterns)
                         == count_unmerged(p, e, patterns)), (e, p)
 
     def test_merged_walk_matches_at_a_larger_prime(self, dp6):
@@ -283,6 +296,9 @@ class TestCommonRoots:
 
 
 def fan_named(fans, name):
+    if name == "p1xp2":
+        # one pair and one triple
+        return fan_product(fans["p1"], fans["p2"])
     return HIRZEBRUCH_2 if name == "F2" else fans[name]
 
 
@@ -405,6 +421,31 @@ class TestPatternCounts:
                         == oracle._count(2, e, patterns)), (name, e)
         assert moved > 1000
 
+    def test_components_are_shared_and_closed_forms_walk_nothing(
+        self, fans, monkeypatch
+    ):
+        """From cold caches, p1 at (2, 3) walks once; the pairs of p1xp1
+        and bl1p2 read that count back, p2 with a ray of degree 0 is
+        free rays only, and dp6 at (1, ..., 1) is one component."""
+        oracle._orbit_count.cache_clear()
+        oracle._component_count.cache_clear()
+        walks = []
+        count = oracle._count
+
+        def counted(p, degrees, patterns, *rest):
+            walks.append(degrees)
+            return count(p, degrees, patterns, *rest)
+
+        monkeypatch.setattr(oracle, "_count", counted)
+        line = ff_pattern_count(3, fans["p1"], (2, 3))
+        assert walks == [(2, 3)]
+        assert ff_pattern_count(3, fans["p1xp1"], (2, 3, 3, 2)) == line**2
+        assert ff_pattern_count(3, fans["bl1p2"], (3, 2, 2, 3)) == line**2
+        assert ff_pattern_count(3, fans["p2"], (0, 2, 3)) == 13 * 40
+        assert walks == [(2, 3)]
+        ff_pattern_count(3, fans["dp6"], (1,) * 6)
+        assert walks == [(2, 3), (1,) * 6]
+
 
 def brute_automorphisms(nrays, patterns):
     """Every ray permutation that maps the pattern set onto itself."""
@@ -492,11 +533,15 @@ class TestBudget:
         assert exc.value.required == 40**3
         assert exc.value.budget == 10
 
-    def test_budget_is_checked_before_a_shared_count(self, p2):
+    def test_budget_is_checked_before_a_shared_count(self, p2, p1xp1):
         assert ff_pattern_count(3, p2, (3, 2, 3)) > 0
         for e in ((3, 2, 3), (3, 3, 2)):
             with pytest.raises(BudgetError):
                 ff_pattern_count(3, p2, e, budget=10)
+        # a vector that splits into two components, both counted already
+        assert ff_pattern_count(3, p1xp1, (3, 3, 3, 3)) > 0
+        with pytest.raises(BudgetError):
+            ff_pattern_count(3, p1xp1, (3, 3, 3, 3), budget=10)
 
     def test_bool_budget_is_refused(self, p2):
         with pytest.raises(ValueError, match="is not a nonnegative integer"):
