@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import sys
 import time
 
@@ -83,9 +84,24 @@ def _load_fan(source: str) -> Fan:
     raise FanValidationError(f"cannot read fan description {source!r}")
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """text as an int, when it is an optional sign and ASCII digits:
+    int() alone would also take "1_0", blanks and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+# argparse names the type in its refusal: "invalid int value: '1_0'"
+_int.__name__ = "int"
+
+
 def _parse_degree(text: str, nrays: int) -> tuple[int, ...]:
     try:
-        entries = tuple(int(tok) for tok in text.split(","))
+        entries = tuple(_int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"degree {text!r} is not a comma-separated integer list")
     if len(entries) != nrays:
@@ -109,12 +125,12 @@ def _parse_jet(text: str, p: int, nrays: int) -> oracle_mod.JetSpec:
         )
     chunk = tokens[0]
     try:
-        point = None if chunk in ("inf", "oo") else int(chunk) % p
+        point = None if chunk in ("inf", "oo") else _int(chunk) % p
         chunk = tokens[1]
-        order = int(chunk)
+        order = _int(chunk)
         target = []
         for chunk in rest:
-            target.append(tuple(int(c) % p for c in chunk.split(":")))
+            target.append(tuple(_int(c) % p for c in chunk.split(":")))
     except ValueError:
         raise ValueError(
             f"jet part {chunk!r} is not of the form point,order[,c0:c1:...]"
@@ -133,8 +149,8 @@ def _parse_points(text: str) -> list[tuple[tuple[int, int], int]]:
         else:
             coords, order = chunk, "0"
         try:
-            x0, x1 = (int(tok) for tok in coords.split(":"))
-            m = int(order)
+            x0, x1 = (_int(tok) for tok in coords.split(":"))
+            m = _int(order)
         except ValueError:
             raise ValueError(
                 f"point {chunk!r} is not of the form x0:x1[@m]"
@@ -158,6 +174,24 @@ def _mobius_listing(poly: IntPoly) -> list[dict]:
     vectors = sorted(itertools.product((0, 1), repeat=poly.nvars),
                      key=lambda n: (sum(n), n))
     return [{"n": list(n), "mu": mu.get(n, 0)} for n in vectors]
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2), byte for byte, with the 2^n listing
+    of mu written from one template per entry: with an indent, json.dumps
+    runs its pure-Python encoder, several times slower than without.
+    The listing is a top-level key, so its null stands alone on a line
+    indented by two, which no encoded string can hold."""
+    listing = payload.get("mobius")
+    if not listing:
+        return json.dumps(payload, indent=2)
+    head, tail = json.dumps({**payload, "mobius": None}, indent=2).split(
+        '\n  "mobius": null', 1)
+    entries = ",\n".join(
+        '    {\n      "n": [\n        %s\n      ],\n      "mu": %d\n    }'
+        % (",\n        ".join(map(str, entry["n"])), entry["mu"])
+        for entry in listing)
+    return f'{head}\n  "mobius": [\n{entries}\n  ]{tail}'
 
 
 def cmd_analyze(args):
@@ -352,7 +386,7 @@ def build_parser() -> _Parser:
         help="output format (JSON is authoritative)",
     )
     common.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_int, default=None,
         help="enumeration budget (default TORICURVES_BUDGET or 10^8)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -363,7 +397,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mobius", parents=[common],
                        help="local Mobius table and polynomial")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_int, default=None,
                    help="also list global coefficients to this total degree")
     p.set_defaults(func=cmd_mobius)
 
@@ -377,19 +411,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tamagawa", parents=[common],
                        help="Tamagawa number truncated at an Euler order")
-    p.add_argument("--order", type=int, required=True,
+    p.add_argument("--order", type=_int, required=True,
                    help="Euler-product truncation order")
     p.set_defaults(func=cmd_tamagawa)
 
     p = sub.add_parser("converge", parents=[common],
                        help="compare one normalized class to the limit")
     p.add_argument("--degree", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="finite-field brute-force comparison")
-    p.add_argument("--p", type=int, required=True, help="prime, one of 2 3 5 7")
+    p.add_argument("--p", type=_int, required=True,
+                   help="prime, one of 2 3 5 7")
     p.add_argument("--degree", default=None,
                    help="compare the space of maps at this multidegree")
     p.add_argument("--config", default=None,
@@ -400,7 +435,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("constrained", parents=[common],
                        help="main term of the jet-constrained prediction")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p.add_argument("--points", default=None,
                    help="marked points 'x0:x1@m,...' (default none)")
     p.add_argument("--mode", choices=("torus", "full"), default="torus",
@@ -426,7 +461,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        print(_json_text(payload) if args.format == "json" else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull so that the flush

@@ -31,32 +31,48 @@ product back.
 
 Configuration classes, the Euler product times one zeta factor per
 variable, come from the same integers at a width a second bound fixes
-(_config_terms).  The sizes choose their route before the d = 1 factor
-U exists, from a count of the cells U can reach.  The table route takes
-U from the same recurrence over packed keys; the walk route pulls U
-into the dense box it walks, since the fan's pattern polynomial has
-exponents 0 and 1 only (_dense_power).  A ray permutation that keeps
-the primitive collections keeps that polynomial, and so U cell by
-cell: the walk route pulls one cell per orbit of the automorphisms the
-search of toric finds, each checked against the polynomial's terms,
-and writes it to the orbit.  The zeta factors then walk the box one
-lane at a time, the cells at one place along an axis (_walk).
+(_config_terms), in a uniform box of one pattern set.  The sizes choose
+their route before the d = 1 factor U exists, from a count of the cells
+U can reach.  The table route takes U from the same recurrence over
+packed keys; the walk route pulls U into the dense box it walks, since
+the pattern polynomial has exponents 0 and 1 only (_dense_power).  A
+ray permutation that keeps the primitive collections keeps that
+polynomial, and so U cell by cell: the walk route pulls one cell per
+orbit of the automorphisms the search of toric finds, each checked
+against the polynomial's terms, and writes it to the orbit.  The zeta
+factors then walk the box one lane at a time, the cells at one place
+along an axis (_walk).
+
+A class is read as a product (config_class).  Setting t_alpha = 0 is a
+ring map that commutes with t -> t^d and kills the patterns through
+alpha, and the Euler product of a polynomial in disjoint sets of
+variables is the product of their Euler products (motivic Euler
+products are multiplicative in the local factor).  So at a vector e a
+ray of degree 0 gives 1, a ray on no live pattern the coefficient of
+its zeta factor alone, and each connected component of the live
+patterns (toric's _components) its own class at its own degrees, as a
+pattern set of its own.  Every cache here is keyed by the pattern set,
+not the fan: a pair's class answers P^1, P^1 x P^1 and the blow-up of
+P^2 alike.  Only a vector whose live patterns are the whole pattern set,
+in one component, builds a box, and a box already built for the pattern
+set at the same s and a large enough side answers any vector first.
 
 The same permutations keep every class of a uniform box, on either
-route, so classes are shared per orbit: once per fan, each permutation
-listed and each swap of two twin rays is checked to map the pattern
-polynomial's terms onto themselves, and then one class is read back per
-orbit, at its least vector (toric's _orbit_key, kept per fan in a memo
-the oracle's counts share).  Hom classes share only the class under
-them: moduli tests each degree against the dual effective cone, which
-these permutations need not keep.  Packed values never leave this
-module.
+route, so classes are shared per orbit: once per pattern set, each
+permutation listed and each swap of two twin rays is checked to map the
+pattern polynomial's terms onto themselves, and then one class is read
+per orbit, at its least vector (toric's _orbit_key, kept per pattern
+set in a memo the oracle's counts share).  Hom classes share only the
+class under them: moduli tests each degree against the dual effective
+cone, which these permutations need not keep.  Packed values never
+leave this module.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
@@ -71,8 +87,16 @@ from .grothendieck import (
     pack_class,
     unpack_class,
 )
-from .mobius import IntPoly, fan_mobius_polynomial
-from .toric import Fan, _Memo, _orbit_keys, require_valid
+from .mobius import IntPoly, fan_mobius_polynomial, mobius_table
+from .toric import (
+    Fan,
+    PatternSet,
+    _Memo,
+    _components,
+    _orbit_keys,
+    pattern_set,
+    require_valid,
+)
 
 __all__ = [
     "int_mobius",
@@ -639,14 +663,15 @@ class _WalkTerms:
         return acc
 
 
-@functools.lru_cache(maxsize=None)
-def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
-    """What the configuration classes in the uniform box of the given
-    side are read from.
+def _config_terms(
+    patterns: PatternSet, s: int, side: int
+) -> _ProductTerms | _WalkTerms:
+    """What the configuration classes of a pattern set in the uniform box
+    of the given side are read from.
 
     A class is the t^e coefficient of R * U * Z: U is the d = 1 factor
-    of the Euler product of the fan's pattern polynomial, R the product
-    of its other factors and Z = prod_alpha (1 - t_alpha)^(s-1) /
+    of the Euler product of the pattern polynomial (mobius_table), R the
+    product of its other factors and Z = prod_alpha (1 - t_alpha)^(s-1) /
     (1 - L t_alpha) the zeta factors.  Two routes give it, and the
     sizes choose the one charged less: forming the Mobius table R * U
     is charged |R| |U| products, and walking U into U * Z is charged
@@ -659,8 +684,10 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     into the dense box with _dense_power, as the pattern polynomial's
     exponents are 0 and 1, one cell per orbit of the ray permutations
     that toric's search lists (each keeps the primitive collections,
-    hence the polynomial and U), and walks it lane by lane.  On the
-    bundled fans only dp6 at side 2 and above takes the walk.
+    hence the polynomial and U), and walks it lane by lane.  Among the
+    pattern sets of the bundled fans only dp6's at side 2 and above
+    takes the walk.  Nothing here is cached: config_class keeps the
+    boxes it builds beside the classes (_shared_classes).
 
     Width.  With mu = R * U, the class at e is the sum over k <= e of
     mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
@@ -674,11 +701,11 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     exactly from its value at L = 2^w, and a digit of 2^(w-2) or more
     contradicts the bound.
     """
-    n = fan.nrays
+    n = patterns.nvars
     reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
     cap = SeriesCap.box_cap((side,) * n)
     keys, w, majorant, base, rest = _rest_factors(
-        fan_mobius_polynomial(fan), s, cap, reach)
+        mobius_table(patterns), s, cap, reach)
     a = _points(1, s, w)
     # the largest |U| whose table is charged no more than the walk, both
     # charges doubled to stay in integers
@@ -687,14 +714,15 @@ def _config_terms(fan: Fan, s: int, side: int) -> _ProductTerms | _WalkTerms:
     if (side + 1) ** n <= limit or _support_size(base, keys, limit) <= limit:
         series = _read_product(keys, w, majorant, rest, _power(base, a, keys))
         return _ProductTerms(s, w, series)
-    perms = _orbit_keys(fan).sym.perms  # those _shared_classes checks
+    perms = _orbit_keys(patterns).sym.perms  # those _shared_classes checks
     return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_classes(fan: Fan) -> tuple[_Memo, dict]:
-    """The fan's orbit keys (toric's memo, shared with the oracle), and a
-    cache of its configuration classes, {(s, orbit key): class}.
+def _shared_classes(patterns: PatternSet) -> tuple[_Memo, dict, dict]:
+    """The pattern set's orbit keys (toric's memo, shared with the
+    oracle), a cache of its configuration classes, {(s, orbit key):
+    class}, and the uniform boxes built for it, {s: {side: terms}}.
 
     Each permutation the memo's search lists and each swap of two twin
     rays, applied as ``_orbit_key`` relabels, f -> (f[perm[a]])_a, must
@@ -703,10 +731,10 @@ def _shared_classes(fan: Fan) -> tuple[_Memo, dict]:
     is a product of these, so it keeps the polynomial, hence the Euler
     product and, the box being uniform, every class.
     """
-    n = fan.nrays
-    keys = _orbit_keys(fan)
+    n = patterns.nvars
+    keys = _orbit_keys(patterns)
     sym = keys.sym
-    terms = fan_mobius_polynomial(fan).coeffs
+    terms = mobius_table(patterns).coeffs
     swaps = [tuple(j if a == i else i if a == j else a for a in range(n))
              for cls in sym.twins for i, j in zip(cls, cls[1:])]
     for perm in (*sym.perms, *swaps):
@@ -714,21 +742,64 @@ def _shared_classes(fan: Fan) -> tuple[_Memo, dict]:
                 for f, c in terms.items()} != terms:
             raise InternalCheckError(
                 f"ray permutation {perm} does not keep the pattern polynomial")
-    return keys, {}
+    return keys, {}, {}
+
+
+def _zeta(s: int, j: int) -> LaurentClass:
+    """[t^j] (1 - t)^(s-1) / (1 - L t), the class of a ray of degree j on
+    no live pattern: sum_(i <= j) L^i for s = 0, and for s >= 1
+    sum_(i <= min(j, s - 1)) (-1)^i binom(s - 1, i) L^(j - i)."""
+    if s == 0:
+        return LaurentClass(dict.fromkeys(range(j + 1), 1))
+    return LaurentClass({j - i: (-1) ** i * math.comb(s - 1, i)
+                         for i in range(min(j, s - 1) + 1)})
+
+
+def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
+    """config_class for a pattern set, cached per (s, orbit key of e)."""
+    keys, classes, boxes = _shared_classes(patterns)
+    key = keys[e]
+    cls = classes.get((s, key))
+    if cls is not None:
+        return cls
+    side = max(key, default=0)
+    built = boxes.setdefault(s, {})
+    fits = [b for b in built if b >= side]
+    if fits:
+        terms = built[min(fits)]
+    else:
+        free, split = _components(
+            frozenset(a for a, x in enumerate(key) if x), patterns.minimal)
+        if split != ((tuple(range(patterns.nvars)), patterns.minimal),):
+            cls = ONE
+            for a in free:
+                cls *= _zeta(s, key[a])
+            for rays, pats in split:
+                cls *= _class(PatternSet(len(rays), pats),
+                              tuple(key[a] for a in rays), s)
+            classes[s, key] = cls
+            return cls
+        terms = built[side] = _config_terms(patterns, s, side)
+    cls = classes[s, key] = _read_back(
+        terms.at(key), terms.width, 1 << (terms.width - 2), e,
+        "configuration class at {} exceeds its bound")
+    return cls
 
 
 def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
     """The t^e coefficient of the valid fan's Euler product times one
     zeta factor per ray, read back at L = 2^w under the bound that fixes
-    w.  Classes are shared per orbit of the pattern automorphisms: each
-    is read back once, at the orbit key of e (_shared_classes), from the
-    terms cached per box of side max(e), which the key shares."""
-    keys, classes = _shared_classes(fan)
-    key = keys[e]
-    cls = classes.get((s, key))
-    if cls is None:
-        terms = _config_terms(fan, s, max(key, default=0))
-        cls = classes[s, key] = _read_back(
-            terms.at(key), terms.width, 1 << (terms.width - 2), e,
-            "configuration class at {} exceeds its bound")
-    return cls
+    w.
+
+    Classes are cached per pattern set and orbit of its automorphisms,
+    at the orbit key of e (_shared_classes).  On a miss, a box of the
+    pattern set with this s and a side of at least max(key), if one is
+    cached beside the classes, gives the class.  Otherwise the key splits
+    (toric's _components): a ray of degree 0 gives 1, a ray on no live
+    pattern its zeta coefficient (_zeta), and each component of the live
+    patterns its own class at its own degrees, relabelled as a pattern
+    set of its own and so shared across vectors and fans.  Only a key
+    whose live patterns are the whole pattern set, in one component,
+    builds a box (_config_terms), of side max(key).
+    """
+    return _class(pattern_set(fan), e, s)

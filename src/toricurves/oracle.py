@@ -38,9 +38,9 @@ onto those that avoid their images, the same patterns.  Each degree
 vector is counted as the least vector of its orbit over the
 automorphisms that a bounded search finds, once per process; a search
 that misses some only shares fewer counts.  The search, the orbit key
-and a memo of the keys per fan live in toric.  The engine takes the
-same automorphisms to pull one cell per orbit of its dense box, and the
-same memo to read back one configuration class per orbit, each
+and a memo of the keys per pattern set live in toric.  The engine takes
+the same automorphisms to pull one cell per orbit of its dense box, and
+the same memo to read back one configuration class per orbit, each
 permutation checked against the pattern polynomial before its first
 class, so a comparison cannot agree on a value shared under a wrong
 automorphism.  The counts here still share no series code
@@ -53,10 +53,12 @@ share a live pattern, one whose rays all have positive degree.  A ray
 of degree 0 contributes its one form, a ray on no live pattern all its
 (p^(e+1) - 1)/(p - 1) forms, and each connected component of the live
 patterns a ``_count`` on its own degrees, its rays relabelled in order.
-Component counts are cached across vectors and fans, so one count of
-a pair answers P^1, P^1 x P^1 and the blow-up of P^2 alike.  Jet counts
-are never shared or split, as the target jets and the ray vectors
-single out each ray, and their weights read all the tags at once.
+The split is toric's ``_components``, which the engine reads its
+configuration classes by too.  Component counts are cached across
+vectors and fans, so one count of a pair answers P^1, P^1 x P^1 and the
+blow-up of P^2 alike.  Jet counts are never shared or split, as the
+target jets and the ray vectors single out each ray, and their weights
+read all the tags at once.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .grothendieck import evaluate
 from .toric import (
     Fan,
     _Memo,
+    _components,
     _orbit_keys,
     pattern_set,
     picard_rank,
@@ -404,37 +407,6 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _components(support: frozenset[int], patterns):
-    """The rays of ``support`` on no live pattern, and the components.
-
-    A pattern is live when all its rays are in the support, and two
-    live patterns are in one component when a chain of live patterns,
-    each sharing a ray with the next, joins them.  A component is its
-    rays in ascending order with its patterns relabelled 0..k-1 in that
-    order, sorted as ``pattern_set`` sorts them.
-    """
-    parts: list[tuple[set[int], list]] = []
-    for pat in patterns:
-        if not support.issuperset(pat):
-            continue
-        rays, pats = set(pat), [pat]
-        for part in [q for q in parts if not q[0].isdisjoint(pat)]:
-            parts.remove(part)
-            rays |= part[0]
-            pats += part[1]
-        parts.append((rays, pats))
-    free = tuple(sorted(support.difference(*[rays for rays, _ in parts])))
-    split = []
-    for rays, pats in parts:
-        rays = tuple(sorted(rays))
-        place = {a: i for i, a in enumerate(rays)}
-        relabelled = sorted((tuple(place[a] for a in pat) for pat in pats),
-                            key=lambda s: (len(s), s))
-        split.append((rays, tuple(relabelled)))
-    return free, tuple(split)
-
-
-@functools.lru_cache(maxsize=None)
 def _component_count(p: int, degrees: tuple[int, ...], patterns) -> int:
     """``_count`` of one component, once per process for every fan."""
     return _count(p, degrees, patterns)
@@ -504,15 +476,16 @@ def ff_pattern_count(
     forbidden set of them has a common projective root.  Refuses to run
     when the product of the form-space sizes exceeds the budget, before
     any cached count is looked up.  Degree vectors in one orbit of the
-    pattern automorphisms share one count, at the key toric's per-fan
-    memo holds for e (``_orbit_keys``).  That count is the product over
-    the rays of degree 0, the rays on no live pattern and the components
-    of the live patterns (``_orbit_count``); components are shared
-    across vectors and fans.  Jet counts (``ff_constrained_count``) are
-    never split.
+    pattern automorphisms share one count, at the key that toric's memo
+    for the fan's pattern set holds for e (``_orbit_keys``).  That count
+    is the product over the rays of degree 0, the rays on no live
+    pattern and the components of the live patterns (``_orbit_count``);
+    components are shared across vectors and fans.  Jet counts
+    (``ff_constrained_count``) are never split.
     """
     e = _checked_degrees(p, fan, e, budget)
-    return _orbit_count(p, _orbit_keys(fan)[e], pattern_set(fan).minimal)
+    patterns = pattern_set(fan)
+    return _orbit_count(p, _orbit_keys(patterns)[e], patterns.minimal)
 
 
 def ff_hom_count(

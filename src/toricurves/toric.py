@@ -7,11 +7,13 @@ the other modules.
 
 Validation is exact and integer-only: smoothness and the walls are
 determinants, and a point lies in a cone by Cramer's rule.  The caches of
-the package are keyed by the fan, which takes the hash of its fields once
-and keeps it.  The search for the pattern automorphisms and the orbit key
-of a degree vector live here, with one memo of the keys per fan
-(_orbit_keys) that the oracle and the engine share, so each vector is
-keyed once per process.
+the package are keyed by the fan or by its pattern set, each of which
+takes the hash of its fields once and keeps it.  The search for the
+pattern automorphisms and the orbit key of a degree vector live here,
+with one memo of the keys per pattern set (_orbit_keys) that the oracle
+and the engine share, so each vector is keyed once per process.  So does
+the split of a vector's live patterns into connected components
+(_components), by which both read a count or a class as a product.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ class PatternSet:
 
     nvars: int
     minimal: tuple[tuple[int, ...], ...]
+
+    def __hash__(self) -> int:
+        # the engine's caches are keyed by pattern sets, so the hash is
+        # kept on the instance as the fan's is
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.nvars, self.minimal))
+            object.__setattr__(self, "_hash", value)
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +475,46 @@ class _Memo(dict):
 
 
 @lru_cache(maxsize=None)
-def _orbit_keys(fan: Fan) -> _Memo:
-    """{e: _orbit_key(e, sym)} for the fan's degree vectors, each key
-    computed on first use, with the automorphisms the search lists kept
-    as ``sym``.  One memo per fan: the oracle and the engine share it,
-    so each vector is keyed once per process."""
-    sym = _symmetries(fan.nrays, pattern_set(fan).minimal)
+def _orbit_keys(patterns: PatternSet) -> _Memo:
+    """{e: _orbit_key(e, sym)} for the degree vectors of a pattern set,
+    each key computed on first use, with the automorphisms the search
+    lists kept as ``sym``.  One memo per pattern set: the oracle and the
+    engine share it, so each vector is keyed once per process."""
+    sym = _symmetries(patterns.nvars, patterns.minimal)
     keys = _Memo(partial(_orbit_key, sym=sym))
     keys.sym = sym
     return keys
+
+
+@lru_cache(maxsize=None)
+def _components(support: frozenset[int], patterns):
+    """The rays of ``support`` on no live pattern, and the components.
+
+    A pattern is live when all its rays are in the support, and two
+    live patterns are in one component when a chain of live patterns,
+    each sharing a ray with the next, joins them.  A component is its
+    rays in ascending order with its patterns relabelled 0..k-1 in that
+    order, sorted as ``pattern_set`` sorts them.
+    """
+    parts: list[tuple[set[int], list]] = []
+    for pat in patterns:
+        if not support.issuperset(pat):
+            continue
+        rays, pats = set(pat), [pat]
+        for part in [q for q in parts if not q[0].isdisjoint(pat)]:
+            parts.remove(part)
+            rays |= part[0]
+            pats += part[1]
+        parts.append((rays, pats))
+    free = tuple(sorted(support.difference(*[rays for rays, _ in parts])))
+    split = []
+    for rays, pats in parts:
+        rays = tuple(sorted(rays))
+        place = {a: i for i, a in enumerate(rays)}
+        relabelled = sorted((tuple(place[a] for a in pat) for pat in pats),
+                            key=lambda s: (len(s), s))
+        split.append((rays, tuple(relabelled)))
+    return free, tuple(split)
 
 
 def eff_dual_contains(fan: Fan, d) -> bool:

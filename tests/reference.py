@@ -7,10 +7,12 @@ class by counting zero sets, the Mobius values grouped by subgraph
 shape, the Euler factors by the binomial expansion, common roots of
 binary forms by a gcd, oracle counts by the walk without its orbit
 merge over forms listed one by one, the punctured-line zeta
-coefficients from their closed form) or builds test inputs (product
-fans, effective degrees).
+coefficients from their closed form, configuration classes from the
+uniform box of the fan's whole pattern set) or builds test inputs
+(product fans, effective degrees).
 """
 
+import functools
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -20,7 +22,9 @@ from operator import add, and_, sub
 from toricurves.errors import InternalCheckError
 from toricurves.eulerprod import (
     _Keys,
+    _config_terms,
     _majorant,
+    _read_back,
     _weight_raw,
     _width,
 )
@@ -35,6 +39,8 @@ from toricurves.moduli import (
 from toricurves.toric import (
     Fan,
     PatternSet,
+    _orbit_key,
+    _symmetries,
     det_int,
     eff_dual_contains,
     parse_fan,
@@ -530,6 +536,24 @@ def zeta_p1_coeffs(s: int, jmax: int) -> tuple[LaurentClass, ...]:
             acc = acc + LaurentClass({j - i: (-1) ** i * math.comb(s - 1, i)})
         out.append(acc)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def whole_fan_box(fan: Fan, s: int, side: int):
+    """The uniform box of side `side` of the fan's whole pattern set,
+    built by the engine's _config_terms and cached here."""
+    return _config_terms(pattern_set(fan), s, side)
+
+
+def whole_fan_class(fan: Fan, e, s: int) -> LaurentClass:
+    """The configuration class by the route that split no vector: the
+    whole fan's box at side max(e) (whole_fan_box), read at the orbit
+    key of e under the bound that fixes its width."""
+    patterns = pattern_set(fan)
+    key = _orbit_key(tuple(e), _symmetries(fan.nrays, patterns.minimal))
+    terms = whole_fan_box(fan, s, max(key, default=0))
+    return _read_back(terms.at(key), terms.width, 1 << (terms.width - 2), e,
+                      "whole-fan class at {} exceeds its bound")
 
 
 def config_series(fan: Fan, cap, s: int = 0) -> dict:

@@ -152,13 +152,15 @@ def test_exports_name_what_their_module_defines():
 
 
 SEARCH = {"_symmetries", "_Symmetries", "SYMMETRY_NODES", "_orbit_key",
-          "_orbit_keys", "_Memo"}
+          "_orbit_keys", "_Memo", "_components"}
 
 
 def test_one_search_for_pattern_automorphisms():
     """toric alone defines the search for pattern automorphisms, the
-    orbit key and the per-fan memo of keys, and the oracle and the engine
-    take their keys from that one memo, never from the key itself."""
+    orbit key, the memo of keys per pattern set and the split of a
+    vector's live patterns into components.  The oracle and the engine
+    take their keys from that one memo, never from the key itself, and
+    both split by toric's _components."""
     defined: dict[str, set[str]] = {}
     imported: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
@@ -181,3 +183,4 @@ def test_one_search_for_pattern_automorphisms():
     for module in ("oracle", "eulerprod"):
         names = imported.get(module, set())
         assert "_orbit_keys" in names and "_orbit_key" not in names, module
+        assert "_components" in names, module

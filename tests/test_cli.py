@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import toricurves
-from reference import binomial_factors, laurent_from_json
+from reference import binomial_factors, fan_product, laurent_from_json
 from toricurves import cli
 from toricurves.cli import (
     EXIT_BUDGET,
@@ -526,6 +526,68 @@ class TestConstrained:
         code, _, err = run(capsys, "constrained", "p1", "--order", "6",
                            "--points", "1:1@0,2:2@1")
         assert code == EXIT_VALIDATION and "error:" in err
+
+
+class TestMalformedIntegers:
+    """Only an optional sign and ASCII digits make an integer: int()
+    alone would read "1_0" as 10, and take blanks and other scripts'
+    digits."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hom", "p1", "--degree", "1_0,1_0"],
+        ["hom", "p1", "--degree", "1, 1"],
+        ["hom", "p1", "--degree", "\u0661,\u0661"],
+        ["converge", "p1", "--degree", "+1,1_0", "--order", "4"],
+        ["oracle", "p1", "--p", "3", "--config", "1,\uff11"],
+        ["oracle", "p1", "--p", "3", "--degree", "1,1", "--jet", "1_0,1"],
+        ["oracle", "p1", "--p", "3", "--degree", "1,1", "--jet", "1,0,1:1_0,1"],
+        ["constrained", "p1", "--order", "4", "--points", "1:1@1_0"],
+        ["constrained", "p1", "--order", "4", "--points", "1:\u0662"],
+    ])
+    def test_a_list_entry_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == "" and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["tamagawa", "p2", "--order", "1_0"],
+        ["tamagawa", "p2", "--order", " 4"],
+        ["mobius", "p2", "--cap", "\u0664"],
+        ["hom", "p1", "--degree", "1,1", "--budget", "1_000"],
+        ["oracle", "p1", "--p", "0_3", "--degree", "1,1"],
+    ])
+    def test_an_option_value_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert "invalid int value" in captured.err
+
+    def test_signs_and_digits_are_read(self, capsys):
+        code, out, _ = run(capsys, "hom", "p1", "--degree", "+1,01")
+        assert code == 0 and out == "L^3 - L\n"
+        code, out, _ = run(capsys, "tamagawa", "p2", "--order", "+4")
+        assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "dp6"],
+    ["analyze", "dp6xdp6.json"],
+    ["mobius", "dp6", "--cap", "6"],
+], ids=["analyze_dp6", "analyze_dp6xdp6", "mobius_dp6_cap6"])
+def test_json_is_printed_as_the_indented_dump(
+        capsys, tmp_path, monkeypatch, dp6, argv):
+    """The 2^n listing of mu is written from a template per entry; the
+    output is still json.dumps(payload, indent=2), byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dp6xdp6.json").write_text(
+        json.dumps(fan_product(dp6, dp6).to_json()))
+    argv = [*argv, "--format", "json"]
+    args = cli.build_parser().parse_args(argv)
+    payload, _ = args.func(args)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(payload["mobius"]) == 2 ** (
+        12 if "dp6xdp6.json" in argv else 6)
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_stdout_stays_clean_on_every_failure_path(capsys, tmp_path):

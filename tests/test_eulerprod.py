@@ -563,7 +563,7 @@ def test_support_is_counted_only_when_the_box_exceeds_the_limit(
     for (name, fan), s in itertools.product(fans.items(), (0, 1)):
         for side in range(3 if name == "dp6" else 5):
             del counted[:]
-            eulerprod._config_terms.__wrapped__(fan, s, side)
+            eulerprod._config_terms(toric.pattern_set(fan), s, side)
             first = {"p1xp1": 3, "bl1p2": 3, "dp6": 2}.get(name, 5)
             assert len(counted) == (side >= first), (name, s, side)
 
@@ -585,7 +585,7 @@ def test_dense_power_checks_its_terms_and_each_division(dp6, monkeypatch):
         eulerprod, "_points",
         lambda d, s, w: points(d, s, w) + (Fraction(1, 2) if d == 1 else 0))
     with pytest.raises(InternalCheckError, match="is not divisible"):
-        eulerprod._config_terms.__wrapped__(dp6, 0, 2)
+        eulerprod._config_terms(toric.pattern_set(dp6), 0, 2)
 
 
 def _power_inputs(fan, s, side):
@@ -635,4 +635,4 @@ def test_orbit_power_checks_each_permutation(dp6, monkeypatch):
     # the memo uncached, so that no cached memo holds the patched search
     monkeypatch.setattr(eulerprod, "_orbit_keys", toric._orbit_keys.__wrapped__)
     with pytest.raises(InternalCheckError, match=r"permutation \(1, 0,"):
-        eulerprod._config_terms.__wrapped__(dp6, 0, 2)
+        eulerprod._config_terms(toric.pattern_set(dp6), 0, 2)

@@ -15,6 +15,8 @@ from reference import (
     laurent_from_json,
     lies_above,
     truncate,
+    whole_fan_box,
+    whole_fan_class,
     zeta_p1_coeffs,
 )
 from toricurves.grothendieck import (
@@ -187,16 +189,17 @@ class TestConfigClasses:
             for side in range(5 if name == "dp6" else 8):
                 walk = name == "dp6" and side >= 2
                 route = eulerprod._WalkTerms if walk else eulerprod._ProductTerms
-                terms = eulerprod._config_terms(fan, s, side)
+                terms = eulerprod._config_terms(toric.pattern_set(fan), s, side)
                 assert type(terms) is route, (name, s, side)
         # P^3 at side 40: 41^4 box cells, but R and U have 41 terms each
-        assert type(eulerprod._config_terms(p3, 0, 40)) is eulerprod._ProductTerms
+        terms = eulerprod._config_terms(toric.pattern_set(p3), 0, 40)
+        assert type(terms) is eulerprod._ProductTerms
 
     def test_walk_mask_test_matches_the_exponent_comparison(self, dp6):
         """_WalkTerms.at picks the terms of R below e by one mask test
         on packed keys; here they are picked by comparing exponent
         tuples, at every cell of the dp6 box of side 3."""
-        terms = eulerprod._config_terms(dp6, 0, 3)
+        terms = eulerprod._config_terms(toric.pattern_set(dp6), 0, 3)
         rest = [(terms.keys.unpack(key), offset, value)
                 for key, offset, value in terms.rest]
         for e in itertools.product(range(4), repeat=6):
@@ -218,7 +221,6 @@ def cold_config_cache():
     """Class caches emptied before and after, so that no entry built
     under a monkeypatch outlives the test."""
     def clear():
-        eulerprod._config_terms.cache_clear()
         eulerprod._shared_classes.cache_clear()
         toric._orbit_keys.cache_clear()
         moduli._hom_class_cached.cache_clear()
@@ -269,16 +271,67 @@ def _shared_cases(fans, polygon_document):
 
 
 def test_sharing_changes_no_class(fans, polygon_document, cold_config_cache):
-    """Every class, read back once per orbit at its key, equals the class
-    read straight at e."""
+    """Every class, read once per orbit at its key as a product over the
+    free rays and the components of the live patterns, equals the class
+    that the box of the fan's whole pattern set at side max(e) gives at
+    e, and at the orbit key of e (reference.whole_fan_class, the route
+    that split no vector): every vector of the oracle gate's boxes, and
+    of F_2's, and the 0/1 vectors of the 12-gon and dp6 x dp6."""
     for fan, degrees in _shared_cases(fans, polygon_document):
         sym = toric._symmetries(fan.nrays, toric.pattern_set(fan).minimal)
         assert any(toric._orbit_key(e, sym) != e for e in degrees), fan
         for s in (0, 1, 2):
             for e in degrees:
-                terms = eulerprod._config_terms(fan, s, max(e))
+                terms = whole_fan_box(fan, s, max(e))
                 want = unpack_class(terms.at(e), terms.width)
+                assert whole_fan_class(fan, e, s) == want, (fan, s, e)
                 assert pattern_config_class(fan, e, s) == want, (fan, s, e)
+
+
+def test_split_classes_keep_the_answers_of_the_whole_fan_route(p1xp1, dp6, p2):
+    """Classes the whole-fan route gave, each in seconds: the split reads
+    them off one pair, two free rays and one free ray."""
+    assert pattern_config_class(dp6, (7, 1, 0, 0, 0, 0)) == L**8 + L**7
+    assert pattern_config_class(p2, (200, 0, 0)) == LaurentClass(
+        dict.fromkeys(range(201), 1))
+    assert hom_class(p1xp1, (40, 40, 1, 1)) == L**84 - 2 * L**82 + L**80
+
+
+def test_free_ray_classes_are_the_zeta_coefficients():
+    """A ray on no live pattern gives [t^j] of its zeta factor, here
+    against the sums of reference.zeta_p1_coeffs."""
+    for s in range(4):
+        for j, want in enumerate(zeta_p1_coeffs(s, 9)):
+            assert eulerprod._zeta(s, j) == want, (s, j)
+
+
+def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
+    """Counted by the calls to the box builder, with no clock: p1xp1 at
+    (40, 40, 1, 1) builds boxes of 2 rays only, and dp6 x dp6 at
+    (2, ..., 2) none of more than 6.  Once p1 is read at (3, 3), p1xp1
+    at (3, 3, 5, 5) builds the one box of its (5, 5) pair, and at
+    (3, 3, 1, 1) none, as p1's box of side 3 holds (1, 1)."""
+    built = []
+    build = eulerprod._config_terms
+
+    def counted(patterns, s, side):
+        built.append((patterns.nvars, side))
+        return build(patterns, s, side)
+
+    monkeypatch.setattr(eulerprod, "_config_terms", counted)
+    hom_class(fans["p1xp1"], (40, 40, 1, 1))
+    assert built == [(2, 1), (2, 40)]
+    del built[:]
+    hom_class(fan_product(fans["dp6"], fans["dp6"]), (2,) * 12)
+    assert built and max(n for n, _ in built) == 6
+    eulerprod._shared_classes.cache_clear()
+    del built[:]
+    hom_class(fans["p1"], (3, 3))
+    assert built == [(2, 3)]
+    hom_class(fans["p1xp1"], (3, 3, 5, 5))
+    assert built == [(2, 3), (2, 5)]
+    hom_class(fans["p1xp1"], (3, 3, 1, 1))
+    assert built == [(2, 3), (2, 5)]
 
 
 def test_hom_classes_keep_the_cone_test_per_degree():
@@ -326,8 +379,11 @@ def convergence_families(fans):
 
 def test_convergence_family_reads_one_class_per_orbit(
         fans, monkeypatch, cold_config_cache):
-    """The 205 convergence reports at E = 12 read back 89 configuration
-    classes, one per orbit; the 136 dp6 reports read 35."""
+    """The 205 convergence reports at E = 12 read back 68 configuration
+    classes, one per orbit of a pattern set.  The 36 p1xp1 reports read
+    none, as each of their pairs is a class of P^1 already read, and the
+    15 bl1p2 reports read one pair class each; the 136 dp6 reports read
+    35."""
     read = []
     read_back = eulerprod._read_back
 
@@ -344,8 +400,9 @@ def test_convergence_family_reads_one_class_per_orbit(
             assert convergence_report(fans[name], d, 12).passed, (name, d)
         reads[name] = (len(degrees), len(read) - before)
     assert reads["dp6"] == (136, 35)
+    assert reads["p1xp1"] == (36, 0) and reads["bl1p2"] == (15, 15)
     assert sum(n for n, _ in reads.values()) == 205
-    assert sum(k for _, k in reads.values()) == 89
+    assert sum(k for _, k in reads.values()) == 68
 
 
 class TestHomClasses:

@@ -834,8 +834,10 @@ class TestOracleCompare:
     @pytest.mark.parametrize("kind", ["e", "d"])
     def test_warm_comparison_builds_one_vector_and_no_key(
             self, dp6, kind, monkeypatch):
-        """The oracle and the engine share one memo of orbit keys per fan:
-        a first comparison keys its vector once, and the same comparison
+        """The oracle and the engine share one memo of orbit keys per
+        pattern set: a first comparison keys its vector once (and the
+        engine, with no box of dp6 cached, the degrees of each component
+        in the memo of its own pattern set), and the same comparison
         again builds one degree vector and keys nothing."""
         toric._orbit_keys.cache_clear()
         eulerprod._shared_classes.cache_clear()
@@ -848,7 +850,8 @@ class TestOracleCompare:
                             lambda e, sym: keyed.append(e) or orbit_key(e, sym))
         vec = (2, 0, 1, 2, 0, 1)
         first = oracle_compare(3, dp6, **{kind: vec})
-        assert first.equal and keyed == [vec]
+        assert first.equal and keyed[0] == vec
+        assert all(len(e) < len(vec) for e in keyed[1:]), keyed
         built.clear()
         keyed.clear()
         second = oracle_compare(3, dp6, **{kind: vec})
