@@ -18,7 +18,6 @@ import itertools
 import json
 import os
 import pathlib
-import re
 import sys
 import time
 
@@ -28,6 +27,7 @@ from .errors import (
     FanValidationError,
     InternalCheckError,
     LimitError,
+    _int,
 )
 from .grothendieck import MINUS_INFINITY, ONE, SeriesCap
 from .toric import (
@@ -84,21 +84,6 @@ def _load_fan(source: str) -> Fan:
     raise FanValidationError(f"cannot read fan description {source!r}")
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _int(text: str) -> int:
-    """text as an int, when it is an optional sign and ASCII digits:
-    int() alone would also take "1_0", blanks and non-ASCII digits."""
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-# argparse names the type in its refusal: "invalid int value: '1_0'"
-_int.__name__ = "int"
-
-
 def _parse_degree(text: str, nrays: int) -> tuple[int, ...]:
     try:
         entries = tuple(_int(tok) for tok in text.split(","))
@@ -115,6 +100,7 @@ def _parse_degree(text: str, nrays: int) -> tuple[int, ...]:
 
 def _parse_jet(text: str, p: int, nrays: int) -> oracle_mod.JetSpec:
     """Parse "point,order[,c0:c1:...,... one group per ray]"."""
+    oracle_mod._check_prime(p)
     tokens = text.split(",")
     if len(tokens) < 2:
         raise ValueError("jet needs at least 'point,order'")

@@ -1,5 +1,7 @@
 """Shared exception types, mapped to CLI exit statuses in cli.py, and the
-one check that a parameter is an integer."""
+checks that a parameter is an integer and that a text reads as one."""
+
+import re
 
 
 class FanValidationError(ValueError):
@@ -38,3 +40,15 @@ def _integer(x, what: str) -> int:
     if not _is_int(x):
         raise ValueError(f"{what} {x!r} is not an integer")
     return x
+
+
+def _int(text: str) -> int:
+    """text as an int, when it is an optional sign and ASCII digits:
+    int() alone would also take "1_0", blanks and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+# argparse names the type in its refusal: "invalid int value: '1_0'"
+_int.__name__ = "int"

@@ -50,22 +50,22 @@ variables is the product of their Euler products (motivic Euler
 products are multiplicative in the local factor).  So at a vector e a
 ray of degree 0 gives 1, a ray on no live pattern the coefficient of
 its zeta factor alone, and each connected component of the live
-patterns (toric's _components) its own class at its own degrees, as a
-pattern set of its own.  Every cache here is keyed by the pattern set,
+patterns (toric's _components) its own class at its own orbit key, as
+a pattern set of its own.  Every cache here is keyed by the pattern set,
 not the fan: a pair's class answers P^1, P^1 x P^1 and the blow-up of
 P^2 alike.  Only a vector whose live patterns are the whole pattern set,
-in one component, builds a box, and a box already built for the pattern
-set at the same s and a large enough side answers any vector first.
+in one component, builds a box; one box per pattern set and s is kept,
+of the largest side asked for, and it answers first any vector it holds.
 
 The same permutations keep every class of a uniform box, on either
-route, so classes are shared per orbit: once per pattern set, each
-permutation listed and each swap of two twin rays is checked to map the
-pattern polynomial's terms onto themselves, and then one class is read
-per orbit, at its least vector (toric's _orbit_key, kept per pattern
-set in a memo the oracle's counts share).  Hom classes share only the
-class under them: moduli tests each degree against the dual effective
-cone, which these permutations need not keep.  Packed values never
-leave this module.
+route, so classes are shared per orbit: once per pattern set, the
+pattern polynomial is built, each permutation listed and each swap of
+two twin rays is checked to map its terms onto themselves, and then one
+class is read per orbit, at its least vector (toric's _orbit_key, kept
+per pattern set in a memo the oracle's counts share).  Hom classes
+share only the class under them: moduli tests each degree against the
+dual effective cone, which these permutations need not keep.  Packed
+values never leave this module.
 """
 
 from __future__ import annotations
@@ -686,8 +686,8 @@ def _config_terms(
     that toric's search lists (each keeps the primitive collections,
     hence the polynomial and U), and walks it lane by lane.  Among the
     pattern sets of the bundled fans only dp6's at side 2 and above
-    takes the walk.  Nothing here is cached: config_class keeps the
-    boxes it builds beside the classes (_shared_classes).
+    takes the walk.  Nothing here is cached: the polynomial is the one
+    _shared_classes keeps, and _class keeps the box beside the classes.
 
     Width.  With mu = R * U, the class at e is the sum over k <= e of
     mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
@@ -702,10 +702,10 @@ def _config_terms(
     contradicts the bound.
     """
     n = patterns.nvars
+    poly = _shared_classes(patterns)[1]
     reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
     cap = SeriesCap.box_cap((side,) * n)
-    keys, w, majorant, base, rest = _rest_factors(
-        mobius_table(patterns), s, cap, reach)
+    keys, w, majorant, base, rest = _rest_factors(poly, s, cap, reach)
     a = _points(1, s, w)
     # the largest |U| whose table is charged no more than the walk, both
     # charges doubled to stay in integers
@@ -719,10 +719,11 @@ def _config_terms(
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_classes(patterns: PatternSet) -> tuple[_Memo, dict, dict]:
+def _shared_classes(patterns: PatternSet) -> tuple[_Memo, IntPoly, dict, dict]:
     """The pattern set's orbit keys (toric's memo, shared with the
-    oracle), a cache of its configuration classes, {(s, orbit key):
-    class}, and the uniform boxes built for it, {s: {side: terms}}.
+    oracle), its pattern polynomial (mobius_table), a cache of its
+    configuration classes, {(s, orbit key): class}, and the one uniform
+    box kept per s, that of the largest side built, {s: (side, terms)}.
 
     Each permutation the memo's search lists and each swap of two twin
     rays, applied as ``_orbit_key`` relabels, f -> (f[perm[a]])_a, must
@@ -734,7 +735,8 @@ def _shared_classes(patterns: PatternSet) -> tuple[_Memo, dict, dict]:
     n = patterns.nvars
     keys = _orbit_keys(patterns)
     sym = keys.sym
-    terms = mobius_table(patterns).coeffs
+    poly = mobius_table(patterns)
+    terms = poly.coeffs
     swaps = [tuple(j if a == i else i if a == j else a for a in range(n))
              for cls in sym.twins for i, j in zip(cls, cls[1:])]
     for perm in (*sym.perms, *swaps):
@@ -742,7 +744,7 @@ def _shared_classes(patterns: PatternSet) -> tuple[_Memo, dict, dict]:
                 for f, c in terms.items()} != terms:
             raise InternalCheckError(
                 f"ray permutation {perm} does not keep the pattern polynomial")
-    return keys, {}, {}
+    return keys, poly, {}, {}
 
 
 def _zeta(s: int, j: int) -> LaurentClass:
@@ -757,29 +759,27 @@ def _zeta(s: int, j: int) -> LaurentClass:
 
 def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
     """config_class for a pattern set, cached per (s, orbit key of e)."""
-    keys, classes, boxes = _shared_classes(patterns)
+    keys, _, classes, boxes = _shared_classes(patterns)
     key = keys[e]
     cls = classes.get((s, key))
     if cls is not None:
         return cls
     side = max(key, default=0)
-    built = boxes.setdefault(s, {})
-    fits = [b for b in built if b >= side]
-    if fits:
-        terms = built[min(fits)]
-    else:
+    if boxes.get(s, (-1,))[0] < side:
         free, split = _components(
-            frozenset(a for a, x in enumerate(key) if x), patterns.minimal)
-        if split != ((tuple(range(patterns.nvars)), patterns.minimal),):
+            frozenset(a for a, x in enumerate(key) if x), patterns)
+        if split != ((tuple(range(patterns.nvars)), patterns),):
             cls = ONE
             for a in free:
                 cls *= _zeta(s, key[a])
-            for rays, pats in split:
-                cls *= _class(PatternSet(len(rays), pats),
-                              tuple(key[a] for a in rays), s)
+            for rays, sub in split:
+                cls *= _class(sub, tuple(key[a] for a in rays), s)
             classes[s, key] = cls
             return cls
-        terms = built[side] = _config_terms(patterns, s, side)
+        # drop the smaller box first, so that the two are never held at once
+        boxes.pop(s, None)
+        boxes[s] = side, _config_terms(patterns, s, side)
+    terms = boxes[s][1]
     cls = classes[s, key] = _read_back(
         terms.at(key), terms.width, 1 << (terms.width - 2), e,
         "configuration class at {} exceeds its bound")
@@ -792,14 +792,15 @@ def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
     w.
 
     Classes are cached per pattern set and orbit of its automorphisms,
-    at the orbit key of e (_shared_classes).  On a miss, a box of the
-    pattern set with this s and a side of at least max(key), if one is
-    cached beside the classes, gives the class.  Otherwise the key splits
-    (toric's _components): a ray of degree 0 gives 1, a ray on no live
-    pattern its zeta coefficient (_zeta), and each component of the live
-    patterns its own class at its own degrees, relabelled as a pattern
-    set of its own and so shared across vectors and fans.  Only a key
-    whose live patterns are the whole pattern set, in one component,
-    builds a box (_config_terms), of side max(key).
+    at the orbit key of e (_shared_classes).  On a miss, the one box
+    kept for the pattern set and s gives the class if its side is at
+    least max(key).  Otherwise the key splits (toric's _components): a
+    ray of degree 0 gives 1, a ray on no live pattern its zeta
+    coefficient (_zeta), and each component of the live patterns its own
+    class at its own orbit key, as a pattern set of its own, and so
+    shared across vectors and fans.  Only a key whose live patterns are
+    the whole pattern set, in one component, builds a box
+    (_config_terms), of side max(key), in place of the kept one, which
+    is dropped first.
     """
     return _class(pattern_set(fan), e, s)

@@ -52,13 +52,12 @@ patterns when each pattern's forms do, which only links rays that
 share a live pattern, one whose rays all have positive degree.  A ray
 of degree 0 contributes its one form, a ray on no live pattern all its
 (p^(e+1) - 1)/(p - 1) forms, and each connected component of the live
-patterns a ``_count`` on its own degrees, its rays relabelled in order.
-The split is toric's ``_components``, which the engine reads its
-configuration classes by too.  Component counts are cached across
-vectors and fans, so one count of a pair answers P^1, P^1 x P^1 and the
-blow-up of P^2 alike.  Jet counts are never shared or split, as the
-target jets and the ray vectors single out each ray, and their weights
-read all the tags at once.
+patterns the count of its own pattern set at its own orbit key.  The
+split is toric's ``_components``, which the engine reads its
+configuration classes by too.  One count of a pair thus answers P^1,
+P^1 x P^1 and the blow-up of P^2 alike.  Jet counts are never shared or
+split, as the target jets and the ray vectors single out each ray, and
+their weights read all the tags at once.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from dataclasses import dataclass
 from operator import and_
 from typing import Sequence
 
-from .errors import BudgetError, InternalCheckError, _integer, _is_int
+from .errors import BudgetError, InternalCheckError, _int, _integer, _is_int
 from .grothendieck import evaluate
 from .toric import (
     Fan,
@@ -125,7 +124,7 @@ def _resolve_budget(budget: int | None) -> int:
             return DEFAULT_BUDGET
         source = BUDGET_ENV
         try:
-            value = int(raw)
+            value = _int(raw)
         except ValueError:
             value = None
     if value is None or value < 0:
@@ -407,12 +406,6 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _component_count(p: int, degrees: tuple[int, ...], patterns) -> int:
-    """``_count`` of one component, once per process for every fan."""
-    return _count(p, degrees, patterns)
-
-
-@functools.lru_cache(maxsize=None)
 def _orbit_count(p: int, key: tuple[int, ...], patterns) -> int:
     """The plain count of one orbit representative, once per process.
 
@@ -420,17 +413,17 @@ def _orbit_count(p: int, key: tuple[int, ...], patterns) -> int:
     the count is a product.  A ray of degree 0 has one form and kills
     the patterns through it; a ray on no live pattern contributes all
     its normalized forms; each component (``_components``) is counted
-    on its own degrees, sorted when it is a single pattern, which every
-    permutation of its rays keeps.
+    at its own orbit key.  A key whose live patterns are all of them, in
+    one component, is walked by ``_count``.
     """
     free, split = _components(
         frozenset(a for a, x in enumerate(key) if x), patterns)
+    if split == ((tuple(range(patterns.nvars)), patterns),):
+        return _count(p, key, patterns.minimal)
     count = math.prod((p ** (key[a] + 1) - 1) // (p - 1) for a in free)
-    for rays, pats in split:
+    for rays, sub in split:
         degrees = tuple(key[a] for a in rays)
-        if len(pats) == 1:
-            degrees = tuple(sorted(degrees))
-        count *= _component_count(p, degrees, pats)
+        count *= _orbit_count(p, _orbit_keys(sub)[degrees], sub)
     return count
 
 
@@ -485,7 +478,7 @@ def ff_pattern_count(
     """
     e = _checked_degrees(p, fan, e, budget)
     patterns = pattern_set(fan)
-    return _orbit_count(p, _orbit_keys(patterns)[e], patterns.minimal)
+    return _orbit_count(p, _orbit_keys(patterns)[e], patterns)
 
 
 def ff_hom_count(

@@ -12,8 +12,9 @@ takes the hash of its fields once and keeps it.  The search for the
 pattern automorphisms and the orbit key of a degree vector live here,
 with one memo of the keys per pattern set (_orbit_keys) that the oracle
 and the engine share, so each vector is keyed once per process.  So does
-the split of a vector's live patterns into connected components
-(_components), by which both read a count or a class as a product.
+the split of a vector's live patterns into connected components, each
+a pattern set of its own (_components), by which both read a count or
+a class as a product.
 """
 
 from __future__ import annotations
@@ -359,7 +360,6 @@ class _Symmetries(NamedTuple):
     nodes: int
 
 
-@lru_cache(maxsize=None)
 def _symmetries(
     nrays: int, patterns: tuple[tuple[int, ...], ...]
 ) -> _Symmetries:
@@ -487,17 +487,17 @@ def _orbit_keys(patterns: PatternSet) -> _Memo:
 
 
 @lru_cache(maxsize=None)
-def _components(support: frozenset[int], patterns):
+def _components(support: frozenset[int], patterns: PatternSet):
     """The rays of ``support`` on no live pattern, and the components.
 
     A pattern is live when all its rays are in the support, and two
     live patterns are in one component when a chain of live patterns,
     each sharing a ray with the next, joins them.  A component is its
-    rays in ascending order with its patterns relabelled 0..k-1 in that
-    order, sorted as ``pattern_set`` sorts them.
+    rays in ascending order and its pattern set, the patterns relabelled
+    0..k-1 in that order and sorted as ``pattern_set`` sorts them.
     """
     parts: list[tuple[set[int], list]] = []
-    for pat in patterns:
+    for pat in patterns.minimal:
         if not support.issuperset(pat):
             continue
         rays, pats = set(pat), [pat]
@@ -513,7 +513,7 @@ def _components(support: frozenset[int], patterns):
         place = {a: i for i, a in enumerate(rays)}
         relabelled = sorted((tuple(place[a] for a in pat) for pat in pats),
                             key=lambda s: (len(s), s))
-        split.append((rays, tuple(relabelled)))
+        split.append((rays, PatternSet(len(rays), tuple(relabelled))))
     return free, tuple(split)
 
 

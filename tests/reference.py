@@ -9,12 +9,14 @@ binary forms by a gcd, oracle counts by the walk without its orbit
 merge over forms listed one by one, the punctured-line zeta
 coefficients from their closed form, configuration classes from the
 uniform box of the fan's whole pattern set) or builds test inputs
-(product fans, effective degrees).
+(product fans, effective degrees).  ``clear_caches`` empties every cache
+of the library, for tests that count work from cold caches.
 """
 
 import functools
 import itertools
 import math
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import add, and_, sub
@@ -40,7 +42,7 @@ from toricurves.toric import (
     Fan,
     PatternSet,
     _orbit_key,
-    _symmetries,
+    _orbit_keys,
     det_int,
     eff_dual_contains,
     parse_fan,
@@ -48,6 +50,16 @@ from toricurves.toric import (
     require_valid,
 )
 from toricurves import oracle
+
+
+def clear_caches() -> None:
+    """Empty every functools cache in the modules of toricurves, found by
+    looking through their namespaces, so that no cache needs naming."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricurves":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +562,7 @@ def whole_fan_class(fan: Fan, e, s: int) -> LaurentClass:
     whole fan's box at side max(e) (whole_fan_box), read at the orbit
     key of e under the bound that fixes its width."""
     patterns = pattern_set(fan)
-    key = _orbit_key(tuple(e), _symmetries(fan.nrays, patterns.minimal))
+    key = _orbit_key(tuple(e), _orbit_keys(patterns).sym)
     terms = whole_fan_box(fan, s, max(key, default=0))
     return _read_back(terms.at(key), terms.width, 1 << (terms.width - 2), e,
                       "whole-fan class at {} exceeds its bound")

@@ -10,7 +10,12 @@ import sys
 import pytest
 
 import toricurves
-from reference import binomial_factors, fan_product, laurent_from_json
+from reference import (
+    binomial_factors,
+    clear_caches,
+    fan_product,
+    laurent_from_json,
+)
 from toricurves import cli
 from toricurves.cli import (
     EXIT_BUDGET,
@@ -86,7 +91,7 @@ class TestAnalyze:
 
     def test_builds_the_mobius_table_once(self, capsys, monkeypatch):
         # the one cache of mu is keyed by the fan
-        fan_mobius_polynomial.cache_clear()
+        clear_caches()
         builds = []
         build = mobius.mobius_table
         monkeypatch.setattr(mobius, "mobius_table",
@@ -98,7 +103,7 @@ class TestAnalyze:
         assert info.misses == 1 and info.hits >= 1
 
     def test_validates_the_fan_once(self, capsys):
-        validate.cache_clear()
+        clear_caches()
         code, _, _ = run(capsys, "analyze", "p1xp1")
         assert code == 0
         assert validate.cache_info().misses == 1
@@ -443,7 +448,9 @@ class TestOracle:
         assert code == EXIT_VALIDATION and out == ""
         assert "budget -5 from the budget argument (--budget)" in err
 
-    @pytest.mark.parametrize("value", ["abc", "1e3", "-5"])
+    # int() alone took the last three
+    @pytest.mark.parametrize("value", ["abc", "1e3", "-5", "1_000", " 100 ",
+                                       "\u0661\u0660\u0660"])
     def test_bad_budget_variable_is_refused(self, capsys, monkeypatch, value):
         monkeypatch.setenv("TORICURVES_BUDGET", value)
         code, out, err = run(capsys, "oracle", "p2", "--p", "3",
@@ -468,10 +475,15 @@ class TestOracle:
         want = (L**2 + L + ONE) * (ONE - LaurentClass.lefschetz(-2))
         assert laurent_from_json(doc["coeffs"]) == want
 
-    def test_bad_prime(self, capsys):
-        code, _, err = run(capsys, "oracle", "p2", "--p", "11",
-                           "--degree", "1,1,1")
-        assert code == EXIT_VALIDATION and "error:" in err
+    @pytest.mark.parametrize("query", [
+        ("p2", "--p", "11", "--degree", "1,1,1"),
+        # the jet reduces modulo p, which divided by 0 before the check
+        ("p1", "--p", "0", "--degree", "1,1", "--jet", "1,0"),
+    ], ids=["degree", "jet"])
+    def test_bad_prime(self, capsys, query):
+        code, out, err = run(capsys, "oracle", *query)
+        assert code == EXIT_VALIDATION and out == "" and "error:" in err
+        assert "prime must be one of (2, 3, 5, 7)" in err
 
     def test_internal_check_exit(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

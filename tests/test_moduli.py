@@ -9,6 +9,7 @@ import pytest
 
 from reference import (
     HIRZEBRUCH_2,
+    clear_caches,
     config_series,
     expected_dimension_check,
     fan_product,
@@ -218,16 +219,11 @@ class TestConfigClasses:
 
 @pytest.fixture
 def cold_config_cache():
-    """Class caches emptied before and after, so that no entry built
-    under a monkeypatch outlives the test."""
-    def clear():
-        eulerprod._shared_classes.cache_clear()
-        toric._orbit_keys.cache_clear()
-        moduli._hom_class_cached.cache_clear()
-
-    clear()
+    """Caches emptied before and after, so that no entry built under a
+    monkeypatch outlives the test."""
+    clear_caches()
     yield
-    clear()
+    clear_caches()
 
 
 def test_readback_refuses_digits_beyond_the_bound(
@@ -324,7 +320,7 @@ def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
     del built[:]
     hom_class(fan_product(fans["dp6"], fans["dp6"]), (2,) * 12)
     assert built and max(n for n, _ in built) == 6
-    eulerprod._shared_classes.cache_clear()
+    clear_caches()
     del built[:]
     hom_class(fans["p1"], (3, 3))
     assert built == [(2, 3)]
@@ -332,6 +328,48 @@ def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
     assert built == [(2, 3), (2, 5)]
     hom_class(fans["p1xp1"], (3, 3, 1, 1))
     assert built == [(2, 3), (2, 5)]
+
+
+def test_one_pattern_polynomial_per_pattern_set(
+        dp6, monkeypatch, cold_config_cache):
+    """Counted by the calls, with no clock: from cold caches, the class
+    of dp6 at (2, ..., 2) builds the pattern polynomial once, where
+    _shared_classes checks the permutations, and its box builds none."""
+    polys, boxes = [], []
+    poly, box = eulerprod.mobius_table, eulerprod._config_terms
+    monkeypatch.setattr(eulerprod, "mobius_table",
+                        lambda pats: polys.append(pats) or poly(pats))
+    monkeypatch.setattr(eulerprod, "_config_terms",
+                        lambda *args: boxes.append(args[1:]) or box(*args))
+    patterns = toric.pattern_set(dp6)
+    pattern_config_class(dp6, (2,) * 6)
+    assert polys == [patterns] and boxes == [(0, 2)]
+    box(patterns, 1, 3)
+    assert polys == [patterns]
+
+
+def test_one_box_per_pattern_set_and_s(dp6, monkeypatch, cold_config_cache):
+    """Counted by the calls to the box builder, with no clock: after keys
+    of side 2 and then 3, dp6 keeps one box, of side 3, which answers a
+    later key of side 2 with no build.  The box of side 2 is dropped
+    before the one of side 3 is built, so the two are never held at
+    once."""
+    built = []
+    build = eulerprod._config_terms
+    boxes = eulerprod._shared_classes(toric.pattern_set(dp6))[3]
+
+    def counted(patterns, s, side):
+        built.append((side, s in boxes))
+        return build(patterns, s, side)
+
+    monkeypatch.setattr(eulerprod, "_config_terms", counted)
+    pattern_config_class(dp6, (2,) * 6)
+    pattern_config_class(dp6, (3,) * 6)
+    assert built == [(2, False), (3, False)]
+    assert list(boxes) == [0] and boxes[0][0] == 3
+    e = (2, 1, 2, 2, 1, 2)
+    assert pattern_config_class(dp6, e) == whole_fan_class(dp6, e, 0)
+    assert len(built) == 2 and boxes[0][0] == 3
 
 
 def test_hom_classes_keep_the_cone_test_per_degree():

@@ -16,15 +16,16 @@ from hypothesis import given, strategies as st
 
 from toricurves.errors import BudgetError, FanValidationError, InternalCheckError
 from toricurves.grothendieck import evaluate
-from toricurves import FIXTURE_NAMES, eulerprod, oracle, toric
+from toricurves import FIXTURE_NAMES, oracle, toric
 from reference import (
     HIRZEBRUCH_2,
+    clear_caches,
     common_projective_root,
     count_unmerged,
     fan_product,
     picard_projection,
 )
-from toricurves.toric import parse_fan, pattern_set, picard_rank
+from toricurves.toric import PatternSet, parse_fan, pattern_set, picard_rank
 from toricurves.moduli import DegreeVector, hom_class, pattern_config_class
 from toricurves.oracle import (
     _form_table,
@@ -225,11 +226,11 @@ class TestOrbitMerge:
         """A pair and a triple on one ray make a component whose count
         changes when its degrees move, unlike a lone pattern's; ray 4
         lies on no pattern."""
-        patterns = ((0, 1), (0, 2, 3))
+        patterns = PatternSet(5, ((0, 1), (0, 2, 3)))
         for e in itertools.product(range(3), repeat=5):
             for p in (2, 3):
                 assert (oracle._orbit_count(p, e, patterns)
-                        == count_unmerged(p, e, patterns)), (e, p)
+                        == count_unmerged(p, e, patterns.minimal)), (e, p)
 
     def test_merged_walk_matches_at_a_larger_prime(self, dp6):
         patterns = toric.pattern_set(dp6).minimal
@@ -427,8 +428,7 @@ class TestPatternCounts:
         """From cold caches, p1 at (2, 3) walks once; the pairs of p1xp1
         and bl1p2 read that count back, p2 with a ray of degree 0 is
         free rays only, and dp6 at (1, ..., 1) is one component."""
-        oracle._orbit_count.cache_clear()
-        oracle._component_count.cache_clear()
+        clear_caches()
         walks = []
         count = oracle._count
 
@@ -445,6 +445,29 @@ class TestPatternCounts:
         assert walks == [(2, 3)]
         ff_pattern_count(3, fans["dp6"], (1,) * 6)
         assert walks == [(2, 3), (1,) * 6]
+
+    def test_one_count_cache_holds_the_shared_pair(self, fans):
+        """From cold caches, counted by _orbit_count's cache with no
+        clock: p1 at (2, 3) is one entry, the pair at its orbit key.
+        p1xp1 and bl1p2, at keys of their own, each read that entry for
+        both of their pairs, and so does a lone pair at (3, 2) on rays
+        that no automorphism swaps, as its own orbit key is (2, 3)."""
+        clear_caches()
+        pair = pattern_set(fans["p1"])
+        line = ff_pattern_count(3, fans["p1"], (2, 3))
+        info = oracle._orbit_count.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        for name, e in (("p1xp1", (2, 3, 3, 2)), ("bl1p2", (3, 2, 2, 3))):
+            assert ff_pattern_count(3, fans[name], e) == line**2
+            before, info = info, oracle._orbit_count.cache_info()
+            assert info.misses - before.misses == 1, name
+            assert info.hits - before.hits == 2, name
+        assert oracle._orbit_count(3, (2, 3), pair) == line
+        assert oracle._orbit_count.cache_info().hits == info.hits + 1
+        mixed = PatternSet(5, ((0, 1), (0, 2, 3)))
+        assert oracle._orbit_count(3, (3, 2, 0, 1, 1), mixed) == line * 4**2
+        after = oracle._orbit_count.cache_info()
+        assert (after.misses, after.hits) == (info.misses + 1, info.hits + 2)
 
 
 def brute_automorphisms(nrays, patterns):
@@ -839,8 +862,7 @@ class TestOracleCompare:
         engine, with no box of dp6 cached, the degrees of each component
         in the memo of its own pattern set), and the same comparison
         again builds one degree vector and keys nothing."""
-        toric._orbit_keys.cache_clear()
-        eulerprod._shared_classes.cache_clear()
+        clear_caches()
         built, keyed = [], []
         post_init = DegreeVector.__post_init__
         orbit_key = toric._orbit_key
