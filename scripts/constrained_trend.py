@@ -19,7 +19,8 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toricurves.cli import _load_fan
+from toricurves.cli import _load_fan, _refusing
+from toricurves.errors import _int
 from toricurves.moduli import JetCondition, constrained_main_term
 from toricurves.oracle import JetSpec, ff_constrained_count, reduce_point
 from toricurves.toric import eff_dual_contains
@@ -28,20 +29,24 @@ from toricurves.toric import eff_dual_contains
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fan", help="fixture name or fan JSON path")
-    parser.add_argument("--p", type=int, default=3, help="prime (default 3)")
+    parser.add_argument("--p", type=_int, default=3, help="prime (default 3)")
     parser.add_argument("--point", default="1:1",
                         help="marked point x0:x1 (default 1:1)")
-    parser.add_argument("--order", type=int, default=0,
+    parser.add_argument("--order", type=_int, default=0,
                         help="jet order m (default 0)")
-    parser.add_argument("--kmax", type=int, default=3,
+    parser.add_argument("--kmax", type=_int, default=3,
                         help="diagonal degrees k*(1,...,1), k = 1..kmax")
-    parser.add_argument("--euler-order", type=int, default=16,
+    parser.add_argument("--euler-order", type=_int, default=16,
                         help="truncation order for the main term")
-    parser.add_argument("--budget", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("--budget", type=_int, default=None)
+    return _refusing(trend, parser.parse_args(argv))
 
+
+def trend(args):
     fan = _load_fan(args.fan)
-    pt = tuple(int(tok) for tok in args.point.split(":"))
+    pt = tuple(_int(tok) for tok in args.point.split(":"))
+    # the prime and the point are checked before anything is printed
+    jet = JetSpec.identity(fan.nrays, reduce_point(pt, args.p), args.order)
     jc = JetCondition.torus_point(pt, args.order)
     main_series = constrained_main_term(fan, jc, args.euler_order)
     main_value = main_series.known.evaluate(args.p)
@@ -49,7 +54,6 @@ def main(argv=None):
     print(f"value at p={args.p}: {main_value} "
           f"(~{float(main_value):.6f})")
 
-    jet = JetSpec.identity(fan.nrays, reduce_point(pt, args.p), args.order)
     print(f"{'k':>2}  {'degree sum':>10}  {'count':>12}  "
           f"{'normalized':>14}  {'gap':>12}  time")
     previous = None

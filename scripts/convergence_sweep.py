@@ -20,7 +20,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toricurves.cli import _load_fan
+from toricurves.cli import _load_fan, _nonnegative, _refusing
+from toricurves.errors import _int
 from toricurves.grothendieck import MINUS_INFINITY
 from toricurves.moduli import convergence_report
 from toricurves.toric import eff_dual_contains
@@ -42,17 +43,20 @@ def box_family(fan, top):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fan", help="fixture name or fan JSON path")
-    parser.add_argument("--order", type=int, default=12,
+    parser.add_argument("--order", type=_int, default=12,
                         help="Euler-product truncation order (default 12)")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--diagonal", type=int, metavar="K",
+    group.add_argument("--diagonal", type=_int, metavar="K",
                        help="degrees k*(1,...,1) for k = 1..K")
-    group.add_argument("--box", type=int, metavar="T",
+    group.add_argument("--box", type=_int, metavar="T",
                        help="all cone degrees with entries in [1, T]")
     parser.add_argument("--json", type=pathlib.Path, default=None,
                         help="also dump the reports to this file")
-    args = parser.parse_args(argv)
+    return _refusing(sweep, parser.parse_args(argv))
 
+
+def sweep(args):
+    _nonnegative("--order", args.order)
     fan = _load_fan(args.fan)
     if args.box is not None:
         degrees = list(box_family(fan, args.box))

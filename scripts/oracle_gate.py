@@ -5,8 +5,9 @@ Every configuration class and every map-space class within an entry
 box is evaluated at L = p and compared against the brute-force count.
 Any mismatch is a correctness bug somewhere between the Euler-product
 engine and the enumerative counter, so the script exits nonzero on the
-first discrepancy summary.  A count beyond the budget stops the gate
-with an error line and exit status 3, as the CLI does.
+first discrepancy summary.  Bad input, a count beyond the budget and a
+failed internal check stop the gate with an error line and exit status
+2, 3 or 4, as the CLI does.
 
     python scripts/oracle_gate.py                 # default box, p in {2,3}
     python scripts/oracle_gate.py --fans p3 --primes 5 7 --limit 2
@@ -21,11 +22,9 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from toricurves import FIXTURE_NAMES, fixture_fan
-from toricurves.cli import EXIT_BUDGET
-from toricurves.errors import BudgetError
-from toricurves.grothendieck import evaluate
-from toricurves.moduli import hom_class, pattern_config_class
-from toricurves.oracle import ff_hom_count, ff_pattern_count
+from toricurves.cli import _nonnegative, _refusing
+from toricurves.errors import _int
+from toricurves.oracle import oracle_compare
 from toricurves.toric import eff_dual_contains
 
 
@@ -37,50 +36,47 @@ def gate_fan(name, primes, limit, budget):
     start = time.perf_counter()
     for e in itertools.product(range(top + 1), repeat=fan.nrays):
         for p in primes:
-            brute = ff_pattern_count(p, fan, e, budget=budget)
-            predicted = evaluate(pattern_config_class(fan, e), p)
+            rep = oracle_compare(p, fan, e=e, budget=budget)
             n_config += 1
-            if brute != predicted:
-                mismatches.append(("config", e, p, brute, int(predicted)))
+            if not rep.equal:
+                mismatches.append(rep)
     for d in itertools.product(range(top + 1), repeat=fan.nrays):
         if not eff_dual_contains(fan, d):
             continue
         for p in primes:
-            brute = ff_hom_count(p, fan, d, budget=budget)
-            predicted = evaluate(hom_class(fan, d), p)
+            rep = oracle_compare(p, fan, d=d, budget=budget)
             n_hom += 1
-            if brute != predicted:
-                mismatches.append(("hom", d, p, brute, int(predicted)))
+            if not rep.equal:
+                mismatches.append(rep)
     elapsed = time.perf_counter() - start
     return n_config, n_hom, mismatches, elapsed
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fans", nargs="*", default=list(FIXTURE_NAMES),
+    parser.add_argument("--fans", nargs="+", default=list(FIXTURE_NAMES),
                         choices=FIXTURE_NAMES, metavar="FAN",
                         help="fixtures to gate (default: all)")
-    parser.add_argument("--primes", nargs="*", type=int, default=[2, 3])
-    parser.add_argument("--limit", type=int, default=None,
+    parser.add_argument("--primes", nargs="+", type=_int, default=[2, 3])
+    parser.add_argument("--limit", type=_int, default=None,
                         help="entry box top (default 3 for <=4 rays, else 2)")
-    parser.add_argument("--budget", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("--budget", type=_int, default=None)
+    return _refusing(gate, parser.parse_args(argv))
 
+
+def gate(args):
+    _nonnegative("--limit", args.limit)
     bad = 0
     for name in args.fans:
-        try:
-            n_config, n_hom, mismatches, elapsed = gate_fan(
-                name, args.primes, args.limit, args.budget
-            )
-        except BudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        n_config, n_hom, mismatches, elapsed = gate_fan(
+            name, args.primes, args.limit, args.budget
+        )
         verdict = "ok" if not mismatches else f"{len(mismatches)} MISMATCHES"
         print(f"{name:>6}: {n_config} config + {n_hom} hom counts "
               f"in {elapsed:6.1f}s  {verdict}")
-        for kind, vec, p, brute, predicted in mismatches[:5]:
-            print(f"        {kind} {vec} p={p}: brute {brute} "
-                  f"!= predicted {predicted}")
+        for rep in mismatches[:5]:
+            print(f"        {rep.kind} {rep.vector} p={rep.p}: brute "
+                  f"{rep.brute} != predicted {rep.predicted}")
         bad += len(mismatches)
     return 1 if bad else 0
 

@@ -430,13 +430,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _refusing(run, args) -> int:
+    """run(args), or the exit status of its refusal, after its error
+    line; the experiment scripts refuse through it too."""
     try:
-        if args.budget is not None:
-            # every command accepts --budget, so every command checks it
-            oracle_mod._resolve_budget(args.budget)
-        payload, text = args.func(args)
+        return run(args)
     except (BudgetError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -446,6 +444,13 @@ def main(argv=None) -> int:
     except (FanValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _respond(args) -> int:
+    if args.budget is not None:
+        # every command accepts --budget, so every command checks it
+        oracle_mod._resolve_budget(args.budget)
+    payload, text = args.func(args)
     try:
         print(_json_text(payload) if args.format == "json" else text)
         sys.stdout.flush()
@@ -456,6 +461,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return 0
+
+
+def main(argv=None) -> int:
+    return _refusing(_respond, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -57,15 +57,12 @@ P^2 alike.  Only a vector whose live patterns are the whole pattern set,
 in one component, builds a box; one box per pattern set and s is kept,
 of the largest side asked for, and it answers first any vector it holds.
 
-The same permutations keep every class of a uniform box, on either
-route, so classes are shared per orbit: once per pattern set, the
-pattern polynomial is built, each permutation listed and each swap of
-two twin rays is checked to map its terms onto themselves, and then one
-class is read per orbit, at its least vector (toric's _orbit_key, kept
-per pattern set in a memo the oracle's counts share).  Hom classes
-share only the class under them: moduli tests each degree against the
-dual effective cone, which these permutations need not keep.  Packed
-values never leave this module.
+The same permutations keep every class of a uniform box, so one class
+is read per orbit, at its least vector (toric's _orbit_keys, the memo
+the oracle's counts share, which checks each permutation and twin swap
+against the patterns).  Hom classes share only the class under them:
+moduli tests each degree against the dual effective cone, which these
+permutations need not keep.  Packed values never leave this module.
 """
 
 from __future__ import annotations
@@ -91,7 +88,6 @@ from .mobius import IntPoly, fan_mobius_polynomial, mobius_table
 from .toric import (
     Fan,
     PatternSet,
-    _Memo,
     _components,
     _orbit_keys,
     pattern_set,
@@ -686,8 +682,8 @@ def _config_terms(
     that toric's search lists (each keeps the primitive collections,
     hence the polynomial and U), and walks it lane by lane.  Among the
     pattern sets of the bundled fans only dp6's at side 2 and above
-    takes the walk.  Nothing here is cached: the polynomial is the one
-    _shared_classes keeps, and _class keeps the box beside the classes.
+    takes the walk.  Nothing here is cached: the polynomial is
+    mobius_table's, and _class keeps the box beside the classes.
 
     Width.  With mu = R * U, the class at e is the sum over k <= e of
     mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
@@ -702,7 +698,7 @@ def _config_terms(
     contradicts the bound.
     """
     n = patterns.nvars
-    poly = _shared_classes(patterns)[1]
+    poly = mobius_table(patterns)
     reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
     cap = SeriesCap.box_cap((side,) * n)
     keys, w, majorant, base, rest = _rest_factors(poly, s, cap, reach)
@@ -714,37 +710,16 @@ def _config_terms(
     if (side + 1) ** n <= limit or _support_size(base, keys, limit) <= limit:
         series = _read_product(keys, w, majorant, rest, _power(base, a, keys))
         return _ProductTerms(s, w, series)
-    perms = _orbit_keys(patterns).sym.perms  # those _shared_classes checks
+    perms = _orbit_keys(patterns).sym.perms  # checked by the memo
     return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_classes(patterns: PatternSet) -> tuple[_Memo, IntPoly, dict, dict]:
-    """The pattern set's orbit keys (toric's memo, shared with the
-    oracle), its pattern polynomial (mobius_table), a cache of its
-    configuration classes, {(s, orbit key): class}, and the one uniform
-    box kept per s, that of the largest side built, {s: (side, terms)}.
-
-    Each permutation the memo's search lists and each swap of two twin
-    rays, applied as ``_orbit_key`` relabels, f -> (f[perm[a]])_a, must
-    keep the terms of the pattern polynomial with their coefficients, or
-    InternalCheckError names it.  Every relabelling ``_orbit_key`` makes
-    is a product of these, so it keeps the polynomial, hence the Euler
-    product and, the box being uniform, every class.
-    """
-    n = patterns.nvars
-    keys = _orbit_keys(patterns)
-    sym = keys.sym
-    poly = mobius_table(patterns)
-    terms = poly.coeffs
-    swaps = [tuple(j if a == i else i if a == j else a for a in range(n))
-             for cls in sym.twins for i, j in zip(cls, cls[1:])]
-    for perm in (*sym.perms, *swaps):
-        if {tuple(map(f.__getitem__, perm)): c
-                for f, c in terms.items()} != terms:
-            raise InternalCheckError(
-                f"ray permutation {perm} does not keep the pattern polynomial")
-    return keys, poly, {}, {}
+def _shared_classes(patterns: PatternSet) -> tuple[dict, dict]:
+    """A cache of the pattern set's configuration classes, {(s, orbit
+    key): class}, and the one uniform box kept per s, that of the
+    largest side built, {s: (side, terms)}."""
+    return {}, {}
 
 
 def _zeta(s: int, j: int) -> LaurentClass:
@@ -759,8 +734,8 @@ def _zeta(s: int, j: int) -> LaurentClass:
 
 def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
     """config_class for a pattern set, cached per (s, orbit key of e)."""
-    keys, _, classes, boxes = _shared_classes(patterns)
-    key = keys[e]
+    classes, boxes = _shared_classes(patterns)
+    key = _orbit_keys(patterns)[e]
     cls = classes.get((s, key))
     if cls is not None:
         return cls
@@ -789,18 +764,10 @@ def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
 def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
     """The t^e coefficient of the valid fan's Euler product times one
     zeta factor per ray, read back at L = 2^w under the bound that fixes
-    w.
-
-    Classes are cached per pattern set and orbit of its automorphisms,
-    at the orbit key of e (_shared_classes).  On a miss, the one box
-    kept for the pattern set and s gives the class if its side is at
-    least max(key).  Otherwise the key splits (toric's _components): a
-    ray of degree 0 gives 1, a ray on no live pattern its zeta
-    coefficient (_zeta), and each component of the live patterns its own
-    class at its own orbit key, as a pattern set of its own, and so
-    shared across vectors and fans.  Only a key whose live patterns are
-    the whole pattern set, in one component, builds a box
-    (_config_terms), of side max(key), in place of the kept one, which
-    is dropped first.
+    w.  Cached per pattern set and orbit key of e (toric's _orbit_keys);
+    on a miss it is read from the box kept for the pattern set and s
+    when that holds the key, else as a product over the key's split
+    (module docstring), and only a key that does not split builds a box
+    (_config_terms), of side max(key), in place of the kept one.
     """
     return _class(pattern_set(fan), e, s)

@@ -3,8 +3,8 @@
 The indicator of "support contains no primitive collection" on 0/1-vectors
 is inverted over the coordinatewise order.  By inclusion-exclusion this is
 the product of (1 - x^J) over the primitive collections J in the ring where
-x^a * x^b = x^(a | b); it is the local factor P(t) that the Euler-product
-engine and the configuration classes read.
+x^a * x^b = x^(a | b), the local factor P(t) of the Euler-product engine
+and the configuration classes, cached per pattern set in mobius_table.
 """
 
 from __future__ import annotations
@@ -93,8 +93,10 @@ class IntPoly:
         return f"IntPoly({self.nvars}, {len(self._c)} terms)"
 
 
+@functools.lru_cache(maxsize=8)
 def mobius_table(patterns: PatternSet) -> IntPoly:
-    """Invert the not-above-the-pattern-set indicator on 0/1-vectors.
+    """Invert the not-above-the-pattern-set indicator on 0/1-vectors,
+    cached for the last few pattern sets: the package's one cache of P.
 
     mu is the product of (1 - x^J) over the primitive collections J, with
     x^a * x^b = x^(a | b): each factor subtracts the current table shifted
@@ -118,9 +120,8 @@ def mobius_table(patterns: PatternSet) -> IntPoly:
                         for m, v in mu.items()})
 
 
-@functools.lru_cache(maxsize=8)
 def fan_mobius_polynomial(fan: Fan) -> IntPoly:
-    """The fan's local factor P, cached for the last few fans."""
+    """The fan's local factor P, from mobius_table's cache."""
     return mobius_table(pattern_set(fan))
 
 

@@ -38,14 +38,14 @@ onto those that avoid their images, the same patterns.  Each degree
 vector is counted as the least vector of its orbit over the
 automorphisms that a bounded search finds, once per process; a search
 that misses some only shares fewer counts.  The search, the orbit key
-and a memo of the keys per pattern set live in toric.  The engine takes
-the same automorphisms to pull one cell per orbit of its dense box, and
-the same memo to read back one configuration class per orbit, each
-permutation checked against the pattern polynomial before its first
-class, so a comparison cannot agree on a value shared under a wrong
-automorphism.  The counts here still share no series code
-with the engine, whose hom classes still test each degree against the
-dual effective cone, which the automorphisms need not keep.
+and a memo of the keys per pattern set live in toric; the memo checks
+each permutation against the patterns before its first key.  The
+engine takes the same automorphisms to pull one cell per orbit of its
+dense box, and the same memo to read back one configuration class per
+orbit, so neither side shares a value under a wrong automorphism.  The
+counts here still share no series code with the engine, whose hom
+classes still test each degree against the dual effective cone, which
+the automorphisms need not keep.
 
 The plain count of an orbit key is a product: a tuple avoids the
 patterns when each pattern's forms do, which only links rays that
@@ -507,8 +507,11 @@ def reduce_point(pt: Sequence[int], p: int) -> int | None:
     """Reduce a primitive (x0, x1) point of P^1(Q) modulo p.
 
     Returns the affine value x1/x0 in F_p, or None for the point at
-    infinity [0:1].
+    infinity [0:1].  The prime is checked first, for Fermat's inverse.
     """
+    _check_prime(p)
+    if len(pt) != 2:
+        raise ValueError(f"point {tuple(pt)} does not have two coordinates")
     x0, x1 = (_integer(x, "point coordinate") % p for x in pt)
     if x0:
         return (x1 * pow(x0, p - 2, p)) % p

@@ -10,11 +10,11 @@ determinants, and a point lies in a cone by Cramer's rule.  The caches of
 the package are keyed by the fan or by its pattern set, each of which
 takes the hash of its fields once and keeps it.  The search for the
 pattern automorphisms and the orbit key of a degree vector live here,
-with one memo of the keys per pattern set (_orbit_keys) that the oracle
-and the engine share, so each vector is keyed once per process.  So does
-the split of a vector's live patterns into connected components, each
-a pattern set of its own (_components), by which both read a count or
-a class as a product.
+with one memo of the keys per pattern set (_orbit_keys), which checks
+the automorphisms, shared by the oracle and the engine.  So does the
+split of a vector's live patterns into connected components, each a
+pattern set of its own (_components), by which both read a count or a
+class as a product.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .errors import FanValidationError, LimitError, _integer, _is_int
+from .errors import (FanValidationError, InternalCheckError, LimitError,
+                     _integer, _is_int)
 from .grothendieck import LaurentClass
 
 MAX_RAYS = 24
@@ -479,8 +480,25 @@ def _orbit_keys(patterns: PatternSet) -> _Memo:
     """{e: _orbit_key(e, sym)} for the degree vectors of a pattern set,
     each key computed on first use, with the automorphisms the search
     lists kept as ``sym``.  One memo per pattern set: the oracle and the
-    engine share it, so each vector is keyed once per process."""
+    engine share it, so each vector is keyed once per process.
+
+    Each listed permutation and each swap of two twin rays must map the
+    patterns onto themselves, or InternalCheckError names it; every
+    relabelling ``_orbit_key`` makes is a product of these.  This is as
+    strong as a check of P = prod_J (1 - x^J) (mobius): the collections
+    J form an antichain, so the terms of P of minimal support are the
+    -x^J, and P is built from them, so a permutation keeps P exactly
+    when it keeps the patterns.
+    """
     sym = _symmetries(patterns.nvars, patterns.minimal)
+    masks = {sum(1 << a for a in pat) for pat in patterns.minimal}
+    swaps = [tuple(j if a == i else i if a == j else a
+                   for a in range(patterns.nvars))
+             for cls in sym.twins for i, j in itertools.combinations(cls, 2)]
+    for perm in (*sym.perms, *swaps):
+        if {sum(1 << perm[a] for a in pat) for pat in patterns.minimal} != masks:
+            raise InternalCheckError(
+                f"ray permutation {perm} does not keep the patterns")
     keys = _Memo(partial(_orbit_key, sym=sym))
     keys.sym = sym
     return keys

@@ -623,18 +623,13 @@ def test_orbit_power_with_part_of_the_group(dp6, polygon_document):
                     == dense_power_by_cells(base, a, keys)), side
 
 
-def test_orbit_power_checks_each_permutation(dp6, monkeypatch):
+def test_orbit_power_checks_each_permutation(dp6):
     """A permutation that does not keep the pattern polynomial is refused
     before any cell is shared: swapping two adjacent rays of the hexagon
-    moves the term of the pattern {0, 2}."""
-    # the pattern polynomial, built and checked before the patch
-    eulerprod._shared_classes(toric.pattern_set(dp6))
+    moves the term of the pattern {0, 2}.  Called directly, past the
+    check of the orbit-key memo."""
     found = toric._symmetries(6, toric.pattern_set(dp6).minimal)
-    swap = (1, 0, 2, 3, 4, 5)
-    monkeypatch.setattr(
-        toric, "_symmetries",
-        lambda nrays, patterns: found._replace(perms=found.perms + (swap,)))
-    # the memo uncached, so that no cached memo holds the patched search
-    monkeypatch.setattr(eulerprod, "_orbit_keys", toric._orbit_keys.__wrapped__)
+    base, a, keys = _power_inputs(dp6, 0, 2)
+    perms = found.perms + ((1, 0, 2, 3, 4, 5),)
     with pytest.raises(InternalCheckError, match=r"permutation \(1, 0,"):
-        eulerprod._config_terms(toric.pattern_set(dp6), 0, 2)
+        _dense_power(base, a, keys, perms)

@@ -30,7 +30,7 @@ from toricurves.grothendieck import (
     unpack_class,
 )
 from toricurves.eulerprod import euler_product_p1, global_mobius
-from toricurves.mobius import IntPoly
+from toricurves.mobius import IntPoly, mobius_table
 from toricurves.toric import eff_dual_contains, pattern_set
 from toricurves.moduli import (
     DegreeVector,
@@ -332,20 +332,33 @@ def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
 
 def test_one_pattern_polynomial_per_pattern_set(
         dp6, monkeypatch, cold_config_cache):
-    """Counted by the calls, with no clock: from cold caches, the class
-    of dp6 at (2, ..., 2) builds the pattern polynomial once, where
-    _shared_classes checks the permutations, and its box builds none."""
-    polys, boxes = [], []
-    poly, box = eulerprod.mobius_table, eulerprod._config_terms
-    monkeypatch.setattr(eulerprod, "mobius_table",
-                        lambda pats: polys.append(pats) or poly(pats))
+    """Counted by mobius_table's cache, with no clock: from cold caches,
+    the class of dp6 at (2, ..., 2) builds the pattern polynomial once,
+    for its one box, and a second box builds none."""
+    boxes = []
+    box = eulerprod._config_terms
     monkeypatch.setattr(eulerprod, "_config_terms",
                         lambda *args: boxes.append(args[1:]) or box(*args))
     patterns = toric.pattern_set(dp6)
     pattern_config_class(dp6, (2,) * 6)
-    assert polys == [patterns] and boxes == [(0, 2)]
+    info = mobius_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and boxes == [(0, 2)]
     box(patterns, 1, 3)
-    assert polys == [patterns]
+    mobius_table(patterns)
+    assert mobius_table.cache_info().misses == 1
+
+
+def test_product_fans_build_no_whole_pattern_polynomial(
+        fans, monkeypatch, cold_config_cache):
+    """Counted by the calls, with no clock: from cold caches, the class
+    of dp6 x dp6 at (2, ..., 2) splits into two dp6 components and
+    builds no pattern polynomial in 12 variables."""
+    built = []
+    build = mobius_table
+    monkeypatch.setattr(eulerprod, "mobius_table",
+                        lambda pats: built.append(pats.nvars) or build(pats))
+    hom_class(fan_product(fans["dp6"], fans["dp6"]), (2,) * 12)
+    assert built == [6] and mobius_table.cache_info().misses == 1
 
 
 def test_one_box_per_pattern_set_and_s(dp6, monkeypatch, cold_config_cache):
@@ -356,7 +369,7 @@ def test_one_box_per_pattern_set_and_s(dp6, monkeypatch, cold_config_cache):
     once."""
     built = []
     build = eulerprod._config_terms
-    boxes = eulerprod._shared_classes(toric.pattern_set(dp6))[3]
+    boxes = eulerprod._shared_classes(toric.pattern_set(dp6))[1]
 
     def counted(patterns, s, side):
         built.append((side, s in boxes))
@@ -387,8 +400,8 @@ def test_hom_classes_keep_the_cone_test_per_degree():
 def test_shared_classes_check_each_permutation(
         p1xp1, monkeypatch, capsys, cold_config_cache):
     """p1xp1 takes the product route; a listed permutation that does not
-    keep the pattern polynomial is refused before any class is shared:
-    (0 2) moves the term of the pattern {0, 1}."""
+    keep the patterns is refused by the orbit-key memo before any class
+    is shared: (0 2) moves the pattern {0, 1}."""
     found = toric._symmetries(4, toric.pattern_set(p1xp1).minimal)
     swap = (2, 1, 0, 3)
     monkeypatch.setattr(
@@ -399,6 +412,30 @@ def test_shared_classes_check_each_permutation(
     assert main(["hom", "p1xp1", "--degree", "1,1,1,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == "" and "(2, 1, 0, 3)" in captured.err
+
+
+@pytest.mark.parametrize("field, bogus", [
+    ("perms", ((0, 1, 2, 3), (2, 3, 0, 1), (2, 1, 0, 3))),
+    ("twins", ((0, 2), (1, 3))),
+])
+def test_orbit_keys_refuse_a_bogus_automorphism(
+        p1xp1, monkeypatch, cold_config_cache, field, bogus):
+    """With the permutation (0 2), listed or as a twin swap, the count
+    and the class both refuse, where the count once shared 36 for the 42
+    tuples at (1, 1, 0, 2): the memo of the keys, which the oracle and
+    the engine share, checks every permutation and twin swap."""
+    search = toric._symmetries
+    whole = toric.pattern_set(p1xp1).minimal
+    bad = search(4, whole)._replace(**{field: bogus})
+    # the components, pairs, keep their own search
+    monkeypatch.setattr(
+        toric, "_symmetries",
+        lambda nrays, patterns: bad if patterns == whole
+        else search(nrays, patterns))
+    with pytest.raises(InternalCheckError, match=r"\(2, 1, 0, 3\)"):
+        oracle.ff_pattern_count(2, p1xp1, (1, 1, 0, 2))
+    with pytest.raises(InternalCheckError, match=r"\(2, 1, 0, 3\)"):
+        pattern_config_class(p1xp1, (1, 1, 0, 2))
 
 
 def convergence_families(fans):

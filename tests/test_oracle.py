@@ -803,6 +803,21 @@ class TestReducePoint:
                            match=f"point coordinate {bad} is not an integer"):
             reduce_point(pt, 3)
 
+    @pytest.mark.parametrize("p,bad", [
+        (0, "prime must be one of"), (2.0, "prime 2.0 is not an integer"),
+        (4, "prime must be one of"), (True, "prime True is not an integer"),
+    ])
+    def test_checks_the_prime_first(self, p, bad):
+        """p = 0 divided by zero, 2.0 failed inside pow(), and 4 gave 1:
+        Fermat's inverse holds for a prime modulus only."""
+        with pytest.raises(ValueError, match=bad):
+            reduce_point((3, 1), p)
+
+    @pytest.mark.parametrize("pt", [(1, 1, 1), (1,), ()])
+    def test_refuses_a_point_without_two_coordinates(self, pt):
+        with pytest.raises(ValueError, match="does not have two coordinates"):
+            reduce_point(pt, 3)
+
 
 class TestOracleCompare:
     def test_config_kind(self, p2):

@@ -1,12 +1,16 @@
 """Smoke tests: each experiment script runs to its success line or
 refuses with an error line."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from toricurves.cli import EXIT_INTERNAL
+from toricurves.errors import InternalCheckError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -61,3 +65,60 @@ def test_oracle_gate_refuses_beyond_the_budget():
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("oracle_gate.py", ["--primes", "11"], "error: prime must be one of"),
+    ("oracle_gate.py", ["--budget", "-1"], "error: budget -1 from"),
+    ("oracle_gate.py", ["--fans", "p1", "--limit", "-1"],
+     "error: --limit must be nonnegative"),
+    ("constrained_trend.py", ["p2", "--p", "4"], "error: prime must be one of"),
+    ("constrained_trend.py", ["p2", "--point", "1:1:1"],
+     "error: point (1, 1, 1) does not have two coordinates"),
+    ("constrained_trend.py", ["nowhere"], "error: cannot read fan description"),
+    ("convergence_sweep.py", ["p2", "--order", "-1"],
+     "error: --order must be nonnegative"),
+    ("convergence_sweep.py", ["nowhere"], "error: cannot read fan description"),
+])
+def test_script_refuses_bad_input(script, args, message):
+    """Each ended in a traceback with exit status 1; now each refuses as
+    the CLI does, with its error line, exit status 2 and no output."""
+    proc = run_script(script, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(message), proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("oracle_gate.py", ["--fans"], "expected at least one argument"),
+    ("oracle_gate.py", ["--primes"], "expected at least one argument"),
+    ("oracle_gate.py", ["--fans", "nowhere"], "invalid choice: 'nowhere'"),
+    ("oracle_gate.py", ["--budget", "1_0"], "invalid int value: '1_0'"),
+    ("constrained_trend.py", ["p2", "--p", "3_0"], "invalid int value: '3_0'"),
+    ("convergence_sweep.py", ["p2", "--order", " 4"], "invalid int value"),
+])
+def test_script_refuses_bad_options(script, args, message):
+    """An empty --fans or --primes gated nothing and printed "ok", and
+    int() read "1_0" as 10: argparse now refuses each."""
+    proc = run_script(script, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_oracle_gate_fails_its_internal_checks_as_the_cli_does(
+        monkeypatch, capsys):
+    """A failed internal check exits 4 with the CLI's line."""
+    spec = importlib.util.spec_from_file_location(
+        "oracle_gate", ROOT / "scripts" / "oracle_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+
+    def tripwire(*args, **kwargs):
+        raise InternalCheckError("gate tripwire")
+
+    monkeypatch.setattr(gate, "oracle_compare", tripwire)
+    assert gate.main(["--fans", "p1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: gate tripwire\n"
