@@ -11,7 +11,6 @@ shrink as the minimal degree grows.
     python scripts/constrained_trend.py p1 --p 5 --point 0:1 --order 1
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toricurves.cli import _load_fan, _refusing
+from toricurves.cli import _load_fan, _Parser, _refusing
 from toricurves.errors import _int
 from toricurves.moduli import JetCondition, constrained_main_term
 from toricurves.oracle import JetSpec, ff_constrained_count, reduce_point
@@ -27,7 +26,7 @@ from toricurves.toric import eff_dual_contains
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("fan", help="fixture name or fan JSON path")
     parser.add_argument("--p", type=_int, default=3, help="prime (default 3)")
     parser.add_argument("--point", default="1:1",

@@ -12,7 +12,6 @@ Typical runs:
     python scripts/convergence_sweep.py dp6 --box 3 --order 12 --json out.json
 """
 
-import argparse
 import itertools
 import json
 import pathlib
@@ -20,7 +19,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toricurves.cli import _load_fan, _nonnegative, _refusing
+from toricurves.cli import _load_fan, _nonnegative, _Parser, _refusing
 from toricurves.errors import _int
 from toricurves.grothendieck import MINUS_INFINITY
 from toricurves.moduli import convergence_report
@@ -41,7 +40,7 @@ def box_family(fan, top):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("fan", help="fixture name or fan JSON path")
     parser.add_argument("--order", type=_int, default=12,
                         help="Euler-product truncation order (default 12)")

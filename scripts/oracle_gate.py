@@ -13,7 +13,6 @@ failed internal check stop the gate with an error line and exit status
     python scripts/oracle_gate.py --fans p3 --primes 5 7 --limit 2
 """
 
-import argparse
 import itertools
 import pathlib
 import sys
@@ -22,7 +21,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from toricurves import FIXTURE_NAMES, fixture_fan
-from toricurves.cli import _nonnegative, _refusing
+from toricurves.cli import _nonnegative, _Parser, _refusing
 from toricurves.errors import _int
 from toricurves.oracle import oracle_compare
 from toricurves.toric import eff_dual_contains
@@ -53,7 +52,7 @@ def gate_fan(name, primes, limit, budget):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--fans", nargs="+", default=list(FIXTURE_NAMES),
                         choices=FIXTURE_NAMES, metavar="FAN",
                         help="fixtures to gate (default: all)")

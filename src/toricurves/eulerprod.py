@@ -307,7 +307,7 @@ def _rest_factors(
     at most reach.  Each factor F^(a_d) is one pass of _power, at the
     integer point count a_d(2^width).
     """
-    if s < 0:
+    if _integer(s, "removed point count") < 0:
         raise ValueError("removed point count must be nonnegative")
     nvars = len(cap.box)
     coeffs_in: dict[tuple[int, ...], int] = {}
@@ -511,14 +511,6 @@ def _checked_mobius(series: MultiSeries) -> dict[tuple[int, ...], LaurentClass]:
     return values
 
 
-@functools.lru_cache(maxsize=None)
-def _global_mobius(
-    fan: Fan, s: int, cap: SeriesCap
-) -> dict[tuple[int, ...], LaurentClass]:
-    table = _checked_mobius(euler_product_p1(fan_mobius_polynomial(fan), s, cap))
-    return dict(sorted(table.items(), key=lambda kv: (sum(kv[0]), kv[0])))
-
-
 def global_mobius(
     fan: Fan, s: int = 0, cap: SeriesCap | None = None
 ) -> dict[tuple[int, ...], LaurentClass]:
@@ -526,13 +518,13 @@ def global_mobius(
     {e: mu(e)} over the nonzero ones, in order of (|e|, e).
 
     The cap defaults to the total-degree simplex of order twice the ray
-    count, enough for every bundled example; results are cached per
-    (fan, s, cap) and shared, so callers must not change them.
+    count, enough for every bundled example.
     """
     require_valid(fan)
     if cap is None:
         cap = SeriesCap.total_cap(fan.nrays, 2 * fan.nrays)
-    return _global_mobius(fan, s, cap)
+    table = _checked_mobius(euler_product_p1(fan_mobius_polynomial(fan), s, cap))
+    return dict(sorted(table.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
 
 def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:

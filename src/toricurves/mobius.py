@@ -79,10 +79,6 @@ class IntPoly:
     def _by_degree(self):
         return sorted(self._c.items(), key=lambda t: (sum(t[0]), t[0]))
 
-    def to_json(self) -> dict:
-        return {"terms": [{"exp": list(e), "coeff": v}
-                          for e, v in self._by_degree()]}
-
     def __str__(self):
         return _signed_sum(
             ("*".join(f"t{i + 1}" if x == 1 else f"t{i + 1}^{x}"

@@ -130,6 +130,8 @@ class JetCondition:
         object.__setattr__(self, "points", tuple(canon))
         if not isinstance(self.W_class, LaurentClass):
             raise ValueError("W_class must be a LaurentClass")
+        if _integer(self.W_dim, "W_dim") < 0:
+            raise ValueError("W_dim must be nonnegative")
 
     @classmethod
     def empty(cls) -> "JetCondition":

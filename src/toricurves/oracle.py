@@ -23,7 +23,9 @@ whose roots among the tracked points are a given set comes from the
 zeta function of P^1, and depends only on how many points of each
 degree the set holds.  Their walk therefore also keeps one state per
 orbit of the points under the permutations that keep degrees, [0:1]
-counting as a rational point, with the orbit's summed count.
+counting as a rational point, with the orbit's summed count.  The orbit
+is read off bit counts: the points of each degree are split by the
+state's masks, and the orbit is how many points each part holds.
 Jet-constrained counts key each form by its mask and its jet
 relative to the target, and keep a final state when every character of
 the dense torus takes the value 1 on its jets.  A budget guard refuses
@@ -199,7 +201,6 @@ def _root_masks(p: int, e: int, k: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@functools.lru_cache(maxsize=None)
 def _class_sizes(p: int, k: int) -> tuple[int, ...]:
     """The number of points of each degree 1, ..., k that masks track.
 
@@ -286,26 +287,30 @@ def _orbit_reps(p: int, k: int) -> _Memo:
     (``_mask_counts``) and commutes with the fold and the step, so the
     groups of one orbit have equal continuations.  A point's column is
     whether the forbidden mask and each carried AND hold it, and a
-    group's orbit is its columns with those of each degree class sorted.
-    Masks hold no bit above the tracked points, so the bits there, as in
-    the all-ones entries, are never read.  The first group seen stands
-    for its orbit; the same groups recur across counts, so each is
-    looked at once per process.
+    group's orbit is how many points of each degree class have each
+    column: each class's bits are split by the forbidden mask, then by
+    each carried AND, and the orbit is the number of carried ANDs with
+    the (split path, point count) of every nonempty part.  A path is
+    the class index with one bit per mask after it, so it tells which
+    class a part is in only among groups of as many masks: the number is
+    kept since one memo serves every step of every count.  The parts
+    start inside the tracked points, so the bits above them, as in the
+    all-ones entries, are never read.  The first group seen stands for
+    its orbit; the same groups recur across counts, so each is looked
+    at once per process.
     """
-    sizes = _class_sizes(p, k)
-    width = sum(sizes)
-    tracked, fmt = (1 << width) - 1, f"0{width}b"
-    # the binary string of a mask lists bit width - 1 first
-    spans = [(width - b, width - a) for a, b in
-             itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+    classes = [(1 << b) - (1 << a) for a, b in itertools.pairwise(
+        itertools.accumulate(_class_sizes(p, k), initial=0))]
     first: dict = {}
 
     def rep(group):
         forbidden, carried, _ = group
-        columns = list(map("".join, zip(*[format(m & tracked, fmt)
-                                          for m in (forbidden, *carried)])))
-        orbit = "".join(itertools.chain(
-            *[sorted(columns[a:b]) for a, b in spans]))
+        parts = list(enumerate(classes))
+        for m in (forbidden, *carried):
+            parts = [(2 * path + side, bits) for path, part in parts
+                     for side, bits in ((1, part & m), (0, part & ~m)) if bits]
+        orbit = len(carried), tuple((path, bits.bit_count())
+                                    for path, bits in parts)
         return first.setdefault(orbit, group)
 
     return _Memo(rep)

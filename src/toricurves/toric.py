@@ -57,10 +57,6 @@ class Fan:
     def nrays(self) -> int:
         return len(self.rays)
 
-    def to_json(self) -> dict:
-        return {"rays": [list(r) for r in self.rays],
-                "max_cones": [list(c) for c in self.max_cones]}
-
 
 @dataclass(frozen=True)
 class FanReport:
@@ -284,7 +280,6 @@ def require_valid(fan: Fan) -> FanReport:
 # derived data
 
 
-@lru_cache(maxsize=None)
 def _faces(fan: Fan) -> frozenset[int]:
     """Every cone of the fan as a ray bitmask (bit i = ray i).
 
@@ -322,7 +317,6 @@ def class_of_variety(fan: Fan) -> LaurentClass:
     return total
 
 
-@lru_cache(maxsize=None)
 def picard_rank(fan: Fan) -> int:
     """Rank of the Picard group: nrays - dim for a smooth complete fan
     (Cox-Little-Schenck, Toric Varieties, Thm 4.1.3)."""

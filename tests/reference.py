@@ -6,10 +6,11 @@ Gauss-Jordan elimination, the Picard projection, the torsor
 class by counting zero sets, the Mobius values grouped by subgraph
 shape, the Euler factors by the binomial expansion, common roots of
 binary forms by a gcd, oracle counts by the walk without its orbit
-merge over forms listed one by one, the punctured-line zeta
+merge over forms listed one by one, the orbit of a walk's group by
+binary strings, the punctured-line zeta
 coefficients from their closed form, configuration classes from the
 uniform box of the fan's whole pattern set) or builds test inputs
-(product fans, effective degrees).  ``clear_caches`` empties every cache
+(fan documents, product fans, effective degrees).  ``clear_caches`` empties every cache
 of the library, for tests that count work from cold caches.
 """
 
@@ -80,6 +81,12 @@ def cone_ray_sets(fan: Fan) -> list[frozenset[int]]:
 def lies_above(patterns: PatternSet, m) -> bool:
     """Does supp(m) contain some minimal member of the pattern set?"""
     return any(all(m[i] > 0 for i in J) for J in patterns.minimal)
+
+
+def fan_document(fan: Fan) -> dict:
+    """The fan as the JSON document that parse_fan reads."""
+    return {"rays": [list(r) for r in fan.rays],
+            "max_cones": [list(c) for c in fan.max_cones]}
 
 
 def fan_product(f1: Fan, f2: Fan) -> Fan:
@@ -391,6 +398,24 @@ def count_unmerged(p, degrees, patterns, tag=None, weight=None) -> int:
 
 # ---------------------------------------------------------------------------
 # series and classes
+
+
+def string_orbit_key(p: int, k: int, group) -> str:
+    """The orbit of a plain count's group under the permutations of the
+    points of degree at most k that keep degrees, as binary strings: each
+    mask written with one character per tracked point, the strings zipped
+    into one column per point, and the columns of each degree class
+    sorted and joined."""
+    sizes = oracle._class_sizes(p, k)
+    width = sum(sizes)
+    tracked, fmt = (1 << width) - 1, f"0{width}b"
+    # the binary string of a mask lists bit width - 1 first
+    spans = [(width - b, width - a) for a, b in
+             itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+    forbidden, carried, _ = group
+    columns = list(map("".join, zip(*[format(m & tracked, fmt)
+                                      for m in (forbidden, *carried)])))
+    return "".join(itertools.chain(*[sorted(columns[a:b]) for a, b in spans]))
 
 
 def laurent_from_json(doc: dict) -> LaurentClass:

@@ -13,6 +13,7 @@ import toricurves
 from reference import (
     binomial_factors,
     clear_caches,
+    fan_document,
     fan_product,
     laurent_from_json,
 )
@@ -584,7 +585,7 @@ def test_json_is_printed_as_the_indented_dump(
     output is still json.dumps(payload, indent=2), byte for byte."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dp6xdp6.json").write_text(
-        json.dumps(fan_product(dp6, dp6).to_json()))
+        json.dumps(fan_document(fan_product(dp6, dp6))))
     argv = [*argv, "--format", "json"]
     args = cli.build_parser().parse_args(argv)
     payload, _ = args.func(args)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference import (
+    fan_document,
     fan_product,
     lies_above,
     mu_grouped_by_subgraph,
@@ -169,7 +170,7 @@ def test_mobius_listing_matches_subset_sums(fans, polygon_document,
             assert mu.get(n, 0) == v, (name, n)
         assert set(mu) <= {n for n, _ in want}, name
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(fan.to_json()))
+        path.write_text(json.dumps(fan_document(fan)))
         listing = [{"n": list(n), "mu": v} for n, v in want]
         for command in ("analyze", "mobius"):
             assert main([command, str(path), "--format", "json"]) == 0

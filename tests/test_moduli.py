@@ -1,5 +1,6 @@
 """Moduli classes, the limiting constant, and convergence reports."""
 
+import functools
 import itertools
 import logging
 import random
@@ -29,8 +30,12 @@ from toricurves.grothendieck import (
     SeriesCap,
     unpack_class,
 )
-from toricurves.eulerprod import euler_product_p1, global_mobius
-from toricurves.mobius import IntPoly, mobius_table
+from toricurves.eulerprod import (
+    euler_product_at_Linv,
+    euler_product_p1,
+    global_mobius,
+)
+from toricurves.mobius import IntPoly, fan_mobius_polynomial, mobius_table
 from toricurves.toric import eff_dual_contains, pattern_set
 from toricurves.moduli import (
     DegreeVector,
@@ -65,11 +70,18 @@ def open_curve_config_series(fan, cap, s=0):
     return euler_product_p1(IntPoly(fan.nrays, coeffs), s, cap)
 
 
+@functools.cache
+def box_mobius(fan, s, top):
+    """The global Mobius table in the box of side top, once per test run
+    and not once per exponent, as the library keeps no copy of it."""
+    return global_mobius(fan, s, SeriesCap.box_cap((top,) * fan.nrays))
+
+
 def direct_config_class(fan, e, s=0):
     """Reference route: convolve the box-capped global Mobius table with
     one punctured-line zeta coefficient per ray, exponent by exponent."""
     top = max(e) if e else 0
-    table = global_mobius(fan, s, SeriesCap.box_cap((top,) * len(e)))
+    table = box_mobius(fan, s, top)
     zeta = zeta_p1_coeffs(s, top)
     acc = ZERO
     for prior, mu in table.items():
@@ -127,11 +139,19 @@ class TestConfigClasses:
             pattern_config_class(p2, (1, 1))
 
     @pytest.mark.parametrize("s", [True, 1.5, 1.0, "1"])
-    def test_refuses_a_point_count_that_is_not_an_integer(self, p2, s):
-        # True used to give the s = 1 class
+    def test_refuses_a_point_count_that_is_not_an_integer(self, p1, p2, s):
+        # True used to give the s = 1 class, and the engine's s = 1
+        # coefficients; 1.5 raised TypeError in the engine
         pattern_config_class(p2, (1, 1, 1), 1)
-        with pytest.raises(ValueError, match=f"count {s!r} is not an integer"):
-            pattern_config_class(p2, (1, 1, 1), s)
+        global_mobius(p1, 1)
+        P, cap = fan_mobius_polynomial(p1), SeriesCap.total_cap(2, 4)
+        for route in (lambda: pattern_config_class(p2, (1, 1, 1), s),
+                      lambda: global_mobius(p1, s),
+                      lambda: euler_product_p1(P, s, cap),
+                      lambda: euler_product_at_Linv(p1, s, 4)):
+            with pytest.raises(ValueError,
+                               match=f"count {s!r} is not an integer"):
+                route()
 
     def test_series_matches_per_degree_classes(self, p1xp1):
         cap = SeriesCap.box_cap((2, 2, 2, 2), total=4)
@@ -639,6 +659,17 @@ class TestJetCondition:
     def test_w_class_type_enforced(self):
         with pytest.raises(ValueError):
             JetCondition((((1, 0), 0),), 1, 0)
+
+    @pytest.mark.parametrize("dim, message", [
+        (1.5, "W_dim 1.5 is not an integer"),
+        (True, "W_dim True is not an integer"),
+        ("1", "W_dim '1' is not an integer"),
+        (-3, "W_dim must be nonnegative"),
+    ])
+    def test_w_dim_must_be_a_nonnegative_integer(self, dim, message):
+        # 1.5 and -3 were kept as the dimension of the allowed locus
+        with pytest.raises(ValueError, match=message):
+            JetCondition((((1, 0), 0),), ONE, dim)
 
     def test_validate_against_dimension_budget(self, p2):
         bad = JetCondition((((1, 0), 0),), ONE, 5)

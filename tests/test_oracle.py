@@ -6,6 +6,7 @@ raw itertools enumeration over coefficient vectors, jets by the Taylor
 formula written out directly.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from reference import (
     count_unmerged,
     fan_product,
     picard_projection,
+    string_orbit_key,
 )
 from toricurves.toric import PatternSet, parse_fan, pattern_set, picard_rank
 from toricurves.moduli import DegreeVector, hom_class, pattern_config_class
@@ -249,6 +251,51 @@ class TestOrbitMerge:
         reps = oracle._orbit_reps(2, 2)
         assert reps[0b0001, (), ()] is reps[0b0100, (), ()]
         assert reps[0b0001, (), ()] != reps[0b1000, (), ()]
+
+    def test_groups_with_different_numbers_of_masks_never_share_a_key(
+            self, monkeypatch):
+        """One memo per (p, k) serves every step of every count, and a
+        split path names the degree class of a part only among groups of
+        as many masks: without their number, the first group below
+        stood for the second, and the triangle's count read 0."""
+        reps = oracle._orbit_reps.__wrapped__(2, 1)
+        assert reps[0, (), ()] != reps[0, (0,), ()]
+        assert reps[0b111, (), ()] != reps[0, (0b111,), ()]
+        fresh = functools.lru_cache(oracle._orbit_reps.__wrapped__)
+        monkeypatch.setattr(oracle, "_orbit_reps", fresh)
+        assert oracle._count(2, (1, 1, 1), ((0, 1, 2),)) == 24
+
+    def test_the_key_groups_as_the_string_key_does(self, fans, monkeypatch):
+        """Every group that the gate's plain counts meet at p = 2 and 3,
+        and p2 (3,3,3) and dp6 (2,...,2) at p = 5 and 7, with the count
+        cache emptied: two groups share a representative exactly when
+        their binary-string orbits (``string_orbit_key``) are equal."""
+        shared = oracle._orbit_reps
+        seen = {}
+
+        def recording(p, k):
+            if (p, k) not in seen:
+                seen[p, k] = toric._Memo(shared(p, k).__getitem__)
+            return seen[p, k]
+
+        monkeypatch.setattr(oracle, "_orbit_reps", recording)
+        monkeypatch.setattr(oracle, "_orbit_count", functools.lru_cache(
+            oracle._orbit_count.__wrapped__))
+        for name in FIXTURE_NAMES:
+            fan = fans[name]
+            top = 3 if fan.nrays <= 4 else 2
+            for e in itertools.product(range(top + 1), repeat=fan.nrays):
+                for p in (2, 3):
+                    ff_pattern_count(p, fan, e)
+        for p in (5, 7):
+            ff_pattern_count(p, fans["p2"], (3, 3, 3), budget=10**12)
+            ff_pattern_count(p, fans["dp6"], (2,) * 6, budget=10**12)
+        assert {p for p, _ in seen} == {2, 3, 5, 7}
+        for (p, k), memo in seen.items():
+            pairs = {(rep, string_orbit_key(p, k, group))
+                     for group, rep in memo.items()}
+            assert (len({rep for rep, _ in pairs}) == len(pairs)
+                    == len({key for _, key in pairs})), (p, k)
 
 
 class TestCommonRoots:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from toricurves.cli import EXIT_INTERNAL
+from toricurves.cli import EXIT_INTERNAL, EXIT_USAGE
 from toricurves.errors import InternalCheckError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -99,9 +99,10 @@ def test_script_refuses_bad_input(script, args, message):
 ])
 def test_script_refuses_bad_options(script, args, message):
     """An empty --fans or --primes gated nothing and printed "ok", and
-    int() read "1_0" as 10: argparse now refuses each."""
+    int() read "1_0" as 10: the CLI's parser now refuses each, with the
+    CLI's usage status 1, not the validation status 2."""
     proc = run_script(script, *args)
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == EXIT_USAGE, proc.stderr
     assert message in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
