@@ -321,16 +321,9 @@ def cmd_oracle(args):
             "elapsed_ms": elapsed,
         }
         return payload, f"constrained count {count} ({elapsed} ms)"
-    if args.degree is not None:
-        d = _parse_degree(args.degree, fan.nrays)
-        rep = oracle_mod.oracle_compare(
-            args.p, fan, d=d, budget=args.budget
-        )
-    else:
-        e = _parse_degree(args.config, fan.nrays)
-        rep = oracle_mod.oracle_compare(
-            args.p, fan, e=e, budget=args.budget
-        )
+    kind, text = ("e", args.config) if args.degree is None else ("d", args.degree)
+    vec = _parse_degree(text, fan.nrays)
+    rep = oracle_mod.oracle_compare(args.p, fan, budget=args.budget, **{kind: vec})
     verdict = "equal" if rep.equal else "MISMATCH"
     text = (
         f"{verdict}: brute {rep.brute} predicted {rep.predicted} "

@@ -90,7 +90,6 @@ from .toric import (
     PatternSet,
     _components,
     _orbit_keys,
-    pattern_set,
     require_valid,
 )
 
@@ -724,8 +723,14 @@ def _zeta(s: int, j: int) -> LaurentClass:
                          for i in range(min(j, s - 1) + 1)})
 
 
-def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
-    """config_class for a pattern set, cached per (s, orbit key of e)."""
+def config_class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
+    """The t^e coefficient of the Euler product of a valid fan's pattern
+    set times one zeta factor per ray, read back under the bound that
+    fixes w.  Cached per s and orbit key (toric's _orbit_keys); a miss
+    is read from the box kept for s when that holds the key, else as a
+    product over the key's split (module docstring), and only a key that
+    does not split builds a box, of side max(key), in place of the kept
+    one."""
     classes, boxes = _shared_classes(patterns)
     key = _orbit_keys(patterns)[e]
     cls = classes.get((s, key))
@@ -740,7 +745,7 @@ def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
             for a in free:
                 cls *= _zeta(s, key[a])
             for rays, sub in split:
-                cls *= _class(sub, tuple(key[a] for a in rays), s)
+                cls *= config_class(sub, tuple(key[a] for a in rays), s)
             classes[s, key] = cls
             return cls
         # drop the smaller box first, so that the two are never held at once
@@ -752,14 +757,3 @@ def _class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
         "configuration class at {} exceeds its bound")
     return cls
 
-
-def config_class(fan: Fan, e: tuple[int, ...], s: int) -> LaurentClass:
-    """The t^e coefficient of the valid fan's Euler product times one
-    zeta factor per ray, read back at L = 2^w under the bound that fixes
-    w.  Cached per pattern set and orbit key of e (toric's _orbit_keys);
-    on a miss it is read from the box kept for the pattern set and s
-    when that holds the key, else as a product over the key's split
-    (module docstring), and only a key that does not split builds a box
-    (_config_terms), of side max(key), in place of the kept one.
-    """
-    return _class(pattern_set(fan), e, s)

@@ -6,6 +6,11 @@ forbidden patterns, classes of degree-d maps from the projective line
 to the variety, the limiting (Tamagawa) constant, truncation-aware
 convergence reports, and the constrained variants where jets at marked
 rational points are fixed.
+
+Each public function checks its input once, the fan and the degree
+vector together with ``checked_degrees`` (as the oracle does too), and
+reads the engine's cached class (eulerprod.config_class) itself, not
+through another public function.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .toric import (
     Fan,
     class_of_variety,
     eff_dual_contains,
+    pattern_set,
     picard_rank,
     require_valid,
 )
@@ -36,6 +42,7 @@ from .eulerprod import config_class, euler_product_at_Linv
 
 __all__ = [
     "DegreeVector",
+    "checked_degrees",
     "JetCondition",
     "ErrorReport",
     "pattern_config_class",
@@ -76,11 +83,17 @@ class DegreeVector:
     def minimum(self) -> int:
         return min(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
+def checked_degrees(fan: Fan,
+                    d: "DegreeVector | Sequence[int]") -> DegreeVector:
+    """The degree vector of d, once the fan is smooth and complete, the
+    entries nonnegative integers, and one per ray, checked in that order."""
+    require_valid(fan)
+    dv = DegreeVector.of(d)
+    if len(dv.entries) != fan.nrays:
+        raise ValueError(f"degree arity {len(dv.entries)} does not match "
+                         f"ray count {fan.nrays}")
+    return dv
 
 
 def _canonical_point(pt: Sequence[int]) -> tuple[int, int]:
@@ -233,37 +246,29 @@ def pattern_config_class(
     coefficient of the Euler product times one punctured-line zeta
     factor per variable (eulerprod.config_class).
     """
-    e = DegreeVector.of(e).entries
-    require_valid(fan)
-    if len(e) != fan.nrays:
-        raise ValueError(
-            f"degree arity {len(e)} does not match ray count {fan.nrays}"
-        )
+    e = checked_degrees(fan, e).entries
     # a plain int needs no call to be known an integer
     if type(s) is not int:
         _integer(s, "removed point count")
     if s < 0:
         raise ValueError("removed point count must be nonnegative")
-    return config_class(fan, e, s)
+    return config_class(pattern_set(fan), e, s)
 
 
-@functools.lru_cache(maxsize=None)
-def _hom_class_cached(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
-    # per degree: the configuration class under it is shared per orbit
-    # of the pattern automorphisms, but the cone need not be kept by them
+def _hom_class(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
+    """hom_class of a checked degree vector.  The class under it is
+    shared per orbit of the pattern automorphisms, which need not keep
+    the cone, so the cone is tested per degree."""
     if not eff_dual_contains(fan, d):
         # imported on this path only, to keep it out of every start-up
         import logging
 
         logging.getLogger(__name__).warning(
             "degree %s is outside the dual effective cone; "
-            "the space of maps is empty",
-            d,
-        )
+            "the space of maps is empty", d)
         return ZERO
-    n = fan.dim
     lm1 = LaurentClass({1: 1, 0: -1})
-    return lm1**n * pattern_config_class(fan, d, 0)
+    return lm1**fan.dim * config_class(pattern_set(fan), d, 0)
 
 
 def hom_class(fan: Fan, d: "DegreeVector | Sequence[int]") -> LaurentClass:
@@ -272,16 +277,15 @@ def hom_class(fan: Fan, d: "DegreeVector | Sequence[int]") -> LaurentClass:
     Zero (with a logged diagnostic) when d lies outside the dual of the
     effective cone, where no such map exists.
     """
-    require_valid(fan)
-    return _hom_class_cached(fan, DegreeVector.of(d).entries)
+    return _hom_class(fan, checked_degrees(fan, d).entries)
 
 
 def normalized_hom_class(
     fan: Fan, d: "DegreeVector | Sequence[int]"
 ) -> LaurentClass:
     """hom_class divided by L to the anticanonical degree."""
-    dv = DegreeVector.of(d)
-    return hom_class(fan, dv).shift(-dv.total)
+    dv = checked_degrees(fan, d)
+    return _hom_class(fan, dv.entries).shift(-dv.total)
 
 
 # typed, so that True or 1.0 misses the entry of 1 and is refused
@@ -306,25 +310,20 @@ def convergence_report(
     against the bound -min(d)/4 + n; if the floor itself sits above the
     bound the comparison is inconclusive and reported as such.
     """
-    dv = DegreeVector.of(d)
-    require_valid(fan)
+    dv = checked_degrees(fan, d)
     if not eff_dual_contains(fan, dv.entries):
         raise ValueError(
-            f"degree {dv.entries} is outside the dual effective cone"
-        )
+            f"degree {dv.entries} is outside the dual effective cone")
     tau = tamagawa(fan, E)
-    normalized = normalized_hom_class(fan, dv)
+    normalized = _hom_class(fan, dv.entries).shift(-dv.total)
     bound = Fraction(-dv.minimum, 4) + fan.dim
     delta = (tau.known - normalized).truncate_below(tau.floor)
     delta_dim = delta.virtual_dimension
-    if tau.floor > bound:
-        return ErrorReport(
-            dv.entries, tau, normalized, delta_dim, bound, False, True
-        )
-    passed = delta_dim is MINUS_INFINITY or delta_dim <= bound
-    return ErrorReport(
-        dv.entries, tau, normalized, delta_dim, bound, passed, False
-    )
+    inconclusive = tau.floor > bound
+    passed = not inconclusive and (
+        delta_dim is MINUS_INFINITY or delta_dim <= bound)
+    return ErrorReport(dv.entries, tau, normalized, delta_dim, bound, passed,
+                       inconclusive)
 
 
 def constrained_main_term(fan: Fan, jc: JetCondition, E: int) -> DimSeries:

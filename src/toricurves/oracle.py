@@ -18,18 +18,21 @@ in any order: it takes one that ends patterns early, which keeps few
 patterns open.  Before a ray, the ANDs of the patterns it ends fold
 into their OR, and states equal after the fold merge, since the ray
 reads those ANDs only through whether that OR meets its form's mask.
-Plain counts list no form: by unique factorization the number of forms
-whose roots among the tracked points are a given set comes from the
-zeta function of P^1, and depends only on how many points of each
-degree the set holds.  Their walk therefore also keeps one state per
-orbit of the points under the permutations that keep degrees, [0:1]
-counting as a rational point, with the orbit's summed count.  The orbit
+Plain counts list no form and no polynomial: by unique factorization
+the number of forms whose roots among the tracked points are a given
+set comes from the zeta function of P^1, and depends only on how many
+points of each degree the set holds, which the same zeta function
+gives.  Their walk therefore also keeps one state per orbit of the
+points under the permutations that keep degrees, [0:1] counting as a
+rational point, with the orbit's summed count.  The orbit
 is read off bit counts: the points of each degree are split by the
 state's masks, and the orbit is how many points each part holds.
 Jet-constrained counts key each form by its mask and its jet
 relative to the target, and keep a final state when every character of
 the dense torus takes the value 1 on its jets.  A budget guard refuses
-enumerations that are too large rather than sampling.
+enumerations that are too large rather than sampling.  Hom and jet
+counts are 0 outside the dual effective cone, as the classes are, once
+the checks (moduli's checked_degrees) and the budget have run.
 
 Plain counts are shared within an orbit of the pattern automorphisms,
 the ray permutations that map the minimal patterns onto themselves.
@@ -45,9 +48,9 @@ each permutation against the patterns before its first key.  The
 engine takes the same automorphisms to pull one cell per orbit of its
 dense box, and the same memo to read back one configuration class per
 orbit, so neither side shares a value under a wrong automorphism.  The
-counts here still share no series code with the engine, whose hom
-classes still test each degree against the dual effective cone, which
-the automorphisms need not keep.
+counts here still share no series code with the engine.  Hom counts,
+like the engine's hom classes, test each degree against the dual
+effective cone, which the automorphisms need not keep.
 
 The plain count of an orbit key is a product: a tuple avoids the
 patterns when each pattern's forms do, which only links rays that
@@ -81,11 +84,16 @@ from .toric import (
     _Memo,
     _components,
     _orbit_keys,
+    eff_dual_contains,
     pattern_set,
     picard_rank,
-    require_valid,
 )
-from .moduli import DegreeVector, hom_class, pattern_config_class
+from .moduli import (
+    DegreeVector,
+    _hom_class,
+    checked_degrees,
+    pattern_config_class,
+)
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
 DEFAULT_BUDGET = 10**8
@@ -201,14 +209,21 @@ def _root_masks(p: int, e: int, k: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _class_sizes(p: int, k: int) -> tuple[int, ...]:
-    """The number of points of each degree 1, ..., k that masks track.
-
-    Degree 1 is [0:1] with the p rational points, degree j > 1 the monic
-    irreducibles of degree j; in a mask each degree's bits follow those
-    of the degree before.
-    """
-    return tuple(len(_irreducibles(p, j)) + (j == 1) for j in range(1, k + 1))
+def _zeta_peel(p: int, k: int, e: int) -> tuple[tuple[int, ...], list[int]]:
+    """The number of points of each degree 1, ..., k that masks track,
+    [0:1] among the rational ones, and the zeta function of P^1 up to
+    t^e, e >= k, with those points taken out.  1/((1 - t)(1 - pt)) is the
+    product of 1/(1 - t^deg(x)) over the points x, so with the points of
+    degree < j taken out its t^j coefficient counts those of degree j."""
+    series = [(p ** (j + 1) - 1) // (p - 1) for j in range(e + 1)]
+    sizes = []
+    for deg in range(1, k + 1):
+        size = series[deg]
+        sizes.append(size)
+        for _ in range(size):
+            for j in range(e, deg - 1, -1):
+                series[j] -= series[j - deg]
+    return tuple(sizes), series
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,12 +238,7 @@ def _mask_counts(p: int, e: int, k: int) -> dict[int, int]:
     count depends on M only through how many points of each degree it
     holds; no form is listed.  Masks whose count is 0 are left out.
     """
-    series = [(p ** (j + 1) - 1) // (p - 1) for j in range(e + 1)]
-    sizes = _class_sizes(p, k)
-    for deg, size in enumerate(sizes, 1):
-        for _ in range(size):
-            for j in range(e, deg - 1, -1):
-                series[j] -= series[j - deg]
+    sizes, series = _zeta_peel(p, k, e)
     counts: dict[int, int] = {}
 
     def choose(cls, low, left, series, masks):
@@ -300,7 +310,7 @@ def _orbit_reps(p: int, k: int) -> _Memo:
     at once per process.
     """
     classes = [(1 << b) - (1 << a) for a, b in itertools.pairwise(
-        itertools.accumulate(_class_sizes(p, k), initial=0))]
+        itertools.accumulate(_zeta_peel(p, k, k)[0], initial=0))]
     first: dict = {}
 
     def rep(group):
@@ -427,9 +437,13 @@ def _orbit_count(p: int, key: tuple[int, ...], patterns) -> int:
         return _count(p, key, patterns.minimal)
     count = math.prod((p ** (key[a] + 1) - 1) // (p - 1) for a in free)
     for rays, sub in split:
-        degrees = tuple(key[a] for a in rays)
-        count *= _orbit_count(p, _orbit_keys(sub)[degrees], sub)
+        count *= _pattern_count(p, sub, tuple(key[a] for a in rays))
     return count
+
+
+def _pattern_count(p: int, patterns, e: tuple[int, ...]) -> int:
+    """The plain count of a checked degree vector, at its orbit key."""
+    return _orbit_count(p, _orbit_keys(patterns)[e], patterns)
 
 
 def _checked_degrees(
@@ -438,28 +452,21 @@ def _checked_degrees(
     e: Sequence[int],
     budget: int | None,
     jet: "JetSpec | None" = None,
-) -> tuple[int, ...]:
-    """The degree vector as a tuple, after the checks every count makes.
+) -> DegreeVector:
+    """The degree vector, after the checks every count makes.
 
     Refuses with BudgetError when the product of the form-space sizes
     exceeds the budget.
     """
     _check_prime(p)
-    require_valid(fan)
-    e = DegreeVector.of(e).entries
-    if len(e) != fan.nrays:
-        raise ValueError(
-            f"degree arity {len(e)} does not match ray count {fan.nrays}"
-        )
+    dv = checked_degrees(fan, e)
     if jet is not None:
         jet.validate_for(p, fan.nrays)
     limit = _resolve_budget(budget)
-    required = 1
-    for x in e:
-        required *= (p ** (x + 1) - 1) // (p - 1)
+    required = math.prod((p ** (x + 1) - 1) // (p - 1) for x in dv.entries)
     if required > limit:
         raise BudgetError(required, limit)
-    return e
+    return dv
 
 
 def ff_pattern_count(
@@ -481,9 +488,8 @@ def ff_pattern_count(
     components are shared across vectors and fans.  Jet counts
     (``ff_constrained_count``) are never split.
     """
-    e = _checked_degrees(p, fan, e, budget)
-    patterns = pattern_set(fan)
-    return _orbit_count(p, _orbit_keys(patterns)[e], patterns)
+    e = _checked_degrees(p, fan, e, budget).entries
+    return _pattern_count(p, pattern_set(fan), e)
 
 
 def ff_hom_count(
@@ -496,10 +502,17 @@ def ff_hom_count(
 
     Counts tuples of nonzero forms (all scalings of the normalized
     tuples) avoiding the patterns, then divides by the order of the
-    Neron-Severi torus; the quotient must be exact.
+    Neron-Severi torus; the quotient must be exact.  Zero outside the
+    dual effective cone, once the checks and the budget have run.
     """
-    cnt = ff_pattern_count(p, fan, d, budget=budget)
-    raw = cnt * (p - 1) ** fan.nrays
+    return _hom_count(p, fan, _checked_degrees(p, fan, d, budget).entries)
+
+
+def _hom_count(p: int, fan: Fan, d: tuple[int, ...]) -> int:
+    """ff_hom_count of a degree vector that _checked_degrees passed."""
+    if not eff_dual_contains(fan, d):
+        return 0
+    raw = _pattern_count(p, pattern_set(fan), d) * (p - 1) ** fan.nrays
     div = (p - 1) ** picard_rank(fan)
     if raw % div:
         raise InternalCheckError(
@@ -635,8 +648,11 @@ def ff_constrained_count(
     The orbit is the kernel of the characters of the dense torus: a
     final state counts once when, for every coordinate i, the product
     of its relative jets to the powers v_alpha[i] of the rays is 1.
+    Zero outside the dual effective cone, as for ff_hom_count.
     """
-    d = _checked_degrees(p, fan, d, budget, jet)
+    d = _checked_degrees(p, fan, d, budget, jet).entries
+    if not eff_dual_contains(fan, d):
+        return 0
     n = jet.order + 1
     one = (1,) + (0,) * jet.order
     target_inv = [
@@ -712,26 +728,23 @@ def oracle_compare(
     """Compare a motivic class against its brute-force count at L = p.
 
     Pass ``e`` to compare the configuration class, ``d`` to compare the
-    map-space class; exactly one of the two.  The degree vector is built
-    once and passed to the count and the class, which keep their own
-    checks.
+    map-space class; exactly one of the two.  The vector is checked
+    once, as the counts check it, and the counts and the map-space class
+    are read from their cores; the configuration class is read through
+    pattern_config_class, which checks the fan and the vector again.
     """
     if (e is None) == (d is None):
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
     start = time.perf_counter()
-    vec = tuple(e if d is None else d)
-    try:
-        dv = DegreeVector(vec)
-    except ValueError:
-        # the count refuses it too, naming the first fault in its order
-        dv = vec
+    dv = _checked_degrees(p, fan, e if d is None else d, budget)
+    vec = dv.entries
     if d is None:
-        brute = ff_pattern_count(p, fan, dv, budget=budget)
+        brute = _pattern_count(p, pattern_set(fan), vec)
         cls = pattern_config_class(fan, dv, 0)
         kind = "config"
     else:
-        brute = ff_hom_count(p, fan, dv, budget=budget)
-        cls = hom_class(fan, dv)
+        brute = _hom_count(p, fan, vec)
+        cls = _hom_class(fan, vec)
         kind = "hom"
     value = evaluate(cls, p)
     if value.denominator != 1:

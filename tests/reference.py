@@ -406,7 +406,8 @@ def string_orbit_key(p: int, k: int, group) -> str:
     mask written with one character per tracked point, the strings zipped
     into one column per point, and the columns of each degree class
     sorted and joined."""
-    sizes = oracle._class_sizes(p, k)
+    # sized by listing the monic irreducibles, not by the zeta function
+    sizes = [len(oracle._irreducibles(p, j)) + (j == 1) for j in range(1, k + 1)]
     width = sum(sizes)
     tracked, fmt = (1 << width) - 1, f"0{width}b"
     # the binary string of a mask lists bit width - 1 first

@@ -5,6 +5,7 @@ import ast
 import builtins
 import importlib
 import pathlib
+import re
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -184,3 +185,29 @@ def test_one_search_for_pattern_automorphisms():
         names = imported.get(module, set())
         assert "_orbit_keys" in names and "_orbit_key" not in names, module
         assert "_components" in names, module
+
+
+def test_one_check_of_a_degree_vector():
+    """One function of src/ checks a degree vector against its fan: only
+    it refuses a wrong degree arity ("does not match ray count") and
+    builds the vector with DegreeVector.of, and the oracle imports it
+    from moduli."""
+    arity, builds = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.JoinedStr) and re.search(
+                        "degree arity .* does not match ray count",
+                        ast.unparse(sub)):
+                    arity.add(f"{path.stem}.{node.name}")
+                if (isinstance(sub, ast.Call)
+                        and ast.unparse(sub.func) == "DegreeVector.of"):
+                    builds.add(f"{path.stem}.{node.name}")
+    assert arity == builds == {"moduli.checked_degrees"}, (arity, builds)
+    imported = {(node.module, alias.name)
+                for node in ast.walk(ast.parse((SRC / "oracle.py").read_text()))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert ("moduli", "checked_degrees") in imported

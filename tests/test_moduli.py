@@ -104,8 +104,7 @@ class TestDegreeVector:
         dv = DegreeVector.of((3, 1, 2))
         assert dv.total == 6
         assert dv.minimum == 1
-        assert list(dv) == [3, 1, 2]
-        assert len(dv) == 3
+        assert dv.entries == (3, 1, 2)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):

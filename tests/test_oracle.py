@@ -27,10 +27,24 @@ from reference import (
     picard_projection,
     string_orbit_key,
 )
-from toricurves.toric import PatternSet, parse_fan, pattern_set, picard_rank
-from toricurves.moduli import DegreeVector, hom_class, pattern_config_class
+from toricurves.toric import (
+    PatternSet,
+    eff_dual_contains,
+    parse_fan,
+    pattern_set,
+    picard_rank,
+)
+from toricurves.moduli import (
+    DegreeVector,
+    convergence_report,
+    hom_class,
+    normalized_hom_class,
+    pattern_config_class,
+)
+from toricurves.cli import main
 from toricurves.oracle import (
     _form_table,
+    _irreducibles,
     _root_masks,
     _trim,
     ALLOWED_PRIMES,
@@ -136,7 +150,10 @@ def taylor(coeffs, point, m, p):
 
 
 def reference_constrained_count(p, fan, d, jet):
-    """Raw enumeration of form tuples whose jet lies in the target orbit."""
+    """Raw enumeration of form tuples whose jet lies in the target orbit;
+    0 outside the dual effective cone, where there are no maps."""
+    if not eff_dual_contains(fan, d):
+        return 0
     rank = picard_rank(fan)
     projection = picard_projection(fan)
     m = jet.order
@@ -208,6 +225,28 @@ class TestForms:
             for k in range(e + 1):
                 listed = dict(Counter(_root_masks(p, e, k)))
                 assert oracle._mask_counts(p, e, k) == listed, (e, k)
+
+    @pytest.mark.parametrize("p", ALLOWED_PRIMES)
+    def test_class_sizes_from_the_zeta_function_match_the_listing(self, p):
+        """The points of each degree, read off the zeta function of P^1,
+        are [0:1] with the monic irreducibles listed by trial division,
+        whatever the length of the series peeled with them."""
+        for k in range(5):
+            listed = tuple(len(_irreducibles(p, j)) + (j == 1)
+                           for j in range(1, k + 1))
+            for e in range(k, k + 3):
+                assert oracle._zeta_peel(p, k, e)[0] == listed, (k, e)
+
+    def test_plain_counts_list_no_polynomial(self, p2, monkeypatch):
+        """Listing the irreducibles of degree 5 over F_7 took about 1 s;
+        plain counts now size the degree classes without it."""
+        clear_caches()
+
+        def listing(p, k):
+            raise AssertionError(f"listed the irreducibles of degree {k}")
+
+        monkeypatch.setattr(oracle, "_irreducibles", listing)
+        assert ff_pattern_count(7, p2, (3, 3, 3)) > 0
 
 
 class TestOrbitMerge:
@@ -590,8 +629,8 @@ class TestSymmetries:
         with a target that differs per ray their jet counts differ, and
         each matches the raw enumeration."""
         spec = JetSpec(1, 1, ((1, 0), (1, 1), (1, 1), (2, 0), (2, 0), (1, 1)))
-        for d, want in (((1, 0, 1, 0, 0, 1), 2), ((0, 1, 1, 0, 0, 1), 0)):
-            assert ff_pattern_count(3, dp6, d) == 36
+        for d, want in (((0, 1, 0, 0, 1, 0), 3), ((1, 0, 0, 1, 0, 0), 0)):
+            assert ff_pattern_count(3, dp6, d) == 12
             assert ff_constrained_count(3, dp6, d, spec) == want
             assert reference_constrained_count(3, dp6, d, spec) == want
 
@@ -670,7 +709,64 @@ JET_CASES = [
      ((1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0))),
     # rank 4 at order 2
     ("dp6", (1, 1, 1, 1, 1, 1), 2, 1, 2, None),
+    # the two F2 cases above lie outside the dual effective cone, where
+    # there are no maps; these two lie inside it
+    ("F2", (1, 0, 1, 2), 3, 1, 1, ((1, 2), (2, 0), (1, 1), (2, 2))),
+    ("F2", (2, 0, 2, 4), 2, None, 2,
+     ((1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0))),
 ]
+
+
+class TestOutsideTheCone:
+    """Outside the dual effective cone the space of maps is empty, and
+    its class is 0: so are the hom and jet counts, once the checks and
+    the budget have run.  Configurations are no maps and keep their
+    count."""
+
+    @pytest.mark.parametrize("name,d,configs", [
+        ("p2", (1, 0, 0), 3),
+        ("p1xp1", (1, 0, 1, 0), 9),
+    ])
+    def test_hom_counts_and_comparisons_are_zero(self, fans, name, d,
+                                                 configs):
+        fan = fans[name]
+        assert not eff_dual_contains(fan, d)
+        assert ff_pattern_count(2, fan, d) == configs
+        assert ff_hom_count(2, fan, d) == 0
+        rep = oracle_compare(2, fan, d=d)
+        assert rep.equal and rep.brute == rep.predicted == 0
+
+    def test_jet_counts_are_zero(self, p2):
+        spec = JetSpec.identity(3, 1, 0)
+        assert ff_constrained_count(3, p2, (1, 0, 0), spec) == 0
+        assert ff_constrained_count(3, p2, (1, 1, 1), spec) == 24
+
+    def test_the_checks_and_the_budget_run_first(self, p2):
+        spec = JetSpec.identity(3, 1, 0)
+        with pytest.raises(BudgetError):
+            ff_hom_count(2, p2, (9, 0, 0), budget=10)
+        with pytest.raises(BudgetError):
+            oracle_compare(2, p2, d=(9, 0, 0), budget=10)
+        with pytest.raises(BudgetError):
+            ff_constrained_count(3, p2, (9, 0, 0), spec, budget=10)
+        with pytest.raises(ValueError, match="prime must be one of"):
+            ff_hom_count(11, p2, (1, 0, 0))
+        with pytest.raises(ValueError, match="degree entry -1 is negative"):
+            ff_hom_count(2, p2, (1, -1, 0))
+        with pytest.raises(ValueError, match="target arity 2"):
+            ff_constrained_count(3, p2, (1, 0, 0), JetSpec.identity(2, 1, 0))
+
+    @pytest.mark.parametrize("argv,line", [
+        (["p2", "--p", "2", "--degree", "1,0,0"],
+         "equal: brute 0 predicted 0 ("),
+        (["p1xp1", "--p", "2", "--degree", "1,0,1,0"],
+         "equal: brute 0 predicted 0 ("),
+        (["p2", "--p", "3", "--degree", "1,0,0", "--jet", "1,0"],
+         "constrained count 0 ("),
+    ], ids=["p2", "p1xp1", "p2-jet"])
+    def test_cli_lines(self, capsys, argv, line):
+        assert main(["oracle", *argv]) == 0
+        assert capsys.readouterr().out.startswith(line)
 
 
 class TestConstrainedCounts:
@@ -964,3 +1060,37 @@ class TestOracleCompare:
 
     def test_allowed_primes_is_conservative(self):
         assert set(ALLOWED_PRIMES) == {2, 3, 5, 7}
+
+
+# a warm call of each public entry at D, and the fan checks it makes: the
+# vector is checked once, and picard_rank, which the hom counts read,
+# keeps its own check; oracle_compare reads its configuration class
+# through pattern_config_class, which checks again
+D = (1, 1, 1)
+ENTRIES = {
+    "pattern_config_class": (1, lambda fan: pattern_config_class(fan, D)),
+    "hom_class": (1, lambda fan: hom_class(fan, D)),
+    "normalized_hom_class": (1, lambda fan: normalized_hom_class(fan, D)),
+    "convergence_report": (1, lambda fan: convergence_report(fan, D, 6)),
+    "ff_pattern_count": (1, lambda fan: ff_pattern_count(2, fan, D)),
+    "oracle_compare_e": (2, lambda fan: oracle_compare(2, fan, e=D)),
+    "ff_hom_count": (2, lambda fan: ff_hom_count(2, fan, D)),
+    "oracle_compare_d": (2, lambda fan: oracle_compare(2, fan, d=D)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_fan_checks_of_a_warm_call(p2, entry):
+    """Each public entry checks its vector once, with the fan.  A warm
+    convergence report used to check its fan twice, and a warm
+    comparison of a map space three times."""
+    checks, call = ENTRIES[entry]
+    call(p2)
+
+    def lookups():
+        info = toric.validate.cache_info()
+        return info.hits + info.misses
+
+    before = lookups()
+    call(p2)
+    assert lookups() - before == checks
