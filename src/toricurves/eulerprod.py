@@ -31,17 +31,19 @@ product back.
 
 Configuration classes, the Euler product times one zeta factor per
 variable, come from the same integers at a width a second bound fixes
-(_config_terms), in a uniform box of one pattern set.  The sizes choose
-their route before the d = 1 factor U exists, from a count of the cells
-U can reach.  The table route takes U from the same recurrence over
-packed keys; the walk route pulls U into the dense box it walks, since
-the pattern polynomial has exponents 0 and 1 only (_dense_power).  A
-ray permutation that keeps the primitive collections keeps that
-polynomial, and so U cell by cell: the walk route pulls one cell per
-orbit of the automorphisms the search of toric finds, each checked
-against the polynomial's terms, and writes it to the orbit.  The zeta
-factors then walk the box one lane at a time, the cells at one place
-along an axis (_walk).
+(_config_terms), in a uniform box of one pattern set: U, the d = 1
+factor, is pulled into the dense box that the zeta factors then walk,
+since the pattern polynomial has exponents 0 and 1 only (_dense_power).
+A ray permutation that keeps the primitive collections keeps that
+polynomial, and so U cell by cell: one cell is pulled per orbit of the
+automorphisms the search of toric finds, each checked against the
+polynomial's terms, and written to the orbit.  The zeta factors then
+walk the box one lane at a time, the cells at one place along an axis
+(_walk).  A pattern set of one pattern J builds no box: the Euler
+product of 1 - t^J is the inverse of the motivic zeta function of the
+punctured line at t^J, so its classes have a closed form of at most
+min(e) + 1 terms, three at s = 0 and two at s = 1
+(_one_pattern_class).
 
 A class is read as a product (config_class).  Setting t_alpha = 0 is a
 ring map that commutes with t -> t^d and kills the patterns through
@@ -53,9 +55,10 @@ its zeta factor alone, and each connected component of the live
 patterns (toric's _components) its own class at its own orbit key, as
 a pattern set of its own.  Every cache here is keyed by the pattern set,
 not the fan: a pair's class answers P^1, P^1 x P^1 and the blow-up of
-P^2 alike.  Only a vector whose live patterns are the whole pattern set,
-in one component, builds a box; one box per pattern set and s is kept,
-of the largest side asked for, and it answers first any vector it holds.
+P^2 alike.  Only a vector whose live patterns are a whole pattern set
+of several patterns, in one component, builds a box; one box per
+pattern set and s is kept, of the largest side asked for, and it
+answers first any vector it holds.
 
 The same permutations keep every class of a uniform box, so one class
 is read per orbit, at its least vector (toric's _orbit_keys, the memo
@@ -81,7 +84,6 @@ from .grothendieck import (
     DimSeries,
     MultiSeries,
     SeriesCap,
-    pack_class,
     unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial, mobius_table
@@ -468,19 +470,6 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys,
     return dense
 
 
-def _support_size(terms: dict[int, int], keys: _Keys, limit: int) -> int:
-    """The number of keys in the cap that are sums of terms, the empty
-    sum included: the support of F^a for F = 1 + terms, barring
-    cancellation.  Counted breadth-first, it stops once above limit."""
-    off, guard = keys.off, keys.guard
-    seen, level = {0}, {0}
-    while level and len(seen) <= limit:
-        level = {k for k in (x + f for x in level for f in terms)
-                 if not (k + off) & guard} - seen
-        seen |= level
-    return len(seen)
-
-
 def euler_product_p1(F: IntPoly, s: int, cap: SeriesCap) -> MultiSeries:
     """Expand prod over closed points of P^1 minus s points of F(t^(deg)).
 
@@ -539,10 +528,12 @@ def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:
     Terms beyond the cutoff have dimension at most -ceil((E+1)/2), so
     the result is exact strictly above that line: the floor is
     1 - ceil((E+1)/2) and the known part is truncated to it.
+
+    The fan is checked where its pattern set is built (toric's
+    pattern_set, cached per fan), so a warm call checks it no more.
     """
     if _integer(E, "total-degree cutoff") < 0:
         raise ValueError("total-degree cutoff must be nonnegative")
-    require_valid(fan)
     P = fan_mobius_polynomial(fan)
     diagonal = IntPoly(1, (((sum(e),), c) for e, c in P.items()))
     series = euler_product_p1(diagonal, s, SeriesCap.box_cap((E,)))
@@ -596,31 +587,6 @@ def _walk(box: list[int], side: int, s: int, w: int) -> None:
         step = block
 
 
-class _ProductTerms:
-    """The checked global Mobius table and the zeta coefficients at
-    L = 2^w: a class costs one multiply per ray and table term."""
-
-    def __init__(self, s: int, w: int, series: MultiSeries):
-        self.width = w
-        # the zeta coefficients are the walk of one axis from t^0
-        self.zeta = zeta = [1] + [0] * max(series.cap.box, default=0)
-        _walk(zeta, len(zeta), s, w)
-        table = _checked_mobius(series)
-        self.mobius = tuple((e, pack_class(mu, w)) for e, mu in table.items())
-
-    def at(self, e: tuple[int, ...]) -> int:
-        acc = 0
-        zeta = self.zeta
-        for prior, term in self.mobius:
-            for a, b in zip(prior, e):
-                if a > b:
-                    break
-                term *= zeta[b - a]
-            else:
-                acc += term
-        return acc
-
-
 class _WalkTerms:
     """R as a list and U * Z as a dense box, at L = 2^w: a class costs
     one mask test per term of R and one lookup per term below it."""
@@ -650,31 +616,20 @@ class _WalkTerms:
         return acc
 
 
-def _config_terms(
-    patterns: PatternSet, s: int, side: int
-) -> _ProductTerms | _WalkTerms:
-    """What the configuration classes of a pattern set in the uniform box
-    of the given side are read from.
+def _config_terms(patterns: PatternSet, s: int, side: int) -> _WalkTerms:
+    """What the configuration classes of a pattern set of several
+    patterns in the uniform box of the given side are read from.
 
     A class is the t^e coefficient of R * U * Z: U is the d = 1 factor
     of the Euler product of the pattern polynomial (mobius_table), R the
     product of its other factors and Z = prod_alpha (1 - t_alpha)^(s-1) /
-    (1 - L t_alpha) the zeta factors.  Two routes give it, and the
-    sizes choose the one charged less: forming the Mobius table R * U
-    is charged |R| |U| products, and walking U into U * Z is charged
-    n (b + 1) / 2 per cell of the box of side b, a step per axis on
-    values that gain a digit of L with each step along it.  The route
-    is chosen before U exists: |U| is taken as the number of cells that
-    are sums of the pattern polynomial's terms, counted only up to the
-    point where the table would cost more than the walk.  The table
-    route builds U sparse with _power; the walk route pulls U straight
-    into the dense box with _dense_power, as the pattern polynomial's
-    exponents are 0 and 1, one cell per orbit of the ray permutations
-    that toric's search lists (each keeps the primitive collections,
-    hence the polynomial and U), and walks it lane by lane.  Among the
-    pattern sets of the bundled fans only dp6's at side 2 and above
-    takes the walk.  Nothing here is cached: the polynomial is
-    mobius_table's, and _class keeps the box beside the classes.
+    (1 - L t_alpha) the zeta factors.  U is pulled straight into the
+    dense box with _dense_power, as the pattern polynomial's exponents
+    are 0 and 1, one cell per orbit of the ray permutations that toric's
+    search lists (each keeps the primitive collections, hence the
+    polynomial and U), and Z is walked into it lane by lane.  Nothing
+    here is cached: the polynomial is mobius_table's, and config_class
+    keeps the box beside the classes.
 
     Width.  With mu = R * U, the class at e is the sum over k <= e of
     mu(k) times prod_alpha zeta_(e_alpha - k_alpha).  The absolute
@@ -689,20 +644,12 @@ def _config_terms(
     contradicts the bound.
     """
     n = patterns.nvars
-    poly = mobius_table(patterns)
     reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
     cap = SeriesCap.box_cap((side,) * n)
-    keys, w, majorant, base, rest = _rest_factors(poly, s, cap, reach)
-    a = _points(1, s, w)
-    # the largest |U| whose table is charged no more than the walk, both
-    # charges doubled to stay in integers
-    limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
-    # U lies in the box, so a box under the limit needs no count
-    if (side + 1) ** n <= limit or _support_size(base, keys, limit) <= limit:
-        series = _read_product(keys, w, majorant, rest, _power(base, a, keys))
-        return _ProductTerms(s, w, series)
+    keys, w, _, base, rest = _rest_factors(mobius_table(patterns), s, cap, reach)
     perms = _orbit_keys(patterns).sym.perms  # checked by the memo
-    return _WalkTerms(s, w, keys, rest, _dense_power(base, a, keys, perms))
+    dense = _dense_power(base, _points(1, s, w), keys, perms)
+    return _WalkTerms(s, w, keys, rest, dense)
 
 
 @functools.lru_cache(maxsize=None)
@@ -723,14 +670,38 @@ def _zeta(s: int, j: int) -> LaurentClass:
                          for i in range(min(j, s - 1) + 1)})
 
 
+def _one_pattern_class(key: tuple[int, ...], s: int) -> LaurentClass:
+    """The class at key of a pattern set whose one pattern J holds every
+    ray.  Over the closed points x of C = P^1 minus s points, the product
+    of 1 - u^(deg x) is Z_C(u)^(-1), Z_C(u) = (1 - u)^(s-1) / (1 - L u)
+    the motivic zeta function of C (Kapranov), so the Euler product of
+    1 - t^J is Z_C(t^J)^(-1), and the class is
+    sum_(k <= min key) c_k prod_alpha zeta_(key_alpha - k), with
+    sum_k c_k u^k = (1 - L u) (1 - u)^(1-s): three terms at s = 0 and
+    two at s = 1."""
+    cls, prev, b = ZERO, 0, 1
+    for k in range(min(key) + 1):
+        if k:
+            # b = [u^k] (1 - u)^(1-s), from [u^(k-1)]
+            prev, b = b, b * (k + s - 2) // k
+        if not (b or prev):
+            break
+        term = ONE
+        for x in key:
+            term *= _zeta(s, x - k)
+        cls += term * LaurentClass({0: b, 1: -prev})
+    return cls
+
+
 def config_class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
     """The t^e coefficient of the Euler product of a valid fan's pattern
     set times one zeta factor per ray, read back under the bound that
     fixes w.  Cached per s and orbit key (toric's _orbit_keys); a miss
     is read from the box kept for s when that holds the key, else as a
-    product over the key's split (module docstring), and only a key that
-    does not split builds a box, of side max(key), in place of the kept
-    one."""
+    product over the key's split (module docstring).  A key that does
+    not split is read in closed form when the pattern set has one
+    pattern, and otherwise builds a box, of side max(key), in place of
+    the kept one."""
     classes, boxes = _shared_classes(patterns)
     key = _orbit_keys(patterns)[e]
     cls = classes.get((s, key))
@@ -747,6 +718,9 @@ def config_class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentCla
             for rays, sub in split:
                 cls *= config_class(sub, tuple(key[a] for a in rays), s)
             classes[s, key] = cls
+            return cls
+        if len(patterns.minimal) == 1:
+            cls = classes[s, key] = _one_pattern_class(key, s)
             return cls
         # drop the smaller box first, so that the two are never held at once
         boxes.pop(s, None)

@@ -9,9 +9,9 @@ coefficients and no floating point anywhere:
   * MultiSeries: a truncated multivariate power series in variables t_alpha
     whose coefficients live in some commutative ring (LaurentClass here).
 
-A polynomial class also travels as one integer, its value at L = 2^w
-(pack_class, unpack_class), so that products of classes become products
-of integers.
+A polynomial class also travels as one integer, its value at L = 2^w,
+so that products of classes become products of integers; unpack_class
+reads it back.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InternalCheckError, _integer
+from .errors import _integer
 
 
 class _MinusInfinity:
@@ -197,11 +197,6 @@ class LaurentClass:
             return MINUS_INFINITY
         return max(self._c)
 
-    def min_exponent(self):
-        if not self._c:
-            return MINUS_INFINITY
-        return min(self._c)
-
     def evaluate(self, q: int) -> Fraction:
         """Substitute L = q, exactly.  Requires an integer q >= 2."""
         # a plain int needs no call to be known an integer
@@ -261,18 +256,11 @@ def evaluate(x: LaurentClass, q: int) -> Fraction:
     return x.evaluate(q)
 
 
-def pack_class(value: LaurentClass, w: int) -> int:
-    """The value of a polynomial class at L = 2^w."""
-    if value and value.min_exponent() < 0:
-        raise InternalCheckError(f"class {value} has a negative power of L")
-    return sum(c << (w * k) for k, c in value.coeffs.items())
-
-
 def unpack_class(x: int, w: int) -> LaurentClass:
     """The polynomial class whose value at L = 2^w is x.
 
-    x is read as balanced base-2^w digits, the inverse of pack_class for
-    every class whose coefficients all have absolute value below 2^(w-1).
+    x is read as balanced base-2^w digits, exact for every class whose
+    coefficients all have absolute value below 2^(w-1).
     """
     half = 1 << (w - 1)
     mask = (1 << w) - 1

@@ -8,9 +8,10 @@ convergence reports, and the constrained variants where jets at marked
 rational points are fixed.
 
 Each public function checks its input once, the fan and the degree
-vector together with ``checked_degrees`` (as the oracle does too), and
-reads the engine's cached class (eulerprod.config_class) itself, not
-through another public function.
+vector together with ``checked_degrees`` (as the oracle does too), tests
+a map degree against the dual effective cone once, and reads the
+engine's cached class (eulerprod.config_class) itself, not through
+another public function.
 """
 
 from __future__ import annotations
@@ -256,19 +257,29 @@ def pattern_config_class(
 
 
 def _hom_class(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
-    """hom_class of a checked degree vector.  The class under it is
-    shared per orbit of the pattern automorphisms, which need not keep
-    the cone, so the cone is tested per degree."""
-    if not eff_dual_contains(fan, d):
-        # imported on this path only, to keep it out of every start-up
-        import logging
+    """hom_class of a checked degree vector in the dual effective cone.
+    The class under it is shared per orbit of the pattern automorphisms,
+    which need not keep the cone, so each public entry tests the cone of
+    its degree once, itself."""
+    n = fan.dim
+    # the class of the torus, (L - 1)^n, by the binomial theorem
+    torus = LaurentClass({i: (-1) ** (n - i) * math.comb(n, i)
+                          for i in range(n + 1)})
+    return torus * config_class(pattern_set(fan), d, 0)
 
-        logging.getLogger(__name__).warning(
-            "degree %s is outside the dual effective cone; "
-            "the space of maps is empty", d)
-        return ZERO
-    lm1 = LaurentClass({1: 1, 0: -1})
-    return lm1**fan.dim * config_class(pattern_set(fan), d, 0)
+
+def _maps_exist(fan: Fan, d: tuple[int, ...]) -> bool:
+    """Does the checked degree vector lie in the dual effective cone?
+    Outside it the space of maps is empty, which is logged."""
+    if eff_dual_contains(fan, d):
+        return True
+    # imported on this path only, to keep it out of every start-up
+    import logging
+
+    logging.getLogger(__name__).warning(
+        "degree %s is outside the dual effective cone; "
+        "the space of maps is empty", d)
+    return False
 
 
 def hom_class(fan: Fan, d: "DegreeVector | Sequence[int]") -> LaurentClass:
@@ -277,7 +288,8 @@ def hom_class(fan: Fan, d: "DegreeVector | Sequence[int]") -> LaurentClass:
     Zero (with a logged diagnostic) when d lies outside the dual of the
     effective cone, where no such map exists.
     """
-    return _hom_class(fan, checked_degrees(fan, d).entries)
+    d = checked_degrees(fan, d).entries
+    return _hom_class(fan, d) if _maps_exist(fan, d) else ZERO
 
 
 def normalized_hom_class(
@@ -285,6 +297,8 @@ def normalized_hom_class(
 ) -> LaurentClass:
     """hom_class divided by L to the anticanonical degree."""
     dv = checked_degrees(fan, d)
+    if not _maps_exist(fan, dv.entries):
+        return ZERO
     return _hom_class(fan, dv.entries).shift(-dv.total)
 
 
@@ -333,10 +347,9 @@ def constrained_main_term(fan: Fan, jc: JetCondition, E: int) -> DimSeries:
     jet locus and one correction factor per marked point; with no points
     this is exactly the unconstrained constant.
     """
-    require_valid(fan)
+    rank = picard_rank(fan)  # the one check of the fan
     jc.validate_against(fan)
     n = fan.dim
-    rank = picard_rank(fan)
     ep = euler_product_at_Linv(fan, jc.npoints, E)
     inv = inverse_one_minus_Linv_pow(rank, ep.floor)
     base = (inv * ep).shift(n)

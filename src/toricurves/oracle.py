@@ -78,7 +78,7 @@ from operator import and_
 from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError, _int, _integer, _is_int
-from .grothendieck import evaluate
+from .grothendieck import ZERO, evaluate
 from .toric import (
     Fan,
     _Memo,
@@ -91,6 +91,7 @@ from .toric import (
 from .moduli import (
     DegreeVector,
     _hom_class,
+    _maps_exist,
     checked_degrees,
     pattern_config_class,
 )
@@ -505,13 +506,13 @@ def ff_hom_count(
     Neron-Severi torus; the quotient must be exact.  Zero outside the
     dual effective cone, once the checks and the budget have run.
     """
-    return _hom_count(p, fan, _checked_degrees(p, fan, d, budget).entries)
+    d = _checked_degrees(p, fan, d, budget).entries
+    return _hom_count(p, fan, d) if eff_dual_contains(fan, d) else 0
 
 
 def _hom_count(p: int, fan: Fan, d: tuple[int, ...]) -> int:
-    """ff_hom_count of a degree vector that _checked_degrees passed."""
-    if not eff_dual_contains(fan, d):
-        return 0
+    """ff_hom_count of a degree vector that _checked_degrees passed, in
+    the dual effective cone."""
     raw = _pattern_count(p, pattern_set(fan), d) * (p - 1) ** fan.nrays
     div = (p - 1) ** picard_rank(fan)
     if raw % div:
@@ -729,7 +730,8 @@ def oracle_compare(
 
     Pass ``e`` to compare the configuration class, ``d`` to compare the
     map-space class; exactly one of the two.  The vector is checked
-    once, as the counts check it, and the counts and the map-space class
+    once, as the counts check it, a map degree is tested against the
+    dual effective cone once, and the counts and the map-space class
     are read from their cores; the configuration class is read through
     pattern_config_class, which checks the fan and the vector again.
     """
@@ -743,9 +745,9 @@ def oracle_compare(
         cls = pattern_config_class(fan, dv, 0)
         kind = "config"
     else:
-        brute = _hom_count(p, fan, vec)
-        cls = _hom_class(fan, vec)
-        kind = "hom"
+        brute, cls, kind = 0, ZERO, "hom"
+        if _maps_exist(fan, vec):
+            brute, cls = _hom_count(p, fan, vec), _hom_class(fan, vec)
     value = evaluate(cls, p)
     if value.denominator != 1:
         raise InternalCheckError(

@@ -576,6 +576,11 @@ def zeta_p1_coeffs(s: int, jmax: int) -> tuple[LaurentClass, ...]:
     return tuple(out)
 
 
+def packed_class(value: LaurentClass, w: int) -> int:
+    """The value of a polynomial class at L = 2^w."""
+    return sum(c << (w * k) for k, c in value.coeffs.items())
+
+
 @functools.lru_cache(maxsize=None)
 def whole_fan_box(fan: Fan, s: int, side: int):
     """The uniform box of side `side` of the fan's whole pattern set,

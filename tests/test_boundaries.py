@@ -12,7 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toricurves"
 MODULI = SRC / "moduli.py"
 
-ENGINE_ONLY = {"pack_class", "unpack_class", "_rest_factors", "_read_product",
+ENGINE_ONLY = {"unpack_class", "_rest_factors", "_read_product",
                "_Keys", "_checked_mobius"}
 
 

@@ -21,7 +21,6 @@ from toricurves.grothendieck import (
     ZERO,
     LaurentClass,
     SeriesCap,
-    pack_class,
 )
 from toricurves.mobius import IntPoly, fan_mobius_polynomial
 from toricurves import eulerprod, toric
@@ -32,7 +31,6 @@ from toricurves.eulerprod import (
     _points,
     _power,
     _rest_factors,
-    _support_size,
     _walk,
     _weight_raw,
     euler_product_at_Linv,
@@ -45,6 +43,7 @@ from reference import (
     binomial_factors,
     dense_power_by_cells,
     fan_product,
+    packed_class,
     walk_by_runs,
     zeta_p1_coeffs,
 )
@@ -348,7 +347,7 @@ def test_zeta_walk_gives_the_packed_coefficients(s):
     for top, w in itertools.product(range(9), (4, 9, 64)):
         zeta = [1] + [0] * top
         _walk(zeta, top + 1, s, w)
-        assert zeta == [pack_class(z, w) for z in zeta_p1_coeffs(s, top)]
+        assert zeta == [packed_class(z, w) for z in zeta_p1_coeffs(s, top)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -525,8 +524,7 @@ def test_power_recurrence_checks_each_division():
 def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
     """On the uniform boxes the configuration classes use, sides 0..6
     (0..4 on dp6): U pulled into the dense box is _power's U placed in
-    it, and the support count that chooses the route is |U| whenever it
-    is within its limit, and above it otherwise."""
+    it, zero on every cell outside the sparse power's support."""
     for name, fan in fans.items():
         n = fan.nrays
         for side in range(5 if name == "dp6" else 7):
@@ -541,31 +539,6 @@ def test_dense_power_and_support_count_match_the_sparse_power(fans, s):
                 want[sum(x * (side + 1) ** i for i, x in enumerate(e))] = value
             perms = toric._symmetries(n, toric.pattern_set(fan).minimal).perms
             assert _dense_power(base, a, keys, perms) == want, (name, side)
-            limit = (side + 1) ** (n + 1) * n // (2 * len(rest))
-            count = _support_size(base, keys, limit)
-            if count <= limit:
-                assert count == len(first), (name, side)
-            else:
-                assert len(first) > limit, (name, side)
-
-
-def test_support_is_counted_only_when_the_box_exceeds_the_limit(
-        fans, monkeypatch):
-    """U lies in the box, so a box of no more cells than the limit takes
-    the table route without counting U's support: every fixture at sides
-    0 and 1, where R is 1, and P^1, P^2 and P^3 at every side.  p1xp1
-    and bl1p2 count from side 3, dp6 from side 2."""
-    counted = []
-    support_size = eulerprod._support_size
-    monkeypatch.setattr(
-        eulerprod, "_support_size",
-        lambda *args: counted.append(args) or support_size(*args))
-    for (name, fan), s in itertools.product(fans.items(), (0, 1)):
-        for side in range(3 if name == "dp6" else 5):
-            del counted[:]
-            eulerprod._config_terms(toric.pattern_set(fan), s, side)
-            first = {"p1xp1": 3, "bl1p2": 3, "dp6": 2}.get(name, 5)
-            assert len(counted) == (side >= first), (name, s, side)
 
 
 def test_dense_power_checks_its_terms_and_each_division(dp6, monkeypatch):
@@ -598,8 +571,8 @@ def _power_inputs(fan, s, side):
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_orbit_power_matches_the_power_by_cells(fans, s):
     """U pulled once per orbit equals U pulled cell by cell, with the
-    automorphisms the search lists and with the identity alone, on the
-    sides where each route is taken: 0..6, and 0..4 on dp6."""
+    automorphisms the search lists and with the identity alone, at
+    sides 0..6, and 0..4 on dp6."""
     for name, fan in fans.items():
         n = fan.nrays
         perms = toric._symmetries(n, toric.pattern_set(fan).minimal).perms

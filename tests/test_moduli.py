@@ -194,6 +194,22 @@ class TestConfigClasses:
             want = direct_config_class(fans["p3"], e, s)
             assert pattern_config_class(fans["p3"], e, s) == want, e
 
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_closed_form_matches_direct_convolution(self, fans, s):
+        """Single patterns read in closed form: every vector of P^1, P^2,
+        P^3, and of p1xp1 and bl1p2, whose components are pairs, with
+        entries up to 4, against the reference convolution."""
+        for name in ("p1", "p2", "p3", "p1xp1", "bl1p2"):
+            fan = fans[name]
+            for e in itertools.product(range(5), repeat=fan.nrays):
+                want = direct_config_class(fan, e, s)
+                assert pattern_config_class(fan, e, s) == want, (name, e)
+
+    def test_closed_form_gives_the_line_maps_of_high_degree(self, p1):
+        """The classical [Hom_d(P^1, P^1)] = L^(2d+1) - L^(2d-1) at
+        d = 300, with no box of side 300 built."""
+        assert hom_class(p1, (300, 300)) == L**601 - L**599
+
     def test_walk_route_matches_direct_convolution_at_box_four(self, dp6):
         """The dp6 box of side 4, where R has 1,084 terms, against the
         reference convolution of the full table."""
@@ -202,18 +218,17 @@ class TestConfigClasses:
                   *(tuple(rng.randrange(5) for _ in range(6)) for _ in range(2))):
             assert pattern_config_class(dp6, e) == direct_config_class(dp6, e), e
 
-    def test_route_follows_the_sizes(self, fans, p3):
-        """Only dp6 at side 2 and above takes the walk: every fixture at
-        s = 0..3 and sides 0..7 (0..4 on dp6)."""
+    def test_route_follows_the_sizes(self, fans):
+        """Every box is walked: the fixtures of several patterns at
+        s = 0..3 and sides 0..7 (0..4 on dp6).  A pattern set of one
+        pattern builds no box (test_boxes_are_built_per_component)."""
         for (name, fan), s in itertools.product(fans.items(), range(4)):
+            patterns = toric.pattern_set(fan)
+            if len(patterns.minimal) == 1:
+                continue
             for side in range(5 if name == "dp6" else 8):
-                walk = name == "dp6" and side >= 2
-                route = eulerprod._WalkTerms if walk else eulerprod._ProductTerms
-                terms = eulerprod._config_terms(toric.pattern_set(fan), s, side)
-                assert type(terms) is route, (name, s, side)
-        # P^3 at side 40: 41^4 box cells, but R and U have 41 terms each
-        terms = eulerprod._config_terms(toric.pattern_set(p3), 0, 40)
-        assert type(terms) is eulerprod._ProductTerms
+                terms = eulerprod._config_terms(patterns, s, side)
+                assert type(terms) is eulerprod._WalkTerms, (name, s, side)
 
     def test_walk_mask_test_matches_the_exponent_comparison(self, dp6):
         """_WalkTerms.at picks the terms of R below e by one mask test
@@ -259,16 +274,21 @@ def test_readback_refuses_digits_beyond_the_bound(
 
 def test_product_route_runs_the_mobius_checks(
         p2, monkeypatch, capsys, cold_config_cache):
-    # p2 at (1, 1, 1) takes the product route, which checks its table
+    # the Euler product at L^-1 under the constant checks its table
     def tripwire(series):
         raise InternalCheckError("Mobius tripwire")
 
     monkeypatch.setattr(eulerprod, "_checked_mobius", tripwire)
     with pytest.raises(InternalCheckError, match="Mobius tripwire"):
-        pattern_config_class(p2, (1, 1, 1))
-    assert main(["hom", "p2", "--degree", "1,1,1"]) == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Mobius tripwire" in captured.err
+        tamagawa(p2, 4)
+    jc = JetCondition.torus_point((1, 1))
+    with pytest.raises(InternalCheckError, match="Mobius tripwire"):
+        constrained_main_term(p2, jc, 4)
+    for args in (["tamagawa", "p2", "--order", "4"],
+                 ["constrained", "p2", "--order", "4"]):
+        assert main(args) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Mobius tripwire" in captured.err
 
 
 def _shared_cases(fans, polygon_document):
@@ -321,11 +341,10 @@ def test_free_ray_classes_are_the_zeta_coefficients():
 
 
 def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
-    """Counted by the calls to the box builder, with no clock: p1xp1 at
-    (40, 40, 1, 1) builds boxes of 2 rays only, and dp6 x dp6 at
-    (2, ..., 2) none of more than 6.  Once p1 is read at (3, 3), p1xp1
-    at (3, 3, 5, 5) builds the one box of its (5, 5) pair, and at
-    (3, 3, 1, 1) none, as p1's box of side 3 holds (1, 1)."""
+    """Counted by the calls to the box builder, with no clock: p1 and
+    p1xp1, whose components are single patterns, read their classes in
+    closed form and build no box, and dp6 x dp6 at (2, ..., 2) builds
+    none of more than 6 rays."""
     built = []
     build = eulerprod._config_terms
 
@@ -335,18 +354,11 @@ def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
 
     monkeypatch.setattr(eulerprod, "_config_terms", counted)
     hom_class(fans["p1xp1"], (40, 40, 1, 1))
-    assert built == [(2, 1), (2, 40)]
-    del built[:]
+    hom_class(fans["p1"], (3, 3))
+    hom_class(fans["p1xp1"], (3, 3, 5, 5))
+    assert built == []
     hom_class(fan_product(fans["dp6"], fans["dp6"]), (2,) * 12)
     assert built and max(n for n, _ in built) == 6
-    clear_caches()
-    del built[:]
-    hom_class(fans["p1"], (3, 3))
-    assert built == [(2, 3)]
-    hom_class(fans["p1xp1"], (3, 3, 5, 5))
-    assert built == [(2, 3), (2, 5)]
-    hom_class(fans["p1xp1"], (3, 3, 1, 1))
-    assert built == [(2, 3), (2, 5)]
 
 
 def test_one_pattern_polynomial_per_pattern_set(
@@ -418,9 +430,9 @@ def test_hom_classes_keep_the_cone_test_per_degree():
 
 def test_shared_classes_check_each_permutation(
         p1xp1, monkeypatch, capsys, cold_config_cache):
-    """p1xp1 takes the product route; a listed permutation that does not
-    keep the patterns is refused by the orbit-key memo before any class
-    is shared: (0 2) moves the pattern {0, 1}."""
+    """A listed permutation of p1xp1 that does not keep the patterns is
+    refused by the orbit-key memo before any class is shared: (0 2)
+    moves the pattern {0, 1}."""
     found = toric._symmetries(4, toric.pattern_set(p1xp1).minimal)
     swap = (2, 1, 0, 3)
     monkeypatch.setattr(
@@ -473,11 +485,10 @@ def convergence_families(fans):
 
 def test_convergence_family_reads_one_class_per_orbit(
         fans, monkeypatch, cold_config_cache):
-    """The 205 convergence reports at E = 12 read back 68 configuration
-    classes, one per orbit of a pattern set.  The 36 p1xp1 reports read
-    none, as each of their pairs is a class of P^1 already read, and the
-    15 bl1p2 reports read one pair class each; the 136 dp6 reports read
-    35."""
+    """The 205 convergence reports at E = 12 read back 35 configuration
+    classes from boxes, one per orbit of dp6's pattern set, for its 136
+    reports.  p1, p2, p3 and the pairs of p1xp1 and bl1p2 are single
+    patterns, read in closed form with no box to read back."""
     read = []
     read_back = eulerprod._read_back
 
@@ -494,9 +505,9 @@ def test_convergence_family_reads_one_class_per_orbit(
             assert convergence_report(fans[name], d, 12).passed, (name, d)
         reads[name] = (len(degrees), len(read) - before)
     assert reads["dp6"] == (136, 35)
-    assert reads["p1xp1"] == (36, 0) and reads["bl1p2"] == (15, 15)
+    assert reads["p1xp1"] == (36, 0) and reads["bl1p2"] == (15, 0)
     assert sum(n for n, _ in reads.values()) == 205
-    assert sum(k for _, k in reads.values()) == 68
+    assert sum(k for _, k in reads.values()) == 35
 
 
 class TestHomClasses:

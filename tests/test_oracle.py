@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from toricurves.errors import BudgetError, FanValidationError, InternalCheckError
 from toricurves.grothendieck import evaluate
-from toricurves import FIXTURE_NAMES, oracle, toric
+from toricurves import FIXTURE_NAMES, moduli, oracle, toric
 from reference import (
     HIRZEBRUCH_2,
     clear_caches,
@@ -36,10 +36,13 @@ from toricurves.toric import (
 )
 from toricurves.moduli import (
     DegreeVector,
+    JetCondition,
+    constrained_main_term,
     convergence_report,
     hom_class,
     normalized_hom_class,
     pattern_config_class,
+    tamagawa,
 )
 from toricurves.cli import main
 from toricurves.oracle import (
@@ -1062,30 +1065,41 @@ class TestOracleCompare:
         assert set(ALLOWED_PRIMES) == {2, 3, 5, 7}
 
 
-# a warm call of each public entry at D, and the fan checks it makes: the
-# vector is checked once, and picard_rank, which the hom counts read,
-# keeps its own check; oracle_compare reads its configuration class
-# through pattern_config_class, which checks again
+# a warm call of each public entry at D, and the fan checks and cone
+# tests it makes: the vector is checked once, and picard_rank, which the
+# hom counts read, keeps its own check; oracle_compare reads its
+# configuration class through pattern_config_class, which checks again;
+# a warm tamagawa is a cache hit
 D = (1, 1, 1)
+JET = JetCondition.torus_point((1, 1))
 ENTRIES = {
-    "pattern_config_class": (1, lambda fan: pattern_config_class(fan, D)),
-    "hom_class": (1, lambda fan: hom_class(fan, D)),
-    "normalized_hom_class": (1, lambda fan: normalized_hom_class(fan, D)),
-    "convergence_report": (1, lambda fan: convergence_report(fan, D, 6)),
-    "ff_pattern_count": (1, lambda fan: ff_pattern_count(2, fan, D)),
-    "oracle_compare_e": (2, lambda fan: oracle_compare(2, fan, e=D)),
-    "ff_hom_count": (2, lambda fan: ff_hom_count(2, fan, D)),
-    "oracle_compare_d": (2, lambda fan: oracle_compare(2, fan, d=D)),
+    "pattern_config_class": (1, 0, lambda fan: pattern_config_class(fan, D)),
+    "hom_class": (1, 1, lambda fan: hom_class(fan, D)),
+    "normalized_hom_class": (1, 1, lambda fan: normalized_hom_class(fan, D)),
+    "convergence_report": (1, 1, lambda fan: convergence_report(fan, D, 6)),
+    "ff_pattern_count": (1, 0, lambda fan: ff_pattern_count(2, fan, D)),
+    "oracle_compare_e": (2, 0, lambda fan: oracle_compare(2, fan, e=D)),
+    "ff_hom_count": (2, 1, lambda fan: ff_hom_count(2, fan, D)),
+    "oracle_compare_d": (2, 1, lambda fan: oracle_compare(2, fan, d=D)),
+    "constrained_main_term": (1, 0,
+                              lambda fan: constrained_main_term(fan, JET, 6)),
+    "tamagawa": (0, 0, lambda fan: tamagawa(fan, 6)),
 }
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_fan_checks_of_a_warm_call(p2, entry):
-    """Each public entry checks its vector once, with the fan.  A warm
+def test_fan_checks_of_a_warm_call(p2, monkeypatch, entry):
+    """Each public entry checks its vector once, with the fan, and tests
+    a map degree against the dual effective cone once.  A warm
     convergence report used to check its fan twice, and a warm
     comparison of a map space three times."""
-    checks, call = ENTRIES[entry]
+    checks, cones, call = ENTRIES[entry]
     call(p2)
+    tests = []
+    for module in (moduli, oracle):
+        monkeypatch.setattr(
+            module, "eff_dual_contains",
+            lambda fan, d: tests.append(d) or eff_dual_contains(fan, d))
 
     def lookups():
         info = toric.validate.cache_info()
@@ -1094,3 +1108,4 @@ def test_fan_checks_of_a_warm_call(p2, entry):
     before = lookups()
     call(p2)
     assert lookups() - before == checks
+    assert len(tests) == cones
