@@ -20,37 +20,51 @@ import os
 import pathlib
 import sys
 import time
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import FIXTURE_NAMES, fixture_fan
 from .errors import (
     BudgetError,
     FanValidationError,
     InternalCheckError,
     LimitError,
     _int,
+    _resolve_budget,
 )
 from .grothendieck import MINUS_INFINITY, ONE, SeriesCap
 from .toric import (
+    FIXTURE_NAMES,
     Fan,
     class_of_variety,
     eff_dual_contains,
     enumerate_cones,
+    fixture_fan,
     parse_fan,
     pattern_set,
     picard_rank,
     validate,
 )
-from .mobius import IntPoly, fan_mobius_polynomial, local_identity_check
-from .eulerprod import global_mobius
-from .moduli import (
-    JetCondition,
-    constrained_main_term,
-    convergence_report,
-    hom_class,
-    normalized_hom_class,
-    tamagawa,
-)
-from . import oracle as oracle_mod
+
+
+def _layer(name: str):
+    """The layer toricurves.<name>, entered in sys.modules now but run at
+    its first attribute lookup, so that a command compiles and runs no
+    layer it does not call."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = find_spec(fullname)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+mobius = _layer("mobius")
+eulerprod = _layer("eulerprod")
+moduli = _layer("moduli")
+oracle = _layer("oracle")
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -98,9 +112,9 @@ def _parse_degree(text: str, nrays: int) -> tuple[int, ...]:
     return entries
 
 
-def _parse_jet(text: str, p: int, nrays: int) -> oracle_mod.JetSpec:
+def _parse_jet(text: str, p: int, nrays: int) -> oracle.JetSpec:
     """Parse "point,order[,c0:c1:...,... one group per ray]"."""
-    oracle_mod._check_prime(p)
+    oracle._check_prime(p)
     tokens = text.split(",")
     if len(tokens) < 2:
         raise ValueError("jet needs at least 'point,order'")
@@ -122,8 +136,8 @@ def _parse_jet(text: str, p: int, nrays: int) -> oracle_mod.JetSpec:
             f"jet part {chunk!r} is not of the form point,order[,c0:c1:...]"
         ) from None
     if not target:
-        return oracle_mod.JetSpec.identity(nrays, point, order)
-    return oracle_mod.JetSpec(point, order, tuple(target))
+        return oracle.JetSpec.identity(nrays, point, order)
+    return oracle.JetSpec(point, order, tuple(target))
 
 
 def _parse_points(text: str) -> list[tuple[tuple[int, int], int]]:
@@ -154,7 +168,7 @@ def _nonnegative(option: str, value: int | None) -> None:
         raise ValueError(f"{option} must be nonnegative, got {value}")
 
 
-def _mobius_listing(poly: IntPoly) -> list[dict]:
+def _mobius_listing(poly: mobius.IntPoly) -> list[dict]:
     """mu on every 0/1 vector n, zeros included, by |n| and then n."""
     mu = poly.coeffs
     vectors = sorted(itertools.product((0, 1), repeat=poly.nvars),
@@ -190,8 +204,8 @@ def cmd_analyze(args):
     pats = pattern_set(fan)
     rank = picard_rank(fan)
     cls = class_of_variety(fan)
-    poly = fan_mobius_polynomial(fan)
-    identity_ok = local_identity_check(fan)
+    poly = mobius.fan_mobius_polynomial(fan)
+    identity_ok = mobius.local_identity_check(fan)
     payload = {
         "validation": report.to_json(),
         "f_vector": list(enumerate_cones(fan)),
@@ -219,7 +233,7 @@ def cmd_analyze(args):
 def cmd_mobius(args):
     _nonnegative("--cap", args.cap)
     fan = _load_fan(args.fan)
-    poly = fan_mobius_polynomial(fan)
+    poly = mobius.fan_mobius_polynomial(fan)
     as_json = args.format == "json"
     payload = {
         # the listings are printed only in JSON
@@ -228,7 +242,7 @@ def cmd_mobius(args):
     }
     lines = [f"P = {poly}"]
     if args.cap is not None:
-        gm = global_mobius(
+        gm = eulerprod.global_mobius(
             fan, 0, SeriesCap.total_cap(fan.nrays, args.cap)
         )
         payload["global"] = [
@@ -246,6 +260,8 @@ def cmd_mobius(args):
 def cmd_hom(args):
     fan = _load_fan(args.fan)
     d = _parse_degree(args.degree, fan.nrays)
+    # the fan and the degree are checked before the cone is tested
+    d = moduli.checked_degrees(fan, d).entries
     if not eff_dual_contains(fan, d):
         payload = {
             "degree": list(d),
@@ -253,7 +269,8 @@ def cmd_hom(args):
             "reason": "degree not in Eff^v",
         }
         return payload, "empty: degree not in Eff^v"
-    cls = normalized_hom_class(fan, d) if args.normalized else hom_class(fan, d)
+    cls = (moduli.normalized_hom_class(fan, d) if args.normalized
+           else moduli.hom_class(fan, d))
     payload = {
         "degree": list(d),
         "normalized": bool(args.normalized),
@@ -269,7 +286,7 @@ def cmd_hom(args):
 def cmd_tamagawa(args):
     _nonnegative("--order", args.order)
     fan = _load_fan(args.fan)
-    series = tamagawa(fan, args.order)
+    series = moduli.tamagawa(fan, args.order)
     payload = {
         "order": args.order,
         "series": str(series.known),
@@ -283,7 +300,7 @@ def cmd_converge(args):
     _nonnegative("--order", args.order)
     fan = _load_fan(args.fan)
     d = _parse_degree(args.degree, fan.nrays)
-    rep = convergence_report(fan, d, args.order)
+    rep = moduli.convergence_report(fan, d, args.order)
     payload = rep.to_json()
     payload["bound_float"] = float(rep.bound)
     text = (
@@ -305,7 +322,7 @@ def cmd_oracle(args):
         d = _parse_degree(args.degree, fan.nrays)
         jet = _parse_jet(args.jet, args.p, fan.nrays)
         start = time.perf_counter()
-        count = oracle_mod.ff_constrained_count(
+        count = oracle.ff_constrained_count(
             args.p, fan, d, jet, budget=args.budget
         )
         elapsed = int((time.perf_counter() - start) * 1000)
@@ -323,7 +340,7 @@ def cmd_oracle(args):
         return payload, f"constrained count {count} ({elapsed} ms)"
     kind, text = ("e", args.config) if args.degree is None else ("d", args.degree)
     vec = _parse_degree(text, fan.nrays)
-    rep = oracle_mod.oracle_compare(args.p, fan, budget=args.budget, **{kind: vec})
+    rep = oracle.oracle_compare(args.p, fan, budget=args.budget, **{kind: vec})
     verdict = "equal" if rep.equal else "MISMATCH"
     text = (
         f"{verdict}: brute {rep.brute} predicted {rep.predicted} "
@@ -338,14 +355,14 @@ def cmd_constrained(args):
     if args.points is not None:
         specs = _parse_points(args.points)
         if args.mode == "torus":
-            jc = JetCondition(
+            jc = moduli.JetCondition(
                 tuple((tuple(pt), order) for pt, order in specs), ONE, 0
             )
         else:
-            jc = JetCondition.full_jets(fan, specs)
+            jc = moduli.JetCondition.full_jets(fan, specs)
     else:
-        jc = JetCondition.empty()
-    series = constrained_main_term(fan, jc, args.order)
+        jc = moduli.JetCondition.empty()
+    series = moduli.constrained_main_term(fan, jc, args.order)
     payload = {
         "order": args.order,
         "jet_condition": jc.to_json(),
@@ -442,7 +459,7 @@ def _refusing(run, args) -> int:
 def _respond(args) -> int:
     if args.budget is not None:
         # every command accepts --budget, so every command checks it
-        oracle_mod._resolve_budget(args.budget)
+        _resolve_budget(args.budget)
     payload, text = args.func(args)
     try:
         print(_json_text(payload) if args.format == "json" else text)

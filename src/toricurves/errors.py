@@ -1,7 +1,12 @@
-"""Shared exception types, mapped to CLI exit statuses in cli.py, and the
-checks that a parameter is an integer and that a text reads as one."""
+"""Shared exception types, mapped to CLI exit statuses in cli.py, the
+checks that a parameter is an integer and that a text reads as one, and
+the enumeration budget that BudgetError enforces."""
 
+import os
 import re
+
+DEFAULT_BUDGET = 10**8
+BUDGET_ENV = "TORICURVES_BUDGET"
 
 
 class FanValidationError(ValueError):
@@ -52,3 +57,27 @@ def _int(text: str) -> int:
 
 # argparse names the type in its refusal: "invalid int value: '1_0'"
 _int.__name__ = "int"
+
+
+def _resolve_budget(budget: int | None) -> int:
+    """The budget argument, else $TORICURVES_BUDGET, else DEFAULT_BUDGET.
+
+    A negative or non-integer value raises ValueError naming its source.
+    """
+    if budget is not None:
+        source, raw = "the budget argument (--budget)", budget
+        value = budget if _is_int(budget) else None
+    else:
+        raw = os.environ.get(BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        source = BUDGET_ENV
+        try:
+            value = _int(raw)
+        except ValueError:
+            value = None
+    if value is None or value < 0:
+        raise ValueError(
+            f"budget {raw!r} from {source} is not a nonnegative integer"
+        )
+    return value

@@ -70,14 +70,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import and_
 from typing import Sequence
 
-from .errors import BudgetError, InternalCheckError, _int, _integer, _is_int
+from .errors import BudgetError, InternalCheckError, _integer, _resolve_budget
+# the budget lives in errors, where the CLI checks --budget without the
+# oracle; its default stays importable from here
+from .errors import DEFAULT_BUDGET  # noqa: F401
 from .grothendieck import ZERO, evaluate
 from .toric import (
     Fan,
@@ -97,12 +99,9 @@ from .moduli import (
 )
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
-DEFAULT_BUDGET = 10**8
-BUDGET_ENV = "TORICURVES_BUDGET"
 
 __all__ = [
     "ALLOWED_PRIMES",
-    "DEFAULT_BUDGET",
     "JetSpec",
     "OracleReport",
     "ff_pattern_count",
@@ -119,30 +118,6 @@ def _check_prime(p: int) -> None:
         _integer(p, "prime")
     if p not in ALLOWED_PRIMES:
         raise ValueError(f"prime must be one of {ALLOWED_PRIMES}, got {p}")
-
-
-def _resolve_budget(budget: int | None) -> int:
-    """The budget argument, else $TORICURVES_BUDGET, else DEFAULT_BUDGET.
-
-    A negative or non-integer value raises ValueError naming its source.
-    """
-    if budget is not None:
-        source, raw = "the budget argument (--budget)", budget
-        value = budget if _is_int(budget) else None
-    else:
-        raw = os.environ.get(BUDGET_ENV)
-        if raw is None:
-            return DEFAULT_BUDGET
-        source = BUDGET_ENV
-        try:
-            value = _int(raw)
-        except ValueError:
-            value = None
-    if value is None or value < 0:
-        raise ValueError(
-            f"budget {raw!r} from {source} is not a nonnegative integer"
-        )
-    return value
 
 
 def _trim(poly: Sequence[int]) -> tuple[int, ...]:

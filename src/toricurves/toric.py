@@ -193,6 +193,20 @@ def parse_fan(document: dict) -> Fan:
     return Fan(dim=dim, rays=tuple(rays), max_cones=tuple(cones))
 
 
+FIXTURE_NAMES = ("p1", "p2", "p3", "p1xp1", "bl1p2", "dp6")
+
+
+def fixture_fan(name: str) -> Fan:
+    """Load one of the bundled fans by short name (see FIXTURE_NAMES)."""
+    import json
+    from importlib import resources
+
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture fan {name!r}; have {FIXTURE_NAMES}")
+    path = resources.files(__package__).joinpath(f"fans/{name}.json")
+    return parse_fan(json.loads(path.read_text()))
+
+
 @lru_cache(maxsize=None)
 def validate(fan: Fan) -> FanReport:
     """Check smoothness and completeness, both exactly.

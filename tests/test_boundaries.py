@@ -128,24 +128,33 @@ def _top_level(tree) -> set[str]:
     return out
 
 
+def _exports() -> dict[str, tuple[str, ...]]:
+    """The package's table of public names by the layer that defines
+    them, read from __init__.py."""
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("__init__.py defines no _EXPORTS")
+
+
 def test_exports_name_what_their_module_defines():
     """Each module's __all__ names only what that module defines, and
-    each name the package __init__ imports from a module is defined in
-    that module, not imported into it."""
+    each name the package's export table takes from a module is defined
+    in that module, not imported into it."""
     defined = {path.stem: _top_level(ast.parse(path.read_text()))
                for path in SRC.glob("*.py")}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if (isinstance(node, ast.Assign)
-                    and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+                    and [ast.unparse(t) for t in node.targets] == ["__all__"]
+                    and path.name != "__init__.py"):
                 names = set(ast.literal_eval(node.value))
                 assert names <= defined[path.stem], (
                     path.stem, names - defined[path.stem])
-    init = ast.parse((SRC / "__init__.py").read_text())
-    reexports = [(node.module, alias.name) for node in init.body
-                 if isinstance(node, ast.ImportFrom) and node.level == 1
-                 for alias in node.names]
+    reexports = [(module, name) for module, names in _exports().items()
+                 for name in names]
     assert reexports
     missing = [(module, name) for module, name in reexports
                if name not in defined.get(module, ())]

@@ -302,6 +302,18 @@ class TestHom:
         assert laurent_from_json(doc["coeffs"]) == hom_class(p2, (1, 1, 1))
         assert doc["virtual_dimension"] == 5
 
+    @pytest.mark.parametrize("degree", ["1,0,1", "1,1,1"])
+    def test_invalid_fan_is_refused_before_the_cone_test(
+            self, capsys, tmp_path, degree):
+        # P^2 less one cone: (1, 0, 1) is off its cone, so the fan must
+        # be refused before the cone is tested
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, -1]],
+                                    "max_cones": [[0, 1], [1, 2]]}))
+        code, out, err = run(capsys, "hom", str(path), "--degree", degree)
+        assert code == EXIT_VALIDATION and out == ""
+        assert "lies in 1 maximal cones" in err
+
     def test_arity_mismatch(self, capsys):
         code, out, err = run(capsys, "hom", "p2", "--degree", "1,1")
         assert code == EXIT_VALIDATION and out == "" and "error:" in err
@@ -455,7 +467,7 @@ class TestOracle:
         def boom(*args, **kwargs):
             raise LimitError("over the internal limit")
 
-        monkeypatch.setattr("toricurves.cli.tamagawa", boom)
+        monkeypatch.setattr("toricurves.moduli.tamagawa", boom)
         code, out, err = run(capsys, "tamagawa", "p2", "--order", "4")
         assert code == EXIT_BUDGET
         assert out == ""
@@ -482,7 +494,7 @@ class TestOracle:
         def boom(*args, **kwargs):
             raise InternalCheckError("tripwire")
 
-        monkeypatch.setattr("toricurves.cli.oracle_mod.oracle_compare", boom)
+        monkeypatch.setattr("toricurves.oracle.oracle_compare", boom)
         code, out, err = run(capsys, "oracle", "p2", "--p", "3",
                              "--degree", "1,1,1")
         assert code == EXIT_INTERNAL
