@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from operator import add, mul, sub
 from typing import Mapping, Sequence
@@ -664,10 +665,23 @@ def _zeta(s: int, j: int) -> LaurentClass:
     """[t^j] (1 - t)^(s-1) / (1 - L t), the class of a ray of degree j on
     no live pattern: sum_(i <= j) L^i for s = 0, and for s >= 1
     sum_(i <= min(j, s - 1)) (-1)^i binom(s - 1, i) L^(j - i)."""
+    return LaurentClass(enumerate(_times_zeta([1], s, j)))
+
+
+def _times_zeta(coeffs: list[int], s: int, j: int) -> list[int]:
+    """The dense coefficients, from L^0, of a class times _zeta(s, j).  At
+    s = 0 each coefficient of the product is the sum of a window of j + 1
+    of coeffs, read off their running sums; at s >= 1 _zeta(s, j) has at
+    most s terms."""
     if s == 0:
-        return LaurentClass(dict.fromkeys(range(j + 1), 1))
-    return LaurentClass({j - i: (-1) ** i * math.comb(s - 1, i)
-                         for i in range(min(j, s - 1) + 1)})
+        sums = [0] * (j + 1) + list(itertools.accumulate(coeffs + [0] * j))
+        return list(map(sub, sums[j + 1:], sums))
+    out = [0] * (len(coeffs) + j)
+    for i in range(min(j, s - 1) + 1):
+        c = (-1) ** i * math.comb(s - 1, i)
+        for a, x in enumerate(coeffs, j - i):
+            out[a] += c * x
+    return out
 
 
 def _one_pattern_class(key: tuple[int, ...], s: int) -> LaurentClass:
@@ -678,19 +692,23 @@ def _one_pattern_class(key: tuple[int, ...], s: int) -> LaurentClass:
     1 - t^J is Z_C(t^J)^(-1), and the class is
     sum_(k <= min key) c_k prod_alpha zeta_(key_alpha - k), with
     sum_k c_k u^k = (1 - L u) (1 - u)^(1-s): three terms at s = 0 and
-    two at s = 1."""
-    cls, prev, b = ZERO, 0, 1
+    two at s = 1.  Every term has exponents 0 to sum(key) + 1, so the
+    sum is kept as a dense list (_times_zeta)."""
+    total = [0] * (sum(key) + 2)
+    prev, b = 0, 1
     for k in range(min(key) + 1):
         if k:
             # b = [u^k] (1 - u)^(1-s), from [u^(k-1)]
             prev, b = b, b * (k + s - 2) // k
         if not (b or prev):
             break
-        term = ONE
+        term = [1]
         for x in key:
-            term *= _zeta(s, x - k)
-        cls += term * LaurentClass({0: b, 1: -prev})
-    return cls
+            term = _times_zeta(term, s, x - k)
+        for i, c in enumerate(term):
+            total[i] += b * c
+            total[i + 1] -= prev * c
+    return LaurentClass(enumerate(total))
 
 
 def config_class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:

@@ -27,9 +27,12 @@ points under the permutations that keep degrees, [0:1] counting as a
 rational point, with the orbit's summed count.  The orbit
 is read off bit counts: the points of each degree are split by the
 state's masks, and the orbit is how many points each part holds.
-Jet-constrained counts key each form by its mask and its jet
-relative to the target, and keep a final state when every character of
-the dense torus takes the value 1 on its jets.  A budget guard refuses
+Jet-constrained counts key each form by its mask and the values of
+the characters of the dense torus on its jet relative to the target;
+the characters are a homomorphism, so the walk carries the product of
+the values so far, and a tuple counts when that product is the
+identity.  Plain counts carry the identity throughout, so every count
+has one state shape and one final test.  A budget guard refuses
 enumerations that are too large rather than sampling.  Hom and jet
 counts are 0 outside the dual effective cone, as the classes are, once
 the checks (moduli's checked_degrees) and the budget have run.
@@ -61,8 +64,7 @@ patterns the count of its own pattern set at its own orbit key.  The
 split is toric's ``_components``, which the engine reads its
 configuration classes by too.  One count of a pair thus answers P^1,
 P^1 x P^1 and the blow-up of P^2 alike.  Jet counts are never shared or
-split, as the target jets and the ray vectors single out each ray, and
-their weights read all the tags at once.
+split, as the target jets and the ray vectors single out each ray.
 """
 
 from __future__ import annotations
@@ -302,34 +304,39 @@ def _orbit_reps(p: int, k: int) -> _Memo:
     return _Memo(rep)
 
 
-def _count(p, degrees, patterns, tag=None, weight=None) -> int:
-    """Sum of weight(tags) over form tuples, one per ray, avoiding the patterns.
+def _count(p, degrees, patterns, forms=None, times=None) -> int:
+    """Number of form tuples, one per ray, that avoid the patterns and
+    whose values multiply to the identity.
 
     A tuple avoids a pattern when the root masks of the pattern's rays
-    have no common bit.  ``tag(ray, coeffs)`` returns the form's tag, or
-    None to leave the form out; without it every form counts and no
-    tags are kept.  Without ``weight`` each tuple counts 1; with it,
-    ``weight`` gets the tags in ray order, once per final state.
+    have no common bit.  Each form has a value, a small int standing
+    for an element of a group, 0 for the identity.  A plain count
+    (no ``forms``) gives every form the value 0.  A jet count gets
+    ``forms(ray, e, k)``, {(root mask, value): number of forms}, and
+    ``times``, which maps a pair of values to the value of their
+    product; a form of value 0 moves no state, so ``times`` is never
+    asked for it.
 
     The walk over the rays merges tuples by state: per pattern begun
-    and not ended, the AND of the masks so far.  The rays go in the
-    order of ``_walk_order``, which ends patterns early; the count is a
-    sum over all tuples, so the order does not change it.  Before each
-    ray the ANDs of the patterns that end there fold into one mask, the
-    OR of them, and states that agree on it and on the rest merge: the
-    ray and the later ones read those ANDs only through whether that OR
-    meets the new form's mask.  A ray's masks only cover points of
-    degree at most the smallest degree of some pattern through it, the
-    only points those forms can share.
+    and not ended, the AND of the masks so far, and the product of the
+    values so far.  The rays go in the order of ``_walk_order``, which
+    ends patterns early; the count is a sum over all tuples, so the
+    order does not change it.  Before each ray the ANDs of the patterns
+    that end there fold into one mask, the OR of them, and states that
+    agree on it and on the rest merge: the ray and the later ones read
+    those ANDs only through whether that OR meets the new form's mask.
+    A ray's masks only cover points of degree at most the smallest
+    degree of some pattern through it, the only points those forms can
+    share.  The count sums the final states of value 0.
 
-    A plain count (no ``tag``) lists no form: the number of forms per
-    mask comes from the zeta function of P^1 (``_mask_counts``) and
-    depends on the points a mask holds only through their degrees.  So
-    a permutation of the points that keeps degrees maps states onto
-    states with the same continuations, and after the fold the groups
-    merge once more, one per orbit of the points, stepped with the
-    orbit's summed count (``_orbit_reps``).  Jet counts keep every
-    group, since the marked point and the tags single out points.
+    A plain count lists no form: the number of forms per mask comes
+    from the zeta function of P^1 (``_mask_counts``) and depends on the
+    points a mask holds only through their degrees.  So a permutation
+    of the points that keeps degrees maps states onto states with the
+    same continuations, and after the fold the groups merge once more,
+    one per orbit of the points, stepped with the orbit's summed count
+    (``_orbit_reps``).  Jet counts keep every group, since the marked
+    point and the values single out points.
     """
     patterns = tuple(pat for pat in patterns if all(degrees[a] for a in pat))
     order = _walk_order(len(degrees), patterns)
@@ -341,18 +348,12 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
             default=0)
         for a in range(len(degrees))
     ]
-    reps = _orbit_reps(p, max(cuts)) if tag is None and patterns else None
-    states = {((), ()): 1}
+    reps = _orbit_reps(p, max(cuts)) if forms is None and patterns else None
+    states = {((), 0): 1}
     live: list[int] = []
     for t, (e, k) in enumerate(zip(degrees, cuts)):
-        if tag is None:
-            keys = {(m, ()): c for m, c in _mask_counts(p, e, k).items()}
-        else:
-            keys = Counter()
-            for f, m in zip(_form_table(p, e), _root_masks(p, e, k)):
-                ft = tag(order[t], f)
-                if ft is not None:
-                    keys[m, (ft,)] += 1
+        keys = forms(order[t], e, k) if forms else {
+            (m, 0): c for m, c in _mask_counts(p, e, k).items()}
         # slots index the old state plus a trailing all-ones entry, where
         # the patterns beginning at ray t start
         slots = list(enumerate(live)) + [
@@ -367,33 +368,29 @@ def _count(p, degrees, patterns, tag=None, weight=None) -> int:
             hit.append(t in patterns[i])
             kept.append(i)
         groups: dict = defaultdict(int)
-        for (ands, tags), n in states.items():
+        for (ands, value), n in states.items():
             ext = ands + (-1,)
             forbidden = 0
             for s in closing:
                 forbidden |= ext[s]
-            groups[forbidden, tuple(map(ext.__getitem__, src)), tags] += n
+            groups[forbidden, tuple(map(ext.__getitem__, src)), value] += n
         if reps is not None and len(groups) > 1:
             merged: dict = defaultdict(int)
             for group, n in groups.items():
                 merged[reps[group]] += n
             groups = merged
         step = [
-            (m, ft, c, tuple(m if h else -1 for h in hit))
-            for (m, ft), c in keys.items()
+            (m, fv, c, tuple(m if h else -1 for h in hit))
+            for (m, fv), c in keys.items()
         ]
         nxt: dict = defaultdict(int)
-        for (forbidden, carried, tags), n in groups.items():
-            for m, ft, c, masks in step:
+        for (forbidden, carried, value), n in groups.items():
+            for m, fv, c, masks in step:
                 if not forbidden & m:
-                    nxt[tuple(map(and_, carried, masks)), tags + ft] += n * c
+                    nxt[tuple(map(and_, carried, masks)),
+                        times[value, fv] if fv else value] += n * c
         states, live = nxt, kept
-    if weight is None:
-        return sum(states.values())
-    return sum(
-        n * weight(tuple(tags[place[ray]] for ray in range(len(order))))
-        for (_, tags), n in states.items()
-    )
+    return sum(n for (_, value), n in states.items() if not value)
 
 
 @functools.lru_cache(maxsize=None)
@@ -618,13 +615,16 @@ def ff_constrained_count(
 
     Tuples of nonzero forms avoiding the patterns whose truncated Taylor
     expansion at the marked point lies in the torus orbit of the target
-    jet, divided by the order of the Neron-Severi torus.  Each form is
-    tagged by its relative jet (jet times target inverse) scaled to
-    constant term 1, and forms with a zero constant term are left out.
-    The orbit is the kernel of the characters of the dense torus: a
-    final state counts once when, for every coordinate i, the product
-    of its relative jets to the powers v_alpha[i] of the rays is 1.
-    Zero outside the dual effective cone, as for ff_hom_count.
+    jet, divided by the order of the Neron-Severi torus.  Each form's
+    relative jet (jet times target inverse) is scaled to constant term
+    1, and forms with a zero constant term are left out.  The orbit is
+    the kernel of the characters of the dense torus: a tuple counts
+    when, for every coordinate i, the product of its relative jets to
+    the powers v_alpha[i] of the rays is 1.  The characters are a
+    homomorphism, so each form's value is its tuple of rel^(v_alpha[i])
+    over the coordinates, and ``_count`` carries the running product of
+    the values, tuples that agree on it merging.  Zero outside the dual
+    effective cone, as for ff_hom_count.
     """
     d = _checked_degrees(p, fan, d, budget, jet).entries
     if not eff_dual_contains(fan, d):
@@ -635,40 +635,38 @@ def ff_constrained_count(
         _series_inv(tuple(c % p for c in comp), p, n) for comp in jet.target
     ]
 
-    def tag(ray, coeffs):
-        value = _taylor_jet(coeffs, jet.point, jet.order, p)
-        if not value[0]:
-            return None
-        rel = _series_mul(value, target_inv[ray], p, n)
-        inv0 = pow(rel[0], p - 2, p)
-        return tuple((x * inv0) % p for x in rel)
-
     # The unimodular cones make the rays span the lattice, so
     # 0 -> M -> Z^rays -> Pic -> 0 is exact with Pic free, and the image
     # of the Neron-Severi torus in the ray-indexed units is the common
     # kernel of the n characters x -> prod_alpha x_alpha^(v_alpha[i]).
     # A constant scaling moves each character by a constant only, so a
-    # state of constant-term-1 jets meets the orbit exactly when all its
+    # tuple of constant-term-1 jets meets the orbit exactly when all its
     # characters are 1, and then for (p-1)^rank scalings, which is the
-    # torus order the count is divided by.  The same (jet, exponent)
-    # pairs recur across the states, so each power is formed once.
-    powers: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    # torus order the count is divided by.  Values are numbered in order
+    # of first sight, the identity 0, and the same (jet, exponent) pairs
+    # and products recur across forms and states, so each is formed once.
+    values = [(one,) * fan.dim]
+    number = _Memo(lambda chars: values.append(chars) or len(values) - 1)
+    number[values[0]] = 0
+    powers = _Memo(lambda key: _series_pow(*key, p, n))
+    times = _Memo(lambda pair: number[tuple(
+        _series_mul(a, b, p, n) for a, b in zip(*map(values.__getitem__, pair))
+    )])
 
-    def weight(rels):
-        for i in range(fan.dim):
-            acc = one
-            for rel, ray in zip(rels, fan.rays):
-                if ray[i]:
-                    power = powers.get((rel, ray[i]))
-                    if power is None:
-                        power = _series_pow(rel, ray[i], p, n)
-                        powers[rel, ray[i]] = power
-                    acc = _series_mul(acc, power, p, n)
-            if acc != one:
-                return 0
-        return 1
+    def forms(ray, e, k):
+        keys = Counter()
+        for f, m in zip(_form_table(p, e), _root_masks(p, e, k)):
+            jet_at = _taylor_jet(f, jet.point, jet.order, p)
+            if jet_at[0]:
+                rel = _series_mul(jet_at, target_inv[ray], p, n)
+                inv0 = pow(rel[0], p - 2, p)
+                rel = tuple((x * inv0) % p for x in rel)
+                keys[m, number[tuple(
+                    powers[rel, x] if x else one for x in fan.rays[ray]
+                )]] += 1
+        return keys
 
-    return _count(p, d, pattern_set(fan).minimal, tag, weight)
+    return _count(p, d, pattern_set(fan).minimal, forms, times)
 
 
 @dataclass(frozen=True)

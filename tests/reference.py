@@ -335,12 +335,12 @@ def common_projective_root(p: int, forms) -> bool:
     return len(g) > 1
 
 
-def count_unmerged(p, degrees, patterns, tag=None, weight=None) -> int:
+def count_unmerged(p, degrees, patterns, forms=None, times=None) -> int:
     """oracle._count without the orbit merge, and with the forms per
     root mask of a plain count listed one by one (``_root_masks``), not
     read off the zeta function of P^1: the walk in ``_walk_order``
-    keeps one state per AND tuple, folding the patterns that end at a
-    ray into their OR first, and nothing more."""
+    keeps one state per AND tuple and value, folding the patterns that
+    end at a ray into their OR first, and nothing more."""
     patterns = tuple(pat for pat in patterns if all(degrees[a] for a in pat))
     order = oracle._walk_order(len(degrees), patterns)
     place = {ray: t for t, ray in enumerate(order)}
@@ -351,15 +351,13 @@ def count_unmerged(p, degrees, patterns, tag=None, weight=None) -> int:
             default=0)
         for a in range(len(degrees))
     ]
-    states = {((), ()): 1}
+    states = {((), 0): 1}
     live: list[int] = []
     for t, (e, k) in enumerate(zip(degrees, cuts)):
-        keys = Counter()
-        for f, m in zip(oracle._form_table(p, e), oracle._root_masks(p, e, k)):
-            if tag is None:
-                keys[m, ()] += 1
-            elif (ft := tag(order[t], f)) is not None:
-                keys[m, (ft,)] += 1
+        if forms is None:
+            keys = Counter((m, 0) for m in oracle._root_masks(p, e, k))
+        else:
+            keys = forms(order[t], e, k)
         slots = list(enumerate(live)) + [
             (len(live), i) for i, pat in enumerate(patterns) if pat[0] == t
         ]
@@ -372,28 +370,24 @@ def count_unmerged(p, degrees, patterns, tag=None, weight=None) -> int:
             hit.append(t in patterns[i])
             kept.append(i)
         groups: dict = defaultdict(int)
-        for (ands, tags), n in states.items():
+        for (ands, value), n in states.items():
             ext = ands + (-1,)
             forbidden = 0
             for s in closing:
                 forbidden |= ext[s]
-            groups[forbidden, tuple(map(ext.__getitem__, src)), tags] += n
+            groups[forbidden, tuple(map(ext.__getitem__, src)), value] += n
         step = [
-            (m, ft, c, tuple(m if h else -1 for h in hit))
-            for (m, ft), c in keys.items()
+            (m, fv, c, tuple(m if h else -1 for h in hit))
+            for (m, fv), c in keys.items()
         ]
         nxt: dict = defaultdict(int)
-        for (forbidden, carried, tags), n in groups.items():
-            for m, ft, c, masks in step:
+        for (forbidden, carried, value), n in groups.items():
+            for m, fv, c, masks in step:
                 if not forbidden & m:
-                    nxt[tuple(map(and_, carried, masks)), tags + ft] += n * c
+                    nxt[tuple(map(and_, carried, masks)),
+                        times[value, fv] if fv else value] += n * c
         states, live = nxt, kept
-    if weight is None:
-        return sum(states.values())
-    return sum(
-        n * weight(tuple(tags[place[ray]] for ray in range(len(order))))
-        for (_, tags), n in states.items()
-    )
+    return sum(n for (_, value), n in states.items() if not value)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,37 @@ def test_free_ray_classes_are_the_zeta_coefficients():
             assert eulerprod._zeta(s, j) == want, (s, j)
 
 
+def test_one_pattern_classes_match_the_products_of_zeta_classes():
+    """The closed form of a single pattern, kept as dense lists, equals
+    sum_k c_k prod_alpha zeta_(key_alpha - k) taken as LaurentClass
+    products, with sum_k c_k u^k = (1 - L u) (1 - u)^(1-s) expanded
+    here by multiplying or dividing by 1 - u, on keys of a few hundred
+    at s = 0, ..., 3."""
+    for s in range(4):
+        for key in [(300, 297), (3, 250, 120)]:
+            top = min(key) + 1
+            b = [1] + [0] * top
+            for _ in range(abs(1 - s)):
+                if s < 1:
+                    b = [x - y for x, y in zip(b, [0] + b)]
+                else:
+                    b = list(itertools.accumulate(b))
+            want = ZERO
+            for k in range(top):
+                c = b[k] - L * (b[k - 1] if k else 0)
+                term = ONE
+                for x in key:
+                    term *= eulerprod._zeta(s, x - k)
+                want += c * term
+            assert eulerprod._one_pattern_class(key, s) == want, (key, s)
+
+
+def test_hom_classes_of_the_line_at_large_degree(p1):
+    """[Hom_d(P^1, P^1)] = L^(2d+1) - L^(2d-1), at d = 1000 in closed
+    form."""
+    assert hom_class(p1, (1000, 1000)) == L**2001 - L**1999
+
+
 def test_boxes_are_built_per_component(fans, monkeypatch, cold_config_cache):
     """Counted by the calls to the box builder, with no clock: p1 and
     p1xp1, whose components are single patterns, read their classes in

@@ -717,6 +717,16 @@ JET_CASES = [
     ("F2", (1, 0, 1, 2), 3, 1, 1, ((1, 2), (2, 0), (1, 1), (2, 2))),
     ("F2", (2, 0, 2, 4), 2, None, 2,
      ((1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0))),
+    # skewed targets on four and five rays, whose values the walk
+    # multiplies as it goes; each count is nonzero
+    ("p1xp1", (1, 1, 1, 1), 3, 1, 1, ((1, 0), (1, 1), (2, 0), (2, 2))),
+    ("bl1p2", (1, 1, 1, 2), 3, 0, 1, ((2, 1), (2, 2), (2, 0), (2, 1))),
+    ("bl1p2", (1, 1, 1, 2), 3, 0, 2,
+     ((1, 1, 0), (1, 2, 0), (1, 0, 1), (2, 2, 1))),
+    ("p1xp2", (2, 2, 1, 1, 1), 2, None, 1,
+     ((1, 1), (1, 1), (1, 0), (1, 0), (1, 1))),
+    ("p1xp2", (2, 2, 1, 1, 1), 2, None, 2,
+     ((1, 1, 0), (1, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 0))),
 ]
 
 
@@ -818,11 +828,14 @@ class TestConstrainedCounts:
             for k in range(-5, 6):
                 assert oracle._series_pow(a, k, 3, 3) == spow(a, k, 3, 3)
 
-    def test_regression_values(self, p2, bl1p2):
+    def test_regression_values(self, p2, bl1p2, dp6):
         spec = JetSpec.identity(3, 1, 0)
         assert ff_constrained_count(3, p2, (1, 1, 1), spec) == 24
         spec4 = JetSpec.identity(4, 1, 0)
         assert ff_constrained_count(3, bl1p2, (1, 1, 1, 2), spec4) == 108
+        # under the default budget, as `oracle dp6 --jet 1,2` runs it
+        spec6 = JetSpec.identity(6, 1, 2)
+        assert ff_constrained_count(3, dp6, (2,) * 6, spec6) == 408
 
     def test_orbit_sums_recover_the_unconstrained_total(self, p1):
         """Summing constrained counts over one representative per jet
@@ -864,8 +877,9 @@ class TestConstrainedCounts:
             ff_constrained_count(3, p2, (3, 3, 3), spec, budget=10)
 
     def test_each_character_power_is_formed_once(self, fans, monkeypatch):
-        """weight meets 18 distinct (jet, exponent) pairs over thousands
-        of final states; each power is formed once per count, and the
+        """The forms meet 18 distinct (jet, exponent) pairs with a
+        nonzero exponent, 9 relative jets to the powers 1 and -1; each
+        power is formed once per count, none for the exponent 0, and the
         counts stay those of the uncached character test."""
         real = oracle._series_pow
         calls, depth = [], [0]
