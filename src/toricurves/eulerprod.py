@@ -85,6 +85,7 @@ from .grothendieck import (
     DimSeries,
     MultiSeries,
     SeriesCap,
+    _laurent,
     unpack_class,
 )
 from .mobius import IntPoly, fan_mobius_polynomial, mobius_table
@@ -219,9 +220,7 @@ class _Keys:
         """The keys of the cap (box_i // d, total // d) at this shift:
         t -> t^d maps each of them into this cap as key * d, no field
         carrying."""
-        cap = SeriesCap.box_cap(
-            tuple(b // d for b in self.cap.box), self.total // d
-        )
+        cap = SeriesCap(tuple(b // d for b in self.cap.box), self.total // d)
         return _Keys(cap, self.shift)
 
     def admits(self, key: int) -> bool:
@@ -537,7 +536,7 @@ def euler_product_at_Linv(fan: Fan, s: int, E: int) -> DimSeries:
         raise ValueError("total-degree cutoff must be nonnegative")
     P = fan_mobius_polynomial(fan)
     diagonal = IntPoly(1, (((sum(e),), c) for e, c in P.items()))
-    series = euler_product_p1(diagonal, s, SeriesCap.box_cap((E,)))
+    series = euler_product_p1(diagonal, s, SeriesCap((E,)))
     acc = ZERO
     for (k,), value in _checked_mobius(series).items():
         acc = acc + value.shift(-k)
@@ -646,7 +645,7 @@ def _config_terms(patterns: PatternSet, s: int, side: int) -> _WalkTerms:
     """
     n = patterns.nvars
     reach = (side + 1) ** n if s == 0 else 2 ** ((s - 1) * n)
-    cap = SeriesCap.box_cap((side,) * n)
+    cap = SeriesCap((side,) * n)
     keys, w, _, base, rest = _rest_factors(mobius_table(patterns), s, cap, reach)
     perms = _orbit_keys(patterns).sym.perms  # checked by the memo
     dense = _dense_power(base, _points(1, s, w), keys, perms)
@@ -661,18 +660,14 @@ def _shared_classes(patterns: PatternSet) -> tuple[dict, dict]:
     return {}, {}
 
 
-def _zeta(s: int, j: int) -> LaurentClass:
-    """[t^j] (1 - t)^(s-1) / (1 - L t), the class of a ray of degree j on
-    no live pattern: sum_(i <= j) L^i for s = 0, and for s >= 1
-    sum_(i <= min(j, s - 1)) (-1)^i binom(s - 1, i) L^(j - i)."""
-    return LaurentClass(enumerate(_times_zeta([1], s, j)))
-
-
 def _times_zeta(coeffs: list[int], s: int, j: int) -> list[int]:
-    """The dense coefficients, from L^0, of a class times _zeta(s, j).  At
-    s = 0 each coefficient of the product is the sum of a window of j + 1
-    of coeffs, read off their running sums; at s >= 1 _zeta(s, j) has at
-    most s terms."""
+    """The dense coefficients, from L^0, of a class times zeta_j = [t^j]
+    (1 - t)^(s-1) / (1 - L t), the class of a ray of degree j on no live
+    pattern: sum_(i <= j) L^i for s = 0, and for s >= 1
+    sum_(i <= min(j, s - 1)) (-1)^i binom(s - 1, i) L^(j - i).  At s = 0
+    each coefficient of the product is the sum of a window of j + 1 of
+    coeffs, read off their running sums; at s >= 1 zeta_j has at most s
+    terms."""
     if s == 0:
         sums = [0] * (j + 1) + list(itertools.accumulate(coeffs + [0] * j))
         return list(map(sub, sums[j + 1:], sums))
@@ -708,7 +703,7 @@ def _one_pattern_class(key: tuple[int, ...], s: int) -> LaurentClass:
         for i, c in enumerate(term):
             total[i] += b * c
             total[i + 1] -= prev * c
-    return LaurentClass(enumerate(total))
+    return _laurent({i: c for i, c in enumerate(total) if c})
 
 
 def config_class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentClass:
@@ -730,9 +725,10 @@ def config_class(patterns: PatternSet, e: tuple[int, ...], s: int) -> LaurentCla
         free, split = _components(
             frozenset(a for a, x in enumerate(key) if x), patterns)
         if split != ((tuple(range(patterns.nvars)), patterns),):
-            cls = ONE
+            dense = [1]
             for a in free:
-                cls *= _zeta(s, key[a])
+                dense = _times_zeta(dense, s, key[a])
+            cls = _laurent({i: c for i, c in enumerate(dense) if c})
             for rays, sub in split:
                 cls *= config_class(sub, tuple(key[a] for a in rays), s)
             classes[s, key] = cls

@@ -82,29 +82,16 @@ class LaurentClass:
         c = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for e, v in items:
-            v = int(v)
+            # a plain int needs no call to be known an integer
+            if type(e) is not int:
+                _integer(e, "exponent")
+            if type(v) is not int:
+                _integer(v, "coefficient")
             if v:
-                e = int(e)
                 c[e] = c.get(e, 0) + v
                 if not c[e]:
                     del c[e]
         self._c = c
-
-    @classmethod
-    def zero(cls) -> "LaurentClass":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentClass":
-        return cls({0: 1})
-
-    @classmethod
-    def of_int(cls, n: int) -> "LaurentClass":
-        return cls({0: n})
-
-    @classmethod
-    def lefschetz(cls, power: int = 1) -> "LaurentClass":
-        return cls({power: 1})
 
     @property
     def coeffs(self) -> dict[int, int]:
@@ -119,7 +106,7 @@ class LaurentClass:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentClass.of_int(other)
+            other = LaurentClass({0: other})
         if not isinstance(other, LaurentClass):
             return NotImplemented
         return self._c == other._c
@@ -132,7 +119,7 @@ class LaurentClass:
 
     def __add__(self, other) -> "LaurentClass":
         if isinstance(other, int):
-            other = LaurentClass.of_int(other)
+            other = LaurentClass({0: other})
         if not isinstance(other, LaurentClass):
             return NotImplemented
         c = dict(self._c)
@@ -148,7 +135,7 @@ class LaurentClass:
 
     def __sub__(self, other) -> "LaurentClass":
         if isinstance(other, int):
-            other = LaurentClass.of_int(other)
+            other = LaurentClass({0: other})
         if not isinstance(other, LaurentClass):
             return NotImplemented
         return self + (-other)
@@ -178,7 +165,7 @@ class LaurentClass:
     def __pow__(self, n: int) -> "LaurentClass":
         if n < 0:
             raise ValueError("negative powers are not defined in Z[L, L^-1] classes")
-        result = LaurentClass.one()
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -189,6 +176,8 @@ class LaurentClass:
 
     def shift(self, k: int) -> "LaurentClass":
         """Multiply by L^k."""
+        if type(k) is not int:
+            _integer(k, "shift")
         return _laurent({e + k: v for e, v in self._c.items()})
 
     @property
@@ -247,9 +236,9 @@ def _signed_sum(terms: Iterable[tuple[str, int]]) -> str:
     return " ".join(parts) or "0"
 
 
-L = LaurentClass.lefschetz()
-ONE = LaurentClass.one()
-ZERO = LaurentClass.zero()
+L = LaurentClass({1: 1})
+ONE = LaurentClass({0: 1})
+ZERO = LaurentClass()
 
 
 def evaluate(x: LaurentClass, q: int) -> Fraction:
@@ -268,10 +257,11 @@ def unpack_class(x: int, w: int) -> LaurentClass:
     k = 0
     while x:
         c = ((x & mask) ^ half) - half
-        coeffs[k] = c
+        if c:
+            coeffs[k] = c
         x = (x - c) >> w
         k += 1
-    return LaurentClass(coeffs)
+    return _laurent(coeffs)
 
 
 class DimSeries:
@@ -285,6 +275,8 @@ class DimSeries:
 
     def __init__(self, known: LaurentClass, floor: int | None):
         if floor is not None:
+            if type(floor) is not int:
+                _integer(floor, "floor")
             known = known.truncate_below(floor)
         self.known = known
         self.floor = floor
@@ -292,7 +284,7 @@ class DimSeries:
     @classmethod
     def exact(cls, value: LaurentClass | int) -> "DimSeries":
         if isinstance(value, int):
-            value = LaurentClass.of_int(value)
+            value = LaurentClass({0: value})
         return cls(value, None)
 
     def shift(self, k: int) -> "DimSeries":
@@ -372,16 +364,16 @@ def inverse_one_minus_Linv_pow(r: int, floor: int) -> DimSeries:
 
     The coefficient of L^-i is binomial(r - 1 + i, i).
     """
-    if r < 1:
+    if _integer(r, "exponent r") < 1:
         raise ValueError("exponent r must be >= 1")
-    if floor > 0:
+    if _integer(floor, "floor") > 0:
         raise ValueError("floor must be <= 0")
     coeffs = {}
     binom = 1
     for i in range(-floor + 1):
         coeffs[-i] = binom
         binom = binom * (r + i) // (i + 1)
-    return DimSeries(LaurentClass(coeffs), floor)
+    return DimSeries(_laurent(coeffs), floor)
 
 
 @dataclass(frozen=True)
@@ -414,10 +406,6 @@ class SeriesCap:
         )
 
     @classmethod
-    def box_cap(cls, box: Iterable[int], total: int | None = None) -> "SeriesCap":
-        return cls(box=box, total=total)
-
-    @classmethod
     def total_cap(cls, nvars: int, total: int) -> "SeriesCap":
         return cls(box=tuple([total] * nvars), total=total)
 
@@ -440,7 +428,8 @@ class MultiSeries:
         c = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for e, v in items:
-            e = tuple(int(x) for x in e)
+            # a plain int needs no call to be known an integer
+            e = tuple(x if type(x) is int else _integer(x, "exponent") for x in e)
             if len(e) != len(self.variables):
                 raise ValueError("exponent vector arity does not match variables")
             if v and cap.admits(e):

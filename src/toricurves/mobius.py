@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 
-from .errors import LimitError
-from .grothendieck import LaurentClass, _signed_sum
+from .errors import LimitError, _integer
+from .grothendieck import ONE, ZERO, LaurentClass, _signed_sum
 from .toric import (
     MAX_RAYS,
     Fan,
@@ -33,10 +33,10 @@ class IntPoly:
         c = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for e, v in items:
-            v = int(v)
+            v = v if type(v) is int else _integer(v, "coefficient")
             if not v:
                 continue
-            e = tuple(int(x) for x in e)
+            e = tuple(x if type(x) is int else _integer(x, "exponent") for x in e)
             if len(e) != nvars:
                 raise ValueError("exponent arity mismatch")
             c[e] = c.get(e, 0) + v
@@ -67,8 +67,8 @@ class IntPoly:
 
     def evaluate_diagonal(self, x: LaurentClass) -> LaurentClass:
         """Substitute every variable by the same Laurent class x."""
-        total = LaurentClass.zero()
-        powers = {0: LaurentClass.one()}
+        total = ZERO
+        powers = {0: ONE}
         for e, v in self._c.items():
             k = sum(e)
             if k not in powers:
@@ -125,7 +125,7 @@ def local_identity_sides(fan: Fan) -> tuple[LaurentClass, LaurentClass]:
     """Both sides of the one-point factor identity:
     P(L^-1, ..., L^-1)  vs  [V] * L^-n * (1 - L^-1)^rank."""
     poly = fan_mobius_polynomial(fan)
-    lhs = poly.evaluate_diagonal(LaurentClass.lefschetz(-1))
+    lhs = poly.evaluate_diagonal(LaurentClass({-1: 1}))
     cls = class_of_variety(fan)
     r = picard_rank(fan)
     one_minus = LaurentClass({0: 1, -1: -1})

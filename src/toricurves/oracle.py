@@ -79,9 +79,6 @@ from operator import and_
 from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError, _integer, _resolve_budget
-# the budget lives in errors, where the CLI checks --budget without the
-# oracle; its default stays importable from here
-from .errors import DEFAULT_BUDGET  # noqa: F401
 from .grothendieck import ZERO, evaluate
 from .toric import (
     Fan,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import (FanValidationError, InternalCheckError, LimitError,
                      _integer, _is_int)
-from .grothendieck import LaurentClass
+from .grothendieck import ZERO, LaurentClass
 
 MAX_RAYS = 24
 # the most class images the search for pattern automorphisms tries
@@ -325,7 +325,7 @@ def class_of_variety(fan: Fan) -> LaurentClass:
     fv = enumerate_cones(fan)
     n = fan.dim
     lm1 = LaurentClass({1: 1, 0: -1})
-    total = LaurentClass.zero()
+    total = ZERO
     for k, fk in enumerate(fv):
         total = total + lm1 ** (n - k) * fk
     return total

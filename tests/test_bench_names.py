@@ -34,7 +34,7 @@ def test_every_traced_function_resolves():
 def test_euler_product_result_has_coeffs():
     # the traced run counts engine terms as len(result.coeffs)
     result = euler_product_p1(IntPoly(2, {(0, 0): 1, (1, 1): -1}), 0,
-                              SeriesCap.box_cap((2, 2)))
+                              SeriesCap((2, 2)))
     assert len(result.coeffs) > 0
 
 

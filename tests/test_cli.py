@@ -30,9 +30,9 @@ from toricurves.grothendieck import L, ONE, LaurentClass, SeriesCap
 from toricurves import mobius
 from toricurves.eulerprod import _read_product
 from toricurves.mobius import fan_mobius_polynomial
-from toricurves.moduli import hom_class, tamagawa
-from toricurves.oracle import JetSpec, ff_constrained_count
-from toricurves.toric import validate
+from toricurves.moduli import convergence_report, hom_class, tamagawa
+from toricurves.oracle import JetSpec, ff_constrained_count, oracle_compare
+from toricurves.toric import parse_fan, require_valid, validate
 
 
 def run(capsys, *argv):
@@ -146,15 +146,16 @@ class TestAnalyze:
         assert "references ray 26" in err
 
     def test_incomplete_fan_rejected(self, capsys, tmp_path):
+        doc = {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
         bad = tmp_path / "half.json"
-        bad.write_text(json.dumps({
-            "rays": [[1, 0], [0, 1]],
-            "max_cones": [[0, 1]],
-        }))
+        bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "analyze", str(bad))
         assert code == EXIT_VALIDATION
         assert out == ""
-        assert "error:" in err
+        # the refusal is the library's own
+        with pytest.raises(ValueError) as exc:
+            require_valid(parse_fan(doc))
+        assert err == f"error: {exc.value}\n"
 
     def test_boolean_ray_entry_rejected(self, capsys, tmp_path):
         bad = tmp_path / "p2_bool.json"
@@ -225,7 +226,7 @@ class TestMobius:
         assert code == 0
         entries = {tuple(item["e"]): item["mu"] for item in doc["global"]}
         assert laurent_from_json(entries[(1, 1)]) == -(
-            LaurentClass.lefschetz() + LaurentClass.of_int(1)
+            L + ONE
         )
 
     def test_global_cap_text(self, capsys):
@@ -321,6 +322,14 @@ class TestHom:
     def test_negative_degree(self, capsys):
         code, _, err = run(capsys, "hom", "p1", "--degree", "1,-1")
         assert code == EXIT_VALIDATION and "error" in err
+
+    def test_huge_degree_is_a_size_limit(self, capsys):
+        # the closed form's dense list cannot be that long; this was a
+        # traceback and exit status 1
+        big = ",".join(["9" * 23] * 3)
+        code, out, err = run(capsys, "hom", "p2", "--degree", big)
+        assert code == EXIT_BUDGET and out == ""
+        assert err == "error: cannot fit 'int' into an index-sized integer\n"
 
 
 class TestTamagawa:
@@ -477,7 +486,7 @@ class TestOracle:
         code, doc, _ = run_json(capsys, "tamagawa", "p2", "--order", "200")
         assert code == 0
         assert doc["floor"] == -98
-        want = (L**2 + L + ONE) * (ONE - LaurentClass.lefschetz(-2))
+        want = (L**2 + L + ONE) * (ONE - LaurentClass({-2: 1}))
         assert laurent_from_json(doc["coeffs"]) == want
 
     @pytest.mark.parametrize("query", [
@@ -605,6 +614,41 @@ def test_json_is_printed_as_the_indented_dump(
     assert code == 0 and len(payload["mobius"]) == 2 ** (
         12 if "dp6xdp6.json" in argv else 6)
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["hom", "p2", "--degree", "1,1"], lambda fan: hom_class(fan, (1, 1))),
+    (["hom", "p2", "--degree", "1,-1,1"],
+     lambda fan: hom_class(fan, (1, -1, 1))),
+    (["converge", "p2", "--degree", "1,1", "--order", "4"],
+     lambda fan: convergence_report(fan, (1, 1), 4)),
+    (["converge", "p2", "--degree", "1,-1,1", "--order", "4"],
+     lambda fan: convergence_report(fan, (1, -1, 1), 4)),
+    (["oracle", "p2", "--p", "3", "--degree", "1,1"],
+     lambda fan: oracle_compare(3, fan, d=(1, 1))),
+    (["oracle", "p2", "--p", "3", "--config", "1,-1,1"],
+     lambda fan: oracle_compare(3, fan, e=(1, -1, 1))),
+    (["oracle", "p2", "--p", "3", "--degree", "1,1", "--jet", "1,0"],
+     lambda fan: ff_constrained_count(3, fan, (1, 1), JetSpec.identity(3, 1))),
+    (["oracle", "p2", "--p", "3", "--degree", "1,-1,1", "--jet", "1,0"],
+     lambda fan: ff_constrained_count(3, fan, (1, -1, 1),
+                                      JetSpec.identity(3, 1))),
+    (["oracle", "p2", "--p", "3", "--degree", "1,1,1", "--jet", "1,1,1:0,1:0"],
+     lambda fan: ff_constrained_count(3, fan, (1, 1, 1),
+                                      JetSpec(1, 1, ((1, 0), (1, 0))))),
+    (["oracle", "p2", "--p", "4", "--degree", "1,1"],
+     lambda fan: oracle_compare(4, fan, d=(1, 1))),
+], ids=["hom_arity", "hom_negative", "converge_arity", "converge_negative",
+        "oracle_arity", "oracle_negative", "jet_degree_arity",
+        "jet_negative", "jet_target_arity", "oracle_prime_first"])
+def test_a_value_is_refused_by_the_library(capsys, p2, argv, call):
+    """The CLI parses text only: each refusal of a value is the message
+    of the library function it calls, after "error: "."""
+    with pytest.raises(ValueError) as exc:
+        call(p2)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == f"error: {exc.value}\n"
 
 
 def test_stdout_stays_clean_on_every_failure_path(capsys, tmp_path):

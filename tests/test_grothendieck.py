@@ -1,5 +1,6 @@
 """Laurent classes, dimension-truncated series, and series caps."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from toricurves.grothendieck import (
     ZERO,
     DimSeries,
     LaurentClass,
+    MultiSeries,
     SeriesCap,
     evaluate,
     inverse_one_minus_Linv_pow,
@@ -39,13 +41,30 @@ class TestLaurentClass:
         assert L * L.shift(-2) == L.shift(-1) * ONE
         assert (L - ONE) ** 2 == L**2 - 2 * L + ONE
 
+    @pytest.mark.parametrize("coeffs, what", [
+        ({0: 2.5, 1.9: 3}, "coefficient 2.5"),
+        ({1.9: 3}, "exponent 1.9"),
+        ({"2": "7"}, "exponent '2'"),
+        ({0: True}, "coefficient True"),
+    ])
+    def test_refuses_terms_that_are_not_integers(self, coeffs, what):
+        # int() made {0: 2.5, 1.9: 3} the class 3*L + 2, and {"2": "7"} 7*L^2
+        with pytest.raises(ValueError, match=re.escape(f"{what} is not an")):
+            LaurentClass(coeffs)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, True, "1"])
+    def test_shift_refuses_a_power_that_is_not_an_integer(self, k):
+        # ONE.shift(0.5) was L^0.5
+        with pytest.raises(ValueError, match=f"shift {k!r} is not an"):
+            ONE.shift(k)
+
     def test_shift_is_monomial_multiplication(self):
         x = LaurentClass({2: 3, -1: 5})
-        assert x.shift(4) == x * LaurentClass.lefschetz(4)
+        assert x.shift(4) == x * LaurentClass({4: 1})
         assert x.shift(0) == x
 
     def test_evaluate_with_negative_exponents(self):
-        x = L - LaurentClass.lefschetz(-1)
+        x = L - LaurentClass({-1: 1})
         assert x.evaluate(2) == Fraction(3, 2)
         assert evaluate(x, 3) == Fraction(8, 3)
 
@@ -57,7 +76,7 @@ class TestLaurentClass:
 
     def test_virtual_dimension(self):
         assert (L**3 + L).virtual_dimension == 3
-        assert LaurentClass.lefschetz(-2).virtual_dimension == -2
+        assert LaurentClass({-2: 1}).virtual_dimension == -2
         assert ZERO.virtual_dimension is MINUS_INFINITY
 
     def test_truncate_below(self):
@@ -67,7 +86,7 @@ class TestLaurentClass:
 
     def test_str(self):
         assert str(L**2 + L + ONE) == "L^2 + L + 1"
-        assert str(L - LaurentClass.lefschetz(-1)) == "L - L^-1"
+        assert str(L - LaurentClass({-1: 1})) == "L - L^-1"
         assert str(ZERO) == "0"
         assert str(LaurentClass({1: -2, 0: 1})) == "-2*L + 1"
 
@@ -116,7 +135,7 @@ class TestDimSeries:
     def test_exact_has_no_floor(self):
         s = DimSeries.exact(L + ONE)
         assert is_exact(s) and s.floor is None
-        assert DimSeries.exact(7).known == LaurentClass.of_int(7)
+        assert DimSeries.exact(7).known == LaurentClass({0: 7})
 
     def test_addition_keeps_the_higher_floor(self):
         a = DimSeries(LaurentClass({0: 1, -1: 1, -2: 1}), -2)
@@ -154,10 +173,33 @@ class TestDimSeries:
         assert inv1.known == LaurentClass({0: 1, -1: 1, -2: 1, -3: 1})
         inv2 = inverse_one_minus_Linv_pow(2, -2)
         assert inv2.known == LaurentClass({0: 1, -1: 2, -2: 3})
-        geom = DimSeries.exact((ONE - LaurentClass.lefschetz(-1)) ** 2)
+        geom = DimSeries.exact((ONE - LaurentClass({-1: 1})) ** 2)
         assert (inv2 * geom).known == ONE
         with pytest.raises(ValueError):
             inverse_one_minus_Linv_pow(0, -1)
+
+    @pytest.mark.parametrize("floor", [-1.5, -2.0, True, "-2"])
+    def test_refuses_a_floor_that_is_not_an_integer(self, floor):
+        with pytest.raises(ValueError, match=f"floor {floor!r} is not an"):
+            DimSeries(ONE, floor)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, True])
+    def test_shift_refuses_a_power_that_is_not_an_integer(self, k):
+        # the floor of DimSeries(ONE, -2).shift(0.5) was -1.5
+        for series in (DimSeries(ONE, -2), DimSeries.exact(ONE)):
+            with pytest.raises(ValueError, match=f"shift {k!r} is not an"):
+                series.shift(k)
+
+    @pytest.mark.parametrize("r, floor, what", [
+        (1.5, -2, "exponent r 1.5"),
+        (True, -2, "exponent r True"),
+        (2, -2.0, "floor -2.0"),
+    ])
+    def test_inverse_power_refuses_arguments_that_are_not_integers(
+            self, r, floor, what):
+        # (1.5, -2) gave 1 + L^-1 + L^-2
+        with pytest.raises(ValueError, match=re.escape(f"{what} is not an")):
+            inverse_one_minus_Linv_pow(r, floor)
 
     def test_json_round_trip(self):
         s = DimSeries(LaurentClass({1: 1, -1: -1}), -2)
@@ -182,7 +224,7 @@ class TestMinusInfinity:
 
 class TestSeriesCap:
     def test_box_cap_defaults_total_to_box_sum(self):
-        cap = SeriesCap.box_cap((2, 3))
+        cap = SeriesCap((2, 3))
         assert cap.box == (2, 3) and cap.total == 5
         assert cap.admits((2, 3)) and not cap.admits((3, 0))
 
@@ -192,7 +234,7 @@ class TestSeriesCap:
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError):
-            SeriesCap.box_cap((1, 1)).admits((1, 1, 1))
+            SeriesCap((1, 1)).admits((1, 1, 1))
 
     def test_needs_a_bound(self):
         with pytest.raises(ValueError):
@@ -213,5 +255,13 @@ class TestSeriesCap:
         with pytest.raises(ValueError, match="box"):
             SeriesCap(total=3)
         cap = SeriesCap(box=[2, 3])
-        assert cap == SeriesCap.box_cap((2, 3)) and cap.total == 5
-        assert hash(cap) == hash(SeriesCap.box_cap((2, 3)))
+        assert cap == SeriesCap((2, 3)) and cap.total == 5
+        assert hash(cap) == hash(SeriesCap((2, 3)))
+
+
+class TestMultiSeries:
+    @pytest.mark.parametrize("entry", [1.9, 1.0, True, "1"])
+    def test_refuses_exponents_that_are_not_integers(self, entry):
+        # int() kept the term at 1.9 as one at 1
+        with pytest.raises(ValueError, match=f"exponent {entry!r} is not an"):
+            MultiSeries(["t1"], SeriesCap((3,)), {(entry,): 5})

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,7 @@ from reference import (
 )
 from toricurves.cli import main
 from toricurves.errors import LimitError
-from toricurves.grothendieck import L, ONE, LaurentClass
+from toricurves.grothendieck import L, ONE, ZERO, LaurentClass
 from toricurves.mobius import (
     IntPoly,
     fan_mobius_polynomial,
@@ -38,6 +39,18 @@ def _poly(nvars, terms):
 
 def _ones(positions, nvars):
     return tuple(1 if i in positions else 0 for i in range(nvars))
+
+
+@pytest.mark.parametrize("coeffs, what", [
+    ({(1.7, 0): 2.2}, "coefficient 2.2"),
+    ({(1.7, 0): 2}, "exponent 1.7"),
+    ({(1, "0"): 2}, "exponent '0'"),
+    ({(1, 0): True}, "coefficient True"),
+])
+def test_int_poly_refuses_terms_that_are_not_integers(coeffs, what):
+    # int() made {(1.7, 0): 2.2} the term 2*t1
+    with pytest.raises(ValueError, match=re.escape(f"{what} is not an")):
+        IntPoly(2, coeffs)
 
 
 def test_projective_space_polynomials(fans):
@@ -213,7 +226,7 @@ def inclusion_exclusion_class(patterns):
     """Reference torsor class: inclusion-exclusion over every subset of
     the minimal patterns, 2^(number of patterns) terms."""
     nu = patterns.nvars
-    total = LaurentClass.zero()
+    total = ZERO
     for k in range(len(patterns.minimal) + 1):
         for combo in itertools.combinations(patterns.minimal, k):
             union = frozenset().union(*combo)
@@ -245,7 +258,7 @@ def test_local_identity_all_fans(fans):
 
 
 def test_local_identity_sides_formula(fans):
-    linv = LaurentClass.lefschetz(-1)
+    linv = LaurentClass({-1: 1})
     for fan in fans.values():
         r = picard_rank(fan)
         n = fan.dim
