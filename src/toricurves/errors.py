@@ -14,11 +14,14 @@ class FanValidationError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """A brute-force enumeration would exceed the configured budget.
 
-    def __init__(self, required: int, budget: int):
+    ``required`` is the number of tuples, or None for a number too long
+    to print, whose size ``bound`` then states instead."""
+
+    def __init__(self, required: int | None, budget: int, bound: str = ""):
         super().__init__(
-            f"enumeration needs {required} tuples, budget is {budget} "
+            f"enumeration needs {bound or required} tuples, budget is {budget} "
             f"(raise TORICURVES_BUDGET or the --budget flag to allow it)"
         )
         self.required = required

@@ -25,6 +25,7 @@ from typing import Sequence
 from .errors import _integer
 from .grothendieck import (
     MINUS_INFINITY,
+    L,
     ONE,
     ZERO,
     DimSeries,
@@ -256,16 +257,19 @@ def pattern_config_class(
     return config_class(pattern_set(fan), e, s)
 
 
+@functools.lru_cache(maxsize=None)
+def _torus(n: int) -> LaurentClass:
+    """The class of the torus of dimension n, (L - 1)^n."""
+    return (L - 1) ** n
+
+
 def _hom_class(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
-    """hom_class of a checked degree vector in the dual effective cone.
-    The class under it is shared per orbit of the pattern automorphisms,
-    which need not keep the cone, so each public entry tests the cone of
-    its degree once, itself."""
-    n = fan.dim
-    # the class of the torus, (L - 1)^n, by the binomial theorem
-    torus = LaurentClass({i: (-1) ** (n - i) * math.comb(n, i)
-                          for i in range(n + 1)})
-    return torus * config_class(pattern_set(fan), d, 0)
+    """hom_class of a checked degree vector in the dual effective cone:
+    the torus class, built once per dimension (``_torus``), times the
+    configuration class.  That class is shared per orbit of the pattern
+    automorphisms, which need not keep the cone, so each public entry
+    tests the cone of its degree once, itself."""
+    return _torus(fan.dim) * config_class(pattern_set(fan), d, 0)
 
 
 def _maps_exist(fan: Fan, d: tuple[int, ...]) -> bool:
@@ -330,7 +334,7 @@ def convergence_report(
             f"degree {dv.entries} is outside the dual effective cone")
     tau = tamagawa(fan, E)
     normalized = _hom_class(fan, dv.entries).shift(-dv.total)
-    bound = Fraction(-dv.minimum, 4) + fan.dim
+    bound = Fraction(4 * fan.dim - dv.minimum, 4)
     delta = (tau.known - normalized).truncate_below(tau.floor)
     delta_dim = delta.virtual_dimension
     inconclusive = tau.floor > bound

@@ -79,7 +79,7 @@ from operator import and_
 from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError, _integer, _resolve_budget
-from .grothendieck import ZERO, evaluate
+from .grothendieck import ZERO, LaurentClass, evaluate
 from .toric import (
     Fan,
     _Memo,
@@ -87,7 +87,6 @@ from .toric import (
     _orbit_keys,
     eff_dual_contains,
     pattern_set,
-    picard_rank,
 )
 from .moduli import (
     DegreeVector,
@@ -433,10 +432,41 @@ def _checked_degrees(
     if jet is not None:
         jet.validate_for(p, fan.nrays)
     limit = _resolve_budget(budget)
-    required = math.prod((p ** (x + 1) - 1) // (p - 1) for x in dv.entries)
-    if required > limit:
-        raise BudgetError(required, limit)
+    # a degree x of at least the limit's bit length has p^x > limit forms
+    # on its own, so no form count past that is built
+    bits = limit.bit_length()
+    required = 1
+    for x in dv.entries:
+        if x >= bits:
+            raise _budget_refusal(p, dv.entries, limit)
+        required *= _form_count(p, x)
+        if required > limit:
+            raise _budget_refusal(p, dv.entries, limit)
     return dv
+
+
+@functools.lru_cache(maxsize=None)
+def _form_count(p: int, x: int) -> int:
+    """The number of normalized forms of degree x over F_p.  Asked only
+    for degrees below the bit length of a budget, so the cache holds a
+    few dozen counts per prime."""
+    return (p ** (x + 1) - 1) // (p - 1)
+
+
+def _budget_refusal(p: int, entries: tuple[int, ...],
+                    limit: int) -> BudgetError:
+    """The refusal of a degree vector whose form tuples pass the limit,
+    with their number when it has at most 4,300 digits, as many as
+    Python turns into text by default.  Each form count of degree x is
+    at least p^x >= 2^x, so past a degree sum of 4 * 4,300 the number
+    has more digits and is not built: the message gives the lower bound
+    p^sum instead, and ``required`` is None."""
+    total = sum(entries)
+    if total <= 4 * 4300:
+        required = math.prod((p ** (x + 1) - 1) // (p - 1) for x in entries)
+        if required < 10 ** 4300:
+            return BudgetError(required, limit)
+    return BudgetError(None, limit, f"at least {p}^{total}")
 
 
 def ff_pattern_count(
@@ -481,9 +511,10 @@ def ff_hom_count(
 
 def _hom_count(p: int, fan: Fan, d: tuple[int, ...]) -> int:
     """ff_hom_count of a degree vector that _checked_degrees passed, in
-    the dual effective cone."""
+    the dual effective cone.  That checked the fan, so its Picard rank
+    is nrays - dim (toric.picard_rank) with no second check."""
     raw = _pattern_count(p, pattern_set(fan), d) * (p - 1) ** fan.nrays
-    div = (p - 1) ** picard_rank(fan)
+    div = (p - 1) ** (fan.nrays - fan.dim)
     if raw % div:
         raise InternalCheckError(
             f"form-tuple count {raw} is not divisible by the torus order {div}"
@@ -689,6 +720,24 @@ class OracleReport:
         }
 
 
+def _predicted(cls: LaurentClass, p: int) -> int:
+    """The class at L = p, which must be an integer, summed in integers:
+    the sum runs over the terms times p^-low, low the least exponent so
+    far and at most 0, so it is the value times p^-low.  A remainder
+    refuses, naming the exact value (``evaluate``)."""
+    value = low = 0
+    for e, v in cls.coeffs.items():
+        if e < low:
+            value *= p ** (low - e)
+            low = e
+        value += v * p ** (e - low)
+    den = p ** -low
+    if value % den:
+        raise InternalCheckError(
+            f"motivic prediction {evaluate(cls, p)} is not an integer at q={p}")
+    return value // den
+
+
 def oracle_compare(
     p: int,
     fan: Fan,
@@ -704,6 +753,8 @@ def oracle_compare(
     dual effective cone once, and the counts and the map-space class
     are read from their cores; the configuration class is read through
     pattern_config_class, which checks the fan and the vector again.
+    The prediction is the class at L = p, summed in integers
+    (``_predicted``), with no Fraction built.
     """
     if (e is None) == (d is None):
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
@@ -718,12 +769,7 @@ def oracle_compare(
         brute, cls, kind = 0, ZERO, "hom"
         if _maps_exist(fan, vec):
             brute, cls = _hom_count(p, fan, vec), _hom_class(fan, vec)
-    value = evaluate(cls, p)
-    if value.denominator != 1:
-        raise InternalCheckError(
-            f"motivic prediction {value} is not an integer at q={p}"
-        )
-    predicted = int(value)
+    predicted = _predicted(cls, p)
     elapsed = int((time.perf_counter() - start) * 1000)
     return OracleReport(
         p, kind, vec, brute, predicted, brute == predicted, elapsed

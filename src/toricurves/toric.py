@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import (FanValidationError, InternalCheckError, LimitError,
@@ -462,13 +463,16 @@ def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
     too (perm is increasing on them), the least one over perm's coset.
     Equal keys mean the same orbit, so a search that missed some
     automorphisms only shares fewer values.  Sorting and relabelling
-    keep the entries, so the key has the largest entry of e.
+    keep the entries, so the key has the largest entry of e.  Each
+    relabelling is one itemgetter of perm (a pattern set has two or
+    more rays, so each gives a tuple).
     """
-    e = list(e)
-    for cls in sym.twins:
-        for a, x in zip(cls, sorted(e[a] for a in cls)):
-            e[a] = x
-    return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
+    if sym.twins:
+        e = list(e)
+        for cls in sym.twins:
+            for a, x in zip(cls, sorted(e[a] for a in cls)):
+                e[a] = x
+    return min([itemgetter(*perm)(e) for perm in sym.perms])
 
 
 class _Memo(dict):
@@ -486,9 +490,10 @@ class _Memo(dict):
 @lru_cache(maxsize=None)
 def _orbit_keys(patterns: PatternSet) -> _Memo:
     """{e: _orbit_key(e, sym)} for the degree vectors of a pattern set,
-    each key computed on first use, with the automorphisms the search
-    lists kept as ``sym``.  One memo per pattern set: the oracle and the
-    engine share it, so each vector is keyed once per process.
+    each key computed on first use, with one itemgetter per checked
+    permutation, and the automorphisms the search lists kept as ``sym``.
+    One memo per pattern set: the oracle and the engine share it, so
+    each vector is keyed once per process.
 
     Each listed permutation and each swap of two twin rays must map the
     patterns onto themselves, or InternalCheckError names it; every
@@ -543,9 +548,16 @@ def _components(support: frozenset[int], patterns: PatternSet):
     return free, tuple(split)
 
 
+@lru_cache(maxsize=None)
+def _columns(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The ray vectors' coordinates, one tuple per coordinate."""
+    return tuple(zip(*fan.rays))
+
+
 def eff_dual_contains(fan: Fan, d) -> bool:
     """Does the weighted ray sum vanish?  (Membership in the dual of the
-    cone of effective divisor classes, for multidegrees of actual curves.)"""
+    cone of effective divisor classes, for multidegrees of actual curves.)
+    Each coordinate of the sum is d against one of the fan's columns."""
     d = tuple(d)
     for x in d:
         # a plain int needs no call to be known an integer
@@ -553,8 +565,7 @@ def eff_dual_contains(fan: Fan, d) -> bool:
             _integer(x, "degree entry")
     if len(d) != fan.nrays:
         raise ValueError(f"degree vector needs {fan.nrays} entries")
-    if any(x < 0 for x in d):
+    if min(d) < 0:
         return False
-    return all(sum(d[a] * fan.rays[a][j] for a in range(fan.nrays)) == 0
-               for j in range(fan.dim))
+    return not any(sum(map(mul, d, col)) for col in _columns(fan))
 

@@ -7,11 +7,13 @@ class by counting zero sets, the Mobius values grouped by subgraph
 shape, the Euler factors by the binomial expansion, common roots of
 binary forms by a gcd, oracle counts by the walk without its orbit
 merge over forms listed one by one, the orbit of a walk's group by
-binary strings, the punctured-line zeta
+binary strings, orbit keys by one tuple per permutation, the torus
+class by the binomial theorem, the punctured-line zeta
 coefficients from their closed form, configuration classes from the
 uniform box of the fan's whole pattern set) or builds test inputs
 (fan documents, product fans, effective degrees).  ``clear_caches`` empties every cache
-of the library, for tests that count work from cold caches.
+of the library, for tests that count work from cold caches, and
+``record_work`` counts the work of a call.
 """
 
 import functools
@@ -50,7 +52,7 @@ from toricurves.toric import (
     pattern_set,
     require_valid,
 )
-from toricurves import oracle
+from toricurves import oracle, toric
 
 
 def clear_caches() -> None:
@@ -61,6 +63,34 @@ def clear_caches() -> None:
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+def record_work(monkeypatch) -> dict[str, list]:
+    """From here on, record each degree vector built ("vectors"), each
+    vector keyed by toric._orbit_key ("keys"), each Fraction built
+    ("fractions"), and each class built by the constructor or by a power
+    ("classes"), as the torus class (L - 1)^n once was per map class.
+    Counts of work repeat exactly where timings do not."""
+    work = {"vectors": [], "keys": [], "fractions": [], "classes": []}
+    post_init = DegreeVector.__post_init__
+    monkeypatch.setattr(DegreeVector, "__post_init__",
+                        lambda dv: work["vectors"].append(dv) or post_init(dv))
+    orbit_key = toric._orbit_key
+    monkeypatch.setattr(toric, "_orbit_key",
+                        lambda e, sym: work["keys"].append(e)
+                        or orbit_key(e, sym))
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: work["fractions"].append(args)
+                        or new(cls, *args, **kw))
+    init, power = LaurentClass.__init__, LaurentClass.__pow__
+    monkeypatch.setattr(LaurentClass, "__init__",
+                        lambda x, *args: work["classes"].append(args)
+                        or init(x, *args))
+    monkeypatch.setattr(LaurentClass, "__pow__",
+                        lambda x, n: work["classes"].append((x, n))
+                        or power(x, n))
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +422,22 @@ def count_unmerged(p, degrees, patterns, forms=None, times=None) -> int:
 
 # ---------------------------------------------------------------------------
 # series and classes
+
+
+def tuple_min_orbit_key(e, sym) -> tuple[int, ...]:
+    """The orbit key of e as toric once built it: the entries of each
+    twin class sorted, then the least of one tuple per permutation."""
+    e = list(e)
+    for cls in sym.twins:
+        for a, x in zip(cls, sorted(e[a] for a in cls)):
+            e[a] = x
+    return min(tuple(map(e.__getitem__, perm)) for perm in sym.perms)
+
+
+def binomial_torus(n: int) -> LaurentClass:
+    """(L - 1)^n by the binomial theorem."""
+    return LaurentClass({i: (-1) ** (n - i) * math.comb(n, i)
+                         for i in range(n + 1)})
 
 
 def string_orbit_key(p: int, k: int, group) -> str:

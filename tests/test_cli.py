@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -434,6 +435,22 @@ class TestOracle:
         assert code == EXIT_BUDGET
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("degree, power", [
+        ("20000,0,0", "2^20000"), ("100000000,0,0", "2^100000000")])
+    def test_budget_exit_on_a_huge_degree(self, capsys, degree, power):
+        """A count of more digits than Python prints once failed to turn
+        into the message (exit 2), and a degree of 10^8 built 2^(10^8+1)
+        before it refused: the refusal names a lower bound, builds no
+        count past the budget, and is quick."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "p2", "--p", "2",
+                             "--degree", degree)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BUDGET and out == ""
+        assert err == (f"error: enumeration needs at least {power} tuples, "
+                       "budget is 100000000 (raise TORICURVES_BUDGET or the "
+                       "--budget flag to allow it)\n")
 
     @pytest.mark.parametrize("p", ["5", "7"])
     def test_budget_exit_on_a_pairs_only_fan(self, capsys, p):

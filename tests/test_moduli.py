@@ -10,12 +10,14 @@ import pytest
 
 from reference import (
     HIRZEBRUCH_2,
+    binomial_torus,
     clear_caches,
     config_series,
     expected_dimension_check,
     fan_product,
     laurent_from_json,
     lies_above,
+    record_work,
     truncate,
     whole_fan_box,
     whole_fan_class,
@@ -661,6 +663,25 @@ class TestConvergenceReports:
     def test_off_cone_degree_rejected(self, p2):
         with pytest.raises(ValueError):
             convergence_report(p2, (1, 1, 0), 8)
+
+    def test_warm_report_builds_one_vector_and_its_bound(
+            self, dp6, monkeypatch):
+        """A warm report builds one degree vector and one Fraction, its
+        bound (4n - min d) / 4; it keys nothing, and builds no class: the
+        torus class is built once per dimension."""
+        d = (2, 1, 1, 2, 1, 1)
+        first = convergence_report(dp6, d, 12)
+        assert first.bound == Fraction(7, 4)
+        work = record_work(monkeypatch)
+        second = convergence_report(dp6, d, 12)
+        assert second == first
+        assert len(work["vectors"]) == 1 and work["keys"] == []
+        assert work["fractions"] == [(7, 4)] and work["classes"] == []
+
+
+def test_torus_is_the_binomial_expansion():
+    for n in range(1, 7):
+        assert moduli._torus(n) == binomial_torus(n) == (L - 1) ** n
 
 
 class TestJetCondition:

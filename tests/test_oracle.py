@@ -10,13 +10,14 @@ import functools
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from toricurves.errors import BudgetError, FanValidationError, InternalCheckError
-from toricurves.grothendieck import evaluate
+from toricurves.grothendieck import LaurentClass, evaluate
 from toricurves import FIXTURE_NAMES, moduli, oracle, toric
 from reference import (
     HIRZEBRUCH_2,
@@ -25,6 +26,7 @@ from reference import (
     count_unmerged,
     fan_product,
     picard_projection,
+    record_work,
     string_orbit_key,
 )
 from toricurves.toric import (
@@ -35,7 +37,6 @@ from toricurves.toric import (
     picard_rank,
 )
 from toricurves.moduli import (
-    DegreeVector,
     JetCondition,
     constrained_main_term,
     convergence_report,
@@ -645,6 +646,42 @@ class TestBudget:
         assert exc.value.required == 40**3
         assert exc.value.budget == 10
 
+    @pytest.mark.parametrize("p", ALLOWED_PRIMES)
+    def test_budget_error_is_exact_for_every_printable_count(self, p2, p):
+        """Up to the last degree whose count Python prints (4300 digits),
+        the refusal carries the exact count and prints it; past it, it
+        names the lower bound p^sum(e) and carries no count."""
+        def count(x):
+            return (p ** (x + 1) - 1) // (p - 1)
+
+        x = 0
+        while count(x + 1) < 10 ** 4300:
+            x += 1
+        with pytest.raises(BudgetError) as exc:
+            ff_pattern_count(p, p2, (x, 0, 0))
+        assert exc.value.required == count(x)
+        assert f"needs {count(x)} tuples" in str(exc.value)
+        with pytest.raises(BudgetError, match=rf"needs at least {p}\^{x + 1} "):
+            ff_pattern_count(p, p2, (x + 1, 0, 0))
+
+    def test_budget_stops_before_a_huge_form_count(self, p2, monkeypatch):
+        """A degree of 10^8 is refused at once, where the refusal once
+        built the 56 MB count 2^(10^8+1): no form count is asked for
+        past the budget's bit length, and none after the refusal."""
+        asked = []
+        form_count = oracle._form_count
+        monkeypatch.setattr(oracle, "_form_count",
+                            lambda p, x: asked.append(x) or form_count(p, x))
+        start = time.perf_counter()
+        for e, power in (((10**8, 0, 0), "2^100000000"),
+                         ((0, 3, 10**8), "2^100000003")):
+            with pytest.raises(BudgetError) as exc:
+                ff_pattern_count(2, p2, e)
+            assert exc.value.required is None
+            assert f"needs at least {power} tuples" in str(exc.value)
+        assert time.perf_counter() - start < 0.5
+        assert asked == [0, 3]
+
     def test_budget_is_checked_before_a_shared_count(self, p2, p1xp1):
         assert ff_pattern_count(3, p2, (3, 2, 3)) > 0
         for e in ((3, 2, 3), (3, 3, 2)):
@@ -1036,24 +1073,58 @@ class TestOracleCompare:
         pattern set: a first comparison keys its vector once (and the
         engine, with no box of dp6 cached, the degrees of each component
         in the memo of its own pattern set), and the same comparison
-        again builds one degree vector and keys nothing."""
+        again builds one degree vector and keys nothing.  Nor does it
+        build a Fraction (the prediction is summed in integers) or a
+        class (the torus is built once per dimension)."""
         clear_caches()
-        built, keyed = [], []
-        post_init = DegreeVector.__post_init__
-        orbit_key = toric._orbit_key
-        monkeypatch.setattr(DegreeVector, "__post_init__",
-                            lambda dv: built.append(dv) or post_init(dv))
-        monkeypatch.setattr(toric, "_orbit_key",
-                            lambda e, sym: keyed.append(e) or orbit_key(e, sym))
+        work = record_work(monkeypatch)
         vec = (2, 0, 1, 2, 0, 1)
         first = oracle_compare(3, dp6, **{kind: vec})
+        keyed = work["keys"]
         assert first.equal and keyed[0] == vec
         assert all(len(e) < len(vec) for e in keyed[1:]), keyed
-        built.clear()
-        keyed.clear()
+        for log in work.values():
+            log.clear()
         second = oracle_compare(3, dp6, **{kind: vec})
         assert (second.brute, second.predicted) == (first.brute, first.predicted)
-        assert len(built) <= 1 and keyed == []
+        assert len(work["vectors"]) <= 1 and keyed == []
+        assert work["fractions"] == [] and work["classes"] == []
+
+    def test_prediction_is_the_class_at_p(self, fans):
+        """The prediction summed in integers is the exact value at L = p
+        (``evaluate``) for every configuration class and map class of
+        the oracle_gate boxes, and for classes with negative powers
+        whose values are integers."""
+        for name in FIXTURE_NAMES:
+            fan = fans[name]
+            top = 3 if fan.nrays <= 4 else 2
+            for e in itertools.product(range(top + 1), repeat=fan.nrays):
+                classes = [pattern_config_class(fan, e)]
+                if eff_dual_contains(fan, e):
+                    classes.append(hom_class(fan, e))
+                for cls in classes:
+                    for p in (2, 3):
+                        value = evaluate(cls, p)
+                        assert value.denominator == 1
+                        assert oracle._predicted(cls, p) == value, (name, e)
+        # the first lists a lower power after a higher one
+        for coeffs, p, value in (({2: 1, -1: 2}, 2, 5), ({-2: 9, -1: 3}, 3, 2),
+                                 ({-3: 8, 0: -1, 4: 1}, 2, 16)):
+            cls = LaurentClass(coeffs)
+            assert oracle._predicted(cls, p) == evaluate(cls, p) == value
+
+    @pytest.mark.parametrize("cls, p, value", [
+        (LaurentClass({-1: 1, 1: 1}), 3, "10/3"),
+        # the fraction is reduced, as evaluate reduced it
+        (LaurentClass({-2: 2, 0: 1}), 2, "3/2"),
+    ])
+    def test_prediction_that_is_no_integer_is_refused(
+            self, p2, monkeypatch, cls, p, value):
+        monkeypatch.setattr(oracle, "pattern_config_class",
+                            lambda fan, dv, s: cls)
+        with pytest.raises(InternalCheckError, match=(
+                f"^motivic prediction {value} is not an integer at q={p}$")):
+            oracle_compare(p, p2, e=(1, 1, 1))
 
     def test_exactly_one_vector(self, p1):
         with pytest.raises(ValueError):
@@ -1080,8 +1151,8 @@ class TestOracleCompare:
 
 
 # a warm call of each public entry at D, and the fan checks and cone
-# tests it makes: the vector is checked once, and picard_rank, which the
-# hom counts read, keeps its own check; oracle_compare reads its
+# tests it makes: the vector is checked once, and the hom counts read
+# the Picard rank with no second check; oracle_compare reads its
 # configuration class through pattern_config_class, which checks again;
 # a warm tamagawa is a cache hit
 D = (1, 1, 1)
@@ -1093,8 +1164,8 @@ ENTRIES = {
     "convergence_report": (1, 1, lambda fan: convergence_report(fan, D, 6)),
     "ff_pattern_count": (1, 0, lambda fan: ff_pattern_count(2, fan, D)),
     "oracle_compare_e": (2, 0, lambda fan: oracle_compare(2, fan, e=D)),
-    "ff_hom_count": (2, 1, lambda fan: ff_hom_count(2, fan, D)),
-    "oracle_compare_d": (2, 1, lambda fan: oracle_compare(2, fan, d=D)),
+    "ff_hom_count": (1, 1, lambda fan: ff_hom_count(2, fan, D)),
+    "oracle_compare_d": (1, 1, lambda fan: oracle_compare(2, fan, d=D)),
     "constrained_main_term": (1, 0,
                               lambda fan: constrained_main_term(fan, JET, 6)),
     "tamagawa": (0, 0, lambda fan: tamagawa(fan, 6)),

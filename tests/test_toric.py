@@ -17,6 +17,7 @@ from reference import (
     lies_above,
     picard_projection,
     solve_rational,
+    tuple_min_orbit_key,
 )
 from toricurves import toric
 from toricurves.cli import EXIT_VALIDATION, main
@@ -224,6 +225,19 @@ def test_fan_hash_is_taken_once_and_keeps_the_dataclass(dp6):
                             f"max_cones={dp6.max_cones!r})")
     assert fan_document(second) == doc
     assert dataclasses.replace(second) == second
+
+
+def test_orbit_keys_are_the_least_relabelling(fans):
+    """The memo's keys, one itemgetter per permutation, are the least
+    tuple over the permutations, the twin classes sorted first, on each
+    fixture's box of entries 0 to 2, and on dp6 x dp6 (28 listed
+    permutations) for entries 0 and 1."""
+    dp6 = fans["dp6"]
+    boxes = [(fan, 2) for fan in fans.values()]
+    for fan, top in (*boxes, (fan_product(dp6, dp6), 1)):
+        keys = toric._orbit_keys(pattern_set(fan))
+        for e in itertools.product(range(top + 1), repeat=fan.nrays):
+            assert keys[e] == tuple_min_orbit_key(e, keys.sym), e
 
 
 def test_incomplete_fan_rejected():
