@@ -37,13 +37,16 @@ since the pattern polynomial has exponents 0 and 1 only (_dense_power).
 A ray permutation that keeps the primitive collections keeps that
 polynomial, and so U cell by cell: one cell is pulled per orbit of the
 automorphisms the search of toric finds, each checked against the
-polynomial's terms, and written to the orbit.  The zeta factors then
-walk the box one lane at a time, the cells at one place along an axis
-(_walk).  A pattern set of one pattern J builds no box: the Euler
-product of 1 - t^J is the inverse of the motivic zeta function of the
-punctured line at t^J, so its classes have a closed form of at most
-min(e) + 1 terms, three at s = 0 and two at s = 1
-(_one_pattern_class).
+polynomial's terms, and written to the orbit at positions read from
+two tables per permutation, one for each half of the axes.  The zeta
+factors then walk the box one lane at a time, the cells at one place
+along an axis (_walk).  R, the product of the other factors, is kept
+as a list sorted by offset, so a class read sums its terms only up to
+the key's position (_WalkTerms).  A pattern set of one pattern J
+builds no box: the Euler product of 1 - t^J is the inverse of the
+motivic zeta function of the punctured line at t^J, so its classes
+have a closed form of at most min(e) + 1 terms, three at s = 0 and two
+at s = 1 (_one_pattern_class).
 
 A class is read as a product (config_class).  Setting t_alpha = 0 is a
 ring map that commutes with t -> t^d and kills the patterns through
@@ -74,7 +77,7 @@ import bisect
 import functools
 import itertools
 import math
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, _integer
@@ -406,12 +409,14 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys,
     F^a too, as the box is uniform, and a cell's value is written to
     its images under all of them.  A cell already written is not pulled
     again.  Each G_(e - f) lies in an orbit whose least position is at
-    most pos(e - f) < pos(e), so it is written before it is read.
+    most pos(e - f) < pos(e), so it is written before it is read.  An
+    image's position is that of the image of the cell's low n // 2 axes
+    plus that of its high ones, each read from a table per permutation,
+    at the cell's position modulo side^(n // 2) and at its quotient.
     """
     n = keys.nvars
     side = max(keys.cap.box, default=0) + 1
     powers = [side**i for i in range(n)]
-    moves = [[powers[j] for j in perm] for perm in perms]
     # per support mask, the offsets of the terms that fit in it, grouped
     # by the weights F_f |f| and F_f they share
     fits: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(1 << n)]
@@ -442,7 +447,22 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys,
     dense: list = [None] * len(degree)
     dense[0] = 1
     lift = a + 1
-    shared = len(moves) > 1
+    # a box of one cell shares nothing
+    shared = len(perms) > 1 and side > 1
+    if shared:
+        half = side ** (n // 2)
+        # the positions of the cells along each axis
+        cols = [range(0, side * k, k) for k in powers]
+
+        def table(axes):
+            # the image position of each digit string on these axes
+            out = cols[axes[0]]
+            for j in axes[1:]:
+                out = [p + x for x in cols[j] for p in out]
+            return out
+
+        tables = [(table(perm[:n // 2]), table(perm[n // 2:]))
+                  for perm in perms]
     for pos in range(1, len(dense)):
         if dense[pos] is not None:
             continue
@@ -462,9 +482,9 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys,
             )
         value -= g
         if shared:
-            e = [pos // k % side for k in powers]
-            for move in moves:
-                dense[sum(map(mul, e, move))] = value
+            above, below = divmod(pos, half)
+            for low, high in tables:
+                dense[low[below] + high[above]] = value
         else:
             dense[pos] = value
     return dense
@@ -589,7 +609,10 @@ def _walk(box: list[int], side: int, s: int, w: int) -> None:
 
 class _WalkTerms:
     """R as a list and U * Z as a dense box, at L = 2^w: a class costs
-    one mask test per term of R and one lookup per term below it."""
+    one mask test per term of R up to its position and one lookup per
+    term below it.  The terms are sorted by offset, and a term k <= e
+    has offset at most pos(e), so a read stops at the first term past
+    pos(e)."""
 
     def __init__(self, s: int, width: int, keys: _Keys, rest: dict[int, int],
                  dense: list[int]):
@@ -599,8 +622,9 @@ class _WalkTerms:
         self.strides = strides = [side**i for i in range(keys.nvars)]
         _walk(dense, side, s, width)
         self.dense = dense
-        self.rest = [(key, sum(map(mul, keys.unpack(key), strides)), value)
-                     for key, value in rest.items()]
+        self.rest = sorted(
+            ((key, sum(map(mul, keys.unpack(key), strides)), value)
+             for key, value in rest.items()), key=itemgetter(1))
 
     def at(self, e: tuple[int, ...]) -> int:
         pos = sum(map(mul, e, self.strides))
@@ -610,7 +634,8 @@ class _WalkTerms:
         lifted = self.keys.pack(e) | guard
         dense = self.dense
         acc = 0
-        for key, offset, value in self.rest:
+        stop = bisect.bisect_right(self.rest, pos, key=itemgetter(1))
+        for key, offset, value in itertools.islice(self.rest, stop):
             if (lifted - key) & guard == guard:
                 acc += value * dense[pos - offset]
         return acc
@@ -655,6 +680,7 @@ def _config_terms(patterns: PatternSet, s: int, side: int) -> _WalkTerms:
 @functools.lru_cache(maxsize=None)
 def _shared_classes(patterns: PatternSet) -> tuple[dict, dict]:
     """A cache of the pattern set's configuration classes, {(s, orbit
+    key): class}, with moduli's hom classes beside them, {("hom", orbit
     key): class}, and the one uniform box kept per s, that of the
     largest side built, {s: (side, terms)}."""
     return {}, {}

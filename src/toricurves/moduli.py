@@ -34,13 +34,14 @@ from .grothendieck import (
 )
 from .toric import (
     Fan,
+    _orbit_keys,
     class_of_variety,
     eff_dual_contains,
     pattern_set,
     picard_rank,
     require_valid,
 )
-from .eulerprod import config_class, euler_product_at_Linv
+from .eulerprod import _shared_classes, config_class, euler_product_at_Linv
 
 __all__ = [
     "DegreeVector",
@@ -266,10 +267,18 @@ def _torus(n: int) -> LaurentClass:
 def _hom_class(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
     """hom_class of a checked degree vector in the dual effective cone:
     the torus class, built once per dimension (``_torus``), times the
-    configuration class.  That class is shared per orbit of the pattern
-    automorphisms, which need not keep the cone, so each public entry
-    tests the cone of its degree once, itself."""
-    return _torus(fan.dim) * config_class(pattern_set(fan), d, 0)
+    configuration class.  The product is built once per orbit key and
+    kept beside the configuration classes, in the engine's cache of the
+    pattern set, which fixes the dimension (the size of its largest
+    pattern-free set).  The orbits need not keep the cone, so each
+    public entry tests the cone of its degree once, itself."""
+    patterns = pattern_set(fan)
+    classes = _shared_classes(patterns)[0]
+    key = ("hom", _orbit_keys(patterns)[d])
+    cls = classes.get(key)
+    if cls is None:
+        cls = classes[key] = _torus(fan.dim) * config_class(patterns, d, 0)
+    return cls
 
 
 def _maps_exist(fan: Fan, d: tuple[int, ...]) -> bool:

@@ -11,14 +11,17 @@ binary strings, orbit keys by one tuple per permutation, the torus
 class by the binomial theorem, the punctured-line zeta
 coefficients from their closed form, configuration classes from the
 uniform box of the fan's whole pattern set) or builds test inputs
-(fan documents, product fans, effective degrees).  ``clear_caches`` empties every cache
+(fan documents, product fans, effective degrees, the generated fans
+of scripts/oracle_gate.py).  ``clear_caches`` empties every cache
 of the library, for tests that count work from cold caches, and
 ``record_work`` counts the work of a call.
 """
 
 import functools
+import importlib.util
 import itertools
 import math
+import pathlib
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -68,10 +71,13 @@ def clear_caches() -> None:
 def record_work(monkeypatch) -> dict[str, list]:
     """From here on, record each degree vector built ("vectors"), each
     vector keyed by toric._orbit_key ("keys"), each Fraction built
-    ("fractions"), and each class built by the constructor or by a power
-    ("classes"), as the torus class (L - 1)^n once was per map class.
-    Counts of work repeat exactly where timings do not."""
-    work = {"vectors": [], "keys": [], "fractions": [], "classes": []}
+    ("fractions"), each class built by the constructor or by a power
+    ("classes"), as the torus class (L - 1)^n once was per map class,
+    and each product of classes ("products"), as the torus times the
+    configuration class once was.  Counts of work repeat exactly where
+    timings do not."""
+    work = {"vectors": [], "keys": [], "fractions": [], "classes": [],
+            "products": []}
     post_init = DegreeVector.__post_init__
     monkeypatch.setattr(DegreeVector, "__post_init__",
                         lambda dv: work["vectors"].append(dv) or post_init(dv))
@@ -90,7 +96,22 @@ def record_work(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(LaurentClass, "__pow__",
                         lambda x, n: work["classes"].append((x, n))
                         or power(x, n))
+    times = LaurentClass.__mul__
+    monkeypatch.setattr(LaurentClass, "__mul__",
+                        lambda x, y: work["products"].append((x, y))
+                        or times(x, y))
     return work
+
+
+def load_oracle_gate():
+    """A fresh module of scripts/oracle_gate.py, for tests that call its
+    functions or patch its names."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "oracle_gate", root / "scripts" / "oracle_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
 
 
 # ---------------------------------------------------------------------------

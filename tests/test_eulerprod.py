@@ -583,6 +583,20 @@ def test_orbit_power_matches_the_power_by_cells(fans, s):
             assert _dense_power(base, a, keys, [tuple(range(n))]) == want
 
 
+@pytest.mark.parametrize("nrays", [5, 7])
+def test_orbit_power_on_unequal_halves(polygon_document, nrays):
+    """U pulled once per orbit equals U pulled cell by cell on the 5-gon
+    and the 7-gon, where an image's position is read from halves of 2
+    and 3, or 3 and 4, axes, at sides 0..3."""
+    fan = toric.parse_fan(polygon_document(nrays))
+    perms = toric._symmetries(nrays, toric.pattern_set(fan).minimal).perms
+    assert len(perms) > 1
+    for side in range(4):
+        base, a, keys = _power_inputs(fan, 0, side)
+        assert (_dense_power(base, a, keys, perms)
+                == dense_power_by_cells(base, a, keys)), side
+
+
 def test_orbit_power_with_part_of_the_group(dp6, polygon_document):
     """The 12-gon and dp6 x dp6, whose search stops at its node bound
     with part of the group (8 of 24 and 28 of 288 cosets), at sides 0

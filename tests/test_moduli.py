@@ -55,6 +55,21 @@ from toricurves.cli import EXIT_INTERNAL, main
 from toricurves.errors import InternalCheckError
 
 
+def check_reads_by_exponents(fan, side):
+    """Every cell of the fan's uniform box of the given side reads, from
+    _WalkTerms.at, the sum over the terms of R whose exponents lie below
+    it, found by comparing exponent tuples among all the terms."""
+    terms = eulerprod._config_terms(toric.pattern_set(fan), 0, side)
+    rest = [(terms.keys.unpack(key), offset, value)
+            for key, offset, value in terms.rest]
+    for e in itertools.product(range(side + 1), repeat=fan.nrays):
+        pos = sum(x * st for x, st in zip(e, terms.strides))
+        want = sum(value * terms.dense[pos - offset]
+                   for prior, offset, value in rest
+                   if all(a <= b for a, b in zip(prior, e)))
+        assert terms.at(e) == want, e
+
+
 def open_curve_config_series(fan, cap, s=0):
     """Tripwire route for the configuration series on the open curve.
 
@@ -234,17 +249,20 @@ class TestConfigClasses:
 
     def test_walk_mask_test_matches_the_exponent_comparison(self, dp6):
         """_WalkTerms.at picks the terms of R below e by one mask test
-        on packed keys; here they are picked by comparing exponent
-        tuples, at every cell of the dp6 box of side 3."""
-        terms = eulerprod._config_terms(toric.pattern_set(dp6), 0, 3)
-        rest = [(terms.keys.unpack(key), offset, value)
-                for key, offset, value in terms.rest]
-        for e in itertools.product(range(4), repeat=6):
-            pos = sum(x * st for x, st in zip(e, terms.strides))
-            want = sum(value * terms.dense[pos - offset]
-                       for prior, offset, value in rest
-                       if all(a <= b for a, b in zip(prior, e)))
-            assert terms.at(e) == want, e
+        on packed keys, among the terms up to pos(e); here they are
+        picked by comparing exponent tuples among all the terms, at
+        every cell of the dp6 box of side 3."""
+        check_reads_by_exponents(dp6, 3)
+
+    @pytest.mark.parametrize("name, side", [
+        ("p1xp1", 5), ("bl1p2", 5), ("5-gon", 2)])
+    def test_walk_reads_stop_at_their_position(
+            self, fans, polygon_document, name, side):
+        """As above on the boxes of other shapes, where a read stops at
+        the first term of R past its position."""
+        fan = (toric.parse_fan(polygon_document(5)) if name == "5-gon"
+               else fans[name])
+        check_reads_by_exponents(fan, side)
 
     def test_specializes_to_point_counts(self, p2, bl1p2):
         for fan, e, p in ((p2, (1, 1, 1), 2), (p2, (2, 2, 2), 3),
@@ -667,8 +685,10 @@ class TestConvergenceReports:
     def test_warm_report_builds_one_vector_and_its_bound(
             self, dp6, monkeypatch):
         """A warm report builds one degree vector and one Fraction, its
-        bound (4n - min d) / 4; it keys nothing, and builds no class: the
-        torus class is built once per dimension."""
+        bound (4n - min d) / 4; it keys nothing, and builds no class and
+        no product of classes: the torus class is built once per
+        dimension, and its product with the configuration class once
+        per orbit key."""
         d = (2, 1, 1, 2, 1, 1)
         first = convergence_report(dp6, d, 12)
         assert first.bound == Fraction(7, 4)
@@ -677,6 +697,7 @@ class TestConvergenceReports:
         assert second == first
         assert len(work["vectors"]) == 1 and work["keys"] == []
         assert work["fractions"] == [(7, 4)] and work["classes"] == []
+        assert work["products"] == []
 
 
 def test_torus_is_the_binomial_expansion():

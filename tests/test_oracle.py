@@ -1074,8 +1074,9 @@ class TestOracleCompare:
         engine, with no box of dp6 cached, the degrees of each component
         in the memo of its own pattern set), and the same comparison
         again builds one degree vector and keys nothing.  Nor does it
-        build a Fraction (the prediction is summed in integers) or a
-        class (the torus is built once per dimension)."""
+        build a Fraction (the prediction is summed in integers), a class
+        (the torus is built once per dimension) or a product of classes
+        (a map class is built once per orbit key)."""
         clear_caches()
         work = record_work(monkeypatch)
         vec = (2, 0, 1, 2, 0, 1)
@@ -1089,6 +1090,7 @@ class TestOracleCompare:
         assert (second.brute, second.predicted) == (first.brute, first.predicted)
         assert len(work["vectors"]) <= 1 and keyed == []
         assert work["fractions"] == [] and work["classes"] == []
+        assert work["products"] == []
 
     def test_prediction_is_the_class_at_p(self, fans):
         """The prediction summed in integers is the exact value at L = p

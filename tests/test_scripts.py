@@ -1,7 +1,7 @@
 """Smoke tests: each experiment script runs to its success line or
 refuses with an error line."""
 
-import importlib.util
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from reference import load_oracle_gate
 from toricurves.cli import EXIT_INTERNAL, EXIT_USAGE
 from toricurves.errors import InternalCheckError
 
@@ -79,6 +80,8 @@ def test_oracle_gate_refuses_beyond_the_budget():
     ("convergence_sweep.py", ["p2", "--order", "-1"],
      "error: --order must be nonnegative"),
     ("convergence_sweep.py", ["nowhere"], "error: cannot read fan description"),
+    ("oracle_gate.py", ["--fans", "p1", "--generated", "-1"],
+     "error: --generated must be nonnegative"),
 ])
 def test_script_refuses_bad_input(script, args, message):
     """Each ended in a traceback with exit status 1; now each refuses as
@@ -107,13 +110,42 @@ def test_script_refuses_bad_options(script, args, message):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_oracle_gate_sweeps_generated_fans():
+    """--generated N gates the generated fans 0..N-1 after the fixtures,
+    each at its default entry box, and exits 0 when all agree."""
+    proc = run_script("oracle_gate.py", "--fans", "p1", "--primes", "2",
+                      "--generated", "3")
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split(":")[0].strip() for line in proc.stdout.splitlines()]
+    assert names == ["p1", "g0", "g1", "g2"], proc.stdout
+    assert proc.stdout.count("s  ok") == 4, proc.stdout
+
+
+def test_oracle_gate_exits_1_on_a_mismatch(monkeypatch, capsys):
+    """A generated fan whose prediction is off by one is a mismatch:
+    its line names it and the gate exits 1."""
+    gate = load_oracle_gate()
+    compare = gate.oracle_compare
+
+    def off_by_one(p, fan, **kwargs):
+        rep = compare(p, fan, **kwargs)
+        if fan.nrays > 2:  # g0, not p1
+            rep = dataclasses.replace(rep, predicted=rep.predicted + 1,
+                                      equal=False)
+        return rep
+
+    monkeypatch.setattr(gate, "oracle_compare", off_by_one)
+    assert gate.main(["--fans", "p1", "--primes", "2", "--limit", "0",
+                      "--generated", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "    p1: 1 config + 1 hom counts" in out and "  ok" in out
+    assert "g0: 1 config + 1 hom counts" in out and "2 MISMATCHES" in out
+
+
 def test_oracle_gate_fails_its_internal_checks_as_the_cli_does(
         monkeypatch, capsys):
     """A failed internal check exits 4 with the CLI's line."""
-    spec = importlib.util.spec_from_file_location(
-        "oracle_gate", ROOT / "scripts" / "oracle_gate.py")
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = load_oracle_gate()
 
     def tripwire(*args, **kwargs):
         raise InternalCheckError("gate tripwire")
