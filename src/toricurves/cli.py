@@ -14,6 +14,7 @@ consistency tripwire.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import os
@@ -447,8 +448,7 @@ def _respond(args) -> int:
         _resolve_budget(args.budget)
     payload, text = args.func(args)
     try:
-        print(_json_text(payload) if args.format == "json" else text)
-        sys.stdout.flush()
+        _write(_json_text(payload) if args.format == "json" else text)
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull so that the flush
         # at exit fails no more, and leave quietly
@@ -456,6 +456,25 @@ def _respond(args) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return 0
+
+
+def _write(text: str) -> None:
+    """Print text and a newline to stdout, and flush it.  Under
+    PYTHONUNBUFFERED=1 stdout's buffer is a raw file, whose write takes
+    only part of the bytes when a signal handler (a sampling profiler's
+    timer, say) interrupts it, and print drops the rest; so there the
+    encoded text is written in a loop that goes on where each write
+    stopped."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        print(text)
+        out.flush()
+        return
+    out.flush()
+    data = memoryview((text + "\n").encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
 
 
 def main(argv=None) -> int:

@@ -680,9 +680,11 @@ def _config_terms(patterns: PatternSet, s: int, side: int) -> _WalkTerms:
 @functools.lru_cache(maxsize=None)
 def _shared_classes(patterns: PatternSet) -> tuple[dict, dict]:
     """A cache of the pattern set's configuration classes, {(s, orbit
-    key): class}, with moduli's hom classes beside them, {("hom", orbit
-    key): class}, and the one uniform box kept per s, that of the
-    largest side built, {s: (side, terms)}."""
+    key): class}, with moduli's records beside them, {(tag, orbit key):
+    record} (moduli._record): the hom class under "hom", a convergence
+    report's verdict under ("report", E) and an oracle comparison's
+    (count, prediction) under ("compare", p, kind); and the one uniform
+    box kept per s, that of the largest side built, {s: (side, terms)}."""
     return {}, {}
 
 

@@ -11,7 +11,9 @@ Each public function checks its input once, the fan and the degree
 vector together with ``checked_degrees`` (as the oracle does too), tests
 a map degree against the dual effective cone once, and reads the
 engine's cached class (eulerprod.config_class) itself, not through
-another public function.
+another public function.  What a map class, a convergence report or an
+oracle comparison adds to the configuration class is kept beside it, as
+one record per orbit key (``_record``).
 """
 
 from __future__ import annotations
@@ -264,21 +266,34 @@ def _torus(n: int) -> LaurentClass:
     return (L - 1) ** n
 
 
+def _record(fan: Fan, tag, d: tuple[int, ...], build):
+    """The record of a checked degree vector d under tag: build() on the
+    first vector of d's orbit, kept in the engine's cache of the fan's
+    pattern set (eulerprod._shared_classes) under (tag, orbit key), and
+    read back for every other vector of the orbit, of this fan or of
+    another fan with the same pattern set.  So a record holds only what
+    the orbit and the pattern set fix: relabelling the rays by a pattern
+    automorphism keeps every class and count, and |d| and min(d); the
+    pattern set fixes the complex of a smooth complete fan, and with it
+    the dimension and the Picard rank.  The checks of a public entry,
+    and the cone test of a map degree, come before the record is read."""
+    patterns = pattern_set(fan)
+    records = _shared_classes(patterns)[0]
+    key = tag, _orbit_keys(patterns)[d]
+    rec = records.get(key)
+    if rec is None:
+        rec = records[key] = build()
+    return rec
+
+
 def _hom_class(fan: Fan, d: tuple[int, ...]) -> LaurentClass:
     """hom_class of a checked degree vector in the dual effective cone:
     the torus class, built once per dimension (``_torus``), times the
-    configuration class.  The product is built once per orbit key and
-    kept beside the configuration classes, in the engine's cache of the
-    pattern set, which fixes the dimension (the size of its largest
-    pattern-free set).  The orbits need not keep the cone, so each
-    public entry tests the cone of its degree once, itself."""
-    patterns = pattern_set(fan)
-    classes = _shared_classes(patterns)[0]
-    key = ("hom", _orbit_keys(patterns)[d])
-    cls = classes.get(key)
-    if cls is None:
-        cls = classes[key] = _torus(fan.dim) * config_class(patterns, d, 0)
-    return cls
+    configuration class, built once per orbit key (``_record``, tag
+    "hom").  The orbits need not keep the cone, so each public entry
+    tests the cone of its degree once, itself."""
+    return _record(fan, "hom", d, lambda: _torus(fan.dim) * config_class(
+        pattern_set(fan), d, 0))
 
 
 def _maps_exist(fan: Fan, d: tuple[int, ...]) -> bool:
@@ -335,13 +350,25 @@ def convergence_report(
 
     The difference is judged on the degrees above the truncation floor
     against the bound -min(d)/4 + n; if the floor itself sits above the
-    bound the comparison is inconclusive and reported as such.
+    bound the comparison is inconclusive and reported as such.  The
+    degree is checked and tested against the cone, and E refused or the
+    constant read from tamagawa's cache, on every call; the rest of the
+    report is built once per E and orbit key (``_record``), since the
+    orbit keeps the class, |d| and min(d), and the pattern set the
+    dimension.
     """
     dv = checked_degrees(fan, d)
     if not eff_dual_contains(fan, dv.entries):
         raise ValueError(
             f"degree {dv.entries} is outside the dual effective cone")
     tau = tamagawa(fan, E)
+    return ErrorReport(dv.entries, tau, *_record(
+        fan, ("report", E), dv.entries, lambda: _verdict(fan, dv, tau)))
+
+
+def _verdict(fan: Fan, dv: DegreeVector, tau: DimSeries) -> tuple:
+    """The fields of a convergence report after its degree and constant:
+    the normalized class, delta_dim, the bound, passed and inconclusive."""
     normalized = _hom_class(fan, dv.entries).shift(-dv.total)
     bound = Fraction(4 * fan.dim - dv.minimum, 4)
     delta = (tau.known - normalized).truncate_below(tau.floor)
@@ -349,8 +376,7 @@ def convergence_report(
     inconclusive = tau.floor > bound
     passed = not inconclusive and (
         delta_dim is MINUS_INFINITY or delta_dim <= bound)
-    return ErrorReport(dv.entries, tau, normalized, delta_dim, bound, passed,
-                       inconclusive)
+    return normalized, delta_dim, bound, passed, inconclusive
 
 
 def constrained_main_term(fan: Fan, jc: JetCondition, E: int) -> DimSeries:

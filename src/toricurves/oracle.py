@@ -79,7 +79,7 @@ from operator import and_
 from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError, _integer, _resolve_budget
-from .grothendieck import ZERO, LaurentClass, evaluate
+from .grothendieck import LaurentClass, evaluate
 from .toric import (
     Fan,
     _Memo,
@@ -92,6 +92,7 @@ from .moduli import (
     DegreeVector,
     _hom_class,
     _maps_exist,
+    _record,
     checked_degrees,
     pattern_config_class,
 )
@@ -502,8 +503,9 @@ def ff_hom_count(
 
     Counts tuples of nonzero forms (all scalings of the normalized
     tuples) avoiding the patterns, then divides by the order of the
-    Neron-Severi torus; the quotient must be exact.  Zero outside the
-    dual effective cone, once the checks and the budget have run.
+    Neron-Severi torus, which divides every such count (``_hom_count``).
+    Zero outside the dual effective cone, once the checks and the budget
+    have run.
     """
     d = _checked_degrees(p, fan, d, budget).entries
     return _hom_count(p, fan, d) if eff_dual_contains(fan, d) else 0
@@ -512,14 +514,10 @@ def ff_hom_count(
 def _hom_count(p: int, fan: Fan, d: tuple[int, ...]) -> int:
     """ff_hom_count of a degree vector that _checked_degrees passed, in
     the dual effective cone.  That checked the fan, so its Picard rank
-    is nrays - dim (toric.picard_rank) with no second check."""
-    raw = _pattern_count(p, pattern_set(fan), d) * (p - 1) ** fan.nrays
-    div = (p - 1) ** (fan.nrays - fan.dim)
-    if raw % div:
-        raise InternalCheckError(
-            f"form-tuple count {raw} is not divisible by the torus order {div}"
-        )
-    return raw // div
+    is nrays - dim (toric.picard_rank): the count of normalized tuples
+    times the (p - 1)^nrays scalings of each, over the torus order
+    (p - 1)^(nrays - dim), is the count times (p - 1)^dim."""
+    return _pattern_count(p, pattern_set(fan), d) * (p - 1) ** fan.dim
 
 
 def reduce_point(pt: Sequence[int], p: int) -> int | None:
@@ -749,28 +747,40 @@ def oracle_compare(
 
     Pass ``e`` to compare the configuration class, ``d`` to compare the
     map-space class; exactly one of the two.  The vector is checked
-    once, as the counts check it, a map degree is tested against the
-    dual effective cone once, and the counts and the map-space class
-    are read from their cores; the configuration class is read through
-    pattern_config_class, which checks the fan and the vector again.
-    The prediction is the class at L = p, summed in integers
-    (``_predicted``), with no Fraction built.
+    once, as the counts check it, the budget refuses before any cached
+    value is read, and a map degree is tested against the dual effective
+    cone once; outside it both sides are 0.  The count and the
+    prediction are then one record per p, kind and orbit key
+    (moduli's ``_record``), since the orbit keeps both; the first
+    comparison of an orbit builds it (``_compared``).
     """
     if (e is None) == (d is None):
         raise ValueError("pass exactly one of e (configurations) or d (maps)")
     start = time.perf_counter()
     dv = _checked_degrees(p, fan, e if d is None else d, budget)
     vec = dv.entries
-    if d is None:
-        brute = _pattern_count(p, pattern_set(fan), vec)
-        cls = pattern_config_class(fan, dv, 0)
-        kind = "config"
-    else:
-        brute, cls, kind = 0, ZERO, "hom"
-        if _maps_exist(fan, vec):
-            brute, cls = _hom_count(p, fan, vec), _hom_class(fan, vec)
-    predicted = _predicted(cls, p)
+    kind = "config" if d is None else "hom"
+    brute = predicted = 0
+    if d is None or _maps_exist(fan, vec):
+        brute, predicted = _record(fan, ("compare", p, kind), vec,
+                                   lambda: _compared(p, fan, dv, kind))
     elapsed = int((time.perf_counter() - start) * 1000)
     return OracleReport(
         p, kind, vec, brute, predicted, brute == predicted, elapsed
     )
+
+
+def _compared(p: int, fan: Fan, dv: DegreeVector,
+              kind: str) -> tuple[int, int]:
+    """The count and the prediction of a checked vector, in the cone for
+    a map degree.  The prediction is the class at L = p, summed in
+    integers (``_predicted``), with no Fraction built; the configuration
+    class is read through pattern_config_class, which checks the fan and
+    the vector again, on this first comparison of the orbit only."""
+    vec = dv.entries
+    if kind == "config":
+        brute = _pattern_count(p, pattern_set(fan), vec)
+        cls = pattern_config_class(fan, dv, 0)
+    else:
+        brute, cls = _hom_count(p, fan, vec), _hom_class(fan, vec)
+    return brute, _predicted(cls, p)

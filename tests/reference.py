@@ -12,9 +12,11 @@ class by the binomial theorem, the punctured-line zeta
 coefficients from their closed form, configuration classes from the
 uniform box of the fan's whole pattern set) or builds test inputs
 (fan documents, product fans, effective degrees, the generated fans
-of scripts/oracle_gate.py).  ``clear_caches`` empties every cache
-of the library, for tests that count work from cold caches, and
-``record_work`` counts the work of a call.
+of scripts/oracle_gate.py, the acceptance convergence families).
+``clear_caches`` empties every cache of the library, for tests that
+count work from cold caches, ``record_work`` counts the work of a call,
+and ``fresh_report`` and ``fresh_comparison`` assemble a convergence
+report and an oracle comparison from the public classes and counts.
 """
 
 import functools
@@ -36,13 +38,23 @@ from toricurves.eulerprod import (
     _weight_raw,
     _width,
 )
-from toricurves.grothendieck import ONE, ZERO, DimSeries, LaurentClass
+from toricurves.grothendieck import (
+    MINUS_INFINITY,
+    ONE,
+    ZERO,
+    DimSeries,
+    LaurentClass,
+    evaluate,
+)
 from toricurves.mobius import mobius_table
 from toricurves.moduli import (
     DegreeVector,
+    ErrorReport,
     JetCondition,
     hom_class,
+    normalized_hom_class,
     pattern_config_class,
+    tamagawa,
 )
 from toricurves.toric import (
     Fan,
@@ -73,11 +85,12 @@ def record_work(monkeypatch) -> dict[str, list]:
     vector keyed by toric._orbit_key ("keys"), each Fraction built
     ("fractions"), each class built by the constructor or by a power
     ("classes"), as the torus class (L - 1)^n once was per map class,
-    and each product of classes ("products"), as the torus times the
-    configuration class once was.  Counts of work repeat exactly where
-    timings do not."""
+    each product of classes ("products"), as the torus times the
+    configuration class once was, and each class an oracle comparison
+    reads at L = p (oracle._predicted, "predictions").  Counts of work
+    repeat exactly where timings do not."""
     work = {"vectors": [], "keys": [], "fractions": [], "classes": [],
-            "products": []}
+            "products": [], "predictions": []}
     post_init = DegreeVector.__post_init__
     monkeypatch.setattr(DegreeVector, "__post_init__",
                         lambda dv: work["vectors"].append(dv) or post_init(dv))
@@ -100,7 +113,54 @@ def record_work(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(LaurentClass, "__mul__",
                         lambda x, y: work["products"].append((x, y))
                         or times(x, y))
+    predicted = oracle._predicted
+    monkeypatch.setattr(oracle, "_predicted",
+                        lambda cls, p: work["predictions"].append((cls, p))
+                        or predicted(cls, p))
     return work
+
+
+def fresh_report(fan: Fan, d, E: int) -> ErrorReport:
+    """convergence_report(fan, d, E) assembled from its public pieces,
+    tamagawa, normalized_hom_class and the bound (4n - min d) / 4, as the
+    report was built on every call before it was kept per orbit key."""
+    tau = tamagawa(fan, E)
+    normalized = normalized_hom_class(fan, d)
+    bound = Fraction(4 * fan.dim - min(d), 4)
+    delta = (tau.known - normalized).truncate_below(tau.floor)
+    dim = delta.virtual_dimension
+    inconclusive = tau.floor > bound
+    passed = not inconclusive and (dim is MINUS_INFINITY or dim <= bound)
+    return ErrorReport(tuple(d), tau, normalized, dim, bound, passed,
+                       inconclusive)
+
+
+def fresh_comparison(p: int, fan: Fan, e=None, d=None) -> tuple:
+    """The (brute, predicted) pair of oracle_compare from the public
+    counts and classes, with the class read at L = p by ``evaluate``; a
+    map degree outside the dual effective cone compares 0 with 0."""
+    if d is None:
+        return (oracle.ff_pattern_count(p, fan, e),
+                evaluate(pattern_config_class(fan, e), p))
+    if not eff_dual_contains(fan, d):
+        return 0, 0
+    return oracle.ff_hom_count(p, fan, d), evaluate(hom_class(fan, d), p)
+
+
+def convergence_families(fans: dict) -> dict:
+    """The degrees of the acceptance convergence sweep, per fixture: the
+    diagonals, two-parameter families, and the dp6 cone points with
+    entries 1 to 4, which the series truncation at E = 12 affords."""
+    return {
+        "p1": [(d, d) for d in range(1, 7)],
+        "p2": [(k,) * 3 for k in range(1, 7)],
+        "p3": [(k,) * 4 for k in range(1, 7)],
+        "p1xp1": [(a, a, b, b) for a in range(1, 7) for b in range(1, 7)],
+        "bl1p2": [(a, b, a, a + b)
+                  for a in range(1, 7) for b in range(1, 7) if a + b <= 6],
+        "dp6": [d for d in itertools.product(range(1, 5), repeat=6)
+                if eff_dual_contains(fans["dp6"], d)],
+    }
 
 
 def load_oracle_gate():

@@ -698,3 +698,35 @@ def test_quiet_exit_when_the_reader_leaves_early():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_whole_answer_when_a_timer_interrupts_the_write(
+        capsys, tmp_path, dp6):
+    """Under PYTHONUNBUFFERED=1 stdout's buffer is a raw file, and a
+    write into a full pipe that a signal handler interrupts returns
+    short.  With a 2 ms interval timer in the process, as a sampling
+    profiler sets one, and a reader that waits 0.3 s so that the pipe
+    fills first, the command still writes every byte of its answer."""
+    path = tmp_path / "dp6xdp6.json"
+    path.write_text(json.dumps(fan_document(fan_product(dp6, dp6))))
+    argv = ["analyze", str(path), "--format", "json"]
+    code = ("import runpy, signal, sys\n"
+            "signal.signal(signal.SIGALRM, lambda *_: None)\n"
+            "signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)\n"
+            f"sys.argv = ['toricurves', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('toricurves.cli', run_name='__main__',"
+            " alter_sys=True)\n"
+            "finally:\n"
+            "    signal.setitimer(signal.ITIMER_REAL, 0)\n")
+    src = pathlib.Path(toricurves.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-c", code],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    time.sleep(0.3)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+    status, want, _ = run(capsys, *argv)
+    assert status == 0 and len(want) > 1 << 16
+    assert out.decode() == want

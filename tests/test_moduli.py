@@ -682,13 +682,11 @@ class TestConvergenceReports:
         with pytest.raises(ValueError):
             convergence_report(p2, (1, 1, 0), 8)
 
-    def test_warm_report_builds_one_vector_and_its_bound(
-            self, dp6, monkeypatch):
-        """A warm report builds one degree vector and one Fraction, its
-        bound (4n - min d) / 4; it keys nothing, and builds no class and
-        no product of classes: the torus class is built once per
-        dimension, and its product with the configuration class once
-        per orbit key."""
+    def test_warm_report_builds_one_vector(self, dp6, monkeypatch):
+        """A warm report builds one degree vector; it keys nothing, and
+        builds no Fraction, no class and no product of classes: its
+        bound, normalized class and verdict are one record per E and
+        orbit key."""
         d = (2, 1, 1, 2, 1, 1)
         first = convergence_report(dp6, d, 12)
         assert first.bound == Fraction(7, 4)
@@ -696,7 +694,7 @@ class TestConvergenceReports:
         second = convergence_report(dp6, d, 12)
         assert second == first
         assert len(work["vectors"]) == 1 and work["keys"] == []
-        assert work["fractions"] == [(7, 4)] and work["classes"] == []
+        assert work["fractions"] == [] and work["classes"] == []
         assert work["products"] == []
 
 
