@@ -420,24 +420,31 @@ def _dense_power(terms: dict[int, int], a: int, keys: _Keys,
     # per support mask, the offsets of the terms that fit in it, grouped
     # by the weights F_f |f| and F_f they share
     fits: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(1 << n)]
+    by_mask: dict[int, int] = {}
     for key, c in terms.items():
         f = keys.unpack(key)
         if max(f) > 1:
             raise InternalCheckError(f"power term at {f} has an exponent above 1")
-        for perm in perms:
-            image = [0] * n
-            for i, x in zip(perm, f):
-                image[i] = x
-            if terms.get(keys.pack(tuple(image))) != c:
-                raise InternalCheckError(
-                    f"axis permutation {perm} moves the power term at {f}")
         mask = sum(x << i for i, x in enumerate(f))
+        by_mask[mask] = c
         offset = sum(map(mul, f, powers))
         m = mask
         while m < 1 << n:
             # every superset of mask, in increasing order
             fits[m].setdefault((c * sum(f), c), []).append(offset)
             m = (m + 1) | mask
+    # with exponents 0 and 1 a term is its support mask, and a
+    # permutation moves it by moving the mask's bits
+    for perm in perms:
+        for mask, c in by_mask.items():
+            image = 0
+            for i, j in enumerate(perm):
+                if mask >> i & 1:
+                    image |= 1 << j
+            if by_mask.get(image) != c:
+                f = tuple(mask >> i & 1 for i in range(n))
+                raise InternalCheckError(
+                    f"axis permutation {perm} moves the power term at {f}")
     groups = [list(fit.items()) for fit in fits]
     # the total degree and the support mask of every cell
     degree, support = [0], [0]

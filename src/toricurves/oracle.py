@@ -22,11 +22,13 @@ Plain counts list no form and no polynomial: by unique factorization
 the number of forms whose roots among the tracked points are a given
 set comes from the zeta function of P^1, and depends only on how many
 points of each degree the set holds, which the same zeta function
-gives.  Their walk therefore also keeps one state per orbit of the
-points under the permutations that keep degrees, [0:1] counting as a
-rational point, with the orbit's summed count.  The orbit
-is read off bit counts: the points of each degree are split by the
-state's masks, and the orbit is how many points each part holds.
+gives.  So a plain step at a ray is one table per prime, degree, cut
+and set of carried patterns the ray is on, shared by every ray and
+count.  Their walk also keeps one state per orbit of the points under
+the permutations that keep degrees, [0:1] counting as a rational point,
+with the orbit's summed count.  The orbit is read off bit counts: the
+points of each degree are split by the state's masks in turn, and the
+orbit is how many points of each part each mask holds.
 Jet-constrained counts key each form by its mask and the values of
 the characters of the dense torus on its jet relative to the target;
 the characters are a homomorphism, so the walk carries the product of
@@ -75,7 +77,7 @@ import math
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import and_
+from operator import and_, itemgetter
 from typing import Sequence
 
 from .errors import BudgetError, InternalCheckError, _integer, _resolve_budget
@@ -239,6 +241,17 @@ def _mask_counts(p: int, e: int, k: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _plain_step(p: int, e: int, k: int, hit: tuple[bool, ...]) -> tuple:
+    """A plain count's step at a ray of degree e whose masks cover the
+    points of degree at most k: (mask, value 0, number of forms, the
+    mask in each carried slot the ray is on and -1 in the others) per
+    root mask of ``_mask_counts``.  Every ray and every count with the
+    same (p, e, k, hit) shares one table, built once per process."""
+    return tuple((m, 0, c, tuple(m if h else -1 for h in hit))
+                 for m, c in _mask_counts(p, e, k).items())
+
+
+@functools.lru_cache(maxsize=None)
 def _walk_order(
     nrays: int, patterns: tuple[tuple[int, ...], ...]
 ) -> tuple[int, ...]:
@@ -273,16 +286,20 @@ def _orbit_reps(p: int, k: int) -> _Memo:
     groups of one orbit have equal continuations.  A point's column is
     whether the forbidden mask and each carried AND hold it, and a
     group's orbit is how many points of each degree class have each
-    column: each class's bits are split by the forbidden mask, then by
-    each carried AND, and the orbit is the number of carried ANDs with
-    the (split path, point count) of every nonempty part.  A path is
-    the class index with one bit per mask after it, so it tells which
-    class a part is in only among groups of as many masks: the number is
-    kept since one memo serves every step of every count.  The parts
-    start inside the tracked points, so the bits above them, as in the
-    all-ones entries, are never read.  The first group seen stands for
-    its orbit; the same groups recur across counts, so each is looked
-    at once per process.
+    column.  The classes are split by the forbidden mask, then by each
+    carried AND: each part into the points the mask holds, by one AND,
+    and the rest, by an XOR, the empty ones dropped.  The signature is
+    the number of carried ANDs and, mask by mask, how many points of
+    each part the mask holds.  Those numbers give the sizes of the next
+    parts, so two groups of as many masks share a signature exactly
+    when each part of one has as many points as the part in its place
+    in the other, with the same column: when they share an orbit.  The
+    number of ANDs is kept since one memo serves every step of every
+    count, and groups of different lengths could list the same numbers.
+    The parts start inside the tracked points, so the bits above them,
+    as in the all-ones entries, are never read.  The first group seen
+    stands for its orbit; the same groups recur across counts, so each
+    is looked at once per process.
     """
     classes = [(1 << b) - (1 << a) for a, b in itertools.pairwise(
         itertools.accumulate(_zeta_peel(p, k, k)[0], initial=0))]
@@ -290,13 +307,19 @@ def _orbit_reps(p: int, k: int) -> _Memo:
 
     def rep(group):
         forbidden, carried, _ = group
-        parts = list(enumerate(classes))
+        parts = classes
+        orbit = [len(carried)]
         for m in (forbidden, *carried):
-            parts = [(2 * path + side, bits) for path, part in parts
-                     for side, bits in ((1, part & m), (0, part & ~m)) if bits]
-        orbit = len(carried), tuple((path, bits.bit_count())
-                                    for path, bits in parts)
-        return first.setdefault(orbit, group)
+            split = []
+            for part in parts:
+                inside = part & m
+                orbit.append(inside.bit_count())
+                if inside:
+                    split.append(inside)
+                if inside != part:
+                    split.append(part ^ inside)
+            parts = split
+        return first.setdefault(tuple(orbit), group)
 
     return _Memo(rep)
 
@@ -328,12 +351,15 @@ def _count(p, degrees, patterns, forms=None, times=None) -> int:
 
     A plain count lists no form: the number of forms per mask comes
     from the zeta function of P^1 (``_mask_counts``) and depends on the
-    points a mask holds only through their degrees.  So a permutation
-    of the points that keeps degrees maps states onto states with the
-    same continuations, and after the fold the groups merge once more,
-    one per orbit of the points, stepped with the orbit's summed count
-    (``_orbit_reps``).  Jet counts keep every group, since the marked
-    point and the values single out points.
+    points a mask holds only through their degrees.  So its step at a
+    ray is one table for every ray and count of the same prime, degree,
+    cut and slots hit (``_plain_step``), and a permutation of the points
+    that keeps degrees maps states onto states with the same
+    continuations: after the fold the groups merge once more, one per
+    orbit of the points, stepped with the orbit's summed count
+    (``_orbit_reps``).  Jet counts build their step from ``forms`` at
+    each ray and keep every group, since the marked point and the values
+    single out points.
     """
     patterns = tuple(pat for pat in patterns if all(degrees[a] for a in pat))
     order = _walk_order(len(degrees), patterns)
@@ -349,8 +375,6 @@ def _count(p, degrees, patterns, forms=None, times=None) -> int:
     states = {((), 0): 1}
     live: list[int] = []
     for t, (e, k) in enumerate(zip(degrees, cuts)):
-        keys = forms(order[t], e, k) if forms else {
-            (m, 0): c for m, c in _mask_counts(p, e, k).items()}
         # slots index the old state plus a trailing all-ones entry, where
         # the patterns beginning at ray t start
         slots = list(enumerate(live)) + [
@@ -364,21 +388,25 @@ def _count(p, degrees, patterns, forms=None, times=None) -> int:
             src.append(slot)
             hit.append(t in patterns[i])
             kept.append(i)
+        # one getter of the carried slots; of one index it would give the
+        # entry itself, so none or one slot is taken as a slice
+        take = itemgetter(*src) if len(src) > 1 else itemgetter(
+            slice(src[0], src[0] + 1) if src else slice(0))
         groups: dict = defaultdict(int)
         for (ands, value), n in states.items():
             ext = ands + (-1,)
             forbidden = 0
             for s in closing:
                 forbidden |= ext[s]
-            groups[forbidden, tuple(map(ext.__getitem__, src)), value] += n
+            groups[forbidden, take(ext), value] += n
         if reps is not None and len(groups) > 1:
             merged: dict = defaultdict(int)
             for group, n in groups.items():
                 merged[reps[group]] += n
             groups = merged
-        step = [
+        step = _plain_step(p, e, k, tuple(hit)) if forms is None else [
             (m, fv, c, tuple(m if h else -1 for h in hit))
-            for (m, fv), c in keys.items()
+            for (m, fv), c in forms(order[t], e, k).items()
         ]
         nxt: dict = defaultdict(int)
         for (forbidden, carried, value), n in groups.items():

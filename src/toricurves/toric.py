@@ -453,8 +453,10 @@ def _symmetries(
     return _Symmetries(twins, tuple(perms), nodes)
 
 
-def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
-    """The least relabelling of e under the automorphisms found.
+def _orbit_key(e: tuple[int, ...], twins: tuple[tuple[int, ...], ...],
+               getters: tuple[itemgetter, ...]) -> tuple[int, ...]:
+    """The least relabelling of e under the automorphisms found: the twin
+    classes and one itemgetter per permutation of ``_symmetries``.
 
     Relabelling the rays together with the degrees keeps an oracle
     count and a configuration class: each takes at the vector with entry
@@ -464,15 +466,15 @@ def _orbit_key(e: tuple[int, ...], sym: _Symmetries) -> tuple[int, ...]:
     Equal keys mean the same orbit, so a search that missed some
     automorphisms only shares fewer values.  Sorting and relabelling
     keep the entries, so the key has the largest entry of e.  Each
-    relabelling is one itemgetter of perm (a pattern set has two or
-    more rays, so each gives a tuple).
+    relabelling is one getter, itemgetter(*perm) (a pattern set has two
+    or more rays, so each gives a tuple).
     """
-    if sym.twins:
+    if twins:
         e = list(e)
-        for cls in sym.twins:
+        for cls in twins:
             for a, x in zip(cls, sorted(e[a] for a in cls)):
                 e[a] = x
-    return min([itemgetter(*perm)(e) for perm in sym.perms])
+    return min([get(e) for get in getters])
 
 
 class _Memo(dict):
@@ -489,9 +491,10 @@ class _Memo(dict):
 
 @lru_cache(maxsize=None)
 def _orbit_keys(patterns: PatternSet) -> _Memo:
-    """{e: _orbit_key(e, sym)} for the degree vectors of a pattern set,
-    each key computed on first use, with one itemgetter per checked
-    permutation, and the automorphisms the search lists kept as ``sym``.
+    """{e: its orbit key} for the degree vectors of a pattern set, each
+    key computed on first use by ``_orbit_key`` with one itemgetter per
+    checked permutation, built once per memo, and the automorphisms the
+    search lists kept as ``sym``.
     One memo per pattern set: the oracle and the engine share it, so
     each vector is keyed once per process.
 
@@ -512,7 +515,8 @@ def _orbit_keys(patterns: PatternSet) -> _Memo:
         if {sum(1 << perm[a] for a in pat) for pat in patterns.minimal} != masks:
             raise InternalCheckError(
                 f"ray permutation {perm} does not keep the patterns")
-    keys = _Memo(partial(_orbit_key, sym=sym))
+    keys = _Memo(partial(_orbit_key, twins=sym.twins, getters=tuple(
+        itemgetter(*perm) for perm in sym.perms)))
     keys.sym = sym
     return keys
 

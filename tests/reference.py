@@ -59,7 +59,6 @@ from toricurves.moduli import (
 from toricurves.toric import (
     Fan,
     PatternSet,
-    _orbit_key,
     _orbit_keys,
     det_int,
     eff_dual_contains,
@@ -96,8 +95,8 @@ def record_work(monkeypatch) -> dict[str, list]:
                         lambda dv: work["vectors"].append(dv) or post_init(dv))
     orbit_key = toric._orbit_key
     monkeypatch.setattr(toric, "_orbit_key",
-                        lambda e, sym: work["keys"].append(e)
-                        or orbit_key(e, sym))
+                        lambda e, **kw: work["keys"].append(e)
+                        or orbit_key(e, **kw))
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kw: work["fractions"].append(args)
@@ -714,7 +713,7 @@ def whole_fan_class(fan: Fan, e, s: int) -> LaurentClass:
     whole fan's box at side max(e) (whole_fan_box), read at the orbit
     key of e under the bound that fixes its width."""
     patterns = pattern_set(fan)
-    key = _orbit_key(tuple(e), _orbit_keys(patterns).sym)
+    key = tuple_min_orbit_key(e, _orbit_keys(patterns).sym)
     terms = whole_fan_box(fan, s, max(key, default=0))
     return _read_back(terms.at(key), terms.width, 1 << (terms.width - 2), e,
                       "whole-fan class at {} exceeds its bound")

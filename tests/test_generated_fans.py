@@ -15,7 +15,8 @@ import itertools
 
 import pytest
 
-from reference import load_oracle_gate, whole_fan_class
+from reference import count_unmerged, load_oracle_gate, whole_fan_class
+from toricurves import oracle
 from toricurves.moduli import pattern_config_class
 from toricurves.toric import _components, parse_fan, pattern_set, validate
 
@@ -49,3 +50,16 @@ def test_generated_fan_agrees_with_the_oracle_and_the_whole_box(index):
         for e in itertools.product(range(side + 1), repeat=fan.nrays):
             assert (pattern_config_class(fan, e, s)
                     == whole_fan_class(fan, e, s)), (s, e)
+
+
+@pytest.mark.parametrize("index", range(COUNT))
+def test_generated_fan_walk_matches_the_unmerged_walk(index):
+    """The oracle's walk, with its orbit merge and shared plain step
+    tables, against the walk that merges no orbit and lists the forms
+    (reference.count_unmerged), at p = 2 and 3 over entries 0 and 1."""
+    fan = parse_fan(DOCUMENTS[index])
+    patterns = pattern_set(fan).minimal
+    for e in itertools.product((0, 1), repeat=fan.nrays):
+        for p in (2, 3):
+            assert (oracle._count(p, e, patterns)
+                    == count_unmerged(p, e, patterns)), (p, e)

@@ -283,6 +283,23 @@ class TestOrbitMerge:
         assert (oracle._count(5, e, patterns)
                 == count_unmerged(5, e, patterns) == 139873560)
 
+    def test_rays_and_counts_share_each_plain_step_table(self, p2, fans):
+        """One plain step table per (p, e, k, slots hit): on p2 at
+        (2, 2, 2) the first two rays carry the one pattern and share a
+        table, and the last ends it; p3 at (2, 2, 2, 2) then meets only
+        those two, and builds none."""
+        clear_caches()
+        plane, space = (toric.pattern_set(fan).minimal
+                        for fan in (p2, fans["p3"]))
+        assert (oracle._count(3, (2, 2, 2), plane)
+                == count_unmerged(3, (2, 2, 2), plane))
+        info = oracle._plain_step.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        assert (oracle._count(3, (2,) * 4, space)
+                == count_unmerged(3, (2,) * 4, space))
+        info = oracle._plain_step.cache_info()
+        assert (info.misses, info.hits) == (2, 5)
+
     def test_groups_of_one_orbit_share_a_representative(self):
         # p = 3, degree 1 only: bit 0 is [0:1], bits 1-3 the rational points
         reps = oracle._orbit_reps(3, 1)
@@ -504,10 +521,10 @@ class TestPatternCounts:
         for name in ["p1", "p2", "p3", "p1xp1", "bl1p2", "dp6", "F2"]:
             fan = fan_named(fans, name)
             patterns = toric.pattern_set(fan).minimal
-            sym = toric._symmetries(fan.nrays, patterns)
+            keys = toric._orbit_keys(toric.pattern_set(fan))
             top = 3 if fan.nrays <= 4 else 2
             for e in itertools.product(range(top + 1), repeat=fan.nrays):
-                moved += toric._orbit_key(e, sym) != e
+                moved += keys[e] != e
                 assert (ff_pattern_count(2, fan, e)
                         == oracle._count(2, e, patterns)), (name, e)
         assert moved > 1000
@@ -842,6 +859,23 @@ class TestConstrainedCounts:
             spec = JetSpec(point, order, target)
         got = ff_constrained_count(p, fan, d, spec)
         monkeypatch.setattr(oracle, "_count", count_unmerged)
+        assert ff_constrained_count(p, fan, d, spec) == got, (name, d, p)
+
+    @pytest.mark.parametrize("name,d,p,point,order,target", JET_CASES)
+    def test_jet_counts_ignore_the_plain_step_tables(
+            self, fans, name, d, p, point, order, target):
+        """A jet count builds its step from its forms at each ray, so it
+        is the same after a plain count of its degrees has filled the
+        plain step tables of the same (p, e, k, slots hit)."""
+        fan = fan_named(fans, name)
+        if target is None:
+            spec = JetSpec.identity(fan.nrays, point, order)
+        else:
+            spec = JetSpec(point, order, target)
+        clear_caches()
+        got = ff_constrained_count(p, fan, d, spec)
+        oracle._count(p, d, toric.pattern_set(fan).minimal)
+        assert oracle._plain_step.cache_info().currsize > 0
         assert ff_constrained_count(p, fan, d, spec) == got, (name, d, p)
 
     def test_orbit_test_makes_few_series_products(self, dp6, monkeypatch):
